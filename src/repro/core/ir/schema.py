@@ -94,14 +94,15 @@ def infer_schema(graph: IRGraph, node: IRNode) -> Schema:
     raise IRValidationError(f"cannot infer schema of op {op!r}")
 
 
-def columns_required_above(graph: IRGraph, node: IRNode) -> set[str] | None:
-    """Unqualified column names referenced by any ancestor of ``node``.
+def references_above(graph: IRGraph, node: IRNode) -> set[str] | None:
+    """Lower-cased column references, qualifiers kept, of every ancestor
+    of ``node`` (model feature names count as references).
 
     Returns ``None`` when an ancestor is opaque (a UDF) or implicitly
     needs all columns (bare-star projection is encoded with items, so it
     is never opaque). The caller must then keep everything.
     """
-    required: set[str] = set()
+    references: set[str] = set()
     to_visit = [parent for parent in graph.parents_of(node)]
     seen: set[int] = set()
     while to_visit:
@@ -112,17 +113,26 @@ def columns_required_above(graph: IRGraph, node: IRNode) -> set[str] | None:
         if current.op == "udf.python":
             return None
         for expr in _node_expressions(current):
-            required.update(ref.split(".")[-1].lower() for ref in expr.columns())
+            references.update(ref.lower() for ref in expr.columns())
         if current.op in ("mld.pipeline", "mld.predictor", "la.tensor_graph"):
             names = current.attrs.get("feature_names") or []
-            required.update(n.lower() for n in names)
+            references.update(n.lower() for n in names)
         if current.op == "mld.clustered_predictor":
             names = current.attrs.get("feature_names") or []
-            required.update(n.lower() for n in names)
+            references.update(n.lower() for n in names)
             cluster_names = current.attrs.get("cluster_feature_names") or []
-            required.update(n.lower() for n in cluster_names)
+            references.update(n.lower() for n in cluster_names)
         to_visit.extend(graph.parents_of(current))
-    return required
+    return references
+
+
+def columns_required_above(graph: IRGraph, node: IRNode) -> set[str] | None:
+    """Unqualified column names referenced by any ancestor of ``node``
+    (``None`` under the conditions of :func:`references_above`)."""
+    references = references_above(graph, node)
+    if references is None:
+        return None
+    return {ref.split(".")[-1] for ref in references}
 
 
 def _node_expressions(node: IRNode):

@@ -1,23 +1,15 @@
-"""Cross-optimizer engines (paper §4.3).
+"""The cross-optimizer engine (paper §4.3).
 
-``UnifiedOptimizer`` is the production engine: it runs the query
-through the Cascades memo (:mod:`repro.core.optimizer.search`) that the
-SQL physical planner also uses, so relational rewrites (pushdown, DP
-join ordering) and ML rewrites (predicate-based pruning, projection
-pushdown, model inlining) compete as memo rules under one cost model.
-IR-level cleanup that depends on graph context (projection pruning,
-join elimination, tensor constant folding) runs as a post-pass.
-
-``HeuristicOptimizer`` remains the paper's "initial version" — all
-transformation rules applied in a fixed order, to fixpoint — and is
-the engine for the strategies the memo does not search (model/query
-splitting, NN translation, which are opt-in flags).
-``CostBasedOptimizer`` prices four strategies (memo with and without
-inlining, NN translation, split+inline) and keeps the cheapest.
-
-All engines finish with engine assignment: every IR node is tagged with
-the runtime that will execute it (relational engine, tensor runtime,
-in-process Python, external process, container).
+:class:`UnifiedOptimizer` runs an inference query through the Cascades
+memo (:mod:`repro.core.optimizer.search`) that the SQL physical planner
+also uses, so relational rewrites (pushdown, DP join ordering) and ML
+rewrites (predicate-based pruning, projection pushdown, model inlining,
+NN translation, model/query splitting) compete as memo rules under one
+cost model. IR-level cleanup that depends on whole-graph context
+(projection pruning, join elimination, tensor constant folding) runs as
+a post-pass, and the engine finishes with engine assignment: every IR
+node is tagged with the runtime that will execute it (relational
+engine, tensor runtime, in-process Python, external process, container).
 """
 
 from __future__ import annotations
@@ -32,60 +24,21 @@ from repro.core.ir.nodes import (
     ENGINE_TENSOR,
     OpCategory,
 )
-from repro.core.optimizer.cost import plan_cost
-from repro.core.optimizer.rule import Rule, RuleContext
-from repro.core.optimizer.rules.inlining import ModelInlining
-from repro.core.optimizer.rules.nn_translation import (
-    NNTranslation,
-    TensorGraphConstantFolding,
+from repro.core.optimizer.bridge import (
+    PlanConversionError,
+    ir_to_logical,
+    logical_to_ir,
 )
-from repro.core.optimizer.rules.predicate_pruning import PredicateBasedModelPruning
-from repro.core.optimizer.rules.projection_pushdown import ModelProjectionPushdown
+from repro.core.optimizer.coster import SearchContext
+from repro.core.optimizer.rule import RuleContext
 from repro.core.optimizer.rules.relational import (
     JoinElimination,
-    MergeConsecutiveFilters,
     PruneProjectionItems,
-    PushFilterBelowPredict,
-    PushFilterIntoJoin,
 )
-from repro.core.optimizer.rules.splitting import ModelQuerySplitting
-
-
-def default_rules(
-    enable_splitting: bool = False,
-    enable_inlining: bool = True,
-    enable_nn_translation: bool = False,
-    max_inline_nodes: int = 255,
-) -> list[Rule]:
-    """The paper-ordered rule list.
-
-    Cross-IR information passing first (so models shrink before any
-    execution-strategy choice), then operator transformations, then the
-    standard relational cleanup they enable.
-    """
-    rules: list[Rule] = [
-        MergeConsecutiveFilters(),
-        PushFilterBelowPredict(),
-        PushFilterIntoJoin(),
-        PredicateBasedModelPruning(),
-        ModelProjectionPushdown(),
-    ]
-    if enable_splitting:
-        rules.append(ModelQuerySplitting())
-    if enable_inlining:
-        rules.append(ModelInlining(max_tree_nodes=max_inline_nodes))
-    if enable_nn_translation:
-        rules.append(NNTranslation())
-    rules.extend(
-        [
-            TensorGraphConstantFolding(),
-            PruneProjectionItems(),
-            JoinElimination(),
-            PushFilterIntoJoin(),
-            MergeConsecutiveFilters(),
-        ]
-    )
-    return rules
+from repro.core.optimizer.rules.tensor_folding import (
+    TensorGraphConstantFolding,
+)
+from repro.core.optimizer.search import MemoOptimizer, cross_ir_rules
 
 
 @dataclass
@@ -94,58 +47,35 @@ class OptimizationReport:
 
     ``applied`` is the exploration log: every rule that fired while
     searching, whether or not its alternative won the cost race.
-    ``memo`` carries the memo search counters (groups, expressions,
-    pruned branches, DP subsets) when the unified engine ran.
+    ``cost_before``/``cost_after`` price the input and the final plan
+    under the memo's cost model. ``memo`` carries the memo search
+    counters (groups, expressions, pruned branches, DP subsets).
+    ``strategy`` is ``"memo"``; ``"post-pass"`` for a graph with no
+    logical form (the search was skipped; costs stay 0); or
+    ``"disabled"`` when the session ran the plan as analyzed.
     """
 
     applied: list[str] = field(default_factory=list)
     cost_before: float = 0.0
     cost_after: float = 0.0
-    alternatives_considered: int = 1
-    strategy: str = "heuristic"
+    strategy: str = "memo"
     memo: dict | None = None
-
-
-class HeuristicOptimizer:
-    """Apply rules in order, repeating until no rule fires (bounded)."""
-
-    def __init__(self, rules: list[Rule] | None = None, max_rounds: int = 5):
-        self.rules = rules if rules is not None else default_rules()
-        self.max_rounds = max_rounds
-
-    def optimize(
-        self, graph: IRGraph, context: RuleContext | None = None
-    ) -> tuple[IRGraph, OptimizationReport]:
-        context = context or RuleContext()
-        graph = graph.copy()
-        report = OptimizationReport(cost_before=plan_cost(graph, context))
-        for _ in range(self.max_rounds):
-            fired = False
-            for rule in self.rules:
-                if rule.apply(graph, context):
-                    fired = True
-            if not fired:
-                break
-        assign_engines(graph)
-        graph.validate()
-        report.applied = list(context.applied)
-        report.cost_after = plan_cost(graph, context)
-        return graph, report
 
 
 class UnifiedOptimizer:
     """Cross-IR optimization through the shared Cascades memo.
 
     The IR graph is bridged to a logical tree
-    (:func:`repro.core.optimizer.search.ir_to_logical`), searched with
+    (:func:`repro.core.optimizer.bridge.ir_to_logical`), searched with
     the cross-IR memo rule set (relational pushdown + DP join ordering
     + the ML rewrites), and lowered back. Rewrites that need whole-graph
     context — projection pruning, join elimination, tensor-graph
-    constant folding — then run as a legacy IR post-pass. DAG-shaped
-    graphs bridge too: an IR node with several consumers becomes one
-    shared logical object that the memo's identity map interns into a
-    single group, and lowering preserves the sharing; only graphs with
-    unconvertible operators fall back to the heuristic engine.
+    constant folding — then run as an IR post-pass. DAG-shaped graphs
+    bridge too: an IR node with several consumers becomes one shared
+    logical object that the memo's identity map interns into a single
+    group, and lowering preserves the sharing. A graph the bridge
+    rejects (a ``udf`` or foreign-analyzer operator with no logical
+    form) skips the search and gets the post-pass alone.
     """
 
     #: Bounded rounds for the IR-level cleanup post-pass.
@@ -157,31 +87,14 @@ class UnifiedOptimizer:
     def optimize(
         self, graph: IRGraph, context: RuleContext | None = None
     ) -> tuple[IRGraph, OptimizationReport]:
-        from repro.core.optimizer.search import (
-            MemoOptimizer,
-            PlanConversionError,
-            SearchContext,
-            cross_ir_rules,
-            ir_to_logical,
-            logical_to_ir,
-        )
-
         context = context or RuleContext()
-        cost_before = plan_cost(graph, context)
         try:
             plan = ir_to_logical(graph)
         except PlanConversionError:
-            fallback = HeuristicOptimizer(
-                default_rules(
-                    enable_inlining=bool(
-                        self.options.get("enable_inlining", True)
-                    ),
-                    max_inline_nodes=int(
-                        self.options.get("max_inline_nodes", 255)
-                    ),
-                )
+            optimized = self._post_pass(graph.copy(), context)
+            return optimized, OptimizationReport(
+                applied=list(context.applied), strategy="post-pass"
             )
-            return fallback.optimize(graph, context)
         database = context.database
         search_context = SearchContext(
             catalog=getattr(database, "catalog", None),
@@ -190,98 +103,33 @@ class UnifiedOptimizer:
         )
         optimizer = MemoOptimizer(cross_ir_rules(self.options), search_context)
         best, memo_report = optimizer.optimize(plan)
-        optimized = logical_to_ir(best)
         context.applied.extend(memo_report.applied)
-        post_rules = [
-            TensorGraphConstantFolding(),
-            PruneProjectionItems(),
-            JoinElimination(),
-            PushFilterIntoJoin(),
-            MergeConsecutiveFilters(),
-        ]
-        for _ in range(self.MAX_POST_ROUNDS):
-            fired = False
-            for rule in post_rules:
-                if rule.apply(optimized, context):
-                    fired = True
-            if not fired:
-                break
-        assign_engines(optimized)
-        optimized.validate()
+        optimized = self._post_pass(logical_to_ir(best), context)
         report = OptimizationReport(
             applied=list(context.applied),
-            cost_before=cost_before,
-            cost_after=plan_cost(optimized, context),
-            strategy="memo",
+            cost_before=search_context.cost_tree(plan),
+            cost_after=search_context.cost_tree(ir_to_logical(optimized)),
             memo=memo_report.stats.to_dict(),
         )
         return optimized, report
 
-
-class CostBasedOptimizer:
-    """Pick the cheapest of several optimization strategies.
-
-    Two strategies run through the unified memo engine (with and
-    without model inlining — the memo's cost competition covers the
-    in-process/inline choice natively); the remaining two are the
-    legacy heuristic pipelines for the strategies the memo does not
-    search (NN translation, model/query splitting). All four final
-    plans are priced by the same :func:`plan_cost` model and the
-    cheapest wins — the paper's "several plan alternatives will be
-    considered ... and the best will be picked".
-    """
-
-    LEGACY_STRATEGIES = (
-        ("nn-translate", dict(enable_inlining=False, enable_nn_translation=True)),
-        (
-            "split+inline",
-            dict(
-                enable_splitting=True,
-                enable_inlining=True,
-                enable_nn_translation=False,
-            ),
-        ),
-    )
-
-    MEMO_STRATEGIES = (
-        ("in-process", dict(enable_inlining=False)),
-        ("inline", dict(enable_inlining=True)),
-    )
-
-    def optimize(
-        self, graph: IRGraph, context: RuleContext | None = None
-    ) -> tuple[IRGraph, OptimizationReport]:
-        context = context or RuleContext()
-        best: tuple[float, IRGraph, OptimizationReport, str] | None = None
-        for strategy_name, flags in self.MEMO_STRATEGIES:
-            options = dict(context.options)
-            options.update(flags)
-            candidate_context = RuleContext(
-                database=context.database, options=options
-            )
-            candidate, report = UnifiedOptimizer(options).optimize(
-                graph, candidate_context
-            )
-            cost = report.cost_after
-            if best is None or cost < best[0]:
-                best = (cost, candidate, report, strategy_name)
-        for strategy_name, flags in self.LEGACY_STRATEGIES:
-            candidate_context = RuleContext(
-                database=context.database, options=dict(context.options)
-            )
-            optimizer = HeuristicOptimizer(default_rules(**flags))
-            candidate, report = optimizer.optimize(graph, candidate_context)
-            cost = report.cost_after
-            if best is None or cost < best[0]:
-                best = (cost, candidate, report, strategy_name)
-        assert best is not None
-        _, chosen, report, strategy_name = best
-        report.alternatives_considered = len(self.MEMO_STRATEGIES) + len(
-            self.LEGACY_STRATEGIES
-        )
-        report.strategy = strategy_name
-        context.applied.extend(report.applied)
-        return chosen, report
+    def _post_pass(self, graph: IRGraph, context: RuleContext) -> IRGraph:
+        """Whole-graph cleanup and engine assignment, in place."""
+        post_rules = [
+            TensorGraphConstantFolding(),
+            PruneProjectionItems(),
+            JoinElimination(),
+        ]
+        for _ in range(self.MAX_POST_ROUNDS):
+            fired = False
+            for rule in post_rules:
+                if rule.apply(graph, context):
+                    fired = True
+            if not fired:
+                break
+        assign_engines(graph)
+        graph.validate()
+        return graph
 
 
 def assign_engines(graph: IRGraph) -> None:

@@ -12,11 +12,11 @@ priced exactly once.
 The memo itself is representation-light: expressions are
 :mod:`repro.relational.algebra.logical` operators (frozen dataclasses),
 which both the SQL physical planner and — via the IR bridge in
-:mod:`repro.core.optimizer.search` — the cross-IR optimizer speak.
+:mod:`repro.core.optimizer.bridge` — the cross-IR optimizer speak.
 
-Search (rule application, DP join ordering, cost-bounded extraction)
-lives in :mod:`repro.core.optimizer.search`; this module is only the
-memo bookkeeping plus the search statistics that ``EXPLAIN`` reports.
+Search (rule application, cost-bounded extraction) lives in
+:mod:`repro.core.optimizer.search`; this module is only the memo
+bookkeeping plus the search statistics that ``EXPLAIN`` reports.
 """
 
 from __future__ import annotations
@@ -106,17 +106,22 @@ class Group:
     ``rows`` is the group's estimated output cardinality (all members
     are logically equal, so they share it — the classical memo
     invariant). ``best`` caches the winning ``(cost, plan)`` after
-    extraction. ``done`` marks ``(rule, expression)`` pairs already
+    extraction, ``local`` the winner's own operator cost and ``used``
+    the ids of every group its plan draws on (itself included), which
+    is what lets a parent price a sub-plan shared by several of its
+    children once. ``done`` marks ``(rule, expression)`` pairs already
     tried so the fixpoint loop terminates.
     """
 
-    __slots__ = ("id", "expressions", "rows", "best", "done")
+    __slots__ = ("id", "expressions", "rows", "best", "local", "used", "done")
 
     def __init__(self, group_id: int):
         self.id = group_id
         self.expressions: list[GroupExpression] = []
         self.rows: float | None = None
         self.best: tuple[float, logical.LogicalOp] | None = None
+        self.local: float = 0.0
+        self.used: frozenset[int] = frozenset()
         self.done: set[tuple[str, int]] = set()
 
 

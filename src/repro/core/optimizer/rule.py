@@ -1,60 +1,69 @@
-"""Transformation-rule protocol for the cross-optimizer.
+"""Transformation-rule protocols for the cross-optimizer.
 
-Every §4 optimization is a :class:`Rule`: it inspects an IR graph, decides
-whether it applies, and performs a rewrite. Rules are applied by the
-engines in :mod:`repro.core.optimizer.engine`; each application is recorded
-so tests and EXPERIMENTS.md can assert which optimizations fired.
+:class:`MemoRule` is the protocol of every optimization the memo
+searches — relational, ML and distributed rewrites alike add
+alternatives to a group and compete on cost. :class:`Rule` is the
+protocol of the small IR post-pass that runs after the search, for the
+rewrites that need whole-graph context (what every consumer above a
+node still references) and therefore have no memo form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.ir.graph import IRGraph
-from repro.core.ir.nodes import IRNode
+from repro.relational.algebra import logical
+
+if TYPE_CHECKING:
+    from repro.core.optimizer.coster import SearchContext
+
+
+class MemoRule:
+    """One exploration rule: a plan pattern → alternative sub-plans.
+
+    ``substitute=True`` marks a normalization rule: its output replaces
+    the matched expression (which is disabled for extraction) instead
+    of competing on cost. Filter merging and predicate pushdown are
+    substitutions — the executor's zone-map and morsel-parallel fast
+    paths key on the single-``Filter(Scan)`` shape they establish, a
+    benefit the per-operator cost model cannot see. Rules that change
+    *how* work is done (join order, model rewrites, inlining) stay
+    competitive.
+    """
+
+    name: str = ""
+    substitute: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not cls.name:
+            cls.name = cls.__name__
+
+    def apply(
+        self, plan: logical.LogicalOp, ctx: SearchContext
+    ) -> list[logical.LogicalOp]:
+        raise NotImplementedError
 
 
 @dataclass
 class RuleContext:
-    """Shared services rules may consult.
+    """Shared services the IR post-pass rules may consult.
 
-    ``database`` gives access to catalog statistics (the paper's
-    "data properties"); ``options`` carries optimizer knobs.
+    ``database`` gives access to the stored data (the paper's "data
+    properties"); ``applied`` is the log of every rule that fired, memo
+    rules included.
     """
 
     database: object | None = None
-    options: dict = field(default_factory=dict)
     applied: list[str] = field(default_factory=list)
 
     def record(self, rule_name: str, detail: str = "") -> None:
         entry = rule_name if not detail else f"{rule_name}: {detail}"
         self.applied.append(entry)
-
-    # -- statistics helpers ---------------------------------------------------
-
-    def table_rows(self, table_name: str) -> int | None:
-        if self.database is None:
-            return None
-        try:
-            return self.database.table(table_name).num_rows
-        except Exception:
-            return None
-
-    def table_statistics(self, table_name: str):
-        """Catalog :class:`~repro.relational.statistics.TableStatistics`.
-
-        The cross-optimizer prices plans from the same histograms and
-        NDV counts the SQL-side physical planner uses; ``None`` when the
-        table (or a catalog) is unavailable.
-        """
-        if self.database is None:
-            return None
-        try:
-            return self.database.catalog.table_statistics(table_name)
-        except Exception:
-            return None
 
     def is_unique_column(self, table_name: str, column: str) -> bool:
         """True when every value in ``table.column`` is distinct.
@@ -72,26 +81,9 @@ class RuleContext:
             return False
         return len(np.unique(values)) == table.num_rows
 
-    def column_constants(self, table_name: str) -> dict[str, float]:
-        """Columns that hold a single distinct value (derived predicates).
-
-        The paper: "using data statistics, we might observe that only
-        specific unique values appear in the data"; those become facts for
-        predicate-based pruning even without a WHERE clause.
-        """
-        if self.database is None:
-            return {}
-        try:
-            table = self.database.table(table_name)
-        except Exception:
-            return {}
-        from repro.relational.statistics import constant_columns
-
-        return constant_columns(table)
-
 
 class Rule:
-    """Base class: subclasses implement :meth:`apply`."""
+    """IR post-pass rule: subclasses implement :meth:`apply`."""
 
     #: Human-readable rule name (defaults to the class name).
     name: str = ""
@@ -107,12 +99,3 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"<rule {self.name}>"
-
-
-def filters_below(graph: IRGraph, node: IRNode) -> list[IRNode]:
-    """All ra.filter nodes in the input subtree of ``node``."""
-    return [
-        candidate
-        for candidate in graph.walk_up(node)
-        if candidate.op == "ra.filter" and candidate.id != node.id
-    ]

@@ -1,37 +1,21 @@
-"""One module per §4 rule family."""
+"""The IR post-pass rules, plus the offline model-clustering compiler."""
 
 from repro.core.optimizer.rules.clustering import (
     ClusteredModel,
     compile_clustered_pipeline,
 )
-from repro.core.optimizer.rules.inlining import ModelInlining
-from repro.core.optimizer.rules.nn_translation import (
-    NNTranslation,
-    TensorGraphConstantFolding,
-)
-from repro.core.optimizer.rules.predicate_pruning import PredicateBasedModelPruning
-from repro.core.optimizer.rules.projection_pushdown import ModelProjectionPushdown
 from repro.core.optimizer.rules.relational import (
     JoinElimination,
-    MergeConsecutiveFilters,
     PruneProjectionItems,
-    PushFilterBelowPredict,
-    PushFilterIntoJoin,
 )
-from repro.core.optimizer.rules.splitting import ModelQuerySplitting
+from repro.core.optimizer.rules.tensor_folding import (
+    TensorGraphConstantFolding,
+)
 
 __all__ = [
     "ClusteredModel",
     "compile_clustered_pipeline",
     "JoinElimination",
-    "MergeConsecutiveFilters",
-    "ModelInlining",
-    "ModelProjectionPushdown",
-    "ModelQuerySplitting",
-    "NNTranslation",
-    "PredicateBasedModelPruning",
     "PruneProjectionItems",
-    "PushFilterBelowPredict",
-    "PushFilterIntoJoin",
     "TensorGraphConstantFolding",
 ]

@@ -1,140 +1,24 @@
-"""Standard DB optimizations over the unified IR (paper §2, §4).
+"""Whole-graph relational cleanup over the unified IR (paper §2, §4).
 
-These are the classical rewrites the cross-optimizer triggers *because*
-model-level rules created the opportunity: filters commute with PREDICT
-(enabling predicate-based pruning), and joins become eliminable once
-model-projection pushdown removed the columns they provided.
+The classical rewrites the cross-optimizer triggers *because*
+model-level rules created the opportunity: once model-projection
+pushdown removed the features a side table provided, its projection
+items die and its join becomes eliminable. Both rules ask what *every*
+consumer above a node still references — context a memo group, shared
+by many parents, does not have — so they run as the IR post-pass.
 """
 
 from __future__ import annotations
 
 from repro.core.ir.graph import IRGraph
 from repro.core.ir.nodes import IRNode
-from repro.core.ir.schema import columns_required_above, infer_schema
-from repro.core.optimizer.rule import Rule, RuleContext
-from repro.relational.expressions import (
-    BinaryOp,
-    ColumnRef,
-    conjoin,
-    conjuncts,
+from repro.core.ir.schema import (
+    columns_required_above,
+    infer_schema,
+    references_above,
 )
-
-_PREDICT_OPS = ("mld.pipeline", "mld.clustered_predictor", "la.tensor_graph")
-
-
-def _output_column_names(node: IRNode) -> set[str]:
-    """Unqualified + qualified names a scoring node appends."""
-    names: set[str] = set()
-    alias = node.attrs.get("alias")
-    for name, _dtype in node.attrs.get("output_columns", ()):  # type: ignore[assignment]
-        names.add(name.lower())
-        if alias:
-            names.add(f"{alias}.{name}".lower())
-    return names
-
-
-class PushFilterBelowPredict(Rule):
-    """Move predicate conjuncts that only touch model *inputs* below a
-    scoring operator.
-
-    PREDICT appends columns and never changes rows, so any conjunct not
-    referencing the prediction outputs commutes with it. This is the
-    enabling step for predicate-based model pruning: the filter ends up
-    adjacent to the data, and its facts flow into the model.
-    """
-
-    def apply(self, graph: IRGraph, context: RuleContext) -> bool:
-        changed = False
-        for filter_node in list(graph.find("ra.filter")):
-            child = graph.node(filter_node.inputs[0])
-            if child.op not in _PREDICT_OPS:
-                continue
-            if len(graph.parents_of(child)) > 1:
-                continue  # shared scoring node: do not re-route
-            outputs = _output_column_names(child)
-            parts = conjuncts(filter_node.attrs["predicate"])
-            pushable = [
-                p
-                for p in parts
-                if not ({c.lower() for c in p.columns()} & outputs)
-            ]
-            blocked = [p for p in parts if p not in pushable]
-            if not pushable:
-                continue
-            # Insert the pushable part below the scoring node.
-            graph.insert_below(
-                child, 0, "ra.filter", predicate=conjoin(pushable)
-            )
-            if blocked:
-                filter_node.attrs["predicate"] = conjoin(blocked)
-            else:
-                graph.splice_out(filter_node)
-            context.record(self.name, f"pushed {len(pushable)} conjunct(s)")
-            changed = True
-        return changed
-
-
-class PushFilterIntoJoin(Rule):
-    """Route single-side filter conjuncts below the join input they touch."""
-
-    def apply(self, graph: IRGraph, context: RuleContext) -> bool:
-        changed = False
-        for filter_node in list(graph.find("ra.filter")):
-            child = graph.node(filter_node.inputs[0])
-            if child.op != "ra.join" or len(graph.parents_of(child)) > 1:
-                continue
-            left_schema = infer_schema(graph, graph.node(child.inputs[0]))
-            right_schema = infer_schema(graph, graph.node(child.inputs[1]))
-
-            def resolves(schema, refs: set[str]) -> bool:
-                for ref in refs:
-                    try:
-                        schema.column(ref)
-                    except Exception:
-                        return False
-                return True
-
-            remaining = []
-            pushed = 0
-            for part in conjuncts(filter_node.attrs["predicate"]):
-                refs = set(part.columns())
-                on_left = resolves(left_schema, refs)
-                on_right = resolves(right_schema, refs)
-                if on_left and not on_right:
-                    graph.insert_below(child, 0, "ra.filter", predicate=part)
-                    pushed += 1
-                elif on_right and not on_left:
-                    graph.insert_below(child, 1, "ra.filter", predicate=part)
-                    pushed += 1
-                else:
-                    remaining.append(part)
-            if pushed == 0:
-                continue
-            if remaining:
-                filter_node.attrs["predicate"] = conjoin(remaining)
-            else:
-                graph.splice_out(filter_node)
-            context.record(self.name, f"pushed {pushed} conjunct(s)")
-            changed = True
-        return changed
-
-
-class MergeConsecutiveFilters(Rule):
-    """``filter(filter(x))`` -> one conjunctive filter."""
-
-    def apply(self, graph: IRGraph, context: RuleContext) -> bool:
-        changed = False
-        for filter_node in list(graph.find("ra.filter")):
-            child = graph.node(filter_node.inputs[0])
-            if child.op != "ra.filter" or len(graph.parents_of(child)) > 1:
-                continue
-            filter_node.attrs["predicate"] = BinaryOp(
-                "AND", child.attrs["predicate"], filter_node.attrs["predicate"]
-            )
-            graph.splice_out(child)
-            context.record(self.name)
-            changed = True
-        return changed
+from repro.core.optimizer.rule import Rule, RuleContext
+from repro.relational.expressions import BinaryOp, ColumnRef, conjuncts
 
 
 class PruneProjectionItems(Rule):
@@ -212,9 +96,10 @@ class JoinElimination(Rule):
                 isinstance(eq.left, ColumnRef) and isinstance(eq.right, ColumnRef)
             ):
                 continue
-            required = columns_required_above(graph, join)
-            if required is None:
+            references = references_above(graph, join)
+            if references is None:
                 continue
+            required = {ref.split(".")[-1] for ref in references}
             for side_index in (0, 1):
                 side = graph.node(join.inputs[side_index])
                 other = graph.node(join.inputs[1 - side_index])
@@ -228,6 +113,11 @@ class JoinElimination(Rule):
                 key = key_expr.unqualified.lower()
                 if (required & side_cols) - {key}:
                     continue  # side still provides needed columns
+                if references & {n.lower() for n in side_schema.names}:
+                    # A consumer names the side's key by its qualified
+                    # name (``pi.id`` in an outer join condition): the
+                    # other side's key would not answer to it.
+                    continue
                 table_name = side.attrs["table"]
                 if not context.is_unique_column(table_name, key):
                     continue

@@ -27,14 +27,12 @@ from repro.errors import CodegenError
 from repro.core.analysis.sql_analyzer import SQLAnalyzer
 from repro.core.codegen.sql_codegen import generate_sql
 from repro.core.ir.graph import IRGraph
-from repro.core.optimizer.engine import (
-    CostBasedOptimizer,
-    HeuristicOptimizer,
+from repro.core.optimizer import (
     OptimizationReport,
+    RuleContext,
     UnifiedOptimizer,
-    default_rules,
+    assign_engines,
 )
-from repro.core.optimizer.rule import RuleContext
 from repro.core.runtime.executor import RavenExecutor
 from repro.core.runtime.outofprocess import OutOfProcessRuntime
 from repro.relational.database import Database
@@ -59,25 +57,22 @@ class RavenSession:
     ----------
     database:
         The relational database holding tables and models.
-    optimizer:
-        ``"heuristic"`` (the paper's initial rule-ordered optimizer),
-        ``"cost"`` (the Cascades-style follow-up), or ``"none"``.
     options:
-        Optimizer knobs: ``device`` (``"cpu"``/``"gpu"``),
-        ``enable_nn_translation``, ``enable_inlining``,
-        ``enable_splitting``, ``derive_statistics_predicates``,
-        ``lossy_pushdown_tolerance``, ``max_inline_nodes``.
+        Optimizer knobs. Rule-set membership: ``enable_inlining``
+        (default on), ``enable_nn_translation``, ``enable_splitting``
+        (default off) — a member rule adds alternatives that the cost
+        model may or may not pick. Rule parameters: ``device``
+        (``"cpu"``/``"gpu"``, for translated tensor graphs),
+        ``max_inline_nodes``, ``derive_statistics_predicates``,
+        ``lossy_pushdown_tolerance``. Distributed planning:
+        ``enable_distributed``, ``shard_workers``,
+        ``enable_staged_fragments``, ``repartition_min_rows``.
+        ``execute(optimize=False)`` runs the plan as analyzed.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        optimizer: str = "heuristic",
-        options: dict | None = None,
-    ):
+    def __init__(self, database: Database, options: dict | None = None):
         self.database = database
         self.options = dict(options or {})
-        self.optimizer_kind = optimizer
         self.analyzer = SQLAnalyzer(database)
         external = OutOfProcessRuntime()
         self.executor = RavenExecutor(
@@ -134,37 +129,8 @@ class RavenSession:
         return graph
 
     def optimize(self, graph: IRGraph) -> tuple[IRGraph, OptimizationReport]:
-        """Cross-optimization under the session's options.
-
-        The default path runs through the unified Cascades memo
-        (relational pushdown, DP join ordering, and the ML rewrites as
-        competing memo rules). The opt-in strategies the memo does not
-        search — model/query splitting and NN translation — force the
-        legacy heuristic pipeline, exactly as before.
-        """
-        context = RuleContext(database=self.database, options=dict(self.options))
-        if self.optimizer_kind == "none":
-            from repro.core.optimizer.engine import assign_engines
-
-            optimized = graph.copy()
-            assign_engines(optimized)
-            return optimized, OptimizationReport(strategy="none")
-        if self.optimizer_kind == "cost":
-            return CostBasedOptimizer().optimize(graph, context)
-        if self.options.get("enable_splitting") or self.options.get(
-            "enable_nn_translation"
-        ):
-            rules = default_rules(
-                enable_splitting=bool(
-                    self.options.get("enable_splitting", False)
-                ),
-                enable_inlining=bool(self.options.get("enable_inlining", True)),
-                enable_nn_translation=bool(
-                    self.options.get("enable_nn_translation", False)
-                ),
-                max_inline_nodes=int(self.options.get("max_inline_nodes", 255)),
-            )
-            return HeuristicOptimizer(rules).optimize(graph, context)
+        """Cross-optimization through the memo, under the session's options."""
+        context = RuleContext(database=self.database)
         return UnifiedOptimizer(self.options).optimize(graph, context)
 
     def generate_sql(self, graph: IRGraph) -> str | None:
@@ -213,8 +179,6 @@ class RavenSession:
                 graph, report = self.optimize(graph)
             timings["optimize"] = time.perf_counter() - start
         else:
-            from repro.core.optimizer.engine import assign_engines
-
             assign_engines(graph)
             report = OptimizationReport(strategy="disabled")
 

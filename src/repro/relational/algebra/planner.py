@@ -1,7 +1,7 @@
 """Statistics-driven physical planning over logical plans.
 
 Since the memo refactor, plan *search* lives in the unified Cascades
-engine (:mod:`repro.core.optimizer.search`): predicate pushdown, DP
+engine (:mod:`repro.core.optimizer`): predicate pushdown, DP
 join ordering, and the catalog-model rewrites are memo rules shared
 with the cross-IR optimizer. This module is the SQL-side shim around
 it — it wires the catalog and execution options into a search context,
@@ -40,18 +40,6 @@ from repro.relational.statistics import (
 DEFAULT_ROWS = DEFAULT_ROW_ESTIMATE
 
 
-def _search():
-    """The memo search engine, imported lazily.
-
-    ``repro.core.optimizer`` transitively imports the relational layer
-    (IR schemas use relational types), so a module-level import here
-    would close an import cycle through ``repro.relational.database``.
-    """
-    from repro.core.optimizer import search
-
-    return search
-
-
 class PhysicalPlanner:
     """Plans logical operator trees through the shared memo engine.
 
@@ -77,13 +65,10 @@ class PhysicalPlanner:
 
     def optimize(self, plan: logical.LogicalOp) -> logical.LogicalOp:
         """Search the memo for the cheapest equivalent plan."""
-        search = _search()
-        context = search.SearchContext(
-            catalog=self._catalog,
-            join_search=self.join_search,
-            options=self._search_options(),
-        )
-        optimizer = search.MemoOptimizer(search.sql_rules(), context)
+        from repro.core.optimizer import MemoOptimizer, sql_rules
+
+        context = self._search_context(self.join_search)
+        optimizer = MemoOptimizer(sql_rules(), context)
         best, report = optimizer.optimize(plan)
         self.last_report = report
         return best
@@ -110,10 +95,24 @@ class PhysicalPlanner:
         except Exception:
             return None
 
-    def _estimation_context(self, plan: logical.LogicalOp):
-        context = _search().SearchContext(
-            catalog=self._catalog, options=self._search_options()
+    def _search_context(self, join_search: str = "dp"):
+        """A memo :class:`SearchContext` over this planner's catalog.
+
+        ``repro.core.optimizer`` transitively imports the relational
+        layer (IR schemas use relational types), so module-level imports
+        of it here would close an import cycle through
+        ``repro.relational.database``.
+        """
+        from repro.core.optimizer import SearchContext
+
+        return SearchContext(
+            catalog=self._catalog,
+            options=self._search_options(),
+            join_search=join_search,
         )
+
+    def _estimation_context(self, plan: logical.LogicalOp):
+        context = self._search_context()
         context.prepare(plan)
         return context
 
@@ -150,6 +149,7 @@ class PhysicalPlanner:
         executed worker-side inside a fragment) have no record and keep
         their estimate-only line.
         """
+        from repro.core.optimizer import operator_cost
         from repro.observability.explain import analyze_annotations
 
         lines: list[str] = []
@@ -246,7 +246,7 @@ class PhysicalPlanner:
                 if record is not None:
                     annotations.extend(analyze_annotations(record, rows))
             child_rows = [context.estimate_tree(c) for c in op.children]
-            cost = _search().operator_cost(op, rows, child_rows, context)
+            cost = operator_cost(op, rows, child_rows, context)
             lines.append(
                 "  " * depth
                 + _describe(op)

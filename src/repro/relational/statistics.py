@@ -228,8 +228,7 @@ def constant_columns(table: "Table") -> dict[str, float]:
 
     The paper: "using data statistics, we might observe that only
     specific unique values appear in the data"; those become derived
-    predicates for model pruning even without a WHERE clause. Shared by
-    the memo search and the legacy IR rule context.
+    predicates for model pruning even without a WHERE clause.
     """
     constants: dict[str, float] = {}
     for column in table.schema:

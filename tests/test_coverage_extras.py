@@ -5,8 +5,7 @@ import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis.knowledge_base import DEFAULT_KNOWLEDGE_BASE, KnowledgeBase
-from repro.core.optimizer.cost import DEFAULT_ROWS, estimate_rows, plan_cost
-from repro.core.optimizer.rule import RuleContext
+from repro.core.optimizer import SearchContext, ir_to_logical
 from repro.errors import (
     BindError,
     ExecutionError,
@@ -116,29 +115,31 @@ class TestKnowledgeBase:
 
 class TestCostModel:
     def test_default_rows_without_database(self):
-        from repro.core.ir.graph import IRGraph
+        from repro.relational.statistics import DEFAULT_ROW_ESTIMATE
 
-        graph = IRGraph()
-        scan = graph.add(
-            "ra.scan", table="ghost", schema=Schema.of(("a", DataType.FLOAT))
-        )
-        graph.set_output(scan)
-        context = RuleContext()  # no database attached
-        assert estimate_rows(graph, scan, context) == float(DEFAULT_ROWS)
+        scan = logical.Scan("ghost", Schema.of(("a", DataType.FLOAT)))
+        context = SearchContext()  # no catalog attached
+        assert context.estimate_tree(scan) == float(DEFAULT_ROW_ESTIMATE)
 
     def test_filter_reduces_estimated_rows(self, simple_db):
         from repro.core.analysis import SQLAnalyzer
 
-        graph_all = SQLAnalyzer(simple_db).analyze("SELECT id FROM people")
-        graph_some = SQLAnalyzer(simple_db).analyze(
-            "SELECT id FROM people WHERE age > 30 AND id > 1"
+        plan_all = ir_to_logical(
+            SQLAnalyzer(simple_db).analyze("SELECT id FROM people")
         )
-        context = RuleContext(database=simple_db)
-        assert plan_cost(graph_some, context) != plan_cost(graph_all, context)
-        filter_node = graph_some.find("ra.filter")[0]
-        scan = graph_some.find("ra.scan")[0]
-        assert estimate_rows(graph_some, filter_node, context) < estimate_rows(
-            graph_some, scan, context
+        plan_some = ir_to_logical(
+            SQLAnalyzer(simple_db).analyze(
+                "SELECT id FROM people WHERE age > 30 AND id > 1"
+            )
+        )
+        context = SearchContext(catalog=simple_db.catalog)
+        context.prepare(plan_some)
+        assert context.cost_tree(plan_some) != context.cost_tree(plan_all)
+        filter_op = next(
+            op for op in plan_some.walk() if isinstance(op, logical.Filter)
+        )
+        assert context.estimate_tree(filter_op) < context.estimate_tree(
+            filter_op.child
         )
 
 

@@ -513,17 +513,21 @@ class TestRepartition:
                 assert seen.setdefault(int(value), index) == index
 
     def test_repartitioned_final_aggregate_matches(self, base_table):
-        from repro.core.optimizer import search
+        from repro.core.optimizer import (
+            MemoOptimizer,
+            SearchContext,
+            sql_rules,
+        )
 
         db = distributed_db(base_table)
         db0 = baseline_db(base_table)
         sql = "SELECT grp, AVG(v) AS m, COUNT(*) AS c FROM t GROUP BY grp"
         plan = db.bind(sql)
-        context = search.SearchContext(
+        context = SearchContext(
             catalog=db.catalog,
             options={"shard_workers": 8, "repartition_min_rows": 10},
         )
-        optimizer = search.MemoOptimizer(search.sql_rules(), context)
+        optimizer = MemoOptimizer(sql_rules(), context)
         best, _report = optimizer.optimize(plan)
         assert any(isinstance(op, Repartition) for op in best.walk())
         result = db.execute_plan(best)
@@ -541,7 +545,6 @@ class TestServingIntegration:
 
         return RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
 
@@ -1234,7 +1237,6 @@ class TestDistributedJoins:
         )
         session = RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
         prepared = PreparedQuery(
@@ -1596,7 +1598,6 @@ class TestDagFragments:
         db = outer_join_db(events, groups, 8, 5)
         session = RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
         sql = AGG_JOIN_SQL.format(kind="LEFT")
@@ -1618,7 +1619,6 @@ class TestDagFragments:
         db = outer_join_db(events, groups, 8, 5)
         session = RavenSession(
             db,
-            optimizer="heuristic",
             options={"shard_workers": 8, "enable_inlining": False},
         )
         server = RavenServer(session, workers=2, max_queue=16)

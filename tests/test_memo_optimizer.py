@@ -5,8 +5,8 @@ import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis import SQLAnalyzer
-from repro.core.optimizer.memo import Memo
-from repro.core.optimizer.search import (
+from repro.core.optimizer import (
+    Memo,
     SearchContext,
     ir_to_logical,
     logical_to_ir,

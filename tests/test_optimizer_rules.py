@@ -1,32 +1,53 @@
-"""Tests for the IR-level cross-optimizer rules and engines."""
+"""Tests for the cross-optimizer's rules and the engine around them.
+
+Memo rules are driven directly (``rule.apply(plan, context)`` over the
+bridged logical plan); the IR post-pass and the cost competition are
+driven through ``RavenSession`` / ``UnifiedOptimizer``.
+"""
 
 import numpy as np
 import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis import SQLAnalyzer
+from repro.core.ir.graph import IRGraph
 from repro.core.optimizer import (
-    CostBasedOptimizer,
-    HeuristicOptimizer,
+    MemoOptimizer,
     RuleContext,
-    default_rules,
+    SearchContext,
+    UnifiedOptimizer,
+    cross_ir_rules,
+    ir_to_logical,
 )
-from repro.core.optimizer.cost import plan_cost
-from repro.core.optimizer.rules import (
-    JoinElimination,
-    ModelInlining,
-    ModelProjectionPushdown,
-    ModelQuerySplitting,
-    NNTranslation,
-    PredicateBasedModelPruning,
-    PushFilterBelowPredict,
-    compile_clustered_pipeline,
+from repro.core.optimizer.ml_rules import (
+    ModelProjectionPushdownRule,
+    PredicateBasedModelPruningRule,
 )
+from repro.core.optimizer.relational_rules import PredicatePushdownRule
+from repro.core.optimizer.rules import compile_clustered_pipeline
 from repro.data import flights, hospital
+from repro.relational.algebra import logical
+from repro.relational.types import DataType
 
 
 def analyze(db, sql):
     return SQLAnalyzer(db).analyze(sql)
+
+
+def bridged(db, sql, options=None):
+    """``(logical plan, prepared search context)`` of an analyzed query."""
+    plan = ir_to_logical(analyze(db, sql))
+    context = SearchContext(catalog=db.catalog, models=db, options=options)
+    context.prepare(plan)
+    return plan, context
+
+
+def find(plan, op_type):
+    return next(op for op in plan.walk() if isinstance(op, op_type))
+
+
+def tree_nodes(predict):
+    return predict.payload.final_estimator.tree_.node_count
 
 
 @pytest.fixture()
@@ -37,38 +58,37 @@ def hospital_env():
 class TestFilterPushdown:
     def test_input_conjunct_moves_below_predict(self, hospital_env):
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        context = RuleContext(database=db)
-        assert PushFilterBelowPredict().apply(graph, context)
-        predict = graph.find("mld.pipeline")[0]
-        below = graph.node(predict.inputs[0])
-        assert below.op == "ra.filter"
-        assert "pregnant" in repr(below.attrs["predicate"])
+        plan, context = bridged(db, hospital.INFERENCE_QUERY)
+        (pushed,) = PredicatePushdownRule().apply(
+            find(plan, logical.Filter), context
+        )
         # The prediction-output conjunct stays above.
-        above = graph.parents_of(predict)[0]
-        assert "length_of_stay" in repr(above.attrs["predicate"])
+        assert isinstance(pushed, logical.Filter)
+        assert "length_of_stay" in repr(pushed.predicate)
+        below = pushed.child.child
+        assert isinstance(pushed.child, logical.Predict)
+        assert isinstance(below, logical.Filter)
+        assert "pregnant" in repr(below.predicate)
 
     def test_idempotent(self, hospital_env):
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        context = RuleContext(database=db)
-        PushFilterBelowPredict().apply(graph, context)
-        assert not PushFilterBelowPredict().apply(graph, context)
+        plan, context = bridged(db, hospital.INFERENCE_QUERY)
+        rule = PredicatePushdownRule()
+        (pushed,) = rule.apply(find(plan, logical.Filter), context)
+        assert rule.apply(pushed, context) == []
 
 
 class TestPredicatePruning:
     def test_tree_shrinks_and_inputs_narrow(self, hospital_env):
         db, _, pipeline = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        context = RuleContext(database=db)
-        PushFilterBelowPredict().apply(graph, context)
-        assert PredicateBasedModelPruning().apply(graph, context)
-        node = graph.find("mld.pipeline")[0]
-        detail = node.attrs["pruning_detail"]
-        assert detail["nodes_after"] < detail["nodes_before"]
-        assert len(node.attrs["feature_names"]) < len(
-            hospital.QUERY_FEATURE_NAMES
+        plan, context = bridged(db, hospital.INFERENCE_QUERY)
+        (pushed,) = PredicatePushdownRule().apply(
+            find(plan, logical.Filter), context
         )
+        predict = find(pushed, logical.Predict)
+        (pruned,) = PredicateBasedModelPruningRule().apply(predict, context)
+        assert tree_nodes(pruned) < tree_nodes(predict)
+        assert len(pruned.feature_names) < len(hospital.QUERY_FEATURE_NAMES)
 
     def test_statistics_derived_predicates(self):
         """Columns constant in the stored data act as derived predicates."""
@@ -96,14 +116,13 @@ class TestPredicatePruning:
             "SELECT p.y FROM PREDICT(MODEL = @m, DATA = rows AS d) "
             "WITH (y float) AS p"
         )
-        graph = analyze(db, sql)
-        context = RuleContext(
-            database=db, options={"derive_statistics_predicates": True}
+        plan, context = bridged(
+            db, sql, options={"derive_statistics_predicates": True}
         )
-        fired = PredicateBasedModelPruning().apply(graph, context)
-        assert fired
-        node = graph.find("mld.pipeline")[0]
-        assert node.attrs["feature_names"] == ["x"]
+        (pruned,) = PredicateBasedModelPruningRule().apply(
+            find(plan, logical.Predict), context
+        )
+        assert pruned.feature_names == ("x",)
 
 
 class TestProjectionPushdownRule:
@@ -116,17 +135,17 @@ class TestProjectionPushdownRule:
             "PREDICT(MODEL = @m, DATA = flights AS d) "
             "WITH (delayed_pred float) AS p"
         )
-        graph = analyze(db, sql)
-        context = RuleContext(database=db)
-        assert ModelProjectionPushdown().apply(graph, context)
-        node = graph.find("mld.pipeline")[0]
-        detail = node.attrs["projection_detail"]
+        plan, context = bridged(db, sql)
+        predict = find(plan, logical.Predict)
+        (narrowed,) = ModelProjectionPushdownRule().apply(predict, context)
         # L1 zeroed some one-hot category weights: the model got narrower.
-        assert detail["features_dropped"] > 0
-        assert len(node.attrs["feature_names"]) <= len(flights.FEATURE_NAMES)
-        if len(node.attrs["feature_names"]) < len(flights.FEATURE_NAMES):
+        assert len(narrowed.payload.final_estimator.coef_) < len(
+            predict.payload.final_estimator.coef_
+        )
+        assert len(narrowed.feature_names) <= len(flights.FEATURE_NAMES)
+        if len(narrowed.feature_names) < len(flights.FEATURE_NAMES):
             # Whole input columns died too: data projection inserted.
-            assert graph.node(node.inputs[0]).op == "ra.project"
+            assert isinstance(narrowed.child, logical.Project)
 
     def test_narrowed_model_is_exact(self, flights_small):
         db, dataset, pipeline = flights_small
@@ -212,6 +231,28 @@ class TestJoinEliminationRule:
         assert "b" in tables
 
 
+    def test_not_dropped_when_a_consumer_names_the_side(self, hospital_env):
+        """Regression: ``patient_info`` contributes only its key, but the
+        outer join and the projection name it as ``pi.id`` — dropping it
+        left both dangling (``ambiguous column 'id'``)."""
+        db, _, _ = hospital_env
+        sql = (
+            "WITH data AS (SELECT pi.id AS id, pi.age AS age, bt.bp AS bp, "
+            "pt.heart_rate AS heart_rate FROM patient_info pi "
+            "JOIN blood_tests bt ON pi.id = bt.id "
+            "JOIN prenatal_tests pt ON pi.id = pt.id) "
+            "SELECT d.id, d.bp FROM data AS d WHERE d.bp > 100"
+        )
+        session = RavenSession(db)
+        optimized = session.execute(sql)
+        plain = session.execute(sql, optimize=False)
+        assert plain.table.num_rows > 0
+        assert sorted(optimized.table.rows()) == sorted(plain.table.rows())
+        # The side nothing names is still eliminated.
+        tables = {n.attrs["table"] for n in optimized.plan.find("ra.scan")}
+        assert tables == {"patient_info", "blood_tests"}
+
+
 class TestSplitting:
     def test_union_of_pruned_branches(self, hospital_env):
         db, dataset, _ = hospital_env
@@ -219,8 +260,16 @@ class TestSplitting:
             db, options={"enable_splitting": True, "enable_inlining": False}
         )
         result = session_split.execute(hospital.INFERENCE_QUERY)
+        assert result.report.strategy == "memo"
         assert any("ModelQuerySplitting" in r for r in result.report.applied)
         assert result.plan.find("ra.union_all")
+        # Both halves read one shared input, priced and executed once.
+        halves = result.plan.find("mld.pipeline")
+        assert len(halves) == 2
+        inputs = {
+            result.plan.node(half.inputs[0]).inputs[0] for half in halves
+        }
+        assert len(inputs) == 1
         # Same rows as the unsplit plan.
         plain = RavenSession(db).execute(hospital.INFERENCE_QUERY)
         assert sorted(result.table.column("id").tolist()) == sorted(
@@ -252,6 +301,7 @@ class TestNNTranslationRule:
             options={"enable_inlining": False, "enable_nn_translation": True},
         )
         result = session.execute(hospital.INFERENCE_QUERY)
+        assert result.report.strategy == "memo"
         assert any("NNTranslation" in r for r in result.report.applied)
         assert result.plan.find("la.tensor_graph")
         # And results still match the in-process plan.
@@ -292,27 +342,14 @@ class TestClusteredModel:
 
 
 class TestEnginesAndCost:
-    def test_cost_based_reduces_cost(self, hospital_env):
+    def test_optimizer_reduces_cost(self, hospital_env):
         db, _, _ = hospital_env
         graph = analyze(db, hospital.INFERENCE_QUERY)
-        optimized, report = CostBasedOptimizer().optimize(
+        optimized, report = UnifiedOptimizer().optimize(
             graph, RuleContext(database=db)
         )
+        assert report.strategy == "memo"
         assert report.cost_after < report.cost_before
-
-    def test_cost_based_picks_a_strategy(self, hospital_env):
-        db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        optimized, report = CostBasedOptimizer().optimize(
-            graph, RuleContext(database=db)
-        )
-        assert report.alternatives_considered == 4
-        assert report.strategy in (
-            "in-process",
-            "inline",
-            "nn-translate",
-            "split+inline",
-        )
 
     def test_engine_assignment(self, hospital_env):
         db, _, _ = hospital_env
@@ -322,26 +359,64 @@ class TestEnginesAndCost:
         assert "relational" in engines
         assert "python" in engines  # the in-process pipeline node
 
+    def test_graph_without_logical_form_skips_the_memo(self, hospital_env):
+        """The bridge rejects ops the logical algebra lacks; the engine
+        then runs the IR post-pass and engine assignment alone."""
+        db, dataset, pipeline = hospital_env
+        clustered = compile_clustered_pipeline(
+            pipeline, dataset.features[:500], n_clusters=2, random_state=0
+        )
+        graph = IRGraph()
+        scan = graph.add(
+            "ra.scan",
+            table="patient_info",
+            alias="pi",
+            schema=db.table("patient_info").schema,
+        )
+        predictor = graph.add(
+            "mld.clustered_predictor",
+            [scan.id],
+            model=clustered,
+            feature_names=list(hospital.QUERY_FEATURE_NAMES),
+            output_columns=(("length_of_stay", DataType.FLOAT),),
+        )
+        graph.set_output(predictor)
+        optimized, report = UnifiedOptimizer().optimize(
+            graph, RuleContext(database=db)
+        )
+        assert report.strategy == "post-pass"
+        assert report.memo is None
+        optimized.validate()
+        engines = {n.op: n.engine for n in optimized.nodes()}
+        assert engines == {
+            "ra.scan": "relational",
+            "mld.clustered_predictor": "python",
+        }
+        assert graph.output.engine is None  # the input graph is untouched
+
     def test_plan_cost_monotone_in_rows(self):
         small_db, _, _ = hospital.setup_database(500, seed=1, max_depth=4)
         big_db, _, _ = hospital.setup_database(5000, seed=1, max_depth=4)
-        small_graph = analyze(small_db, hospital.INFERENCE_QUERY)
-        big_graph = analyze(big_db, hospital.INFERENCE_QUERY)
-        assert plan_cost(
-            big_graph, RuleContext(database=big_db)
-        ) > plan_cost(small_graph, RuleContext(database=small_db))
+        small_plan, small_context = bridged(small_db, hospital.INFERENCE_QUERY)
+        big_plan, big_context = bridged(big_db, hospital.INFERENCE_QUERY)
+        assert big_context.cost_tree(big_plan) > small_context.cost_tree(
+            small_plan
+        )
 
-    def test_rule_order_ablation(self, hospital_env):
+    def test_rule_set_ablation(self, hospital_env):
         """Pruning before inlining beats inlining alone (smaller CASE)."""
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
-        full = HeuristicOptimizer(default_rules())
-        no_pruning_rules = [
-            r
-            for r in default_rules()
-            if type(r).__name__ != "PredicateBasedModelPruning"
+
+        def best_cost(rules):
+            plan, context = bridged(db, hospital.INFERENCE_QUERY)
+            _best, report = MemoOptimizer(rules, context).optimize(plan)
+            return report.cost
+
+        full = cross_ir_rules()
+        no_pruning = [
+            rule
+            for rule in full
+            if not isinstance(rule, PredicateBasedModelPruningRule)
         ]
-        partial = HeuristicOptimizer(no_pruning_rules)
-        _, full_report = full.optimize(graph, RuleContext(database=db))
-        _, partial_report = partial.optimize(graph, RuleContext(database=db))
-        assert full_report.cost_after <= partial_report.cost_after
+        assert len(no_pruning) == len(full) - 1
+        assert best_cost(full) < best_cost(no_pruning)

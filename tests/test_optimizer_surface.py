@@ -1,0 +1,101 @@
+"""The optimizer package keeps a small declared surface over acyclic,
+one-job modules.
+
+AST/import checks in the style of ``tests/test_docs.py``: the facade's
+``__all__`` resolves, no optimizer module hides a sibling import inside
+a function body (the way the deleted ``cost.py`` ⇄ ``search.py`` cycle
+was papered over), and the package imports cleanly whichever submodule
+is imported first.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import subprocess
+import sys
+
+import repro.core.optimizer as optimizer
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "repro" / "core" / "optimizer"
+MAX_MODULE_LINES = 1000
+
+
+def _modules() -> dict[str, pathlib.Path]:
+    """``{dotted module name: path}`` for every file of the package."""
+    modules = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def test_declared_surface_resolves():
+    assert len(optimizer.__all__) == len(set(optimizer.__all__))
+    missing = [n for n in optimizer.__all__ if not hasattr(optimizer, n)]
+    assert not missing
+    for name in ("UnifiedOptimizer", "MemoOptimizer", "SearchContext"):
+        assert name in optimizer.__all__
+
+
+def test_no_sibling_import_inside_a_function_body():
+    offenders = []
+    for name, path in _modules().items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(
+                function, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(m.startswith("repro.core.optimizer") for m in imported):
+                    offenders.append(f"{name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_package_imports_whichever_submodule_comes_first():
+    script = (
+        "import importlib, sys\n"
+        "for first in sys.argv[1:]:\n"
+        "    for loaded in [m for m in sys.modules if m.startswith('repro')]:\n"
+        "        del sys.modules[loaded]\n"
+        "    importlib.import_module(first)\n"
+        "    package = importlib.import_module('repro.core.optimizer')\n"
+        "    assert all(hasattr(package, n) for n in package.__all__), first\n"
+    )
+    modules = list(_modules())
+    assert "repro.core.optimizer.search" in modules
+    # ...and the packages on either side of it: the planner imports the
+    # optimizer lazily, the rules import these at module level.
+    modules += [
+        "repro.relational.algebra.planner",
+        "repro.distributed.operators",
+        "repro.tensor.converters",
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *modules],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_no_module_outgrows_one_job():
+    oversized = {
+        name: lines
+        for name, path in _modules().items()
+        if (lines := len(path.read_text(encoding="utf-8").splitlines()))
+        > MAX_MODULE_LINES
+    }
+    assert not oversized

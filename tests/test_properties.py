@@ -398,7 +398,6 @@ def test_prepared_join_reroutes_after_reshard(kind, probe):
     db.shard_table("b", "rk", 3)
     session = RavenSession(
         db,
-        optimizer="heuristic",
         options={"shard_workers": 8, "enable_inlining": False},
     )
     sql = (

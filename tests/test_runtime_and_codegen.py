@@ -36,18 +36,6 @@ class TestRavenSessionEndToEnd:
         expected = np.nonzero(pregnant & (predictions > 7))[0]
         assert sorted(result.table.column("id").tolist()) == expected.tolist()
 
-    def test_all_optimizer_modes_agree(self, hospital_small):
-        db, _, _ = hospital_small
-        reference = None
-        for kind in ("none", "heuristic", "cost"):
-            session = RavenSession(db, optimizer=kind)
-            ids = sorted(
-                session.execute(hospital.INFERENCE_QUERY).table.column("id").tolist()
-            )
-            if reference is None:
-                reference = ids
-            assert ids == reference, f"optimizer={kind} diverged"
-
     def test_strategy_option_combinations_agree(self, hospital_small):
         db, _, _ = hospital_small
         reference = None

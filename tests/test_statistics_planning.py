@@ -5,8 +5,8 @@ import pytest
 
 from repro import Database, RavenSession, Table
 from repro.concurrency import default_max_workers
-from repro.core.optimizer import cost
-from repro.core.optimizer.rule import RuleContext
+from repro.core.optimizer import SearchContext, ir_to_logical
+from repro.relational.algebra import logical
 from repro.relational.algebra.executor import ExecutionOptions
 from repro.relational.catalog import AUTO_PARTITION_MIN_ROWS
 from repro.relational.statistics import (
@@ -337,35 +337,44 @@ class TestMorselParallelPredict:
 
 
 class TestCostModelStatistics:
+    @staticmethod
+    def _estimator(database, sql, catalog):
+        """``(search context, logical plan)`` of an analyzed query."""
+        plan = ir_to_logical(RavenSession(database).analyze(sql))
+        context = SearchContext(catalog=catalog)
+        context.prepare(plan)
+        return context, plan
+
+    @staticmethod
+    def _find(plan, op_type):
+        return next(op for op in plan.walk() if isinstance(op, op_type))
+
     def test_aggregate_estimate_uses_group_key_ndv(self, events_db):
-        session = RavenSession(events_db)
-        graph = session.analyze(
-            "SELECT kind, COUNT(*) AS n FROM events GROUP BY kind"
+        context, plan = self._estimator(
+            events_db,
+            "SELECT kind, COUNT(*) AS n FROM events GROUP BY kind",
+            events_db.catalog,
         )
-        context = RuleContext(database=events_db)
-        agg = next(n for n in graph.nodes() if n.op == "ra.aggregate")
-        assert cost.estimate_rows(graph, agg, context) == 8.0
+        agg = self._find(plan, logical.Aggregate)
+        assert context.estimate_tree(agg) == 8.0
 
     def test_aggregate_estimate_falls_back_without_stats(self, events_db):
-        session = RavenSession(events_db)
-        graph = session.analyze(
-            "SELECT kind, COUNT(*) AS n FROM events GROUP BY kind"
+        no_stats, plan = self._estimator(
+            events_db,
+            "SELECT kind, COUNT(*) AS n FROM events GROUP BY kind",
+            None,
         )
-        agg = next(n for n in graph.nodes() if n.op == "ra.aggregate")
-        no_stats = RuleContext(database=None)
-        child_rows = cost.estimate_rows(
-            graph, graph.node(agg.inputs[0]), no_stats
-        )
-        assert cost.estimate_rows(graph, agg, no_stats) == (
-            pytest.approx(child_rows * 0.1)
-        )
+        agg = self._find(plan, logical.Aggregate)
+        child_rows = no_stats.estimate_tree(agg.child)
+        assert no_stats.estimate_tree(agg) == pytest.approx(child_rows * 0.1)
 
     def test_filter_estimate_uses_histogram(self, events_db):
-        session = RavenSession(events_db)
-        graph = session.analyze("SELECT id FROM events WHERE value < 25.0")
-        context = RuleContext(database=events_db)
-        filt = next(n for n in graph.nodes() if n.op == "ra.filter")
-        estimate = cost.estimate_rows(graph, filt, context)
+        context, plan = self._estimator(
+            events_db,
+            "SELECT id FROM events WHERE value < 25.0",
+            events_db.catalog,
+        )
+        estimate = context.estimate_tree(self._find(plan, logical.Filter))
         assert 0.2 * 20_000 < estimate < 0.3 * 20_000
 
 
