@@ -1,7 +1,8 @@
 """The IR ↔ logical-plan bridge the cross-IR optimizer searches through.
 
 :func:`ir_to_logical` turns a unified-IR graph into the logical tree
-the memo explores; :func:`logical_to_ir` lowers the winner back.
+the memo explores — and the relational executor runs;
+:func:`logical_to_ir` lowers the memo's winner back.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ def ir_to_logical(graph: IRGraph) -> logical.LogicalOp:
     splitting) converts once and every consumer holds the *same*
     logical object — the memo's identity map then interns the shared
     subtree into a single group, so it is explored and priced exactly
-    once. Raises :class:`PlanConversionError` for unconvertible
-    operators — the engine then skips the memo and runs the IR
-    post-pass alone.
+    once (the executor likewise runs it once). Raises
+    :class:`PlanConversionError` for unconvertible operators — the
+    optimizer then skips the memo and runs the IR post-pass alone, and
+    the runtime refuses the plan.
     """
     built: dict[int, logical.LogicalOp] = {}
 
@@ -239,9 +241,8 @@ def logical_to_ir(plan: logical.LogicalOp) -> IRGraph:
             branches = [lower(b) for b in op.branches]
             return graph.add("ra.union_all", branches).id
         if isinstance(op, Gather):
-            # The fragment stays a logical subtree attribute — it is
-            # dispatched (and JSON-serialized) whole, never executed
-            # operator-by-operator by the IR runtime.
+            # The fragment stays a logical subtree attribute: the
+            # executor's Gather dispatches (and JSON-serializes) it whole.
             return graph.add(
                 "ra.gather",
                 [],

@@ -74,11 +74,14 @@ class RavenSession:
         self.database = database
         self.options = dict(options or {})
         self.analyzer = SQLAnalyzer(database)
-        external = OutOfProcessRuntime()
-        self.executor = RavenExecutor(
-            database, external_runtime=external.run_script
-        )
-        self.out_of_process = external
+        self.executor = RavenExecutor(database)
+        # Untranslatable python.script models score through the database's
+        # external-runtime registry; Raven Ext is the default runtime.
+        self.out_of_process = OutOfProcessRuntime()
+        if database.external_runtime("python") is None:
+            database.register_external_runtime(
+                "python", self.out_of_process.run_script
+            )
         self.last_analysis_seconds: float | None = None
         self._plan_cache = None
 

@@ -10,7 +10,9 @@ Each worker process keeps two module-level caches:
   shards (one per fragment table) through the same cache.
 * ``_MODEL_CACHE`` — decoded model bundles keyed by content hash, so a
   hot PREDICT fragment deserializes its model once per process, not
-  once per call.
+  once per call. A decoded model keeps its identity, which is what the
+  shared payload-scorer cache (:mod:`repro.relational.scoring`) keys
+  compiled sessions on.
 
 Besides plain fragments, workers run the two halves of the shuffle
 exchange: :func:`run_shuffle_map` executes a side's fragment over its
@@ -31,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from repro.distributed.operators import SHARD_TABLE, shard_target
 from repro.distributed.shards import hash_buckets
 from repro.errors import ExecutionError
 from repro.ml import model_format
+from repro.relational.scoring import payload_scorer, session_scorer
 from repro.relational.table import Table
 
 #: Worker-side cache caps. Shards dominate memory (a cached shard is
@@ -51,9 +54,6 @@ MAX_CACHED_FRAGMENTS = 16
 
 _SHARD_CACHE: "OrderedDict[tuple, Table]" = OrderedDict()
 _MODEL_CACHE: "OrderedDict[str, object]" = OrderedDict()
-#: Compiled scoring sessions keyed ``(id(payload), backend)`` — see
-#: :func:`_compiled_worker_scorer`.
-_COMPILED_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 #: Decoded fragments keyed by spec-dict identity (identity-checked on
 #: read). The coordinator's in-process path passes the same cached spec
 #: object for every shard of a gather, so the JSON→logical decode runs
@@ -334,69 +334,21 @@ def clear_caches() -> None:
     _SHARD_CACHE.clear()
     _MODEL_CACHE.clear()
     _FRAGMENT_CACHE.clear()
-    _COMPILED_CACHE.clear()
-
-
-def _compiled_worker_scorer(payload: object, features, backend: str):
-    """Worker-side compiled session for a shipped payload, cached.
-
-    Shipped payloads are interned by :func:`_load_model` (stable
-    identity per bundle per worker process), so ``(id(payload),
-    backend)`` keys a process-level cache of compiled sessions — the
-    expensive NN translation + fusion runs once per worker, not once
-    per fragment. The payload itself is pinned in the cache entry so a
-    recycled id can never alias a different model.
-    """
-    key = (id(payload), backend)
-    cached = _COMPILED_CACHE.get(key)
-    if cached is not None and cached[0] is payload:
-        return cached[1]
-    from repro.tensor.backends import compiled_pipeline_scorer
-
-    scorer = compiled_pipeline_scorer(
-        payload, len(features) if features else None, backend
-    )
-    _COMPILED_CACHE[key] = (payload, scorer)
-    while len(_COMPILED_CACHE) > MAX_CACHED_MODELS:
-        _COMPILED_CACHE.popitem(last=False)
-    return scorer
+    session_scorer.cache_clear()
 
 
 class _WorkerModelResolver:
-    """Scores the payload shipped with the fragment; no catalog exists."""
+    """Scores the payload shipped with the fragment; no catalog exists.
+
+    Shipped payloads are interned by :func:`_load_model` (stable identity
+    per bundle per worker process), so the payload-scorer cache compiles
+    a memo-chosen backend once per worker, not once per fragment.
+    """
+
+    resolve_inline_scorer = staticmethod(payload_scorer)
 
     def resolve_scorer(self, model_ref: str, output_columns, backend="numpy"):
         raise ExecutionError(
             f"fragment references catalog model {model_ref!r} without a "
             "shipped payload; workers have no model catalog"
         )
-
-    def resolve_inline_scorer(
-        self,
-        payload: object,
-        feature_names: Sequence[str] | None,
-        output_columns,
-        backend: str = "numpy",
-    ) -> Callable[[Table], dict[str, np.ndarray]]:
-        features = list(feature_names) if feature_names is not None else None
-        output_names = [name for name, _dtype in output_columns]
-        compiled = None
-        if (backend or "numpy").lower() != "numpy":
-            compiled = _compiled_worker_scorer(payload, features, backend)
-
-        def score(table: Table) -> dict[str, np.ndarray]:
-            matrix = table.to_matrix(features)
-            if compiled is not None:
-                raw = np.asarray(compiled(matrix), dtype=np.float64)
-            else:
-                raw = np.asarray(payload.predict(matrix), dtype=np.float64)
-            if raw.ndim == 1:
-                raw = raw.reshape(-1, 1)
-            if raw.shape[1] < len(output_names):
-                raise ExecutionError(
-                    f"model produced {raw.shape[1]} outputs, fragment "
-                    f"declared {len(output_names)}"
-                )
-            return {name: raw[:, i] for i, name in enumerate(output_names)}
-
-        return score

@@ -1,7 +1,7 @@
 """EXPLAIN ANALYZE support: per-operator actuals and q-error.
 
 ``EXPLAIN ANALYZE <select>`` executes the optimized plan through an
-:class:`InstrumentedExecutor` that times every ``execute`` dispatch and
+:class:`InstrumentedExecutor` that times every operator dispatch and
 records actual row counts, keyed by operator identity. The planner's
 EXPLAIN renderer then prints ``actual_rows / time / q_error`` next to
 its estimates, and :func:`collect_table_q_errors` attributes each
@@ -50,7 +50,8 @@ class InstrumentedExecutor(Executor):
     ``records`` maps ``id(op)`` to :class:`OperatorStats`; times are
     *inclusive* (an operator's clock runs while its children execute),
     matching how EXPLAIN renders the tree. Re-entrant dispatches of the
-    same node (retries, shared sub-plans) accumulate.
+    same node (retries) accumulate; a sub-plan shared by several parents
+    runs — and is counted — once per top-level execution.
     """
 
     def __init__(self, *args, **kwargs):
@@ -68,9 +69,9 @@ class InstrumentedExecutor(Executor):
             shuffle_runner=executor._shuffle_runner,
         )
 
-    def execute(self, plan):
+    def _run_operator(self, plan):
         start = time.perf_counter()
-        result = super().execute(plan)
+        result = super()._run_operator(plan)
         elapsed = time.perf_counter() - start
         record = self.records.get(id(plan))
         if record is None:

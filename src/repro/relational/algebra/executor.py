@@ -2,15 +2,18 @@
 
 One physical implementation per logical operator, all column-at-a-time over
 NumPy arrays: hash joins, sort-based ORDER BY, ``np.unique``-based grouping.
-``Predict`` dispatches to a model scorer resolved from the model catalog —
-this is the integration point where the "database" calls the "ML runtime",
-and where chunked parallel scoring happens (the paper's Fig. 3 observation
-that SQL Server parallelizes scan + PREDICT).
+``Predict`` dispatches to a model scorer resolved from the plan's own
+payload or the model catalog — this is the integration point where the
+"database" calls the "ML runtime", and where chunked parallel scoring
+happens (the paper's Fig. 3 observation that SQL Server parallelizes
+scan + PREDICT). It is the only plan interpreter: SQL statements, IR plans
+(``RavenExecutor``) and worker fragments all run here.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from typing import Callable, Protocol
 
 import numpy as np
@@ -25,14 +28,25 @@ from repro.relational.types import DataType, Schema
 
 
 class ModelResolver(Protocol):
-    """Resolves a model reference to a batch scorer.
+    """Resolves a Predict's model — a catalog reference, or the payload
+    the plan carries — to a batch scorer.
 
     The scorer takes the input :class:`Table` and returns a mapping from
     output column name to a 1-D array (one entry per declared output).
     """
 
     def resolve_scorer(
-        self, model_ref: str, output_columns: tuple[tuple[str, DataType], ...]
+        self, model_ref: str, output_columns: tuple, backend: str = "numpy"
+    ) -> Callable[[Table], dict[str, np.ndarray]]: ...
+
+    def resolve_inline_scorer(
+        self,
+        payload: object,
+        feature_names: tuple[str, ...] | None,
+        output_columns: tuple,
+        backend: str = "numpy",
+        flavor: str = "ml.pipeline",
+        device: object = "cpu",
     ) -> Callable[[Table], dict[str, np.ndarray]]: ...
 
 
@@ -115,6 +129,27 @@ def _null_extended(schema, count: int) -> "Table":
     return Table(schema, columns)
 
 
+#: ``{id(op): Table | None}`` for the sub-plans several parents share, set
+#: for the top-level ``Executor.execute`` call in flight in this context.
+_SHARED_RESULTS: ContextVar[dict | None] = ContextVar("shared", default=None)
+
+
+def _shared_subplans(plan: logical.LogicalOp) -> dict:
+    """``{id(op): None}`` for each operator of ``plan`` with several
+    parents (empty for a tree)."""
+    seen: set[int] = set()
+    shared: dict = {}
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        if id(op) in seen:
+            shared[id(op)] = None
+        else:
+            seen.add(id(op))
+            stack.extend(op.children)
+    return shared
+
+
 class Executor:
     """Interprets logical plans against a table provider + model resolver."""
 
@@ -150,6 +185,27 @@ class Executor:
         self.last_shard_routing: dict | None = None
 
     def execute(self, plan: logical.LogicalOp) -> Table:
+        """Run ``plan`` (operators execute their children through here).
+
+        A plan may be a DAG: a sub-plan *object* held by several parents
+        (model/query splitting's shared input) runs once per top-level
+        call. Its result lives in a context variable for that call only,
+        so one executor runs one cached plan from many threads at once.
+        """
+        shared = _SHARED_RESULTS.get()
+        if shared is None:
+            token = _SHARED_RESULTS.set(_shared_subplans(plan))
+            try:
+                return self._run_operator(plan)
+            finally:
+                _SHARED_RESULTS.reset(token)
+        if id(plan) not in shared:
+            return self._run_operator(plan)
+        if shared[id(plan)] is None:
+            shared[id(plan)] = self._run_operator(plan)
+        return shared[id(plan)]
+
+    def _run_operator(self, plan: logical.LogicalOp) -> Table:
         method = getattr(self, f"_execute_{type(plan).__name__.lower()}", None)
         if method is None:
             raise ExecutionError(f"no physical operator for {type(plan).__name__}")
@@ -439,11 +495,9 @@ class Executor:
         """
         from repro.distributed.operators import Repartition
 
-        # Explicit bounds only ever come from a Repartition exchange
-        # (possibly via the IR runtime, which re-feeds the repartitioned
-        # table as an InlineTable), whose bucket key is always one of
-        # the grouping columns.
-        if not isinstance(op.child, (Repartition, logical.InlineTable)):
+        # Explicit bounds only ever come from a Repartition exchange,
+        # whose bucket key is always one of the grouping columns.
+        if not isinstance(op.child, Repartition):
             return None
         if not table.has_explicit_partitions or table.num_partitions < 2:
             return None
@@ -819,27 +873,26 @@ class Executor:
         return self._attach_outputs(op, table, outputs)
 
     def _resolve_scorer(self, op: logical.Predict):
-        """Scorer for a Predict: inline payload first, catalog second.
+        """Scorer for a Predict: its own payload first, catalog second.
 
-        The memo optimizer's model rewrites (pruning, projection
-        pushdown) attach the rewritten pipeline to the plan; it no
-        longer exists in the catalog, so it must be scored directly.
-        The memo-chosen compiled backend (in ``extra``) is forwarded
-        only when non-default so duck-typed resolvers (tests, workers
-        built before backends existed) keep their plain signature.
+        A plan carries the payload when the memo rewrote the model
+        (pruning, projection pushdown, NN translation) or the IR bridge
+        embedded what the analyzer resolved; ``extra`` holds the
+        memo-chosen backend and the tensor device.
         """
-        backend = dict(op.extra).get("backend") if op.extra else None
-        kwargs = {"backend": backend} if backend and backend != "numpy" else {}
-        if op.payload is not None and op.flavor == "ml.pipeline":
-            resolve_inline = getattr(
-                self._model_resolver, "resolve_inline_scorer", None
+        extra = dict(op.extra) if op.extra else {}
+        backend = extra.get("backend") or "numpy"
+        if op.payload is not None:
+            return self._model_resolver.resolve_inline_scorer(
+                op.payload,
+                op.feature_names,
+                op.output_columns,
+                backend,
+                flavor=op.flavor or "ml.pipeline",
+                device=extra.get("device", "cpu"),
             )
-            if resolve_inline is not None:
-                return resolve_inline(
-                    op.payload, op.feature_names, op.output_columns, **kwargs
-                )
         return self._model_resolver.resolve_scorer(
-            op.model_ref, op.output_columns, **kwargs
+            op.model_ref, op.output_columns, backend
         )
 
     @staticmethod

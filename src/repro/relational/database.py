@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 import time as _time
 from collections import OrderedDict
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,11 @@ from repro.relational.algebra.binder import BindContext, Binder
 from repro.relational.algebra.executor import ExecutionOptions, Executor
 from repro.relational.algebra.planner import PhysicalPlanner
 from repro.relational.catalog import Catalog, ModelEntry
+from repro.relational.scoring import (
+    _bind_output_names,
+    build_scorer,
+    payload_scorer,
+)
 from repro.relational.sql import ast_nodes as ast
 from repro.relational.sql.parser import parse
 from repro.relational.table import Table
@@ -308,8 +314,14 @@ class Database:
         return self.catalog.get_model(name, version)
 
     def register_external_runtime(self, language: str, runner: Callable) -> None:
-        """Register a handler for ``EXEC sp_execute_external_script``."""
+        """Register ``runner(script, table)`` for code that runs outside
+        the engine: ``EXEC sp_execute_external_script`` batches, and
+        PREDICT over a stored ``python.script`` model."""
         self._external_runtimes[language.lower()] = runner
+
+    def external_runtime(self, language: str) -> Callable | None:
+        """The runner registered for ``language`` (``None`` when absent)."""
+        return self._external_runtimes.get(language.lower())
 
     # -- model-change notifications ----------------------------------------
 
@@ -615,7 +627,7 @@ class Database:
             for name, expr in statement.parameters
         }
         language = str(params.get("language", "python")).lower()
-        runner = self._external_runtimes.get(language)
+        runner = self.external_runtime(language)
         if runner is None:
             raise ExecutionError(
                 f"no external runtime registered for language {language!r}"
@@ -669,12 +681,22 @@ class Database:
         key = entry.qualified_name
         if backend != "numpy":
             key = f"{key}|{backend}"
+        features = entry.metadata.get("feature_names") or getattr(
+            entry.payload, "feature_names_", None
+        )
+        build = partial(
+            build_scorer,
+            entry.flavor,
+            entry.payload,
+            features,
+            backend,
+            "cpu",
+            self.external_runtime,
+        )
         if self.session_cache is not None:
-            scorer = self.session_cache.get_or_create(
-                key, lambda: self._build_scorer(entry, backend)
-            )
+            scorer = self.session_cache.get_or_create(key, build)
         else:
-            scorer = self._build_scorer(entry, backend)
+            scorer = build()
         output_names = [name for name, _ in output_columns]
         return _bind_output_names(scorer, output_names)
 
@@ -684,104 +706,22 @@ class Database:
         feature_names: Sequence[str] | None,
         output_columns: tuple[tuple[str, DataType], ...],
         backend: str = "numpy",
+        flavor: str = "ml.pipeline",
+        device: object = "cpu",
     ) -> Callable[[Table], dict[str, np.ndarray]]:
-        """Scorer for a plan-embedded (memo-rewritten) model pipeline.
-
-        Rewritten pipelines (pruned trees, narrowed feature sets) are
-        plan-local — they are not in the catalog and not session-cached;
-        the closure itself is cheap and the plan object pins the payload.
-
-        ``feature_names`` distinguishes empty from unknown: ``()`` means
-        the model consumes *zero* columns (fully pruned to a constant —
-        WHERE facts pinned every feature), while ``None`` means the
-        consumed columns are unspecified and the whole table is passed.
+        """Scorer for a plan-embedded payload (a memo-rewritten pipeline,
+        an NN-translated tensor graph, a script): not in the catalog, so
+        its session is cached by payload identity, not by model version.
         """
-        features = list(feature_names) if feature_names is not None else None
-
-        compiled = None
-        if (backend or "numpy").lower() != "numpy":
-            from repro.tensor.backends import compiled_pipeline_scorer
-
-            compiled = compiled_pipeline_scorer(
-                payload, len(features) if features else None, backend
-            )
-
-        def score_inline(table: Table) -> np.ndarray:
-            matrix = table.to_matrix(features)
-            if compiled is not None:
-                return np.asarray(compiled(matrix), dtype=np.float64)
-            return np.asarray(payload.predict(matrix), dtype=np.float64)
-
-        output_names = [name for name, _ in output_columns]
-        return _bind_output_names(score_inline, output_names)
-
-    @staticmethod
-    def _build_scorer(
-        entry: ModelEntry, backend: str = "numpy"
-    ) -> Callable[[Table], np.ndarray]:
-        """Create the raw scorer for a model entry (cache-miss path)."""
-        if entry.flavor == "ml.pipeline":
-            pipeline = entry.payload
-            feature_names = entry.metadata.get("feature_names") or getattr(
-                pipeline, "feature_names_", None
-            )
-
-            if backend != "numpy":
-                from repro.tensor.backends import compiled_pipeline_scorer
-
-                compiled = compiled_pipeline_scorer(
-                    pipeline,
-                    len(feature_names) if feature_names else None,
-                    backend,
-                )
-                if compiled is not None:
-
-                    def score_compiled(table: Table) -> np.ndarray:
-                        features = table.to_matrix(feature_names)
-                        return np.asarray(compiled(features), dtype=np.float64)
-
-                    return score_compiled
-                # Translation failed — the interpreted path below is
-                # always correct, just not compiled.
-
-            def score_pipeline(table: Table) -> np.ndarray:
-                features = table.to_matrix(feature_names)
-                return np.asarray(pipeline.predict(features), dtype=np.float64)
-
-            return score_pipeline
-        if entry.flavor == "tensor.graph":
-            from repro.tensor.session import InferenceSession
-
-            session = InferenceSession(entry.payload, backend=backend)
-            feature_names = entry.metadata.get("feature_names")
-
-            def score_graph(table: Table) -> np.ndarray:
-                features = table.to_matrix(feature_names)
-                outputs = session.run({session.input_names[0]: features})
-                return np.asarray(outputs[0]).reshape(len(table), -1)[:, 0]
-
-            return score_graph
-        raise ExecutionError(
-            f"model flavor {entry.flavor!r} has no in-process scorer; "
-            "use the out-of-process or containerized runtime"
+        return payload_scorer(
+            payload,
+            feature_names,
+            output_columns,
+            backend,
+            flavor,
+            device,
+            self.external_runtime,
         )
-
-
-def _bind_output_names(
-    scorer: Callable[[Table], np.ndarray], output_names: Sequence[str]
-) -> Callable[[Table], dict[str, np.ndarray]]:
-    def run(table: Table) -> dict[str, np.ndarray]:
-        raw = np.asarray(scorer(table))
-        if raw.ndim == 1:
-            raw = raw.reshape(-1, 1)
-        if raw.shape[1] < len(output_names):
-            raise ExecutionError(
-                f"model produced {raw.shape[1]} outputs, query declared "
-                f"{len(output_names)}"
-            )
-        return {name: raw[:, i] for i, name in enumerate(output_names)}
-
-    return run
 
 
 def _inline(table: Table, source_name: str | None = None):

@@ -309,11 +309,6 @@ class Table:
         schema = self._schema.select(names)
         return Table(schema, {c.name: self.column(c.name) for c in schema})
 
-    def drop(self, names: Sequence[str]) -> "Table":
-        """Remove the named columns."""
-        schema = self._schema.drop(names)
-        return Table(schema, {c.name: self._columns[c.name] for c in schema})
-
     def rename(self, mapping: dict[str, str]) -> "Table":
         """Rename columns per ``mapping``."""
         schema = self._schema.rename(mapping)

@@ -94,11 +94,11 @@ def compiled_pipeline_scorer(pipeline, n_features: int, backend: str,
     """A ``matrix -> predictions`` callable scoring ``pipeline`` through
     a compiled tensor session, or ``None`` when translation fails.
 
-    This is the bridge the relational layer, the runtime executor and
-    the distributed workers all use to honor a memo-chosen compiled
-    backend on an ``ml.pipeline`` model: NN-translate the pipeline,
-    build one session, score batches through it. Any conversion failure
-    returns ``None`` so callers keep the interpreted ``predict`` path.
+    This is how :func:`repro.relational.scoring.build_scorer` honors a
+    memo-chosen compiled backend on an ``ml.pipeline`` model:
+    NN-translate the pipeline, build one session, score batches through
+    it. Any conversion failure returns ``None`` so the caller keeps the
+    interpreted ``predict`` path.
     """
     from repro.tensor.converters import convert, supports
     from repro.tensor.session import InferenceSession
