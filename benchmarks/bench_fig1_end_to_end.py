@@ -26,9 +26,6 @@ def environment():
         session.analyze(hospital.INFERENCE_QUERY)
     )
     unoptimized_plan = session.analyze(hospital.INFERENCE_QUERY)
-    from repro.core.optimizer.engine import assign_engines
-
-    assign_engines(unoptimized_plan)
     return session, optimized_plan, unoptimized_plan, opt_report
 
 

@@ -57,9 +57,9 @@ def run_external(database, bundle):
 def test_fig2c_inlined(benchmark, environment):
     database, *_ = environment
     session = RavenSession(database)
-    graph, _ = session.optimize(session.analyze(QUERY_NO_FILTER))
+    plan, _ = session.optimize(session.analyze(QUERY_NO_FILTER))
     benchmark.pedantic(
-        lambda: session.executor.execute(graph), rounds=3, iterations=1
+        lambda: session.executor.execute(plan), rounds=3, iterations=1
     )
 
 
@@ -73,14 +73,14 @@ def test_fig2c_external_baseline(benchmark, environment):
 def test_fig2c_shape(environment):
     database, dataset, pipeline, bundle = environment
     session = RavenSession(database)
-    graph, _ = session.optimize(session.analyze(QUERY_NO_FILTER))
-    inlined = measure(lambda: session.executor.execute(graph), repeats=3)
+    plan, _ = session.optimize(session.analyze(QUERY_NO_FILTER))
+    inlined = measure(lambda: session.executor.execute(plan), repeats=3)
     external = measure(lambda: run_external(database, bundle), repeats=2)
 
     # Predicate-pruned variant (the full Fig. 1 query with pregnant=1).
-    pruned_graph, _ = session.optimize(session.analyze(hospital.INFERENCE_QUERY))
+    pruned_plan, _ = session.optimize(session.analyze(hospital.INFERENCE_QUERY))
     pruned = measure(
-        lambda: session.executor.execute(pruned_graph), repeats=3
+        lambda: session.executor.execute(pruned_plan), repeats=3
     )
 
     gain = speedup(external, inlined)
@@ -107,7 +107,7 @@ def test_fig2c_shape(environment):
     )
     assert gain > 3.0, "inlining should beat cross-boundary scoring clearly"
     # Correctness: the inlined plan produces the pipeline's predictions.
-    result = session.executor.execute(graph)
+    result = session.executor.execute(plan)
     assert np.array_equal(
         np.sort(result.column("length_of_stay")),
         np.sort(pipeline.predict(dataset.features)),

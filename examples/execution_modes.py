@@ -41,8 +41,6 @@ def main() -> None:
     print(f"scoring {len(X)} rows with the hospital decision-tree pipeline\n")
 
     # -- in-process (the integrated engine) ---------------------------------
-    raven = RavenSession(database, options={"enable_inlining": False})
-    graph, _ = raven.optimize(raven.analyze(hospital.INFERENCE_QUERY))
     start = time.perf_counter()
     prediction = pipeline.predict(X)
     show("in-process pipeline", time.perf_counter() - start, prediction)

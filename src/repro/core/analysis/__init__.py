@@ -1,4 +1,5 @@
-"""Static analysis: Python scripts and SQL to the unified IR."""
+"""Static analysis: SQL to the unified plan, Python scripts to pipelines
+and dataflow sketches."""
 
 from repro.core.analysis.knowledge_base import DEFAULT_KNOWLEDGE_BASE, KnowledgeBase
 from repro.core.analysis.python_analyzer import AnalysisResult, PythonStaticAnalyzer

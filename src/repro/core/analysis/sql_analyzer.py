@@ -1,142 +1,76 @@
-"""SQL -> unified IR (the straightforward half of static analysis, §3.2).
+"""SQL -> the unified plan (the straightforward half of static analysis, §3.2).
 
-Lowers a bound logical plan onto the IR. ``Predict`` nodes are resolved
-against the model catalog: ``ml.pipeline`` models become ``mld.pipeline``
-IR nodes carrying the fitted pipeline object; ``tensor.graph`` models
-become ``la.tensor_graph`` nodes; ``python.script`` models are sent through
-the Python static analyzer first, and fall back to ``udf.python`` when it
-cannot translate them.
+Analysis is ``Database.bind`` plus one step: every ``Predict`` is
+resolved against the model catalog, so the plan the optimizer searches
+is self-contained — it names the qualified ``name:vN`` it was compiled
+against and carries the model itself. ``ml.pipeline`` models ride as the
+fitted pipeline object, ``tensor.graph`` models as the graph with its
+device; ``python.script`` models are sent through the Python static
+analyzer first and stay opaque scripts (run by the external runtime)
+when it cannot translate them.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import StaticAnalysisError
 from repro.core.analysis.python_analyzer import PythonStaticAnalyzer
-from repro.core.ir.graph import IRGraph
 from repro.relational.algebra import logical
 from repro.relational.database import Database
 from repro.relational.table import Table
 
 
 class SQLAnalyzer:
-    """Builds IR graphs from SQL text or bound logical plans."""
+    """Builds the logical plan of an inference query from its SQL text."""
 
     def __init__(self, database: Database):
         self._database = database
         self._python = PythonStaticAnalyzer()
 
-    def analyze(self, sql: str, data: dict[str, Table] | None = None) -> IRGraph:
-        """Parse + bind + lower an inference query to the unified IR."""
-        plan = self._database.bind(sql, data)
-        return self.from_logical(plan)
+    def analyze(
+        self, sql: str, data: dict[str, Table] | None = None
+    ) -> logical.LogicalOp:
+        """Parse + bind an inference query and resolve its models."""
 
-    def from_logical(self, plan: logical.LogicalOp) -> IRGraph:
-        graph = IRGraph()
-        sink = self._lower(plan, graph)
-        graph.set_output(sink)
-        graph.validate()
-        return graph
+        def resolve(op, children):
+            op = logical.rebuild(op, children)
+            if isinstance(op, logical.Predict):
+                return self._resolve_predict(op)
+            return op
 
-    # -- lowering -------------------------------------------------------------
+        return logical.transform(self._database.bind(sql, data), resolve)
 
-    def _lower(self, op: logical.LogicalOp, graph: IRGraph) -> int:
-        if isinstance(op, logical.Scan):
-            node = graph.add(
-                "ra.scan",
-                [],
-                table=op.table_name,
-                alias=op.alias,
-                schema=op.schema,
-            )
-            return node.id
-        if isinstance(op, logical.InlineTable):
-            node = graph.add(
-                "ra.inline_table",
-                [],
-                table_value=op.table,
-                alias=op.alias,
-                source_name=op.source_name,
-            )
-            return node.id
-        if isinstance(op, logical.Filter):
-            child = self._lower(op.child, graph)
-            return graph.add("ra.filter", [child], predicate=op.predicate).id
-        if isinstance(op, logical.Project):
-            child = self._lower(op.child, graph)
-            return graph.add("ra.project", [child], items=list(op.items)).id
-        if isinstance(op, logical.Join):
-            left = self._lower(op.left, graph)
-            right = self._lower(op.right, graph)
-            return graph.add(
-                "ra.join", [left, right], kind=op.kind, condition=op.condition
-            ).id
-        if isinstance(op, logical.Aggregate):
-            child = self._lower(op.child, graph)
-            return graph.add(
-                "ra.aggregate",
-                [child],
-                group_by=list(op.group_by),
-                aggregates=list(op.aggregates),
-            ).id
-        if isinstance(op, logical.OrderBy):
-            child = self._lower(op.child, graph)
-            return graph.add("ra.order_by", [child], keys=list(op.keys)).id
-        if isinstance(op, logical.Limit):
-            child = self._lower(op.child, graph)
-            return graph.add("ra.limit", [child], count=op.count).id
-        if isinstance(op, logical.Distinct):
-            child = self._lower(op.child, graph)
-            return graph.add("ra.distinct", [child]).id
-        if isinstance(op, logical.UnionAll):
-            branches = [self._lower(b, graph) for b in op.branches]
-            return graph.add("ra.union_all", branches).id
-        if isinstance(op, logical.Predict):
-            return self._lower_predict(op, graph)
-        raise StaticAnalysisError(
-            f"cannot lower logical op {type(op).__name__} to IR"
-        )
-
-    def _lower_predict(self, op: logical.Predict, graph: IRGraph) -> int:
-        child = self._lower(op.child, graph)
+    def _resolve_predict(self, op: logical.Predict) -> logical.Predict:
         entry = self._database.get_model(op.model_ref)
-        common = dict(
-            model_ref=entry.qualified_name,
-            output_columns=tuple(op.output_columns),
-            alias=op.alias,
-            feature_names=entry.metadata.get("feature_names"),
-        )
-        if entry.flavor == "ml.pipeline":
-            return graph.add(
-                "mld.pipeline", [child], pipeline=entry.payload, **common
-            ).id
-        if entry.flavor == "tensor.graph":
-            return graph.add(
-                "la.tensor_graph",
-                [child],
-                graph=entry.payload,
-                device="cpu",
-                **common,
-            ).id
-        if entry.flavor == "python.script":
-            source = str(entry.payload)
+        features = entry.metadata.get("feature_names")
+        flavor, payload, extra = entry.flavor, entry.payload, ()
+        if flavor == "tensor.graph":
+            extra = (("device", "cpu"),)
+        elif flavor == "python.script":
+            payload = str(payload)
             try:
-                pipeline = self._python.extract_pipeline(source)
+                pipeline = self._python.extract_pipeline(payload)
             except StaticAnalysisError:
                 pipeline = None
             if pipeline is not None and _is_fitted(pipeline):
-                return graph.add(
-                    "mld.pipeline", [child], pipeline=pipeline, **common
-                ).id
-            # Untranslatable or unfitted: out-of-process UDF execution.
-            return graph.add(
-                "udf.python",
-                [child],
-                source=source,
-                name=entry.qualified_name,
-                **common,
-            ).id
-        raise StaticAnalysisError(
-            f"unknown model flavor {entry.flavor!r} for {entry.name!r}"
+                flavor, payload = "ml.pipeline", pipeline
+            else:
+                # Untranslatable or unfitted: out-of-process execution.
+                extra = (("name", entry.qualified_name),)
+        elif flavor != "ml.pipeline":
+            raise StaticAnalysisError(
+                f"unknown model flavor {flavor!r} for {entry.name!r}"
+            )
+        return replace(
+            op,
+            model_ref=entry.qualified_name,
+            flavor=flavor,
+            payload=payload,
+            # () means "zero features" (a fully-pruned model); it must
+            # stay distinct from None ("all columns").
+            feature_names=None if features is None else tuple(features),
+            extra=extra,
         )
 
 

@@ -1,4 +1,4 @@
-"""Runtime code generation: optimized IR back to SQL."""
+"""Runtime code generation: the optimized plan back to SQL."""
 
 from repro.core.codegen.sql_codegen import generate_sql
 

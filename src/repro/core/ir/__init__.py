@@ -1,14 +1,6 @@
-"""The unified IR: nodes, DAG, schema inference."""
+"""The Python analyzer's dataflow sketch: nodes and their DAG."""
 
 from repro.core.ir.graph import IRGraph
 from repro.core.ir.nodes import IRNode, OpCategory, category_of
-from repro.core.ir.schema import columns_required_above, infer_schema
 
-__all__ = [
-    "IRGraph",
-    "IRNode",
-    "OpCategory",
-    "category_of",
-    "columns_required_above",
-    "infer_schema",
-]
+__all__ = ["IRGraph", "IRNode", "OpCategory", "category_of"]

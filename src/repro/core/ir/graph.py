@@ -1,14 +1,12 @@
-"""The unified IR DAG and its rewriting machinery.
+"""The DAG the Python static analyzer sketches a script's dataflow in.
 
 An :class:`IRGraph` owns a set of :class:`~repro.core.ir.nodes.IRNode`
-records keyed by id, with one designated output (sink). The cross-optimizer
-mutates graphs through the structured operations here (insert, replace,
-splice-out), which maintain edge consistency so rules stay small.
+records keyed by id, with one designated output (sink). The analyzer
+builds it node by node (forking a copy per execution path) and prints
+it; nothing optimizes or executes it.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterator
 
 from repro.errors import IRValidationError
 from repro.core.ir.nodes import ALL_OPS, IRNode
@@ -67,15 +65,6 @@ class IRGraph:
         """All nodes with the given op, in topological order."""
         return [n for n in self.topological_order() if n.op == op]
 
-    def parents_of(self, node: IRNode | int) -> list[IRNode]:
-        """Nodes that consume the given node's output."""
-        node_id = node.id if isinstance(node, IRNode) else node
-        return [n for n in self._nodes.values() if node_id in n.inputs]
-
-    def inputs_of(self, node: IRNode | int) -> list[IRNode]:
-        node = self.node(node) if isinstance(node, int) else node
-        return [self.node(i) for i in node.inputs]
-
     # -- traversal ----------------------------------------------------------
 
     def topological_order(self) -> list[IRNode]:
@@ -100,63 +89,6 @@ class IRGraph:
         visit(self.output_id)
         return order
 
-    def walk_up(self, node: IRNode) -> Iterator[IRNode]:
-        """The node and all its (transitive) inputs, DFS pre-order."""
-        seen: set[int] = set()
-        stack = [node.id]
-        while stack:
-            node_id = stack.pop()
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            current = self.node(node_id)
-            yield current
-            stack.extend(current.inputs)
-
-    # -- rewriting -------------------------------------------------------
-
-    def insert_above(self, child: IRNode, op: str, **attrs) -> IRNode:
-        """Insert a new unary node between ``child`` and all its consumers."""
-        parents = self.parents_of(child)
-        new_node = self.add(op, [child.id], **attrs)
-        for parent in parents:
-            parent.inputs = [
-                new_node.id if i == child.id else i for i in parent.inputs
-            ]
-        if self.output_id == child.id:
-            self.output_id = new_node.id
-        return new_node
-
-    def insert_below(self, parent: IRNode, input_index: int, op: str, **attrs) -> IRNode:
-        """Insert a new unary node on one input edge of ``parent``."""
-        old_input = parent.inputs[input_index]
-        new_node = self.add(op, [old_input], **attrs)
-        parent.inputs[input_index] = new_node.id
-        return new_node
-
-    def replace(self, old: IRNode, new: IRNode) -> None:
-        """Redirect all consumers of ``old`` to ``new``."""
-        for node in self._nodes.values():
-            node.inputs = [new.id if i == old.id else i for i in node.inputs]
-        if self.output_id == old.id:
-            self.output_id = new.id
-
-    def splice_out(self, node: IRNode) -> None:
-        """Remove a unary node, connecting its input to its consumers."""
-        if len(node.inputs) != 1:
-            raise IRValidationError(
-                f"can only splice out unary nodes, {node.op} has "
-                f"{len(node.inputs)} inputs"
-            )
-        child_id = node.inputs[0]
-        for other in self._nodes.values():
-            other.inputs = [
-                child_id if i == node.id else i for i in other.inputs
-            ]
-        if self.output_id == node.id:
-            self.output_id = child_id
-        del self._nodes[node.id]
-
     def garbage_collect(self) -> int:
         """Drop nodes unreachable from the output; returns count removed."""
         reachable = {n.id for n in self.topological_order()}
@@ -172,11 +104,6 @@ class IRGraph:
         clone.output_id = self.output_id
         return clone
 
-    def rewrite_nodes(self, fn: Callable[[IRNode], None]) -> None:
-        """Apply an in-place mutation to every node (topological order)."""
-        for node in self.topological_order():
-            fn(node)
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
@@ -191,22 +118,15 @@ class IRGraph:
                     raise IRValidationError(
                         f"node {node.id} reads missing node {input_id}"
                     )
-            if node.op in ("ra.scan", "ra.inline_table") and node.inputs:
+            if node.op == "ra.scan" and node.inputs:
                 raise IRValidationError(f"{node.op} must be a leaf")
             if node.op == "ra.join" and len(node.inputs) != 2:
                 raise IRValidationError("ra.join needs exactly two inputs")
             unary_ops = {
                 "ra.filter",
                 "ra.project",
-                "ra.order_by",
                 "ra.limit",
-                "ra.distinct",
-                "ra.aggregate",
                 "mld.pipeline",
-                "mld.transformer",
-                "mld.predictor",
-                "mld.clustered_predictor",
-                "la.tensor_graph",
                 "udf.python",
             }
             if node.op in unary_ops and len(node.inputs) != 1:

@@ -1,18 +1,18 @@
-"""Unified IR node definitions.
+"""Node records of the Python analyzer's dataflow sketch.
 
-Raven's IR (paper §3.1) mixes four operator categories in one DAG:
+Raven's IR (paper §3.1) mixes relational algebra, linear algebra,
+classical-ML operators and opaque UDFs in one plan. In this system that
+plan is the logical algebra (:mod:`repro.relational.algebra.logical`,
+named in the paper's vocabulary by :mod:`repro.core.vocabulary`). What
+lives here is the schema-less sketch :class:`PythonStaticAnalyzer
+<repro.core.analysis.python_analyzer.PythonStaticAnalyzer>` draws of a
+script's dataflow (§3.2) — it has no catalog, hence no schemas, and
+nothing downstream consumes it. The op names are the ones the analyzer
+emits:
 
-* **RA** — relational algebra (scan/filter/project/join/...),
-* **LA** — linear algebra (a tensor graph executed by the NN runtime),
-* **MLD** — classical-ML operators and data featurizers (trees, scalers,
-  one-hot encoders, whole pipelines),
-* **UDF** — opaque code the static analyzer could not translate.
-
-Nodes are lightweight records; the DAG structure and rewriting machinery
-live in :mod:`repro.core.ir.graph`. Higher- and lower-level operators
-coexist on purpose (an ``ml.pipeline`` node can be expanded into individual
-featurizer nodes, or collapsed into a single ``la.tensor_graph``), mirroring
-the paper's MLIR-style multi-level design.
+* **RA** — dataframe operations it recognizes (scan/filter/project/...),
+* **MLD** — a ``predict`` call on a reconstructed pipeline,
+* **UDF** — code it could not translate.
 """
 
 from __future__ import annotations
@@ -22,48 +22,20 @@ from dataclasses import dataclass, field
 
 
 class OpCategory(enum.Enum):
-    """The four operator families of the unified IR."""
+    """The operator families a script's dataflow is sketched in."""
 
     RA = "relational"
-    LA = "linear_algebra"
     MLD = "ml_and_featurizers"
     UDF = "udf"
 
 
-# Canonical op names. RA ops mirror the logical algebra; MLD ops wrap
-# fitted estimators; LA wraps a tensor graph; UDF wraps a callable.
-RA_OPS = frozenset(
-    {
-        "ra.scan",
-        "ra.inline_table",
-        "ra.filter",
-        "ra.project",
-        "ra.join",
-        "ra.aggregate",
-        "ra.order_by",
-        "ra.limit",
-        "ra.distinct",
-        "ra.union_all",
-        "ra.gather",  # distributed scatter-gather exchange (leaf)
-        "ra.repartition",  # local hash exchange (key-disjoint buckets)
-        "ra.shuffle_join",  # distributed hash-shuffle equi-join (leaf)
-    }
-)
+RA_OPS = frozenset({"ra.scan", "ra.filter", "ra.project", "ra.join", "ra.limit"})
 
-MLD_OPS = frozenset(
-    {
-        "mld.pipeline",  # a whole fitted model pipeline (featurizers+predictor)
-        "mld.transformer",  # one featurizer step
-        "mld.predictor",  # one final estimator
-        "mld.clustered_predictor",  # model-clustering dispatch (one model/cluster)
-    }
-)
-
-LA_OPS = frozenset({"la.tensor_graph"})
+MLD_OPS = frozenset({"mld.pipeline"})  # a whole model pipeline
 
 UDF_OPS = frozenset({"udf.python"})
 
-ALL_OPS = RA_OPS | MLD_OPS | LA_OPS | UDF_OPS
+ALL_OPS = RA_OPS | MLD_OPS | UDF_OPS
 
 
 def category_of(op: str) -> OpCategory:
@@ -72,55 +44,37 @@ def category_of(op: str) -> OpCategory:
         return OpCategory.RA
     if op in MLD_OPS:
         return OpCategory.MLD
-    if op in LA_OPS:
-        return OpCategory.LA
     if op in UDF_OPS:
         return OpCategory.UDF
     raise ValueError(f"unknown IR op {op!r}")
 
 
-# Engine assignment values (paper §5: in-process relational/tensor engines,
-# out-of-process external scripts, containerized REST fallback).
-ENGINE_RELATIONAL = "relational"
-ENGINE_TENSOR = "tensor"
-ENGINE_PYTHON = "python"
-ENGINE_EXTERNAL = "external"
-ENGINE_CONTAINER = "container"
-
-
 @dataclass
 class IRNode:
-    """One operator in the unified IR DAG.
+    """One operator in the dataflow sketch.
 
     ``inputs`` are node ids within the owning :class:`IRGraph`. ``attrs``
-    carry op-specific payload (predicates, fitted models, tensor graphs,
-    output column descriptors). ``engine`` is filled in by the optimizer's
-    engine-assignment step.
+    carry op-specific payload (predicates, reconstructed pipelines,
+    untranslated source).
     """
 
     id: int
     op: str
     inputs: list[int] = field(default_factory=list)
     attrs: dict = field(default_factory=dict)
-    engine: str | None = None
 
     @property
     def category(self) -> OpCategory:
         return category_of(self.op)
 
     def copy(self) -> "IRNode":
-        return IRNode(
-            self.id, self.op, list(self.inputs), dict(self.attrs), self.engine
-        )
+        return IRNode(self.id, self.op, list(self.inputs), dict(self.attrs))
 
     def describe(self) -> str:
         """One-line human-readable description (used by the printer)."""
         detail = ""
         if self.op == "ra.scan":
             detail = self.attrs.get("table", "")
-            alias = self.attrs.get("alias")
-            if alias:
-                detail += f" AS {alias}"
         elif self.op == "ra.filter":
             detail = repr(self.attrs.get("predicate"))
         elif self.op == "ra.project":
@@ -138,20 +92,6 @@ class IRNode:
                 steps = getattr(pipeline, "steps", None)
                 if steps:
                     detail = "->".join(type(s).__name__ for _, s in steps)
-        elif self.op in ("mld.predictor", "mld.transformer"):
-            model = self.attrs.get("model") or self.attrs.get("transformer")
-            detail = type(model).__name__ if model is not None else ""
-        elif self.op == "mld.clustered_predictor":
-            models = self.attrs.get("models", [])
-            detail = f"{len(models)} cluster models"
-        elif self.op == "la.tensor_graph":
-            graph = self.attrs.get("graph")
-            if graph is not None:
-                detail = f"{len(graph.nodes)} tensor ops"
-            device = self.attrs.get("device")
-            if device:
-                detail += f" on {device}"
         elif self.op == "udf.python":
             detail = self.attrs.get("name", "<anonymous>")
-        engine = f" [{self.engine}]" if self.engine else ""
-        return f"{self.op}({detail}){engine}"
+        return f"{self.op}({detail})"

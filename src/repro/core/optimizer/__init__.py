@@ -3,30 +3,23 @@
 ===================== ==================================================
 module                job
 ===================== ==================================================
-``engine``            ``UnifiedOptimizer``: bridge, search, IR post-pass
+``engine``            ``UnifiedOptimizer``: memo search, then clean-up
 ``search``            the memo search loop and the two rule sets
 ``memo``              groups, expressions, search statistics
 ``coster``            operator costs, cardinalities, ``SearchContext``
 ``relational_rules``  filter merge, predicate pushdown, DP join order
 ``ml_rules``          pruning, pushdown, inlining, NN translation, splits
 ``distributed_rules`` scatter-gather, shard joins, aggregate splits
-``bridge``            IR graph ↔ logical plan
+``cleanup``           the pass over the winner: projection pruning, join
+                      elimination, tensor-graph constant folding
 ``ml_rewrites``       the model surgery the ML rules call
-``rules``             the IR post-pass, offline model clustering
+``rules``             offline model clustering
 ===================== ==================================================
 """
 
-from repro.core.optimizer.bridge import (
-    PlanConversionError,
-    ir_to_logical,
-    logical_to_ir,
-)
+from repro.core.optimizer.cleanup import clean_up
 from repro.core.optimizer.coster import SearchContext, operator_cost
-from repro.core.optimizer.engine import (
-    OptimizationReport,
-    UnifiedOptimizer,
-    assign_engines,
-)
+from repro.core.optimizer.engine import OptimizationReport, UnifiedOptimizer
 from repro.core.optimizer.memo import Memo, MemoStats
 from repro.core.optimizer.rule import MemoRule, RuleContext
 from repro.core.optimizer.search import (
@@ -37,10 +30,8 @@ from repro.core.optimizer.search import (
 )
 
 __all__ = [
-    "assign_engines",
+    "clean_up",
     "cross_ir_rules",
-    "ir_to_logical",
-    "logical_to_ir",
     "Memo",
     "MemoOptimizer",
     "MemoReport",
@@ -48,7 +39,6 @@ __all__ = [
     "MemoStats",
     "operator_cost",
     "OptimizationReport",
-    "PlanConversionError",
     "RuleContext",
     "SearchContext",
     "sql_rules",

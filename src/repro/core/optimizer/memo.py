@@ -11,8 +11,7 @@ priced exactly once.
 
 The memo itself is representation-light: expressions are
 :mod:`repro.relational.algebra.logical` operators (frozen dataclasses),
-which both the SQL physical planner and — via the IR bridge in
-:mod:`repro.core.optimizer.bridge` — the cross-IR optimizer speak.
+which the SQL physical planner and the cross-IR optimizer both speak.
 
 Search (rule application, cost-bounded extraction) lives in
 :mod:`repro.core.optimizer.search`; this module is only the memo
@@ -131,8 +130,8 @@ class Memo:
     Besides the structural index, an identity map remembers which group
     each concrete plan *object* interned into: a sub-plan object
     referenced by multiple parents (a DAG edge — e.g. a shared join
-    below two aggregate alternatives, or an IR node with several
-    consumers bridged by ``ir_to_logical``) registers once and every
+    below two aggregate alternatives, or the input both halves of a
+    split model read) registers once and every
     later parent resolves it to the same group without re-walking the
     subtree. Group sharing is what lets rules compose — an aggregate
     split above a join alternative prices the join groups exactly once.

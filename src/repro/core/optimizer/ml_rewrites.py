@@ -19,8 +19,8 @@ model pipelines:
   (:func:`pipeline_feature_expressions`, :func:`tree_to_case_expression`).
 
 Everything here is pure: inputs are never mutated, outputs are new objects.
-The IR rules in :mod:`repro.core.optimizer.rules` are thin drivers over
-these functions.
+The memo rules in :mod:`repro.core.optimizer.ml_rules` are thin drivers
+over these functions.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""Transformation-rule protocols for the cross-optimizer.
+"""The transformation-rule protocol of the cross-optimizer.
 
 :class:`MemoRule` is the protocol of every optimization the memo
 searches — relational, ML and distributed rewrites alike add
-alternatives to a group and compete on cost. :class:`Rule` is the
-protocol of the small IR post-pass that runs after the search, for the
-rewrites that need whole-graph context (what every consumer above a
-node still references) and therefore have no memo form.
+alternatives to a group and compete on cost. :class:`RuleContext` is
+what the clean-up pass after the search
+(:mod:`repro.core.optimizer.cleanup`) consults and logs to.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.ir.graph import IRGraph
 from repro.relational.algebra import logical
 
 if TYPE_CHECKING:
@@ -51,7 +49,7 @@ class MemoRule:
 
 @dataclass
 class RuleContext:
-    """Shared services the IR post-pass rules may consult.
+    """Shared services the clean-up pass may consult.
 
     ``database`` gives access to the stored data (the paper's "data
     properties"); ``applied`` is the log of every rule that fired, memo
@@ -81,21 +79,3 @@ class RuleContext:
             return False
         return len(np.unique(values)) == table.num_rows
 
-
-class Rule:
-    """IR post-pass rule: subclasses implement :meth:`apply`."""
-
-    #: Human-readable rule name (defaults to the class name).
-    name: str = ""
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not cls.name:
-            cls.name = cls.__name__
-
-    def apply(self, graph: IRGraph, context: RuleContext) -> bool:
-        """Try to rewrite ``graph`` in place; True if anything changed."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<rule {self.name}>"

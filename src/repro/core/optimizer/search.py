@@ -5,10 +5,8 @@ Every planner in the system drives plan search through this module:
 * ``Database.execute`` / ``EXPLAIN`` — the SQL physical planner
   (:class:`repro.relational.algebra.planner.PhysicalPlanner`) registers
   :func:`sql_rules` and extracts the cheapest plan.
-* ``RavenSession.optimize`` — the cross-IR optimizer bridges the unified
-  IR to a logical tree (:mod:`repro.core.optimizer.bridge`), searches
-  the same memo under :func:`cross_ir_rules`, and lowers the winner
-  back.
+* ``RavenSession.optimize`` — the cross-IR optimizer searches the same
+  memo over the analyzed plan under :func:`cross_ir_rules`.
 
 Relational and ML transformations therefore compete as *memo rules
 under one cost model* (:mod:`repro.core.optimizer.coster`), which is

@@ -26,15 +26,15 @@ from dataclasses import dataclass, field
 from repro.errors import CodegenError
 from repro.core.analysis.sql_analyzer import SQLAnalyzer
 from repro.core.codegen.sql_codegen import generate_sql
-from repro.core.ir.graph import IRGraph
 from repro.core.optimizer import (
     OptimizationReport,
     RuleContext,
     UnifiedOptimizer,
-    assign_engines,
 )
 from repro.core.runtime.executor import RavenExecutor
 from repro.core.runtime.outofprocess import OutOfProcessRuntime
+from repro.core.vocabulary import render
+from repro.relational.algebra.logical import LogicalOp
 from repro.relational.database import Database
 from repro.relational.table import Table
 
@@ -44,7 +44,7 @@ class RavenResult:
     """Everything produced by one inference-query execution."""
 
     table: Table
-    plan: IRGraph
+    plan: LogicalOp
     report: OptimizationReport
     sql: str | None = None
     timings: dict = field(default_factory=dict)
@@ -119,27 +119,29 @@ class RavenSession:
 
     # -- pipeline stages ----------------------------------------------------
 
-    def analyze(self, sql: str, data: dict[str, Table] | None = None) -> IRGraph:
-        """Static analysis: inference query -> unified IR."""
+    def analyze(
+        self, sql: str, data: dict[str, Table] | None = None
+    ) -> LogicalOp:
+        """Static analysis: inference query -> unified IR (a logical plan)."""
         import time
 
         from repro.observability import trace as qtrace
 
         start = time.perf_counter()
         with qtrace.span("analyze"):
-            graph = self.analyzer.analyze(sql, data)
+            plan = self.analyzer.analyze(sql, data)
         self.last_analysis_seconds = time.perf_counter() - start
-        return graph
+        return plan
 
-    def optimize(self, graph: IRGraph) -> tuple[IRGraph, OptimizationReport]:
+    def optimize(self, plan: LogicalOp) -> tuple[LogicalOp, OptimizationReport]:
         """Cross-optimization through the memo, under the session's options."""
         context = RuleContext(database=self.database)
-        return UnifiedOptimizer(self.options).optimize(graph, context)
+        return UnifiedOptimizer(self.options).optimize(plan, context)
 
-    def generate_sql(self, graph: IRGraph) -> str | None:
+    def generate_sql(self, plan: LogicalOp) -> str | None:
         """Runtime code generation (None when the plan has no SQL form)."""
         try:
-            return generate_sql(graph)
+            return generate_sql(plan)
         except CodegenError:
             return None
 
@@ -173,39 +175,38 @@ class RavenSession:
 
         timings: dict[str, float] = {}
         start = time.perf_counter()
-        graph = self.analyze(sql, data)
+        plan = self.analyze(sql, data)
         timings["analyze"] = time.perf_counter() - start
 
         if optimize:
             start = time.perf_counter()
             with qtrace.span("optimize"):
-                graph, report = self.optimize(graph)
+                plan, report = self.optimize(plan)
             timings["optimize"] = time.perf_counter() - start
         else:
-            assign_engines(graph)
             report = OptimizationReport(strategy="disabled")
 
-        generated = self.generate_sql(graph)
+        generated = self.generate_sql(plan)
 
         start = time.perf_counter()
         with qtrace.span("execute") as sp:
-            table = self.executor.execute(graph)
+            table = self.executor.execute(plan)
             sp.set("rows", table.num_rows)
         timings["execute"] = time.perf_counter() - start
         return RavenResult(
-            table=table, plan=graph, report=report, sql=generated, timings=timings
+            table=table, plan=plan, report=report, sql=generated, timings=timings
         )
 
     def explain(self, sql: str, data: dict[str, Table] | None = None) -> str:
         """Optimized plan + applied rules, as a printable report."""
-        graph = self.analyze(sql, data)
-        optimized, report = self.optimize(graph)
+        plan = self.analyze(sql, data)
+        optimized, report = self.optimize(plan)
         lines = [
             "== unoptimized IR ==",
-            graph.pretty(),
+            render(plan),
             "",
             f"== optimized IR (strategy: {report.strategy}) ==",
-            optimized.pretty(),
+            render(optimized, engines=True),
             "",
             f"estimated cost: {report.cost_before:.0f} -> {report.cost_after:.0f}",
         ]

@@ -31,11 +31,11 @@ the memo can hash and deduplicate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 from repro.relational.algebra import logical
-from repro.relational.expressions import Expression
+from repro.relational.expressions import Expression, Parameter
 from repro.relational.types import Schema
 
 #: The table-name prefix a fragment's shards resolve to at execution
@@ -240,109 +240,121 @@ class ShuffleJoin(logical.LogicalOp):
 # -- fragment helpers --------------------------------------------------------
 
 
+def _templates(op: logical.LogicalOp) -> tuple[logical.LogicalOp, ...]:
+    """The sub-plans an exchange carries as attributes, not children."""
+    if isinstance(op, Gather):
+        return (op.fragment,)
+    if isinstance(op, ShuffleJoin):
+        return (op.left.fragment, op.right.fragment) + op.stages
+    return ()
+
+
 def fragment_expressions(op: logical.LogicalOp) -> Iterator[Expression]:
-    """Every scalar expression a fragment evaluates (params live here)."""
-    for node in op.walk():
-        if isinstance(node, logical.Filter):
-            yield node.predicate
-        elif isinstance(node, logical.Project):
-            for expr, _name in node.items:
-                yield expr
-        elif isinstance(node, logical.Join) and node.condition is not None:
+    """Every scalar expression a plan evaluates anywhere — the fragment
+    and stage templates of its exchanges included (params live here)."""
+    for node in logical.post_order(op):
+        yield from logical.expressions_of(node)
+        if isinstance(node, ShuffleJoin):
             yield node.condition
-        elif isinstance(node, logical.Aggregate):
-            for expr, _name in node.group_by:
-                yield expr
-            for _func, arg, _alias in node.aggregates:
-                if arg is not None:
-                    yield arg
-        elif isinstance(node, logical.OrderBy):
-            for expr, _asc in node.keys:
-                yield expr
+        for template in _templates(node):
+            yield from fragment_expressions(template)
 
 
-def substitute_fragment(
-    op: logical.LogicalOp, mapping: Mapping[str, Expression]
+def bind_plan(
+    plan: logical.LogicalOp,
+    mapping: Mapping[str, Expression],
+    data: Mapping[str, object],
 ) -> logical.LogicalOp:
-    """Rebuild a fragment with parameters substituted in every expression.
+    """``plan`` with ``?``/``@name`` parameters bound to ``mapping``'s
+    literals and every ``InlineTable`` re-pointed at the request table
+    ``data`` holds under its ``source_name``.
 
-    Mirrors :meth:`Expression.substitute` over the operator tree; used
-    by prepared queries to bind ``?``/``@name`` parameters into the
-    fragment template of a cached ``Gather`` plan.
+    This is how a prepared query turns its cached template into the plan
+    of one request. The template is never mutated: operators that hold
+    nothing to bind — the whole plan, when there is nothing — come back
+    as the same objects, and a sub-plan shared by several parents stays
+    shared (:func:`logical.transform`).
     """
-    children = tuple(
-        substitute_fragment(child, mapping) for child in op.children
-    )
-    if isinstance(op, logical.Filter):
-        return logical.Filter(children[0], op.predicate.substitute(mapping))
-    if isinstance(op, logical.Project):
-        return logical.Project(
-            children[0],
-            tuple(
-                (expr.substitute(mapping), name) for expr, name in op.items
-            ),
+
+    def names_parameter(expr: Expression) -> bool:
+        return any(
+            isinstance(part, Parameter) and part.name in mapping
+            for part in expr.walk()
         )
-    if isinstance(op, logical.Join):
-        condition = (
-            op.condition.substitute(mapping)
-            if op.condition is not None
-            else None
-        )
-        return logical.Join(children[0], children[1], op.kind, condition)
-    if isinstance(op, logical.Aggregate):
-        return logical.Aggregate(
-            children[0],
-            tuple(
-                (expr.substitute(mapping), name)
-                for expr, name in op.group_by
-            ),
-            tuple(
-                (
-                    func,
-                    arg.substitute(mapping) if arg is not None else None,
-                    alias,
-                )
-                for func, arg, alias in op.aggregates
-            ),
-        )
-    if isinstance(op, logical.OrderBy):
+
+    def bind(op, children):
+        op = logical.rebuild(op, children)
+        if isinstance(op, logical.InlineTable):
+            table = data.get((op.source_name or "").lower())
+            if table is None:
+                return op
+            return logical.InlineTable(table, op.alias, op.source_name)
+        if isinstance(op, Gather):
+            fragment = bind_plan(op.fragment, mapping, data)
+            if fragment is op.fragment:
+                return op
+            return replace(op, fragment=fragment)
+        if isinstance(op, ShuffleJoin):
+            templates = _templates(op)
+            left, right, *stages = (
+                bind_plan(template, mapping, data) for template in templates
+            )
+            if not (mapping and names_parameter(op.condition)) and all(
+                new is old
+                for new, old in zip((left, right, *stages), templates)
+            ):
+                return op
+            # The rebuilt exchange re-routes each side at execution time.
+            return ShuffleJoin(
+                replace(op.left, fragment=left),
+                replace(op.right, fragment=right),
+                op.kind,
+                op.condition.substitute(mapping),
+                op.num_buckets,
+                tuple(stages),
+            )
+        if not mapping or not any(
+            map(names_parameter, logical.expressions_of(op))
+        ):
+            return op
+        if isinstance(op, logical.Filter):
+            return logical.Filter(op.child, op.predicate.substitute(mapping))
+        if isinstance(op, logical.Project):
+            return logical.Project(
+                op.child,
+                tuple(
+                    (expr.substitute(mapping), name)
+                    for expr, name in op.items
+                ),
+            )
+        if isinstance(op, logical.Join):
+            return logical.Join(
+                op.left, op.right, op.kind, op.condition.substitute(mapping)
+            )
+        if isinstance(op, logical.Aggregate):
+            return logical.Aggregate(
+                op.child,
+                tuple(
+                    (expr.substitute(mapping), name)
+                    for expr, name in op.group_by
+                ),
+                tuple(
+                    (
+                        func,
+                        arg.substitute(mapping) if arg is not None else None,
+                        alias,
+                    )
+                    for func, arg, alias in op.aggregates
+                ),
+            )
         return logical.OrderBy(
-            children[0],
+            op.child,
             tuple((expr.substitute(mapping), asc) for expr, asc in op.keys),
         )
-    if children:
-        return op.with_children(children)
-    return op
 
-
-def substitute_shuffle_join(
-    op: ShuffleJoin, mapping: Mapping[str, Expression]
-) -> ShuffleJoin:
-    """A :class:`ShuffleJoin` with parameters bound into both side
-    fragments and the join condition (prepared-query binding)."""
-    from dataclasses import replace
-
-    return ShuffleJoin(
-        replace(
-            op.left, fragment=substitute_fragment(op.left.fragment, mapping)
-        ),
-        replace(
-            op.right, fragment=substitute_fragment(op.right.fragment, mapping)
-        ),
-        op.kind,
-        op.condition.substitute(mapping),
-        op.num_buckets,
-        tuple(substitute_fragment(stage, mapping) for stage in op.stages),
-    )
-
-
-def shuffle_join_expressions(op: ShuffleJoin) -> Iterator[Expression]:
-    """Every scalar expression a shuffle join evaluates anywhere."""
-    yield op.condition
-    for side in op.sides:
-        yield from fragment_expressions(side.fragment)
-    for stage in op.stages:
-        yield from fragment_expressions(stage)
+    if not mapping and not data:
+        return plan
+    return logical.transform(plan, bind)
 
 
 def bind_stage_input(

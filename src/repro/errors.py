@@ -104,7 +104,7 @@ class RavenError(ReproError):
 
 
 class IRValidationError(RavenError):
-    """The unified IR DAG violates a structural invariant."""
+    """A dataflow-sketch DAG violates a structural invariant."""
 
 
 class StaticAnalysisError(RavenError):

@@ -6,8 +6,8 @@ NumPy arrays: hash joins, sort-based ORDER BY, ``np.unique``-based grouping.
 payload or the model catalog — this is the integration point where the
 "database" calls the "ML runtime", and where chunked parallel scoring
 happens (the paper's Fig. 3 observation that SQL Server parallelizes
-scan + PREDICT). It is the only plan interpreter: SQL statements, IR plans
-(``RavenExecutor``) and worker fragments all run here.
+scan + PREDICT). It is the only plan interpreter: SQL statements, session
+plans (``RavenExecutor``) and worker fragments all run here.
 """
 
 from __future__ import annotations
@@ -876,8 +876,8 @@ class Executor:
         """Scorer for a Predict: its own payload first, catalog second.
 
         A plan carries the payload when the memo rewrote the model
-        (pruning, projection pushdown, NN translation) or the IR bridge
-        embedded what the analyzer resolved; ``extra`` holds the
+        (pruning, projection pushdown, NN translation) or the session's
+        analyzer embedded what it resolved; ``extra`` holds the
         memo-chosen backend and the tensor device.
         """
         extra = dict(op.extra) if op.extra else {}

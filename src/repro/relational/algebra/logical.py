@@ -1,14 +1,18 @@
 """Logical plan operators for the relational engine.
 
-A logical plan is a tree of :class:`LogicalOp` nodes, each of which knows its
-output schema. The binder produces these from SQL ASTs; the physical
-executor interprets them; the Raven analyzer lifts them into the unified IR.
+A logical plan is a tree (or, when a sub-plan object has several
+parents, a DAG) of :class:`LogicalOp` nodes, each of which knows its
+output schema. The binder produces these from SQL ASTs and the physical
+executor interprets them. With :class:`Predict` as the ML / linear-algebra
+/ UDF operator this algebra *is* Raven's unified IR: the session analyzes
+a query into it, the memo searches it, the plan cache stores it, and
+EXPLAIN and SQL generation read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import BindError, SchemaError
 from repro.relational.expressions import Expression
@@ -264,8 +268,10 @@ class Predict(LogicalOp):
     ``flavor`` (which runtime understands the payload), and
     ``feature_names`` (the — possibly narrowed — input columns it reads).
     Executors score ``payload`` directly when present and fall back to
-    catalog resolution by ``model_ref`` otherwise. ``extra`` round-trips
-    auxiliary IR attributes (e.g. the tensor device) through the memo.
+    catalog resolution by ``model_ref`` otherwise. ``extra`` holds the
+    physical choices that are not part of the operator's identity: the
+    tensor ``device``, the memo-chosen scoring ``backend``, the ``name``
+    an external script runs under, the ``split`` marker of a split half.
     """
 
     child: LogicalOp
@@ -305,27 +311,66 @@ class Predict(LogicalOp):
         )
 
 
-def plan_to_string(op: LogicalOp, indent: int = 0) -> str:
-    """Pretty-print a logical plan tree (tests assert against this)."""
-    pad = "  " * indent
-    label = type(op).__name__
-    detail = ""
-    if isinstance(op, Scan):
-        detail = f" {op.table_name}" + (f" AS {op.alias}" if op.alias else "")
-    elif isinstance(op, Filter):
-        detail = f" [{op.predicate!r}]"
-    elif isinstance(op, Project):
-        detail = " [" + ", ".join(name for _, name in op.items) + "]"
-    elif isinstance(op, Join):
-        detail = f" {op.kind}" + (f" [{op.condition!r}]" if op.condition else "")
-    elif isinstance(op, Predict):
-        detail = f" model={op.model_ref}"
-        backend = dict(op.extra).get("backend") if op.extra else None
-        if backend:
-            detail += f" backend={backend}"
-    elif isinstance(op, Limit):
-        detail = f" {op.count}"
-    lines = [f"{pad}{label}{detail}"]
-    for child in op.children:
-        lines.append(plan_to_string(child, indent + 1))
-    return "\n".join(lines)
+def rebuild(op: LogicalOp, children: Sequence[LogicalOp]) -> LogicalOp:
+    """``op`` over ``children``; ``op`` itself when none of them changed."""
+    if all(new is old for new, old in zip(children, op.children)):
+        return op
+    return op.with_children(children)
+
+
+def transform(
+    plan: LogicalOp,
+    fn: Callable[[LogicalOp, tuple[LogicalOp, ...]], LogicalOp],
+) -> LogicalOp:
+    """Rewrite ``plan`` bottom-up without mutating it.
+
+    ``fn(op, children)`` receives each original operator with its
+    already-rewritten children and returns the operator that takes its
+    place (:func:`rebuild` when it has nothing to change). Every
+    operator *object* is rewritten once, so a sub-plan shared by several
+    parents stays one object — the executor runs it once — and an
+    untouched sub-tree comes back as the very same object.
+    """
+    return _transform(plan, fn, {})
+
+
+def _transform(op: LogicalOp, fn, done: dict[int, LogicalOp]) -> LogicalOp:
+    # A module-level function, not a closure inside ``transform``: a
+    # closure that calls itself is a reference cycle, and the plan of
+    # every prepared request (with its request table) would then live
+    # until the cyclic collector next ran instead of until the request
+    # returned.
+    result = done.get(id(op))
+    if result is None:
+        children = tuple([_transform(child, fn, done) for child in op.children])
+        result = done[id(op)] = fn(op, children)
+    return result
+
+
+def post_order(plan: LogicalOp) -> list[LogicalOp]:
+    """Every operator object of ``plan`` once, inputs before consumers."""
+    order: list[LogicalOp] = []
+
+    def note(op: LogicalOp, _children: tuple[LogicalOp, ...]) -> LogicalOp:
+        order.append(op)
+        return op
+
+    transform(plan, note)
+    return order
+
+
+def expressions_of(op: LogicalOp) -> tuple[Expression, ...]:
+    """The scalar expressions ``op`` itself evaluates (not its inputs')."""
+    if isinstance(op, Filter):
+        return (op.predicate,)
+    if isinstance(op, Project):
+        return tuple(expr for expr, _name in op.items)
+    if isinstance(op, Join):
+        return () if op.condition is None else (op.condition,)
+    if isinstance(op, Aggregate):
+        return tuple(expr for expr, _name in op.group_by) + tuple(
+            arg for _func, arg, _alias in op.aggregates if arg is not None
+        )
+    if isinstance(op, OrderBy):
+        return tuple(expr for expr, _ascending in op.keys)
+    return ()

@@ -21,6 +21,12 @@ statistics).
 
 from __future__ import annotations
 
+from repro.core.optimizer import (
+    MemoOptimizer,
+    SearchContext,
+    operator_cost,
+    sql_rules,
+)
 from repro.distributed.operators import (
     Gather,
     Repartition,
@@ -65,8 +71,6 @@ class PhysicalPlanner:
 
     def optimize(self, plan: logical.LogicalOp) -> logical.LogicalOp:
         """Search the memo for the cheapest equivalent plan."""
-        from repro.core.optimizer import MemoOptimizer, sql_rules
-
         context = self._search_context(self.join_search)
         optimizer = MemoOptimizer(sql_rules(), context)
         best, report = optimizer.optimize(plan)
@@ -96,15 +100,7 @@ class PhysicalPlanner:
             return None
 
     def _search_context(self, join_search: str = "dp"):
-        """A memo :class:`SearchContext` over this planner's catalog.
-
-        ``repro.core.optimizer`` transitively imports the relational
-        layer (IR schemas use relational types), so module-level imports
-        of it here would close an import cycle through
-        ``repro.relational.database``.
-        """
-        from repro.core.optimizer import SearchContext
-
+        """A memo :class:`SearchContext` over this planner's catalog."""
         return SearchContext(
             catalog=self._catalog,
             options=self._search_options(),
@@ -149,7 +145,6 @@ class PhysicalPlanner:
         executed worker-side inside a fragment) have no record and keep
         their estimate-only line.
         """
-        from repro.core.optimizer import operator_cost
         from repro.observability.explain import analyze_annotations
 
         lines: list[str] = []

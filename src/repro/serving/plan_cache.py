@@ -2,7 +2,7 @@
 
 Raven's advantage over standalone runtimes on small inputs comes from
 amortizing per-query work — parsing, static analysis, cross-optimization —
-across many requests (paper Fig. 3). :class:`PlanCache` holds optimized IR
+across many requests (paper Fig. 3). :class:`PlanCache` holds optimized plan
 templates keyed by the query's normalized SQL fingerprint; each entry
 records which stored models (at which versions) the plan embeds, so a
 ``store_model`` of a new version invalidates exactly the plans it staled.
@@ -14,8 +14,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.core.ir.graph import IRGraph
 from repro.observability import events
+from repro.relational.algebra.logical import LogicalOp
 
 
 @dataclass
@@ -30,7 +30,7 @@ class CachedPlan:
     """
 
     fingerprint: str
-    graph: IRGraph  # optimized template; copied before each binding
+    plan: LogicalOp  # optimized template; immutable, bound per request
     report: object  # OptimizationReport
     generated_sql: str | None
     param_names: tuple[str, ...]  # e.g. ("?1", "@cutoff")

@@ -2,16 +2,18 @@
 
 A :class:`PreparedQuery` runs the expensive front half of Raven's pipeline
 (parse -> static analysis -> cross-optimization) a single time, caches the
-optimized IR template in the session's :class:`~repro.serving.plan_cache.PlanCache`,
-and then executes with per-request bindings:
+optimized plan template in the session's :class:`~repro.serving.plan_cache.PlanCache`,
+and then executes with per-request bindings
+(:func:`repro.distributed.operators.bind_plan`):
 
 * scalar parameters — ``?`` positional or ``@name`` placeholders left
-  unbound in the SQL are substituted with literals into a copy of the
-  template (the plan itself is never mutated, so executions can run
-  concurrently from many threads);
+  unbound in the SQL are substituted with literals; only the operators
+  that name a parameter are rebuilt, the rest of the request's plan *is*
+  the template (which is immutable, so executions can run concurrently
+  from many threads);
 * request data — tables passed as ``data={...}`` at prepare time act as
-  schema templates; each execution re-binds fresh rows into the plan's
-  ``ra.inline_table`` leaves by ``source_name``.
+  schema templates; each execution re-points the plan's ``InlineTable``
+  leaves at fresh rows by ``source_name``.
 
 Plans are version-addressed: the template records the qualified
 ``name:vN`` of every model it embeds, and execution transparently
@@ -23,12 +25,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from repro.distributed.operators import (
+    Gather,
+    ShuffleJoin,
+    bind_plan,
+    fragment_expressions,
+)
 from repro.errors import ParameterBindError
-from repro.core.ir.graph import IRGraph
 from repro.observability import events
 from repro.observability import trace as qtrace
+from repro.relational.algebra import logical
 from repro.relational.expressions import Expression, Literal, Parameter
 from repro.relational.table import Table
 from repro.serving.fingerprint import (
@@ -40,10 +48,6 @@ from repro.serving.fingerprint import (
 )
 from repro.serving.plan_cache import CachedPlan, PlanCache
 from repro.serving.result_cache import ResultCache
-
-# IR attrs that hold expressions (scalars or (expr, ...) tuples).
-_SCALAR_EXPR_ATTRS = ("predicate", "condition")
-_PAIR_EXPR_ATTRS = ("items", "keys", "group_by")  # [(expr, name-or-flag), ...]
 
 
 class PreparedQuery:
@@ -86,26 +90,28 @@ class PreparedQuery:
             if cached is not None and self._is_current(cached):
                 return cached
         start = time.perf_counter()
-        graph = self._session.analyze(self.sql, dict(self._template_data))
-        model_refs = _collect_model_refs(graph, self._session.database)
-        stats_epochs = _collect_stats_epochs(graph, self._session.database)
-        column_epochs = _collect_column_epochs(graph, self._session.database)
-        shard_epochs = _collect_shard_epochs(graph, self._session.database)
-        optimized, report = self._session.optimize(graph)
-        generated = self._session.generate_sql(optimized)
+        database = self._session.database
+        analyzed = self._session.analyze(self.sql, dict(self._template_data))
+        optimized, report = self._session.optimize(analyzed)
         entry = CachedPlan(
             fingerprint=self.fingerprint,
-            graph=optimized,
+            plan=optimized,
             report=report,
-            generated_sql=generated,
-            param_names=_collect_parameters(optimized),
-            data_names=_collect_data_names(optimized),
-            model_refs=model_refs,
-            stats_epochs=stats_epochs,
-            column_epochs=column_epochs,
+            generated_sql=self._session.generate_sql(optimized),
+            # What the query depends on and which bindings it declares
+            # are properties of its text: they are read off the plan as
+            # analyzed, before a rewrite (inlining, pruning a dead
+            # projection item, join elimination) can fold them away.
+            param_names=_collect_parameters(analyzed),
+            data_names=_collect_data_names(analyzed),
+            model_refs=_collect_model_refs(analyzed, database),
+            stats_epochs=_collect_stats_epochs(analyzed, database),
+            column_epochs=_collect_column_epochs(analyzed, database),
+            shard_epochs=_collect_shard_epochs(analyzed, database),
+            # Routing and backends are optimizer decisions: they only
+            # exist on the optimized plan.
             rules_fired=tuple(getattr(report, "applied", ()) or ()),
             shard_routing=_collect_shard_routing(optimized),
-            shard_epochs=shard_epochs,
             backend_choices=_collect_backend_choices(optimized),
             prepare_seconds=time.perf_counter() - start,
         )
@@ -195,8 +201,8 @@ class PreparedQuery:
         return self._entry.model_names
 
     @property
-    def plan(self) -> IRGraph:
-        return self._entry.graph
+    def plan(self) -> logical.LogicalOp:
+        return self._entry.plan
 
     @property
     def report(self):
@@ -227,7 +233,7 @@ class PreparedQuery:
             mapping = self._build_mapping(params, entry)
             request_data = _normalize_data(data)
             self._check_data_bindings(request_data, entry)
-            bound = _bind_template(entry.graph, mapping, request_data)
+            bound = bind_plan(entry.plan, mapping, request_data)
         with qtrace.span("execute") as sp:
             table = self._session.executor.execute(bound)
             sp.set("rows", table.num_rows)
@@ -337,126 +343,41 @@ def _result_key(
     return (entry.fingerprint, versions, params_key(params), data_key(data))
 
 
-# -- template binding --------------------------------------------------------
+# -- what a plan depends on ----------------------------------------------------
 
 
-def _bind_template(
-    template: IRGraph,
-    mapping: Mapping[str, Expression],
-    data: Mapping[str, Table],
-) -> IRGraph:
-    """A copy of ``template`` with parameters and request data bound in."""
-    graph = template.copy()
-    for node in graph.nodes():
-        attrs = node.attrs
-        if mapping:
-            for key in _SCALAR_EXPR_ATTRS:
-                expr = attrs.get(key)
-                if expr is not None:
-                    attrs[key] = expr.substitute(mapping)
-            for key in _PAIR_EXPR_ATTRS:
-                pairs = attrs.get(key)
-                if pairs:
-                    attrs[key] = [
-                        (expr.substitute(mapping), tag) for expr, tag in pairs
-                    ]
-            aggregates = attrs.get("aggregates")
-            if aggregates:
-                attrs["aggregates"] = [
-                    (
-                        func,
-                        arg.substitute(mapping) if arg is not None else None,
-                        alias,
-                    )
-                    for func, arg, alias in aggregates
-                ]
-        if node.op == "ra.gather" and mapping:
-            # The per-shard fragment is a logical subtree attribute;
-            # its filter/projection expressions carry parameters too.
-            from repro.distributed.operators import substitute_fragment
-
-            attrs["fragment"] = substitute_fragment(
-                attrs["fragment"], mapping
-            )
-        if node.op == "ra.shuffle_join" and mapping:
-            # Both side fragments, the join condition, and any post-join
-            # worker stages re-bind; the rebuilt op re-routes each side
-            # at execution time.
-            from repro.distributed.operators import substitute_shuffle_join
-
-            bound = substitute_shuffle_join(
-                _shuffle_join_of(attrs), mapping
-            )
-            attrs["left"] = bound.left
-            attrs["right"] = bound.right
-            attrs["condition"] = bound.condition
-            attrs["stages"] = bound.stages
-        if node.op == "ra.inline_table" and data:
-            source = attrs.get("source_name")
-            if source and source.lower() in data:
-                attrs["table_value"] = data[source.lower()]
-    return graph
-
-
-def _walk_expressions(graph: IRGraph) -> Iterator[Expression]:
-    for node in graph.nodes():
-        attrs = node.attrs
-        for key in _SCALAR_EXPR_ATTRS:
-            expr = attrs.get(key)
-            if expr is not None:
-                yield expr
-        for key in _PAIR_EXPR_ATTRS:
-            for expr, _tag in attrs.get(key) or ():
-                yield expr
-        for _func, arg, _alias in attrs.get("aggregates") or ():
-            if arg is not None:
-                yield arg
-        if node.op == "ra.gather":
-            from repro.distributed.operators import fragment_expressions
-
-            yield from fragment_expressions(attrs["fragment"])
-        if node.op == "ra.shuffle_join":
-            from repro.distributed.operators import shuffle_join_expressions
-
-            yield from shuffle_join_expressions(_shuffle_join_of(attrs))
-
-
-def _collect_parameters(graph: IRGraph) -> tuple[str, ...]:
+def _collect_parameters(plan: logical.LogicalOp) -> tuple[str, ...]:
     names: dict[str, None] = {}
-    for expr in _walk_expressions(graph):
+    for expr in fragment_expressions(plan):
         for node in expr.walk():
             if isinstance(node, Parameter):
                 names[node.name] = None
     return tuple(names)
 
 
-def _collect_data_names(graph: IRGraph) -> tuple[str, ...]:
+def _collect_data_names(plan: logical.LogicalOp) -> tuple[str, ...]:
     names: dict[str, None] = {}
-    for node in graph.nodes():
-        if node.op == "ra.inline_table":
-            source = node.attrs.get("source_name")
-            if source:
-                names[source.lower()] = None
+    for op in logical.post_order(plan):
+        if isinstance(op, logical.InlineTable) and op.source_name:
+            names[op.source_name.lower()] = None
     return tuple(names)
 
 
 def _collect_model_refs(
-    graph: IRGraph, database
+    plan: logical.LogicalOp, database
 ) -> tuple[tuple[str, str, bool], ...]:
     """(name, qualified ``name:vN``, tracked-latest?) per embedded model.
 
-    Collected from the *analysis* graph, before optimization rewrites
-    (inlining, NN translation) can fold model nodes away. ``tracked`` is
-    whether the bound version was the catalog's latest at prepare time —
-    if so, a newer store invalidates the plan; if the query pinned an
-    older version, only that version's disappearance does.
+    ``tracked`` is whether the bound version was the catalog's latest at
+    prepare time — if so, a newer store invalidates the plan; if the
+    query pinned an older version, only that version's disappearance
+    does.
     """
     refs: dict[tuple[str, str, bool], None] = {}
-    for node in graph.nodes():
-        qualified = node.attrs.get("model_ref")
-        if not qualified:
+    for op in logical.post_order(plan):
+        if not isinstance(op, logical.Predict):
             continue
-        qualified = str(qualified)
+        qualified = op.model_ref
         name = qualified.rpartition(":v")[0] or qualified
         try:
             tracked = database.get_model(name).qualified_name == qualified
@@ -466,21 +387,22 @@ def _collect_model_refs(
     return tuple(refs)
 
 
-def _collect_stats_epochs(
-    graph: IRGraph, database
-) -> tuple[tuple[str, int], ...]:
-    """``(table, stats_epoch)`` for every base table the plan scans.
+def _scanned_tables(plan: logical.LogicalOp) -> dict[str, logical.Scan]:
+    """One ``Scan`` per base table the plan reads, by lower-cased name
+    (inline request-data tables are not base tables)."""
+    scans: dict[str, logical.Scan] = {}
+    for op in logical.post_order(plan):
+        if isinstance(op, logical.Scan):
+            scans.setdefault(op.table_name.lower(), op)
+    return scans
 
-    Collected from the analysis graph so optimization rewrites cannot
-    hide a dependency; inline (request-data) tables have no epoch.
-    """
+
+def _collect_stats_epochs(
+    plan: logical.LogicalOp, database
+) -> tuple[tuple[str, int], ...]:
+    """``(table, stats_epoch)`` for every base table the plan scans."""
     epochs: dict[str, int] = {}
-    for node in graph.nodes():
-        if node.op != "ra.scan":
-            continue
-        name = str(node.attrs.get("table", "")).lower()
-        if not name or name in epochs:
-            continue
+    for name in _scanned_tables(plan):
         try:
             epochs[name] = database.catalog.stats_epoch(name)
         except Exception:
@@ -489,34 +411,29 @@ def _collect_stats_epochs(
 
 
 def _collect_column_epochs(
-    graph: IRGraph, database
+    plan: logical.LogicalOp, database
 ) -> tuple[tuple[str, str, int], ...]:
     """``(table, column, epoch)`` for every column the plan references.
 
     A column reference is attributed to every scanned table whose
     schema exposes its unqualified name — over-attribution only makes
     invalidation more conservative, never stale. Model feature columns
-    (``feature_names`` on scoring nodes) count as references: a drift
-    in a feature column must replan even if no SQL expression names it.
+    (``Predict.feature_names``) count as references: a drift in a
+    feature column must replan even if no SQL expression names it.
     """
     referenced: set[str] = set()
-    for expr in _walk_expressions(graph):
+    for expr in fragment_expressions(plan):
         for ref in expr.columns():
             referenced.add(ref.split(".")[-1].lower())
-    for node in graph.nodes():
-        for feature in node.attrs.get("feature_names") or ():
-            referenced.add(str(feature).split(".")[-1].lower())
+    for op in logical.post_order(plan):
+        if isinstance(op, logical.Predict):
+            for feature in op.feature_names or ():
+                referenced.add(str(feature).split(".")[-1].lower())
     entries: dict[tuple[str, str], int] = {}
-    for node in graph.nodes():
-        if node.op != "ra.scan":
-            continue
-        table = str(node.attrs.get("table", "")).lower()
-        schema = node.attrs.get("schema")
-        if not table or schema is None:
-            continue
-        for column in schema:
+    for table, scan in _scanned_tables(plan).items():
+        for column in scan.base_schema:
             suffix = column.name.split(".")[-1].lower()
-            if suffix not in referenced or (table, suffix) in entries:
+            if suffix not in referenced:
                 continue
             try:
                 entries[(table, suffix)] = database.catalog.column_stats_epoch(
@@ -530,46 +447,48 @@ def _collect_column_epochs(
     )
 
 
-def _shuffle_join_of(attrs: dict):
-    """The logical ShuffleJoin an ``ra.shuffle_join`` node's attrs hold."""
-    from repro.distributed.operators import ShuffleJoin
+def _collect_shard_epochs(
+    plan: logical.LogicalOp, database
+) -> tuple[tuple[str, int], ...]:
+    """``(table, shard_epoch)`` for every *sharded* table the plan scans.
 
-    return ShuffleJoin(
-        attrs["left"],
-        attrs["right"],
-        attrs.get("kind", "INNER"),
-        attrs["condition"],
-        attrs["num_buckets"],
-        tuple(attrs.get("stages") or ()),
-    )
+    The dependency holds whatever shape the optimizer rewrites the scan
+    into — including not distributing at all: if the layout changes, a
+    replan may now choose (or re-route) a scatter-gather plan.
+    """
+    epochs: dict[str, int] = {}
+    for name in _scanned_tables(plan):
+        try:
+            if database.catalog.is_sharded(name):
+                epochs[name] = database.catalog.shard_epoch(name)
+        except Exception:
+            continue
+    return tuple(sorted(epochs.items()))
 
 
 def _collect_shard_routing(
-    graph: IRGraph,
+    plan: logical.LogicalOp,
 ) -> tuple[tuple[str, int, int, str, str], ...]:
     """``(table, scanned, total, pruned_by, strategy)`` per exchange.
 
     ``strategy`` is the join strategy the plan committed to — ``scan``
     for single-table gathers, ``colocated`` for co-located shard
     joins, ``shuffle`` (one entry per sharded side) for shuffle joins.
-    Collected from the *optimized* graph — routing is an optimizer
-    decision, it does not exist before the memo search.
     """
     routing = []
-    for node in graph.nodes():
-        if node.op == "ra.gather":
-            join = str(node.attrs.get("join", "none"))
+    for op in logical.post_order(plan):
+        if isinstance(op, Gather):
             routing.append(
                 (
-                    str(node.attrs.get("table", "")).lower(),
-                    len(node.attrs.get("shard_ids", ())),
-                    int(node.attrs.get("total_shards", 0)),
-                    str(node.attrs.get("pruned_by", "none")),
-                    "colocated" if join == "colocated" else "scan",
+                    op.table_name.lower(),
+                    len(op.shard_ids),
+                    op.total_shards,
+                    op.pruned_by,
+                    "colocated" if op.join == "colocated" else "scan",
                 )
             )
-        elif node.op == "ra.shuffle_join":
-            for side in (node.attrs["left"], node.attrs["right"]):
+        elif isinstance(op, ShuffleJoin):
+            for side in op.sides:
                 if not side.is_sharded:
                     continue
                 routing.append(
@@ -585,51 +504,18 @@ def _collect_shard_routing(
 
 
 def _collect_backend_choices(
-    graph: IRGraph,
+    plan: logical.LogicalOp,
 ) -> tuple[tuple[str, str], ...]:
     """``(model_ref, backend)`` per Predict in the optimized plan.
 
-    The scoring backend is a memo decision (a physical property of the
-    Predict operator), so like shard routing it only exists on the
-    *optimized* graph. ``numpy`` means the optimizer kept the per-node
-    interpreter for that model's batch size.
+    ``numpy`` means the optimizer kept the per-node interpreter for
+    that model's batch size.
     """
-    choices = []
-    for node in graph.nodes():
-        if node.op not in ("mld.pipeline", "la.tensor_graph", "udf.python"):
-            continue
-        choices.append(
-            (
-                str(node.attrs.get("model_ref", "")),
-                str(node.attrs.get("backend") or "numpy"),
-            )
-        )
-    return tuple(choices)
-
-
-def _collect_shard_epochs(
-    graph: IRGraph, database
-) -> tuple[tuple[str, int], ...]:
-    """``(table, shard_epoch)`` for every *sharded* table the plan scans.
-
-    Collected from the analysis graph (like the stats epochs) so the
-    dependency survives whatever shape the optimizer rewrites the scan
-    into — including not distributing at all: if the layout changes, a
-    replan may now choose (or re-route) a scatter-gather plan.
-    """
-    epochs: dict[str, int] = {}
-    for node in graph.nodes():
-        if node.op not in ("ra.scan", "ra.gather"):
-            continue
-        name = str(node.attrs.get("table", "")).lower()
-        if not name or name in epochs:
-            continue
-        try:
-            if database.catalog.is_sharded(name):
-                epochs[name] = database.catalog.shard_epoch(name)
-        except Exception:
-            continue
-    return tuple(sorted(epochs.items()))
+    return tuple(
+        (op.model_ref, str(dict(op.extra).get("backend") or "numpy"))
+        for op in logical.post_order(plan)
+        if isinstance(op, logical.Predict)
+    )
 
 
 def _normalize_data(

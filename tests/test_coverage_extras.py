@@ -5,7 +5,8 @@ import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis.knowledge_base import DEFAULT_KNOWLEDGE_BASE, KnowledgeBase
-from repro.core.optimizer import SearchContext, ir_to_logical
+from repro.core.optimizer import SearchContext
+from repro.core.vocabulary import op_name, render
 from repro.errors import (
     BindError,
     ExecutionError,
@@ -30,17 +31,21 @@ class TestErrorHierarchy:
 
 
 class TestLogicalPlanPrinter:
-    def test_plan_to_string_structure(self, simple_db):
+    def test_rendered_plan_structure(self, simple_db):
         plan = simple_db.bind(
             "SELECT p.id FROM people AS p JOIN salaries AS s ON p.id = s.id "
             "WHERE p.age > 30 LIMIT 2"
         )
-        text = logical.plan_to_string(plan)
-        assert "Scan people AS p" in text
-        assert "Join INNER" in text
-        assert "Limit 2" in text
-        # indentation encodes the tree
-        assert text.splitlines()[0].startswith("Limit")
+        assert op_name(plan) == "ra.limit"
+        lines = render(plan).splitlines()
+        assert lines[0] == "ra.limit()"
+        assert any(line.strip() == "ra.scan(people AS p)" for line in lines)
+        assert any(line.strip().startswith("ra.join(INNER ON ") for line in lines)
+        # indentation encodes the tree: a join's inputs sit one level in
+        join = next(i for i, l in enumerate(lines) if "ra.join" in l)
+        depth = len(lines[join]) - len(lines[join].lstrip())
+        assert lines[join + 1].startswith(" " * (depth + 2) + "ra.scan(")
+        assert all("[relational]" in l for l in render(plan, engines=True).splitlines())
 
 
 class TestEmptyInputs:
@@ -124,13 +129,9 @@ class TestCostModel:
     def test_filter_reduces_estimated_rows(self, simple_db):
         from repro.core.analysis import SQLAnalyzer
 
-        plan_all = ir_to_logical(
-            SQLAnalyzer(simple_db).analyze("SELECT id FROM people")
-        )
-        plan_some = ir_to_logical(
-            SQLAnalyzer(simple_db).analyze(
-                "SELECT id FROM people WHERE age > 30 AND id > 1"
-            )
+        plan_all = SQLAnalyzer(simple_db).analyze("SELECT id FROM people")
+        plan_some = SQLAnalyzer(simple_db).analyze(
+            "SELECT id FROM people WHERE age > 30 AND id > 1"
         )
         context = SearchContext(catalog=simple_db.catalog)
         context.prepare(plan_some)

@@ -1,4 +1,5 @@
-"""Tests for the unified IR, schema inference, and static analysis."""
+"""Tests for static analysis: the Python analyzer's dataflow sketch, and
+SQL analysis into the unified plan."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from repro.core.analysis.type_inference import (
     infer_literal,
     narrow_with_schema,
 )
-from repro.core.ir import IRGraph, OpCategory, columns_required_above, infer_schema
+from repro.core.ir import IRGraph, OpCategory
+from repro.core.optimizer.cleanup import references_above
+from repro.core.vocabulary import engine_of, op_name
 from repro.ml import Pipeline, StandardScaler
+from repro.relational.algebra import logical
 from repro.relational.expressions import BinaryOp, col, lit
 from repro.relational.types import DataType, Schema
 
@@ -52,32 +56,6 @@ class TestIRGraph:
         assert ops == ["ra.scan", "ra.filter", "ra.project"]
         graph.validate()
 
-    def test_insert_above_and_splice_out(self):
-        graph, scan, filt, proj = small_ir()
-        inserted = graph.insert_above(
-            scan, "ra.filter", predicate=BinaryOp("<", col("b"), lit(5.0))
-        )
-        assert filt.inputs == [inserted.id]
-        graph.validate()
-        graph.splice_out(inserted)
-        assert filt.inputs == [scan.id]
-        graph.validate()
-
-    def test_insert_below(self):
-        graph, scan, filt, proj = small_ir()
-        limit = graph.insert_below(proj, 0, "ra.limit", count=3)
-        assert proj.inputs == [limit.id]
-        assert limit.inputs == [filt.id]
-        graph.validate()
-
-    def test_replace_and_gc(self):
-        graph, scan, filt, proj = small_ir()
-        replacement = graph.add("ra.limit", [scan.id], count=1)
-        graph.replace(filt, replacement)
-        removed = graph.garbage_collect()
-        assert removed == 1  # the orphaned filter
-        graph.validate()
-
     def test_copy_independent(self):
         graph, scan, *_ = small_ir()
         clone = graph.copy()
@@ -101,35 +79,68 @@ class TestIRGraph:
         assert "ra.scan(t)" in text and "ra.project" in text
 
 
-class TestSchemaInference:
+def small_plan(predict_flavor="ml.pipeline"):
+    """``Predict(Project(Filter(Scan)))`` as a logical plan."""
+    scan = logical.Scan(
+        "t", Schema.of(("a", DataType.FLOAT), ("b", DataType.FLOAT))
+    )
+    filt = logical.Filter(scan, BinaryOp(">", col("a"), lit(1.0)))
+    proj = logical.Project(filt, ((col("a"), "a"),))
+    predict = logical.Predict(
+        proj,
+        "m:v1",
+        (("score", DataType.FLOAT),),
+        alias="p",
+        flavor=predict_flavor,
+        feature_names=("a",),
+    )
+    return predict, proj, filt, scan
+
+
+class TestPlanSchemasAndReferences:
+    """What ``core/ir/schema.py`` answered over IR graphs, asked of the
+    logical plan: ``LogicalOp.schema`` and the clean-up pass's
+    ancestor references."""
+
     def test_scan_filter_project(self):
-        graph, scan, filt, proj = small_ir()
-        assert infer_schema(graph, scan).names == ("a", "b")
-        assert infer_schema(graph, filt).names == ("a", "b")
-        assert infer_schema(graph, proj).names == ("a",)
+        _, proj, filt, scan = small_plan()
+        assert scan.schema.names == ("a", "b")
+        assert filt.schema.names == ("a", "b")
+        assert proj.schema.names == ("a",)
 
     def test_predict_appends_aliased_outputs(self):
-        graph, _, _, proj = small_ir()
-        predict = graph.add(
-            "mld.pipeline",
-            [proj.id],
-            pipeline=None,
-            output_columns=(("score", DataType.FLOAT),),
-            alias="p",
-        )
-        graph.set_output(predict)
-        assert infer_schema(graph, predict).names == ("a", "p.score")
+        predict, *_ = small_plan()
+        assert predict.schema.names == ("a", "p.score")
 
-    def test_columns_required_above(self):
-        graph, scan, filt, proj = small_ir()
-        required = columns_required_above(graph, scan)
-        assert required == {"a"}
+    def test_references_above_cover_every_ancestor(self):
+        predict, proj, filt, scan = small_plan()
+        above = references_above(predict)
+        assert above[id(predict)] == set()
+        assert above[id(proj)] == {"a"}  # the model's feature
+        assert above[id(scan)] == {"a"}  # + the projection's and filter's
 
-    def test_udf_makes_requirements_opaque(self):
-        graph, scan, filt, proj = small_ir()
-        udf = graph.add("udf.python", [proj.id], source="x")
-        graph.set_output(udf)
-        assert columns_required_above(graph, scan) is None
+    def test_script_makes_requirements_opaque(self):
+        predict, proj, _, scan = small_plan("python.script")
+        above = references_above(predict)
+        assert above[id(proj)] is None and above[id(scan)] is None
+
+    def test_shared_subplan_sees_both_parents(self):
+        _, _, filt, scan = small_plan()
+        left = logical.Project(filt, ((col("a"), "x"),))
+        right = logical.Project(filt, ((col("b"), "x"),))
+        above = references_above(logical.UnionAll((left, right)))
+        assert above[id(filt)] == {"a", "b"}
+        assert above[id(scan)] == {"a", "b"}
+
+    def test_names_and_engines_follow_the_flavor(self):
+        for flavor, name, engine in (
+            ("ml.pipeline", "mld.pipeline", "python"),
+            ("tensor.graph", "la.tensor_graph", "tensor"),
+            ("python.script", "udf.python", "external"),
+        ):
+            predict, proj, _, _ = small_plan(flavor)
+            assert (op_name(predict), engine_of(predict)) == (name, engine)
+            assert (op_name(proj), engine_of(proj)) == ("ra.project", "relational")
 
 
 class TestPythonAnalyzer:
@@ -240,17 +251,28 @@ model_pipeline = Pipeline([('s', StandardScaler()), ('c', DecisionTreeClassifier
         assert time.perf_counter() - start < 0.05  # generous CI margin
 
 
+def _predicts(plan):
+    return [op for op in plan.walk() if isinstance(op, logical.Predict)]
+
+
 class TestSQLAnalyzer:
     def test_fig1_query_shape(self, hospital_small):
         database, _, _ = hospital_small
         from repro.data import hospital
 
-        graph = SQLAnalyzer(database).analyze(hospital.INFERENCE_QUERY)
-        ops = {n.op for n in graph.nodes()}
+        plan = SQLAnalyzer(database).analyze(hospital.INFERENCE_QUERY)
+        ops = {op_name(op) for op in plan.walk()}
         assert "mld.pipeline" in ops
         assert "ra.join" in ops
-        pipeline_node = graph.find("mld.pipeline")[0]
-        assert pipeline_node.attrs["feature_names"] == hospital.QUERY_FEATURE_NAMES
+        [predict] = _predicts(plan)
+        assert list(predict.feature_names) == hospital.QUERY_FEATURE_NAMES
+        # Analysis is "bind, then resolve each Predict against the catalog".
+        bound = database.bind(hospital.INFERENCE_QUERY)
+        assert [type(op) for op in plan.walk()] == [
+            type(op) for op in bound.walk()
+        ]
+        assert predict.payload is database.get_model("duration_of_stay").payload
+        assert predict.model_ref == "duration_of_stay:v1"
 
     def test_tensor_flavor_lowered_to_la(self, simple_db):
         from repro.ml import DecisionTreeRegressor
@@ -265,25 +287,29 @@ class TestSQLAnalyzer:
             flavor="tensor.graph",
             metadata={"feature_names": ["age", "salary"]},
         )
-        graph = SQLAnalyzer(simple_db).analyze(
+        plan = SQLAnalyzer(simple_db).analyze(
             "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
             "WHERE model_name = 'graph_model');"
             "SELECT p.y FROM PREDICT(MODEL = @m, DATA = people AS d) "
             "WITH (y float) AS p"
         )
-        assert graph.find("la.tensor_graph")
+        [predict] = _predicts(plan)
+        assert op_name(predict) == "la.tensor_graph"
+        assert dict(predict.extra) == {"device": "cpu"}
 
     def test_script_flavor_falls_back_to_udf(self, simple_db):
         simple_db.store_model(
             "script_model", "output = input_columns['age'] * 2", flavor="python.script"
         )
-        graph = SQLAnalyzer(simple_db).analyze(
+        plan = SQLAnalyzer(simple_db).analyze(
             "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
             "WHERE model_name = 'script_model');"
             "SELECT p.y FROM PREDICT(MODEL = @m, DATA = people AS d) "
             "WITH (y float) AS p"
         )
-        assert graph.find("udf.python")
+        [predict] = _predicts(plan)
+        assert op_name(predict) == "udf.python"
+        assert dict(predict.extra) == {"name": "script_model:v1"}
 
 
 class TestTypeInference:

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Database, RavenSession, Table
-from repro.core.analysis import SQLAnalyzer
-from repro.core.optimizer import (
-    Memo,
-    SearchContext,
-    ir_to_logical,
-    logical_to_ir,
-)
+from repro.core.optimizer import Memo, RuleContext, SearchContext, clean_up
 from repro.relational.algebra import logical
 from repro.relational.algebra.binder import BindContext
 from repro.relational.sql.parser import parse
@@ -288,38 +282,6 @@ class TestUnifiedEngineAcceptance:
 
 
 # ---------------------------------------------------------------------------
-# IR bridge round-trip
-# ---------------------------------------------------------------------------
-
-
-class TestIRBridge:
-    def test_roundtrip_preserves_execution(self):
-        db = _scored_db(800)
-        sql = PREDICT_SQL.format(verb="").split(";")
-        graph = SQLAnalyzer(db).analyze(";".join(sql))
-        plan = ir_to_logical(graph)
-        back = logical_to_ir(plan)
-        session = RavenSession(db)
-        direct = session.executor.execute(graph)
-        rebuilt = session.executor.execute(back)
-        assert _row_multiset(direct) == _row_multiset(rebuilt)
-
-    def test_payload_predict_round_trips(self):
-        db = _scored_db(500)
-        graph = SQLAnalyzer(db).analyze(PREDICT_SQL.format(verb=""))
-        plan = ir_to_logical(graph)
-        predicts = [
-            op for op in plan.walk() if isinstance(op, logical.Predict)
-        ]
-        assert len(predicts) == 1
-        assert predicts[0].flavor == "ml.pipeline"
-        assert predicts[0].payload is not None
-        back = logical_to_ir(plan)
-        node = back.find("mld.pipeline")[0]
-        assert node.attrs["pipeline"] is predicts[0].payload
-
-
-# ---------------------------------------------------------------------------
 # Property test: memo plans are result-equivalent to naive execution
 # ---------------------------------------------------------------------------
 
@@ -451,36 +413,25 @@ class TestSharedSubPlans:
         ]
         assert len(filter_groups) == 1
 
-    def test_ir_dag_bridges_and_round_trips(self):
-        """An IR node with two consumers converts to one shared logical
-        object and lowers back to one IR node with two consumers."""
-        from repro.core.ir.graph import IRGraph
-        from repro.relational.expressions import BinaryOp, col, lit
+    def test_clean_up_rebuilds_a_shared_subplan_once(self):
+        """A sub-plan with two consumers is pruned against the references
+        of both, rewritten once, and stays one object."""
+        from repro.relational.expressions import col
         from repro.relational.types import Column, DataType, Schema
 
-        schema = Schema((Column("x", DataType.FLOAT),))
-        graph = IRGraph()
-        scan = graph.add("ra.scan", [], table="t", alias=None, schema=schema)
-        shared = graph.add(
-            "ra.filter",
-            [scan.id],
-            predicate=BinaryOp(">", col("x"), lit(0.0)),
+        schema = Schema(
+            tuple(Column(name, DataType.FLOAT) for name in ("x", "y", "z"))
         )
-        left = graph.add(
-            "ra.project", [shared.id], items=[(col("x"), "x")]
+        shared = logical.Project(
+            logical.Scan("t", schema),
+            tuple((col(name), name) for name in ("x", "y", "z")),
         )
-        right = graph.add(
-            "ra.project", [shared.id], items=[(col("x"), "y")]
-        )
-        union = graph.add("ra.union_all", [left.id, right.id])
-        graph.set_output(union.id)
-        plan = ir_to_logical(graph)
-        assert isinstance(plan, logical.UnionAll)
-        assert plan.branches[0].child is plan.branches[1].child
-        back = logical_to_ir(plan)
-        filters = back.find("ra.filter")
-        assert len(filters) == 1
-        consumers = sum(
-            filters[0].id in node.inputs for node in back.nodes()
-        )
-        assert consumers == 2
+        left = logical.Project(shared, ((col("x"), "v"),))
+        right = logical.Project(shared, ((col("y"), "v"),))
+        context = RuleContext()
+        cleaned = clean_up(logical.UnionAll((left, right)), context)
+        assert context.applied == ["PruneProjectionItems: 3 -> 2 columns"]
+        assert cleaned.branches[0].child is cleaned.branches[1].child
+        assert cleaned.branches[0].child.schema.names == ("x", "y")
+        # Nothing left to do: the plan comes back as the same object.
+        assert clean_up(cleaned, RuleContext()) is cleaned

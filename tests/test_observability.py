@@ -570,7 +570,7 @@ class TestPlanCacheEvents:
         def entry(fp):
             return CachedPlan(
                 fingerprint=fp,
-                graph=None,
+                plan=None,
                 report=None,
                 generated_sql=None,
                 param_names=(),

@@ -1,8 +1,8 @@
 """Tests for the cross-optimizer's rules and the engine around them.
 
 Memo rules are driven directly (``rule.apply(plan, context)`` over the
-bridged logical plan); the IR post-pass and the cost competition are
-driven through ``RavenSession`` / ``UnifiedOptimizer``.
+analyzed plan); the clean-up pass and the cost competition are driven
+through ``RavenSession`` / ``UnifiedOptimizer``.
 """
 
 import numpy as np
@@ -10,14 +10,12 @@ import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis import SQLAnalyzer
-from repro.core.ir.graph import IRGraph
 from repro.core.optimizer import (
     MemoOptimizer,
     RuleContext,
     SearchContext,
     UnifiedOptimizer,
     cross_ir_rules,
-    ir_to_logical,
 )
 from repro.core.optimizer.ml_rules import (
     ModelProjectionPushdownRule,
@@ -26,8 +24,8 @@ from repro.core.optimizer.ml_rules import (
 from repro.core.optimizer.relational_rules import PredicatePushdownRule
 from repro.core.optimizer.rules import compile_clustered_pipeline
 from repro.data import flights, hospital
+from repro.core.vocabulary import engine_of, op_name
 from repro.relational.algebra import logical
-from repro.relational.types import DataType
 
 
 def analyze(db, sql):
@@ -36,7 +34,7 @@ def analyze(db, sql):
 
 def bridged(db, sql, options=None):
     """``(logical plan, prepared search context)`` of an analyzed query."""
-    plan = ir_to_logical(analyze(db, sql))
+    plan = analyze(db, sql)
     context = SearchContext(catalog=db.catalog, models=db, options=options)
     context.prepare(plan)
     return plan, context
@@ -44,6 +42,15 @@ def bridged(db, sql, options=None):
 
 def find(plan, op_type):
     return next(op for op in plan.walk() if isinstance(op, op_type))
+
+
+def named(plan, name):
+    """Every operator of ``plan`` with this name in the paper's vocabulary."""
+    return [op for op in logical.post_order(plan) if op_name(op) == name]
+
+
+def scanned_tables(plan):
+    return {op.table_name for op in named(plan, "ra.scan")}
 
 
 def tree_nodes(predict):
@@ -179,16 +186,44 @@ class TestProjectionPruningSafety:
         assert result.table.num_rows == 5
 
 
+    def test_model_without_feature_names_keeps_its_input_columns(self):
+        """Regression: a model stored without ``feature_names`` reads every
+        column that reaches it; pruning its input projection down to what
+        the SELECT list names left it one column short (``IndexError``)."""
+        from repro.ml import DecisionTreeRegressor, Pipeline
+
+        db = Database()
+        db.register_table(
+            "a",
+            Table.from_dict(
+                {"x": np.arange(10.0), "w": np.arange(10.0) * 2}
+            ),
+        )
+        X = np.random.default_rng(0).normal(size=(50, 2))
+        db.store_model(
+            "m",
+            Pipeline([("m", DecisionTreeRegressor(max_depth=2))]).fit(X, X[:, 1]),
+        )
+        sql = (
+            "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
+            "WHERE model_name = 'm');"
+            "SELECT d.x, p.z FROM PREDICT(MODEL = @m, DATA = "
+            "(SELECT a.x AS x, a.w AS w FROM a AS a) AS d) WITH (z float) AS p"
+        )
+        session = RavenSession(db, options={"enable_inlining": False})
+        optimized = session.execute(sql)
+        assert not any("Prune" in r for r in optimized.report.applied)
+        plain = session.execute(sql, optimize=False)
+        assert sorted(optimized.table.rows()) == sorted(plain.table.rows())
+
+
 class TestJoinEliminationRule:
     def test_fig1_join_dropped_after_pruning(self, hospital_env):
         db, _, _ = hospital_env
         session = RavenSession(db)
         result = session.execute(hospital.INFERENCE_QUERY)
         assert any("JoinElimination" in r for r in result.report.applied)
-        remaining_scans = {
-            n.attrs["table"] for n in result.plan.find("ra.scan")
-        }
-        assert "prenatal_tests" not in remaining_scans
+        assert "prenatal_tests" not in scanned_tables(result.plan)
 
     def test_not_dropped_when_columns_needed(self, hospital_env):
         db, _, _ = hospital_env
@@ -198,10 +233,7 @@ class TestJoinEliminationRule:
         )
         session = RavenSession(db)
         result = session.execute(query)
-        remaining_scans = {
-            n.attrs["table"] for n in result.plan.find("ra.scan")
-        }
-        assert "prenatal_tests" in remaining_scans
+        assert "prenatal_tests" in scanned_tables(result.plan)
 
     def test_not_dropped_without_fk_containment(self):
         db = Database()
@@ -227,8 +259,7 @@ class TestJoinEliminationRule:
         session = RavenSession(db)
         result = session.execute(sql)
         assert result.table.num_rows == 5  # join semantics preserved
-        tables = {n.attrs["table"] for n in result.plan.find("ra.scan")}
-        assert "b" in tables
+        assert "b" in scanned_tables(result.plan)
 
 
     def test_not_dropped_when_a_consumer_names_the_side(self, hospital_env):
@@ -249,8 +280,7 @@ class TestJoinEliminationRule:
         assert plain.table.num_rows > 0
         assert sorted(optimized.table.rows()) == sorted(plain.table.rows())
         # The side nothing names is still eliminated.
-        tables = {n.attrs["table"] for n in optimized.plan.find("ra.scan")}
-        assert tables == {"patient_info", "blood_tests"}
+        assert scanned_tables(optimized.plan) == {"patient_info", "blood_tests"}
 
 
 class TestSplitting:
@@ -262,14 +292,10 @@ class TestSplitting:
         result = session_split.execute(hospital.INFERENCE_QUERY)
         assert result.report.strategy == "memo"
         assert any("ModelQuerySplitting" in r for r in result.report.applied)
-        assert result.plan.find("ra.union_all")
+        assert named(result.plan, "ra.union_all")
         # Both halves read one shared input, priced and executed once.
-        halves = result.plan.find("mld.pipeline")
-        assert len(halves) == 2
-        inputs = {
-            result.plan.node(half.inputs[0]).inputs[0] for half in halves
-        }
-        assert len(inputs) == 1
+        left, right = named(result.plan, "mld.pipeline")
+        assert left.child.child is right.child.child
         # Same rows as the unsplit plan.
         plain = RavenSession(db).execute(hospital.INFERENCE_QUERY)
         assert sorted(result.table.column("id").tolist()) == sorted(
@@ -283,14 +309,14 @@ class TestInliningRule:
         session = RavenSession(db)
         result = session.execute(hospital.INFERENCE_QUERY)
         assert any("ModelInlining" in r for r in result.report.applied)
-        assert not result.plan.find("mld.pipeline")
+        assert not named(result.plan, "mld.pipeline")
 
     def test_big_tree_not_inlined(self, hospital_env):
         db, _, _ = hospital_env
         session = RavenSession(db, options={"max_inline_nodes": 2})
         result = session.execute(hospital.INFERENCE_QUERY)
         assert not any("ModelInlining" in r for r in result.report.applied)
-        assert result.plan.find("mld.pipeline")
+        assert named(result.plan, "mld.pipeline")
 
 
 class TestNNTranslationRule:
@@ -303,7 +329,7 @@ class TestNNTranslationRule:
         result = session.execute(hospital.INFERENCE_QUERY)
         assert result.report.strategy == "memo"
         assert any("NNTranslation" in r for r in result.report.applied)
-        assert result.plan.find("la.tensor_graph")
+        assert named(result.plan, "la.tensor_graph")
         # And results still match the in-process plan.
         plain = RavenSession(
             db, options={"enable_inlining": False}
@@ -311,6 +337,39 @@ class TestNNTranslationRule:
         assert sorted(result.table.column("id").tolist()) == sorted(
             plain.table.column("id").tolist()
         )
+
+
+    def test_tensor_graph_in_the_winning_plan_is_constant_folded(self):
+        from repro.tensor.graph import Graph
+
+        db = Database()
+        db.register_table(
+            "t",
+            Table.from_dict(
+                {"id": np.arange(4), "x": np.arange(4.0), "w": np.arange(4.0)}
+            ),
+        )
+        graph = Graph(inputs=["X"], outputs=["y"])
+        graph.add_initializer("W", np.array([[1.0], [2.0]]))
+        graph.add_initializer("a", np.array(2.0))
+        graph.add_initializer("b", np.array(3.0))
+        graph.add_node("Mul", ["a", "b"], ["ab"])
+        graph.add_node("MatMul", ["X", "W"], ["xw"])
+        graph.add_node("Add", ["xw", "ab"], ["y"])
+        db.store_model(
+            "g", graph, flavor="tensor.graph", metadata={"feature_names": ["x", "w"]}
+        )
+        result = RavenSession(db).execute(
+            "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
+            "WHERE model_name = 'g');"
+            "SELECT d.id, p.y FROM PREDICT(MODEL = @m, DATA = t AS d) "
+            "WITH (y float) AS p"
+        )
+        assert "TensorGraphConstantFolding: 3 -> 1 tensor ops" in result.report.applied
+        [predict] = named(result.plan, "la.tensor_graph")
+        assert len(predict.payload.nodes) == 1
+        assert len(graph.nodes) == 3  # the catalog's graph is untouched
+        assert result.table.column("y").tolist() == [6.0, 9.0, 12.0, 15.0]
 
 
 class TestClusteredModel:
@@ -344,9 +403,9 @@ class TestClusteredModel:
 class TestEnginesAndCost:
     def test_optimizer_reduces_cost(self, hospital_env):
         db, _, _ = hospital_env
-        graph = analyze(db, hospital.INFERENCE_QUERY)
+        plan = analyze(db, hospital.INFERENCE_QUERY)
         optimized, report = UnifiedOptimizer().optimize(
-            graph, RuleContext(database=db)
+            plan, RuleContext(database=db)
         )
         assert report.strategy == "memo"
         assert report.cost_after < report.cost_before
@@ -355,44 +414,8 @@ class TestEnginesAndCost:
         db, _, _ = hospital_env
         session = RavenSession(db, options={"enable_inlining": False})
         result = session.execute(hospital.INFERENCE_QUERY)
-        engines = {n.engine for n in result.plan.nodes()}
-        assert "relational" in engines
-        assert "python" in engines  # the in-process pipeline node
-
-    def test_graph_without_logical_form_skips_the_memo(self, hospital_env):
-        """The bridge rejects ops the logical algebra lacks; the engine
-        then runs the IR post-pass and engine assignment alone."""
-        db, dataset, pipeline = hospital_env
-        clustered = compile_clustered_pipeline(
-            pipeline, dataset.features[:500], n_clusters=2, random_state=0
-        )
-        graph = IRGraph()
-        scan = graph.add(
-            "ra.scan",
-            table="patient_info",
-            alias="pi",
-            schema=db.table("patient_info").schema,
-        )
-        predictor = graph.add(
-            "mld.clustered_predictor",
-            [scan.id],
-            model=clustered,
-            feature_names=list(hospital.QUERY_FEATURE_NAMES),
-            output_columns=(("length_of_stay", DataType.FLOAT),),
-        )
-        graph.set_output(predictor)
-        optimized, report = UnifiedOptimizer().optimize(
-            graph, RuleContext(database=db)
-        )
-        assert report.strategy == "post-pass"
-        assert report.memo is None
-        optimized.validate()
-        engines = {n.op: n.engine for n in optimized.nodes()}
-        assert engines == {
-            "ra.scan": "relational",
-            "mld.clustered_predictor": "python",
-        }
-        assert graph.output.engine is None  # the input graph is untouched
+        engines = {engine_of(op) for op in result.plan.walk()}
+        assert engines == {"relational", "python"}  # in-process pipeline
 
     def test_plan_cost_monotone_in_rows(self):
         small_db, _, _ = hospital.setup_database(500, seed=1, max_depth=4)

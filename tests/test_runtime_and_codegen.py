@@ -7,6 +7,7 @@ import pytest
 from repro import RavenSession, Table
 from repro.core.codegen import generate_sql
 from repro.core.runtime import ContainerRuntime, ModelServer, OutOfProcessRuntime
+from repro.core.vocabulary import op_name
 from repro.data import hospital
 from repro.errors import RuntimeDispatchError
 from repro.ml import DecisionTreeRegressor, Pipeline, StandardScaler
@@ -79,26 +80,62 @@ class TestRavenSessionEndToEnd:
             },
         )
         result = session.execute(hospital.INFERENCE_QUERY)
-        node = result.plan.find("la.tensor_graph")[0]
-        assert node.attrs["device"] == "gpu"
+        [predict] = [
+            op for op in result.plan.walk() if op_name(op) == "la.tensor_graph"
+        ]
+        assert dict(predict.extra)["device"] == "gpu"
         baseline = RavenSession(db).execute(hospital.INFERENCE_QUERY)
         assert sorted(result.table.column("id").tolist()) == sorted(
             baseline.table.column("id").tolist()
         )
 
 
+#: Golden cases whose generated SQL is pinned but does not re-bind to the
+#: same query — codegen defects older than the round-trip test, kept
+#: visible here until codegen renames outer references:
+#: ``predict_scan`` emits the model output ``p.delayed`` and the table's
+#: own ``d.delayed`` as ``delayed_2`` / ``delayed``, so the outer
+#: ``p.delayed`` resolves to the wrong one; ``three_way_join`` wraps a join
+#: of two tables that both have ``carrier`` in ``SELECT *``, so the outer
+#: join condition is ambiguous.
+_SQL_DOES_NOT_REBIND = {
+    "analyze_explain_predict_scan",
+    "analyze_explain_three_way_join",
+}
+
+
 class TestCodegen:
-    def test_generated_sql_reexecutes_identically(self, hospital_small):
-        db, _, _ = hospital_small
-        session = RavenSession(db)
-        result = session.execute(hospital.INFERENCE_QUERY)
-        assert result.sql is not None
-        # The regenerated SQL is fully relational after inlining; running
-        # it through the plain database yields the same ids.
-        rerun = db.execute(result.sql)
-        assert sorted(rerun.column("id").tolist()) == sorted(
-            result.table.column("id").tolist()
-        )
+    def test_generated_sql_reexecutes_identically(self):
+        """Every golden EXPLAIN case with a ``== generated SQL ==``
+        section: the pinned SQL is what the session generates, and the
+        plain database running it returns the rows the session returned
+        (sub-query aliases are checked by behaviour, not by eye)."""
+        import re
+
+        import test_golden_explain as golden
+
+        checked = []
+        for group in golden._CASE_GROUPS:
+            for name, session, sql in group():
+                pinned = (golden.GOLDEN / f"{name}.txt").read_text("utf-8")
+                if "== generated SQL ==" not in pinned:
+                    continue
+                result = session.execute(sql)
+                assert result.sql == pinned.split("== generated SQL ==\n")[1].rstrip("\n")
+                if name in _SQL_DOES_NOT_REBIND:
+                    continue
+                # A plan that kept its PREDICT names the model by variable.
+                declares = "".join(
+                    f"DECLARE @{model}_v{version} varbinary(max) = (SELECT model "
+                    f"FROM scoring_models WHERE model_name = '{model}');"
+                    for model, version in sorted(
+                        set(re.findall(r"MODEL = @(\w+)_v(\d+)", result.sql))
+                    )
+                )
+                rerun = session.database.execute(declares + result.sql)
+                assert sorted(rerun.rows()) == sorted(result.table.rows()), name
+                checked.append(name)
+        assert len(checked) == 5
 
     def test_predict_rendered_for_in_process_plans(self, hospital_small):
         db, _, _ = hospital_small
@@ -114,8 +151,7 @@ class TestCodegen:
             "SELECT p.city, COUNT(*) AS n FROM people AS p "
             "WHERE p.age > 20 GROUP BY p.city"
         )
-        graph = SQLAnalyzer(simple_db).analyze(sql)
-        regenerated = generate_sql(graph)
+        regenerated = generate_sql(SQLAnalyzer(simple_db).analyze(sql))
         out = simple_db.execute(regenerated)
         reference = simple_db.execute(sql)
         assert sorted(out.column("n").tolist()) == sorted(

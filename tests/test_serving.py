@@ -156,6 +156,28 @@ class TestPreparedQuery:
         expected = pipeline.predict(np.array([[25.0, 80.0], [70.0, 20.0]]))
         assert np.allclose(np.asarray(out["pred"]), expected)
 
+    def test_request_plan_is_freed_with_the_request(self, session):
+        """Binding builds no reference cycle: a request's plan and table
+        are released when it returns, not whenever the cyclic collector
+        next runs (which made serving latency depend on its timing)."""
+        import gc
+
+        by_data = session.prepare(
+            PREDICT_SQL, data={"requests": _request_row(30.0, 50.0)}
+        )
+        by_param = session.prepare(FILTER_SQL)
+        by_data.execute(data={"requests": _request_row(25.0, 80.0)})
+        by_param.execute(params=(40.0,))
+        gc.collect()
+        gc.disable()
+        try:
+            for age in (25.0, 45.0, 70.0):
+                by_data.execute(data={"requests": _request_row(age, 40.0)})
+                by_param.execute(params=(age,))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_missing_or_misnamed_data_raises(self, session):
         prepared = session.prepare(
             PREDICT_SQL, data={"requests": _request_row(30.0, 50.0)}
@@ -173,14 +195,147 @@ class TestPreparedQuery:
     def test_concurrent_execution_of_one_plan(self, session):
         from concurrent.futures import ThreadPoolExecutor
 
+        from repro.distributed.operators import fragment_expressions
+        from repro.relational.expressions import Literal, Parameter
+
         prepared = session.prepare(FILTER_SQL)
+        template = prepared.plan
         cutoffs = [25.0 + i for i in range(24)]
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(
                 pool.map(lambda c: prepared.execute(params=(c,)), cutoffs)
             )
-        counts = [r.num_rows for r in results]
-        assert counts == sorted(counts)  # wider cutoff, more rows
+        # No request saw another's literal: each got exactly its own rows.
+        ages = session.database.table("applicants").column("age")
+        assert [r.num_rows for r in results] == [
+            int((ages < cutoff).sum()) for cutoff in cutoffs
+        ]
+        # ...because the shared template is never written to.
+        assert prepared.plan is template
+        parts = [
+            part
+            for expr in fragment_expressions(template)
+            for part in expr.walk()
+        ]
+        assert any(isinstance(part, Parameter) for part in parts)
+        assert not any(
+            isinstance(part, Literal) and part.value in cutoffs
+            for part in parts
+        )
+
+    def test_plan_with_nothing_to_bind_runs_as_the_template(
+        self, session, monkeypatch
+    ):
+        from repro.distributed.operators import bind_plan
+        from repro.relational.expressions import Literal
+
+        prepared = session.prepare("SELECT id FROM applicants WHERE age < 30")
+        executed = []
+        run = session.executor.execute
+        monkeypatch.setattr(
+            session.executor,
+            "execute",
+            lambda plan: executed.append(plan) or run(plan),
+        )
+        prepared.execute()
+        assert len(executed) == 1 and executed[0] is prepared.plan
+        # A parameter rebuilds the operators above it and nothing else.
+        template = session.prepare(FILTER_SQL).plan
+        bound = bind_plan(template, {"?1": Literal(40.0)}, {})
+        assert bound is not template
+        untouched = {id(op) for op in template.walk()} & {
+            id(op) for op in bound.walk()
+        }
+        assert untouched
+
+    def test_pruned_placeholder_stays_declared(self):
+        """The parameter list is a property of the SQL text: a ``?`` the
+        optimizer prunes away with a dead projection item is still
+        accepted (and ignored), and never shifts the surviving ones."""
+        from repro.data import hospital
+
+        database, _, _ = hospital.setup_database(3000, seed=5, max_depth=6)
+        session = RavenSession(database)
+
+        def query(dead_item="", pregnant="1"):
+            return (
+                "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
+                "WHERE model_name = 'duration_of_stay');"
+                "SELECT d.id, p.length_of_stay FROM PREDICT(MODEL = @m, DATA = ("
+                "SELECT pi.id AS id, pi.age AS age, pi.pregnant AS pregnant, "
+                "pi.gender AS gender, bt.bp AS bp, pt.heart_rate AS heart_rate, "
+                f"bt.glucose AS glucose{dead_item} FROM patient_info AS pi "
+                "JOIN blood_tests AS bt ON pi.id = bt.id "
+                "JOIN prenatal_tests AS pt ON pi.id = pt.id) AS d) "
+                f"WITH (length_of_stay float) AS p WHERE d.pregnant = {pregnant}"
+            )
+
+        expected = sorted(session.execute(query()).table.rows())
+        assert len(expected) == 255
+
+        positional = session.prepare(query(", pi.age + ? AS unused"))
+        assert any(
+            "PruneProjectionItems: 9 -> 2" in line
+            for line in positional.report.applied
+        )
+        assert positional.param_names == ("?1",)
+        assert sorted(positional.execute(params=(3.0,)).rows()) == expected
+        with pytest.raises(ParameterBindError):
+            positional.execute()
+
+        named = session.prepare(query(", pi.age + @k AS unused"))
+        assert named.param_names == ("@k",)
+        assert sorted(named.execute(params={"k": 3.0}).rows()) == expected
+
+        # A pruned ?1 must not let the client's value slide into ?2.
+        both = session.prepare(query(", pi.age + ? AS unused", pregnant="?"))
+        assert both.param_names == ("?1", "?2")
+        assert sorted(both.execute(params=(3.0, 1)).rows()) == expected
+        assert both.execute(params=(1, 3.0)).num_rows == 0  # pregnant = 3.0
+        with pytest.raises(ParameterBindError):
+            both.execute(params=(1,))
+
+    def test_binding_keeps_a_split_plans_shared_input_shared(self):
+        """Binding a ``?`` into a split plan (a ``UnionAll`` whose branches
+        read one input *object*) must not give each branch its own copy —
+        the executor would then run the join twice."""
+        from repro.data import hospital
+        from repro.distributed.operators import bind_plan
+        from repro.observability.explain import InstrumentedExecutor
+        from repro.relational.algebra import logical
+        from repro.relational.expressions import Literal
+
+        database, _, _ = hospital.setup_database(3000, seed=5, max_depth=6)
+        sql = hospital.INFERENCE_QUERY + " AND d.age < ?"
+        prepared = RavenSession(
+            database, options={"enable_splitting": True, "enable_inlining": False}
+        ).prepare(sql)
+        assert any("ModelQuerySplitting" in r for r in prepared.report.applied)
+        bound = bind_plan(prepared.plan, {"?1": Literal(60.0)}, {})
+
+        def shared_input(plan):
+            union = next(
+                op for op in plan.walk() if isinstance(op, logical.UnionAll)
+            )
+            below = [set(map(id, b.walk())) for b in union.branches]
+            return next(
+                op
+                for op in union.branches[0].walk()
+                if all(id(op) in ids for ids in below)
+            )
+
+        # The parameter was pushed below the split, into the shared input:
+        # binding rebuilt it — once.
+        assert shared_input(bound) is not shared_input(prepared.plan)
+        instrumented = InstrumentedExecutor.from_executor(database._executor)
+        rows = instrumented.execute(bound)
+        assert instrumented.records[id(shared_input(bound))].calls == 1
+        plain = RavenSession(database, options={"enable_inlining": False})
+        expected = sorted(
+            plain.execute(sql.replace("?", "60.0")).table.rows()
+        )
+        assert expected and sorted(rows.rows()) == expected
+        assert sorted(prepared.execute(params=(60.0,)).rows()) == expected
 
     def test_replan_on_model_version_bump(self, session, serving_setup):
         database, pipeline = serving_setup

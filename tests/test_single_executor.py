@@ -1,6 +1,6 @@
 """One executor, one scorer.
 
-IR plans run on the relational ``Executor`` (zone maps, morsels, shared
+Session plans run on the relational ``Executor`` (zone maps, morsels, shared
 sub-plans executed once), every PREDICT is scored by
 ``repro.relational.scoring.build_scorer``, and plan-embedded payloads
 share one bounded scorer cache.
@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from repro import Database, RavenSession, Table
-from repro.core.ir.graph import IRGraph
-from repro.core.optimizer import ir_to_logical
+from repro.core.vocabulary import op_name
 from repro.data import hospital
 from repro.distributed import worker
-from repro.errors import ExecutionError, RuntimeDispatchError
+from repro.errors import ExecutionError
 from repro.ml import LinearRegression, Pipeline, StandardScaler
 from repro.ml.ensemble import GradientBoostingRegressor, RandomForestRegressor
 from repro.observability.explain import InstrumentedExecutor
@@ -55,6 +54,10 @@ def _feature_table(n_rows, seed=0):
     return Table.from_dict(cols)
 
 
+def _named(plan, name):
+    return [op for op in plan.walk() if op_name(op) == name]
+
+
 def _scored_db(n_rows, model):
     db = Database()
     db.register_table("t", _feature_table(n_rows))
@@ -90,7 +93,8 @@ class TestPayloadScorerCache:
             model = _boosted(seed=version, n_estimators=3)
             db.store_model("m", model, metadata={"feature_names": FEATURES})
             result = prepared.execute()
-            assert prepared.plan.find("mld.pipeline")[0].attrs["backend"] == "fused"
+            [predict] = _named(prepared.plan, "mld.pipeline")
+            assert dict(predict.extra)["backend"] == "fused"
             assert scoring.session_scorer.cache_info().currsize <= bound
         assert scoring.session_scorer.cache_info().currsize == bound
         np.testing.assert_allclose(
@@ -174,7 +178,7 @@ class TestScorerEquivalence:
                     "device": device,
                 },
             ).execute(hospital.INFERENCE_QUERY)
-            assert result.plan.find("la.tensor_graph")
+            assert _named(result.plan, "la.tensor_graph")
             assert [s.device.name for s in session_builds] == [name]
             assert sorted(result.table.rows()) == sorted(plain.table.rows())
 
@@ -204,11 +208,10 @@ class TestSessionQueriesRunOnTheEngine:
         session = RavenSession(
             db, options={"enable_splitting": True, "enable_inlining": False}
         )
-        graph, report = session.optimize(
+        plan, report = session.optimize(
             session.analyze(hospital.INFERENCE_QUERY)
         )
         assert any("ModelQuerySplitting" in r for r in report.applied)
-        plan = ir_to_logical(graph)
         union = next(
             op for op in plan.walk() if isinstance(op, logical.UnionAll)
         )
@@ -225,7 +228,7 @@ class TestSessionQueriesRunOnTheEngine:
             hospital.INFERENCE_QUERY
         )
         assert sorted(rows.rows()) == sorted(plain.table.rows())
-        assert sorted(session.executor.execute(graph).rows()) == sorted(
+        assert sorted(session.executor.execute(plan).rows()) == sorted(
             plain.table.rows()
         )
 
@@ -254,7 +257,7 @@ class TestSessionQueriesRunOnTheEngine:
         simple_db.register_external_runtime("python", double_age)
         session = RavenSession(simple_db)
         result = session.execute(sql)
-        assert result.plan.find("udf.python")
+        assert _named(result.plan, "udf.python")
         assert result.table.column("y").tolist() == [50.0, 70.0, 90.0, 110.0]
         assert simple_db.execute(sql).equals(result.table)
         assert seen == ["output = input_columns['d.age'] * 2"] * 2
@@ -279,20 +282,3 @@ class TestSessionQueriesRunOnTheEngine:
         )
         assert result.table.column("y").tolist() == [50.0, 70.0, 90.0, 110.0]
 
-    def test_graph_without_logical_form_names_the_op(self, simple_db):
-        graph = IRGraph()
-        scan = graph.add(
-            "ra.scan",
-            table="people",
-            alias="d",
-            schema=simple_db.table("people").schema,
-        )
-        predictor = graph.add(
-            "mld.predictor",
-            [scan.id],
-            model=object(),
-            output_columns=(("y", DataType.FLOAT),),
-        )
-        graph.set_output(predictor)
-        with pytest.raises(RuntimeDispatchError, match="mld.predictor"):
-            RavenSession(simple_db).executor.execute(graph)

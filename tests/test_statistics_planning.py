@@ -5,7 +5,7 @@ import pytest
 
 from repro import Database, RavenSession, Table
 from repro.concurrency import default_max_workers
-from repro.core.optimizer import SearchContext, ir_to_logical
+from repro.core.optimizer import SearchContext
 from repro.relational.algebra import logical
 from repro.relational.algebra.executor import ExecutionOptions
 from repro.relational.catalog import AUTO_PARTITION_MIN_ROWS
@@ -340,7 +340,7 @@ class TestCostModelStatistics:
     @staticmethod
     def _estimator(database, sql, catalog):
         """``(search context, logical plan)`` of an analyzed query."""
-        plan = ir_to_logical(RavenSession(database).analyze(sql))
+        plan = RavenSession(database).analyze(sql)
         context = SearchContext(catalog=catalog)
         context.prepare(plan)
         return context, plan
