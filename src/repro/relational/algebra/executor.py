@@ -1,7 +1,8 @@
 """Vectorized physical executor for logical plans.
 
 One physical implementation per logical operator, all column-at-a-time over
-NumPy arrays: hash joins, sort-based ORDER BY, ``np.unique``-based grouping.
+NumPy arrays: equi-joins, GROUP BY and DISTINCT on one key kernel
+(:mod:`repro.relational.algebra.keys`), sort-based ORDER BY.
 ``Predict`` dispatches to a model scorer resolved from the plan's own
 payload or the model catalog — this is the integration point where the
 "database" calls the "ML runtime", and where chunked parallel scoring
@@ -23,6 +24,7 @@ from repro.errors import ExecutionError
 from repro.observability import trace as qtrace
 from repro.relational import statistics as table_stats
 from repro.relational.algebra import logical
+from repro.relational.algebra.keys import equi_join, factorize, first_rows
 from repro.relational.table import Table
 from repro.relational.types import DataType, Schema
 
@@ -341,13 +343,9 @@ class Executor:
         table = self.execute(op.child)
         if table.num_rows == 0:
             return table
-        seen: set[tuple] = set()
+        codes, _ = factorize([table.column(c.name) for c in table.schema])
         keep = np.zeros(table.num_rows, dtype=bool)
-        for i, row in enumerate(table.rows()):
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                keep[i] = True
+        keep[first_rows(codes)] = True
         return table.filter(keep)
 
     # -- joins ----------------------------------------------------------------
@@ -422,52 +420,25 @@ class Executor:
     def _hash_join(
         left: Table, right: Table, left_key, right_key, kind: str
     ) -> Table:
-        left_values = left_key.evaluate(left)
-        right_values = right_key.evaluate(right)
-        buckets: dict = {}
-        for i, value in enumerate(right_values.tolist()):
-            buckets.setdefault(value, []).append(i)
-        left_indices: list[int] = []
-        right_indices: list[int] = []
-        unmatched_left: list[int] = []
-        matched_right: set[int] = set()
-        track_right = kind == "FULL"
-        for i, value in enumerate(left_values.tolist()):
-            matches = buckets.get(value)
-            if matches:
-                left_indices.extend([i] * len(matches))
-                right_indices.extend(matches)
-                if track_right:
-                    matched_right.update(matches)
-            elif kind in ("LEFT", "FULL"):
-                unmatched_left.append(i)
-        left_idx = np.asarray(left_indices, dtype=np.int64)
-        right_idx = np.asarray(right_indices, dtype=np.int64)
+        left_idx, right_idx, unmatched_left, unmatched_right = equi_join(
+            left_key.evaluate(left), right_key.evaluate(right), kind
+        )
         pieces = [left.take(left_idx).concat_columns(right.take(right_idx))]
-        if unmatched_left:
+        if len(unmatched_left):
             # LEFT/FULL: pad unmatched left rows with type-default
             # right values.
-            pad_left = left.take(np.asarray(unmatched_left, dtype=np.int64))
             pieces.append(
-                pad_left.concat_columns(
+                left.take(unmatched_left).concat_columns(
                     _null_extended(right.schema, len(unmatched_left))
                 )
             )
-        if track_right:
+        if len(unmatched_right):
             # FULL: unmatched *right* rows are preserved too, padded
             # with type-default left values.
-            unmatched_right = [
-                i for i in range(right.num_rows) if i not in matched_right
-            ]
-            if unmatched_right:
-                pad_right = right.take(
-                    np.asarray(unmatched_right, dtype=np.int64)
-                )
-                pieces.append(
-                    _null_extended(
-                        left.schema, len(unmatched_right)
-                    ).concat_columns(pad_right)
-                )
+            pieces.append(
+                _null_extended(left.schema, len(unmatched_right))
+                .concat_columns(right.take(unmatched_right))
+            )
         if len(pieces) == 1:
             return pieces[0]
         return Table.concat_rows(pieces)
@@ -516,22 +487,11 @@ class Executor:
 
     def _aggregate_table(self, op: logical.Aggregate, table: Table) -> Table:
         key_arrays = [expr.evaluate(table) for expr, _ in op.group_by]
-        # Build group ids from the composite key.
-        composite = np.empty(table.num_rows, dtype=object)
-        rows = list(zip(*(arr.tolist() for arr in key_arrays)))
-        for i, key in enumerate(rows):
-            composite[i] = key
-        uniques, group_ids = np.unique(composite, return_inverse=True)
-        num_groups = len(uniques)
-        columns: dict[str, np.ndarray] = {}
-        for (expr, name), arr in zip(op.group_by, key_arrays):
-            firsts = np.zeros(num_groups, dtype=np.int64)
-            seen = np.zeros(num_groups, dtype=bool)
-            for i, gid in enumerate(group_ids):
-                if not seen[gid]:
-                    seen[gid] = True
-                    firsts[gid] = i
-            columns[name] = arr[firsts]
+        group_ids, num_groups = factorize(key_arrays)
+        firsts = first_rows(group_ids)
+        columns: dict[str, np.ndarray] = {
+            name: arr[firsts] for (_, name), arr in zip(op.group_by, key_arrays)
+        }
         for func, arg, alias in op.aggregates:
             columns[alias] = self._grouped_aggregate(
                 func, arg, table, group_ids, num_groups

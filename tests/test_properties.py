@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -177,7 +177,10 @@ def test_filter_agrees_with_numpy(values, threshold, op):
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from("abc"), st.floats(-10, 10, allow_nan=False)),
+        st.tuples(
+            st.sampled_from("abc"),
+            st.one_of(st.floats(-10, 10), st.just(math.nan)),
+        ),
         min_size=1,
         max_size=50,
     )
@@ -195,13 +198,18 @@ def test_group_by_sums_match_reference(pairs):
     for k, v in pairs:
         reference[k] = reference.get(k, 0.0) + v
     assert out["k"].tolist() == sorted(reference)
-    assert np.allclose(out["s"], [reference[k] for k in sorted(reference)])
+    assert np.allclose(
+        out["s"], [reference[k] for k in sorted(reference)], equal_nan=True
+    )
+
+
+nan_or_float = st.one_of(st.floats(-1e6, 1e6), st.just(math.nan))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
-    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+    st.lists(nan_or_float, min_size=1, max_size=40),
+    st.lists(nan_or_float, min_size=1, max_size=40),
 )
 def test_hash_join_matches_nested_loop(left_keys, right_keys):
     """Hash equi-join output == the quadratic reference join."""
@@ -280,6 +288,215 @@ def test_model_bundle_roundtrip_property(problem):
     ).fit(X, y)
     restored = model_format.loads(model_format.dumps(pipe))
     assert np.array_equal(restored.predict(X), pipe.predict(X))
+
+
+# ---------------------------------------------------------------------------
+# Key kernel ≡ the row-at-a-time loops it replaced
+# ---------------------------------------------------------------------------
+
+#: Key domains: few distinct values (so keys repeat on both sides) plus
+#: arbitrary ones (NaN, ±inf, -0.0, ints beyond 2**53).
+KEY_VALUES = {
+    "int": st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
+    "float": st.one_of(
+        st.integers(-3, 3).map(float), st.just(math.nan), st.floats()
+    ),
+    "str": st.sampled_from(["", "a", "b", "ab"]),
+    "bool": st.booleans(),
+}
+KEY_DTYPES = {"int": np.int64, "float": np.float64, "str": "U4", "bool": bool}
+
+
+def _keys(draw, kind, min_size=0, max_size=25):
+    values = draw(st.lists(KEY_VALUES[kind], min_size=min_size, max_size=max_size))
+    return np.array(values, dtype=KEY_DTYPES[kind])
+
+
+def _reference_join(left_keys, right_keys, kind):
+    """The executor's dict-of-lists hash join before the key kernel:
+    ``(left_row, right_row)`` pairs, ``None`` for a padded side."""
+    buckets: dict = {}
+    for i, value in enumerate(right_keys.tolist()):
+        buckets.setdefault(value, []).append(i)
+    pairs, unmatched_left, matched_right = [], [], set()
+    for i, value in enumerate(left_keys.tolist()):
+        matches = buckets.get(value)
+        if matches:
+            pairs.extend((i, j) for j in matches)
+            matched_right.update(matches)
+        elif kind in ("LEFT", "FULL"):
+            unmatched_left.append((i, None))
+    pairs += unmatched_left
+    if kind == "FULL":
+        pairs += [
+            (None, j) for j in range(len(right_keys)) if j not in matched_right
+        ]
+    return pairs
+
+
+def _key(value):
+    """A dict/sort key under which every NaN is one value, sorting last
+    (the kernel's rule; the old loops split NaNs apart)."""
+    nan = isinstance(value, float) and math.isnan(value)
+    return (nan, 0 if nan else value)
+
+
+def _reference_group_by(columns, values):
+    """A dict-based GROUP BY: ``(first_row, count, sum)`` per group, in
+    ascending key order."""
+    groups: dict = {}
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+        key = tuple(_key(v) for v in row)
+        first, count, total = groups.get(key, (i, 0, 0.0))
+        groups[key] = (first, count + 1, total + values[i])
+    return [groups[key] for key in sorted(groups)]
+
+
+def _reference_distinct(columns):
+    """The executor's tuple-set DISTINCT before the key kernel, with
+    NaNs made equal: the first row of each distinct row value."""
+    seen: set = set()
+    keep = []
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+        key = tuple(_key(v) for v in row)
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
+
+
+def _run(plan):
+    from repro.relational.algebra.executor import Executor
+
+    return Executor(table_provider=lambda name: None).execute(plan)
+
+
+def _same(got, want):
+    if got.dtype.kind == "f":
+        return np.array_equal(got, want, equal_nan=True)
+    return np.array_equal(got, want)
+
+
+@st.composite
+def join_case(draw):
+    left_kind, right_kind = draw(
+        st.sampled_from(
+            [
+                ("int", "int"),
+                ("float", "float"),
+                ("str", "str"),
+                ("bool", "bool"),
+                ("int", "float"),
+                ("float", "int"),
+                ("str", "int"),
+            ]
+        )
+    )
+    left, right = _keys(draw, left_kind), _keys(draw, right_kind)
+    v = draw(st.lists(finite_floats, min_size=len(left), max_size=len(left)))
+    w = draw(st.lists(finite_floats, min_size=len(right), max_size=len(right)))
+    kind = draw(st.sampled_from(["INNER", "LEFT", "FULL"]))
+    return left, right, np.array(v, float), np.array(w, float), kind
+
+
+def _int_join_case(left, right, kind):
+    return (
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.zeros(len(left)),
+        np.ones(len(right)),
+        kind,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(join_case(), st.booleans())
+@example(_int_join_case([], [1, 1], "FULL"), False)
+@example(_int_join_case([2, 2], [], "LEFT"), False)
+@example(_int_join_case([0, 1, 1], [5, 6], "FULL"), False)
+@example(_int_join_case([0, 1, 1], [5, 6], "INNER"), True)
+def test_join_kernel_matches_dict_join(case, residual):
+    """Row for row, order included: inner matches in left-row order with
+    right rows ascending, then unmatched left, then unmatched right rows;
+    NaN never matches; a residual filters the padded output."""
+    from repro.relational.algebra import logical
+
+    left_keys, right_keys, v, w, kind = case
+    left = Table.from_dict(
+        {"k": left_keys, "lrow": np.arange(1, len(v) + 1), "v": v}
+    )
+    right = Table.from_dict(
+        {"rk": right_keys, "rrow": np.arange(1, len(w) + 1), "w": w}
+    )
+    condition = BinaryOp("=", col("k"), col("rk"))
+    if residual:
+        condition = conjoin([condition, BinaryOp("<", col("v"), col("w"))])
+    out = _run(
+        logical.Join(
+            logical.InlineTable(left), logical.InlineTable(right), kind, condition
+        )
+    )
+    want = _reference_join(left_keys, right_keys, kind)
+    if residual:  # padded sides hold NaN, so the residual drops them
+        want = [
+            (i, j) for i, j in want
+            if i is not None and j is not None and v[i] < w[j]
+        ]
+    got = list(zip(out["lrow"].tolist(), out["rrow"].tolist()))
+    assert got == [
+        (0 if i is None else i + 1, 0 if j is None else j + 1) for i, j in want
+    ]
+
+
+@st.composite
+def group_case(draw):
+    kinds = draw(
+        st.lists(st.sampled_from(sorted(KEY_VALUES)), min_size=1, max_size=2)
+    )
+    n = draw(st.integers(0, 30))
+    columns = [_keys(draw, kind, n, n) for kind in kinds]
+    values = draw(st.lists(finite_floats, min_size=n, max_size=n))
+    return columns, np.array(values, float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_case())
+def test_group_by_kernel_matches_dict_group_by(case):
+    """Groups in ascending key order (NaN last, one group), each key
+    taken from the group's first row."""
+    from repro.relational.algebra import logical
+
+    columns, values = case
+    names = [f"g{i}" for i in range(len(columns))]
+    table = Table.from_dict({**dict(zip(names, columns)), "v": values})
+    out = _run(
+        logical.Aggregate(
+            logical.InlineTable(table),
+            tuple((col(name), name) for name in names),
+            (("COUNT", None, "n"), ("SUM", col("v"), "s")),
+        )
+    )
+    want = _reference_group_by(columns, values)
+    firsts = np.array([first for first, _, _ in want], dtype=np.int64)
+    for name, column in zip(names, columns):
+        assert _same(out[name], column[firsts]), name
+    assert out["n"].tolist() == [count for _, count, _ in want]
+    assert np.allclose(out["s"], [total for _, _, total in want])
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_case())
+def test_distinct_kernel_matches_tuple_set(case):
+    """The first row of each distinct row value, in input order."""
+    from repro.relational.algebra import logical
+
+    columns, _ = case
+    names = [f"c{i}" for i in range(len(columns))]
+    table = Table.from_dict(dict(zip(names, columns)))
+    out = _run(logical.Distinct(logical.InlineTable(table)))
+    keep = np.array(_reference_distinct(columns), dtype=np.int64)
+    for name, column in zip(names, columns):
+        assert _same(out[name], column[keep]), name
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import BindError, CatalogError, TransactionError
-from repro import Table
+from repro.errors import BindError, CatalogError, ExecutionError, TransactionError
+from repro import Database, Table
 from repro.ml import DecisionTreeRegressor, Pipeline
 
 
@@ -112,6 +112,83 @@ class TestAggregates:
     def test_non_grouped_column_rejected(self, simple_db):
         with pytest.raises(BindError):
             simple_db.execute("SELECT age, COUNT(*) AS n FROM people GROUP BY city")
+
+
+class TestNanAndTypedKeys:
+    """The key kernel's NULL rules: NaN keys form one group and one
+    DISTINCT row, and never match in a join."""
+
+    @staticmethod
+    def _db(**tables):
+        db = Database()
+        for name, columns in tables.items():
+            db.register_table(name, Table.from_dict(columns))
+        return db
+
+    def test_group_by_float_key_with_nan(self):
+        db = self._db(t={"k": np.array([1.0, np.nan, 2.0, np.nan, 1.0])})
+        out = db.execute("SELECT k, COUNT(*) AS n FROM t GROUP BY k")
+        assert out["k"][:2].tolist() == [1.0, 2.0] and np.isnan(out["k"][2])
+        assert out["n"].tolist() == [2, 1, 2]
+
+    def test_group_by_two_keys_with_nan(self):
+        db = self._db(
+            t={
+                "k": np.array([np.nan, 1.0, np.nan, np.nan]),
+                "g": np.array(["a", "a", "a", "b"]),
+                "v": np.array([1.0, 2.0, 3.0, 4.0]),
+            }
+        )
+        out = db.execute("SELECT k, g, SUM(v) AS s FROM t GROUP BY k, g")
+        assert out["g"].tolist() == ["a", "a", "b"]
+        assert out["s"].tolist() == [2.0, 4.0, 4.0]
+
+    def test_distinct_keeps_one_nan_row(self):
+        db = self._db(t={"k": np.array([1.0, np.nan, 2.0, np.nan, 1.0])})
+        out = db.execute("SELECT DISTINCT k FROM t")
+        assert out.num_rows == 3
+        assert out["k"][0] == 1.0 and np.isnan(out["k"][1])
+        assert out["k"][2] == 2.0
+
+    def test_nan_join_keys_never_match(self):
+        db = self._db(
+            a={"k": np.array([1.0, np.nan]), "x": np.array([1, 2])},
+            b={"rk": np.array([np.nan, 1.0]), "y": np.array([3, 4])},
+        )
+        out = db.execute(
+            "SELECT x, y FROM a FULL JOIN b ON k = rk ORDER BY x, y"
+        )
+        # (1, 4) matched; NaN rows padded with 0 on the other side.
+        assert list(zip(out["x"].tolist(), out["y"].tolist())) == [
+            (0, 3), (1, 4), (2, 0)
+        ]
+
+    def test_int_joins_float_exactly(self):
+        db = self._db(
+            a={"k": np.array([1, 2**53 + 1, 3], dtype=np.int64)},
+            b={"rk": np.array([1.0, float(2**53), 3.5])},
+        )
+        out = db.execute("SELECT k FROM a JOIN b ON k = rk")
+        assert out["k"].tolist() == [1]
+
+    def test_binary_keys_group_and_join(self):
+        blobs = np.array([b"x", b"y", b"x"], dtype=object)
+        db = self._db(
+            a={"k": blobs, "v": np.array([1.0, 2.0, 3.0])},
+            b={"rk": np.array([b"x"], dtype=object)},
+        )
+        out = db.execute("SELECT k, SUM(v) AS s FROM a GROUP BY k")
+        assert out["k"].tolist() == [b"x", b"y"]
+        assert out["s"].tolist() == [4.0, 2.0]
+        assert db.execute("SELECT v FROM a JOIN b ON k = rk")["v"].tolist() == [
+            1.0, 3.0
+        ]
+
+    def test_unorderable_binary_keys_raise_typed_error(self):
+        mixed = np.array([b"x", 1, None], dtype=object)
+        db = self._db(t={"k": mixed, "v": np.array([1.0, 2.0, 3.0])})
+        with pytest.raises(ExecutionError, match="cannot compare"):
+            db.execute("SELECT k, COUNT(*) AS n FROM t GROUP BY k")
 
 
 class TestCtesAndUnion:
