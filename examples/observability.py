@@ -94,10 +94,9 @@ def main() -> None:
         # 3+4. A traced server request and the metrics registry.
         session = RavenSession(db)
         with RavenServer(session, workers=2, trace_requests=True) as server:
-            server.enable_metrics()
             server.submit_sql(PREDICT_SQL).result(timeout=60)
             trace = server.last_trace()
-            stats = server.stats()  # callable: full JSON snapshot
+            stats = server.stats()  # one JSON snapshot
 
         print("\n=== Query trace (spans, depth-indented) ===")
 
@@ -151,7 +150,6 @@ def observatory_demo(db: Database) -> None:
 
     session = RavenSession(db)
     with RavenServer(session, workers=2) as server:
-        registry = server.enable_metrics()
         server.enable_watchdog()      # auto_analyze=True by default
         server.enable_profiler()      # implies per-request tracing
 
@@ -197,7 +195,7 @@ def observatory_demo(db: Database) -> None:
 
         # 7. Telemetry export: both renderers are pure functions over
         #    snapshots — print excerpts and round-trip the trace JSON.
-        prom = render_prometheus(registry.snapshot())
+        prom = render_prometheus(server.stats()["metrics"])
         print("\n=== Prometheus text exposition (first lines) ===")
         print("\n".join(prom.splitlines()[:6]))
         trace_json = render_chrome_trace(server.traces())

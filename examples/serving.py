@@ -111,15 +111,17 @@ def main() -> None:
             int(f.result().column("approved_pred")[0]) for f in futures
         )
         print(f"\nServed 500 single-row requests; {approvals} approved.")
-        stats = server.stats_snapshot()
+        metrics = server.stats()["metrics"]
 
-    print("\nServer metrics:")
-    print(f"  throughput      : {stats['throughput_rps']:.0f} req/s")
-    print(f"  latency p50/p95 : {stats['latency_p50_ms']:.2f} / "
-          f"{stats['latency_p95_ms']:.2f} ms")
-    print(f"  batches         : {stats['batches']} "
-          f"(mean size {stats['mean_batch_size']:.1f})")
-    print(f"  batch histogram : {stats['batch_size_histogram']}")
+    latency = metrics["serving.latency_seconds"]
+    batch_size = metrics["serving.batch_size"]
+    print("\nServer metrics (server.stats()['metrics']):")
+    print(f"  completed       : {metrics['serving.completed']:.0f}")
+    print(f"  latency p50/p95 : {latency['p50'] * 1e3:.2f} / "
+          f"{latency['p95'] * 1e3:.2f} ms (bucket-interpolated)")
+    print(f"  batches         : {metrics['serving.batches']:.0f} "
+          f"(mean size {batch_size['mean']:.1f}, "
+          f"max {batch_size['max']:.0f})")
 
     # 4. The network front door: the same server behind a real asyncio
     #    HTTP/1.1 listener, driven here with plain urllib. Port 0 binds

@@ -43,7 +43,6 @@ from repro.serving import (
     PreparedQuery,
     RavenServer,
     ResultCache,
-    ServingStats,
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "RavenServer",
     "RavenSession",
     "ResultCache",
-    "ServingStats",
     "Table",
     "get_event_bus",
     "__version__",

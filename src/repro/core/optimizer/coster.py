@@ -436,20 +436,7 @@ class SearchContext:
     def prepare(self, plan: logical.LogicalOp) -> None:
         """Build per-search state from the input plan (scans, models)."""
         sources: list[tuple[TableStatistics, str | None]] = []
-
-        def collect(root: logical.LogicalOp) -> None:
-            for op in root.walk():
-                if isinstance(op, (logical.Scan, ShardScan)):
-                    stats = self.table_statistics(op.table_name)
-                    if stats is not None:
-                        sources.append((stats, op.alias))
-                elif isinstance(op, Gather):
-                    collect(op.fragment)
-                elif isinstance(op, ShuffleJoin):
-                    collect(op.left.fragment)
-                    collect(op.right.fragment)
-
-        collect(plan)
+        _collect_scan_sources(plan, self, sources)
         self.resolver = column_stats_resolver(sources)
         self.dp_seen = set()
         self._estimate_cache = {}
@@ -583,6 +570,28 @@ class SearchContext:
         return local + sum(self.cost_tree(c, seen) for c in plan.children)
 
 
+# The plan walks below recurse through module-level functions, not
+# nested closures: a recursive closure is a reference cycle that would
+# pin the search context, its memo and every plan it saw until the
+# cyclic collector runs.
+
+
+def _collect_scan_sources(
+    root: logical.LogicalOp, ctx: SearchContext, sources: list
+) -> None:
+    """Append ``(statistics, alias)`` per scan, through fragments."""
+    for op in root.walk():
+        if isinstance(op, (logical.Scan, ShardScan)):
+            stats = ctx.table_statistics(op.table_name)
+            if stats is not None:
+                sources.append((stats, op.alias))
+        elif isinstance(op, Gather):
+            _collect_scan_sources(op.fragment, ctx, sources)
+        elif isinstance(op, ShuffleJoin):
+            _collect_scan_sources(op.left.fragment, ctx, sources)
+            _collect_scan_sources(op.right.fragment, ctx, sources)
+
+
 def _suffix_refs(exprs) -> set[str]:
     names: set[str] = set()
     for expr in exprs:
@@ -606,88 +615,93 @@ def predict_requirements(
     ``None`` means everything must be kept (an unanalyzable consumer).
     """
     out: dict[tuple, set | None] = {}
-
-    def merge(key: tuple, required: set | None) -> None:
-        if key in out:
-            if out[key] is None or required is None:
-                out[key] = None
-            else:
-                out[key] |= required
-        else:
-            out[key] = None if required is None else set(required)
-
-    def walk(op: logical.LogicalOp, required: set | None) -> None:
-        if isinstance(op, logical.Project):
-            if required is None:
-                chosen = op.items
-            else:
-                chosen = tuple(
-                    (expr, name)
-                    for expr, name in op.items
-                    if name.lower() in required
-                    or name.split(".")[-1].lower() in required
-                )
-            walk(op.child, _suffix_refs(e for e, _ in chosen))
-            return
-        if isinstance(op, logical.Filter):
-            below = (
-                None
-                if required is None
-                else required | _suffix_refs([op.predicate])
-            )
-            walk(op.child, below)
-            return
-        if isinstance(op, logical.Join):
-            below = (
-                None
-                if required is None
-                else required | _suffix_refs([op.condition])
-            )
-            walk(op.left, below)
-            walk(op.right, below)
-            return
-        if isinstance(op, logical.Aggregate):
-            needed = _suffix_refs(
-                [e for e, _ in op.group_by]
-                + [arg for _f, arg, _a in op.aggregates if arg is not None]
-            )
-            walk(op.child, needed)
-            return
-        if isinstance(op, logical.OrderBy):
-            below = (
-                None
-                if required is None
-                else required | _suffix_refs([e for e, _ in op.keys])
-            )
-            walk(op.child, below)
-            return
-        if isinstance(op, (logical.Limit, logical.Distinct)):
-            walk(op.child, required)
-            return
-        if isinstance(op, logical.UnionAll):
-            for branch in op.branches:
-                walk(branch, required)
-            return
-        if isinstance(op, logical.Predict):
-            key = (op.model_ref.lower(), (op.alias or "").lower())
-            merge(key, required)
-            resolved = ctx.pipeline_for(op)
-            features = resolved[1] if resolved else None
-            if required is None or not features:
-                below = None
-            else:
-                outputs: set[str] = set()
-                for name, _dtype in op.output_columns:
-                    outputs.add(name.lower())
-                    if op.alias:
-                        outputs.add(f"{op.alias}.{name}".lower())
-                below = (required - outputs) | {
-                    f.split(".")[-1].lower() for f in features
-                } | {f.lower() for f in features}
-            walk(op.child, below)
-            return
-        # Scan / InlineTable / unknown shapes: nothing below.
-
-    walk(plan, None)
+    _walk_requirements(plan, None, ctx, out)
     return out
+
+
+def _merge_requirement(out: dict, key: tuple, required: set | None) -> None:
+    if key in out:
+        if out[key] is None or required is None:
+            out[key] = None
+        else:
+            out[key] |= required
+    else:
+        out[key] = None if required is None else set(required)
+
+
+def _walk_requirements(
+    op: logical.LogicalOp, required: set | None, ctx: SearchContext, out: dict
+) -> None:
+    if isinstance(op, logical.Project):
+        if required is None:
+            chosen = op.items
+        else:
+            chosen = tuple(
+                (expr, name)
+                for expr, name in op.items
+                if name.lower() in required
+                or name.split(".")[-1].lower() in required
+            )
+        _walk_requirements(
+            op.child, _suffix_refs(e for e, _ in chosen), ctx, out
+        )
+        return
+    if isinstance(op, logical.Filter):
+        below = (
+            None
+            if required is None
+            else required | _suffix_refs([op.predicate])
+        )
+        _walk_requirements(op.child, below, ctx, out)
+        return
+    if isinstance(op, logical.Join):
+        below = (
+            None
+            if required is None
+            else required | _suffix_refs([op.condition])
+        )
+        _walk_requirements(op.left, below, ctx, out)
+        _walk_requirements(op.right, below, ctx, out)
+        return
+    if isinstance(op, logical.Aggregate):
+        needed = _suffix_refs(
+            [e for e, _ in op.group_by]
+            + [arg for _f, arg, _a in op.aggregates if arg is not None]
+        )
+        _walk_requirements(op.child, needed, ctx, out)
+        return
+    if isinstance(op, logical.OrderBy):
+        below = (
+            None
+            if required is None
+            else required | _suffix_refs([e for e, _ in op.keys])
+        )
+        _walk_requirements(op.child, below, ctx, out)
+        return
+    if isinstance(op, (logical.Limit, logical.Distinct)):
+        _walk_requirements(op.child, required, ctx, out)
+        return
+    if isinstance(op, logical.UnionAll):
+        for branch in op.branches:
+            _walk_requirements(branch, required, ctx, out)
+        return
+    if isinstance(op, logical.Predict):
+        key = (op.model_ref.lower(), (op.alias or "").lower())
+        _merge_requirement(out, key, required)
+        resolved = ctx.pipeline_for(op)
+        features = resolved[1] if resolved else None
+        if required is None or not features:
+            below = None
+        else:
+            outputs: set[str] = set()
+            for name, _dtype in op.output_columns:
+                outputs.add(name.lower())
+                if op.alias:
+                    outputs.add(f"{op.alias}.{name}".lower())
+            below = (required - outputs) | {
+                f.split(".")[-1].lower() for f in features
+            } | {f.lower() for f in features}
+        _walk_requirements(op.child, below, ctx, out)
+        return
+    # Scan / InlineTable / unknown shapes: nothing below.
 

@@ -348,55 +348,13 @@ def prune_tree(tree: TreeStructure, facts: ColumnFacts) -> TreeStructure:
     (``low > t``) only the right; otherwise both are kept with tightened
     intervals.
     """
-    left: list[int] = []
-    right: list[int] = []
-    feature: list[int] = []
-    threshold: list[float] = []
-    value: list[np.ndarray] = []
-    samples: list[int] = []
-
-    def emit_leaf_like(source: int) -> int:
-        left.append(LEAF)
-        right.append(LEAF)
-        feature.append(LEAF)
-        threshold.append(0.0)
-        value.append(tree.value[source].copy())
-        samples.append(
-            0 if tree.n_node_samples is None else int(tree.n_node_samples[source])
-        )
-        return len(left) - 1
-
-    def copy_subtree(node: int, intervals: dict[int, tuple[float, float]]) -> int:
-        if tree.is_leaf(node):
-            return emit_leaf_like(node)
-        f = int(tree.feature[node])
-        t = float(tree.threshold[node])
-        low, high = intervals.get(f, facts.interval(f))
-        if high <= t:
-            return copy_subtree(int(tree.children_left[node]), intervals)
-        if low > t:
-            return copy_subtree(int(tree.children_right[node]), intervals)
-        index = emit_leaf_like(node)
-        left_intervals = dict(intervals)
-        left_intervals[f] = (low, min(high, t))
-        right_intervals = dict(intervals)
-        # Right branch means x > t; representable as an open bound — use t
-        # with the strict comparison handled by the low > t check above.
-        right_intervals[f] = (max(low, np.nextafter(t, math.inf)), high)
-        left_child = copy_subtree(int(tree.children_left[node]), left_intervals)
-        right_child = copy_subtree(int(tree.children_right[node]), right_intervals)
-        feature[index] = f
-        threshold[index] = t
-        left[index] = left_child
-        right[index] = right_child
-        value[index] = tree.value[node].copy()
-        return index
-
+    nodes: list[list] = []  # [left, right, feature, threshold, value, samples]
     initial = {
         f: facts.interval(f)
         for f in set(facts.constants) | set(facts.bounds)
     }
-    copy_subtree(0, initial)
+    _copy_pruned(tree, facts, 0, initial, nodes)
+    left, right, feature, threshold, value, samples = zip(*nodes)
     return TreeStructure(
         np.asarray(left, dtype=np.int64),
         np.asarray(right, dtype=np.int64),
@@ -405,6 +363,45 @@ def prune_tree(tree: TreeStructure, facts: ColumnFacts) -> TreeStructure:
         np.vstack(value),
         np.asarray(samples, dtype=np.int64),
     )
+
+
+def _emit_leaf_like(tree: TreeStructure, source: int, nodes: list) -> int:
+    counts = tree.n_node_samples
+    samples = 0 if counts is None else int(counts[source])
+    nodes.append([LEAF, LEAF, LEAF, 0.0, tree.value[source].copy(), samples])
+    return len(nodes) - 1
+
+
+def _copy_pruned(tree, facts, node: int, intervals: dict, nodes: list) -> int:
+    # Module-level recursion: a recursive closure would be a reference
+    # cycle keeping every search's pruned trees alive until the cyclic
+    # collector runs.
+    if tree.is_leaf(node):
+        return _emit_leaf_like(tree, node, nodes)
+    f = int(tree.feature[node])
+    t = float(tree.threshold[node])
+    low, high = intervals.get(f, facts.interval(f))
+    if high <= t:
+        node = int(tree.children_left[node])
+        return _copy_pruned(tree, facts, node, intervals, nodes)
+    if low > t:
+        node = int(tree.children_right[node])
+        return _copy_pruned(tree, facts, node, intervals, nodes)
+    index = _emit_leaf_like(tree, node, nodes)
+    left_intervals = dict(intervals)
+    left_intervals[f] = (low, min(high, t))
+    right_intervals = dict(intervals)
+    # Right branch means x > t; representable as an open bound — use t
+    # with the strict comparison handled by the low > t check above.
+    right_intervals[f] = (max(low, np.nextafter(t, math.inf)), high)
+    left_child = _copy_pruned(
+        tree, facts, int(tree.children_left[node]), left_intervals, nodes
+    )
+    right_child = _copy_pruned(
+        tree, facts, int(tree.children_right[node]), right_intervals, nodes
+    )
+    nodes[index][:4] = [left_child, right_child, f, t]
+    return index
 
 
 def remap_tree_features(tree: TreeStructure, mapping: dict[int, int]) -> TreeStructure:

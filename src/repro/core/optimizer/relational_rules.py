@@ -218,30 +218,32 @@ def collect_join_chain(plan: logical.Join):
     """
     leaves: list[logical.LogicalOp] = []
     conditions: list[tuple[Expression, frozenset | None]] = []
-
-    def collect(op: logical.LogicalOp) -> None:
-        if isinstance(op, logical.Join) and op.kind in ("INNER", "CROSS"):
-            collect(op.left)
-            collect(op.right)
-            if op.condition is not None:
-                for conjunct in conjuncts(op.condition):
-                    mapping = resolve_ref_mapping(op.schema, conjunct)
-                    if mapping is None:
-                        conditions.append((conjunct, None))
-                        continue
-                    qualified = conjunct.substitute(
-                        {
-                            ref: ColumnRef(stored)
-                            for ref, stored in mapping.items()
-                            if ref.lower() != stored
-                        }
-                    )
-                    conditions.append((qualified, frozenset(mapping.values())))
-        else:
-            leaves.append(op)
-
-    collect(plan)
+    _collect_join_chain(plan, leaves, conditions)
     return leaves, conditions
+
+
+def _collect_join_chain(op: logical.LogicalOp, leaves: list, conditions: list):
+    # Module-level recursion: a recursive closure would be a reference
+    # cycle pinning the memo's plans until the cyclic collector runs.
+    if isinstance(op, logical.Join) and op.kind in ("INNER", "CROSS"):
+        _collect_join_chain(op.left, leaves, conditions)
+        _collect_join_chain(op.right, leaves, conditions)
+        if op.condition is not None:
+            for conjunct in conjuncts(op.condition):
+                mapping = resolve_ref_mapping(op.schema, conjunct)
+                if mapping is None:
+                    conditions.append((conjunct, None))
+                    continue
+                qualified = conjunct.substitute(
+                    {
+                        ref: ColumnRef(stored)
+                        for ref, stored in mapping.items()
+                        if ref.lower() != stored
+                    }
+                )
+                conditions.append((qualified, frozenset(mapping.values())))
+    else:
+        leaves.append(op)
 
 
 def place_single_relation_conjuncts(leaves, leaf_names, conditions):

@@ -10,9 +10,10 @@ the task is re-sent with the columns attached. Steady state moves plan
 JSON and result columns only.
 
 Every gather reports ``(shards scanned, shards pruned, per-fragment
-latencies)`` to registered observers — the serving layer's
-:class:`~repro.serving.stats.ServingStats` subscribes here — and to the
-runtime's own counters (benchmarks read those).
+latencies, per-stage latencies)`` to the runtime's own counters
+(benchmarks read those), to registered observers, and as a
+``distributed.gather`` event — which the serving layer's metrics
+registry folds into its ``distributed.*`` metrics.
 
 If the process pool cannot be created or breaks (restricted
 environments, fork bombs protection), execution degrades permanently to

@@ -1,11 +1,12 @@
 """A metrics registry: counters, gauges, explicit-bucket histograms.
 
-Unlike :class:`~repro.serving.stats.ServingStats` (which the server
-calls directly on its hot path), these metrics are fed *from the event
-bus*: :class:`ServingMetrics` subscribes to the serving / plan-cache /
-distributed events and folds them into a registry. That keeps the
-default serving path at "enabled-but-unsubscribed" cost — attaching
-the registry is an explicit opt-in (``RavenServer.enable_metrics()``).
+The metrics are fed *from the event bus*: :class:`ServingMetrics`
+subscribes to the serving / plan-cache / distributed / ``net.*`` events
+and folds them into a registry. Every ``RavenServer`` attaches one for
+its lifetime (``server.metrics``) — it is the server's only request
+ledger, rendered by ``server.stats()["metrics"]``, ``GET /stats`` and
+``GET /metrics`` alike. It counts every event on the bus it is attached
+to, so its counts are process-wide, not per server.
 
 Histograms use explicit upper-bound buckets (Prometheus-style), so
 percentiles are estimated by linear interpolation inside the first
@@ -176,15 +177,15 @@ class MetricsRegistry:
 
 
 class ServingMetrics:
-    """ServingStats re-implemented as an event-bus subscriber.
+    """The serving request ledger, as an event-bus subscriber.
 
     Attach to a bus and every serving / plan-cache / distributed event
-    folds into the registry; detach restores the bus to its
-    unsubscribed (zero-cost) state.
+    folds into the registry; detach (idempotent) removes the
+    subscription.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
+    def __init__(self):
+        self.registry = MetricsRegistry()
         self._bus: EventBus | None = None
         r = self.registry
         self._latency = r.histogram("serving.latency_seconds")
@@ -192,6 +193,7 @@ class ServingMetrics:
             "serving.batch_size", buckets=DEFAULT_SIZE_BUCKETS
         )
         self._fragment = r.histogram("distributed.fragment_seconds")
+        self._stage = r.histogram("distributed.stage_seconds")
         self._fanout = r.histogram(
             "distributed.fanout", buckets=DEFAULT_SIZE_BUCKETS
         )
@@ -255,6 +257,10 @@ class ServingMetrics:
             self._fanout.observe(attrs.get("scanned", 0))
             for seconds in attrs.get("fragment_seconds", ()):
                 self._fragment.observe(seconds)
+            stage_seconds = attrs.get("stage_seconds", ())
+            registry.counter("distributed.stages_run").inc(len(stage_seconds))
+            for seconds in stage_seconds:
+                self._stage.observe(seconds)
         elif name == "distributed.degraded":
             registry.counter("distributed.degraded").inc()
         elif name == "net.request":

@@ -145,7 +145,7 @@ class Database:
         # Canonical shard-query observer list. The runtime is
         # disposable (close() drops it, the next gather rebuilds it),
         # so observers register here and are re-attached to every
-        # runtime instance — a server's fan-out metrics survive a
+        # runtime instance — an observer's fan-out counts survive a
         # close()/restart cycle.
         self._shard_observers: list[Callable] = []
         # Called (no args) on every close(): long-lived observability
@@ -212,11 +212,12 @@ class Database:
             return self._distributed
 
     def add_shard_observer(self, fn: Callable) -> None:
-        """Register ``fn(shards_scanned, shards_pruned, fragment_seconds)``.
+        """Register ``fn(shards_scanned, shards_pruned, fragment_seconds,
+        stage_seconds)``, called once per gather.
 
         Observers outlive individual runtime instances (see
-        :meth:`close`); the serving layer's fan-out metrics subscribe
-        here.
+        :meth:`close`). The serving layer does not need one: it reads
+        the same numbers off the ``distributed.gather`` event.
         """
         with self._distributed_lock:
             self._shard_observers.append(fn)

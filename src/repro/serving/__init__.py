@@ -14,8 +14,9 @@ subpackage makes that amortization explicit for concurrent traffic:
 * :class:`ResultCache` — LRU + TTL prediction cache with model-based
   invalidation (mirrors the ``SessionCache`` contract).
 * :class:`RavenServer` — N worker threads behind a bounded admission
-  queue, with :class:`ServingStats` metrics (throughput, p50/p95 latency,
-  cache hit rates, batch-size histogram).
+  queue; its request ledger is the event-fed metrics registry
+  (``server.metrics``: request counts, latency and batch-size
+  histograms, shard fan-out).
 * :class:`HttpFrontDoor` (:mod:`repro.serving.net`) — the asyncio
   HTTP/1.1 network front end over the admission queue: idempotency-key
   replay, per-client token-bucket backpressure, request timeouts with
@@ -29,7 +30,6 @@ from repro.serving.plan_cache import CachedPlan, PlanCache
 from repro.serving.prepared import PreparedQuery
 from repro.serving.result_cache import ResultCache
 from repro.serving.server import RavenServer
-from repro.serving.stats import ServingStats
 
 __all__ = [
     "CachedPlan",
@@ -39,7 +39,6 @@ __all__ = [
     "PreparedQuery",
     "RavenServer",
     "ResultCache",
-    "ServingStats",
     "sql_fingerprint",
     "table_fingerprint",
 ]

@@ -32,7 +32,6 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.relational.table import Table
-from repro.serving.stats import ServingStats
 
 
 @dataclass
@@ -55,7 +54,7 @@ class MicroBatcher:
         max_batch_rows: int = 64,
         max_wait_seconds: float = 0.002,
         max_pending_requests: int | None = None,
-        stats: ServingStats | None = None,
+        query: str = "batch",
         clock: Callable[[], float] = time.monotonic,
         dispatch_workers: int | None = None,
     ):
@@ -65,7 +64,9 @@ class MicroBatcher:
         self.max_batch_rows = max_batch_rows
         self.max_wait_seconds = max_wait_seconds
         self.max_pending_requests = max_pending_requests
-        self._stats = stats
+        #: The ``query`` label on this batcher's per-request
+        #: ``serving.completed`` / ``serving.failed`` events.
+        self.query = query
         self._clock = clock
         self._cond = threading.Condition()
         self._pending: deque[_Request] = deque()
@@ -218,17 +219,23 @@ class MicroBatcher:
         except BaseException as exc:  # noqa: BLE001 — fail the whole batch
             failed_at = self._clock()
             for request in batch:
+                # The event precedes the result, so a caller that saw
+                # its future resolve also sees the request counted.
+                events.emit(
+                    "serving.failed",
+                    query=self.query,
+                    latency_seconds=failed_at - request.enqueued_at,
+                )
                 request.future.set_exception(exc)
-                if self._stats is not None:
-                    self._stats.record_failed(failed_at - request.enqueued_at)
             return
-        if self._stats is not None:
-            self._stats.record_batch(total_rows)
         events.emit("serving.batch", size=total_rows, requests=len(batch))
         offset = 0
         finished = self._clock()
         for request in batch:
+            events.emit(
+                "serving.completed",
+                query=self.query,
+                latency_seconds=finished - request.enqueued_at,
+            )
             request.future.set_result(result.slice(offset, offset + request.rows))
             offset += request.rows
-            if self._stats is not None:
-                self._stats.record_completed(finished - request.enqueued_at)

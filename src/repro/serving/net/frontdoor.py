@@ -9,9 +9,9 @@ existing bounded-admission serving stack on a real wire. Routes:
   on the server: ``{"params"?, "data"?}``.
 * ``GET /stats`` — ``server.stats()`` plus the front door's own
   counters under ``"net"``.
-* ``GET /metrics`` — Prometheus text exposition straight off the
-  event-fed metrics registry (``server.enable_metrics()`` is turned on
-  when the front door starts, so ``net.*`` events are folded in too).
+* ``GET /metrics`` — Prometheus text exposition of ``server.metrics``,
+  the same event-fed registry ``/stats`` reports under ``"metrics"``
+  (it folds the ``net.*`` events this front door emits, too).
 * ``GET /healthz`` — liveness; ``503`` while the circuit breaker is
   shedding.
 
@@ -140,7 +140,6 @@ class HttpFrontDoor:
         }
         self._per_client: dict[str, int] = {}
         self._writers: set = set()  # loop-confined open connections
-        self._registry = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
@@ -231,9 +230,6 @@ class HttpFrontDoor:
         )
         bound = self._asyncio_server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
-        # /metrics serves this registry; enabling is idempotent, and it
-        # also folds the net.* events this front door emits.
-        self._registry = self.server.enable_metrics()
 
     async def stop_async(self) -> None:
         if self._asyncio_server is not None:
@@ -413,8 +409,7 @@ class HttpFrontDoor:
         return snapshot
 
     def _metrics(self) -> Response:
-        snapshot = self._registry.snapshot() if self._registry else {}
-        text = render_prometheus(snapshot)
+        text = render_prometheus(self.server.metrics.registry.snapshot())
         return Response(
             body=text.encode("utf-8"),
             content_type="text/plain; version=0.0.4; charset=utf-8",

@@ -5,8 +5,11 @@ threads drain a bounded admission queue (overload rejects fast instead of
 queueing unboundedly), prepared queries are registered once by name and
 executed per request with bound parameters, optional micro-batching
 coalesces small PREDICT requests, and an optional prediction cache
-short-circuits repeats. All request paths feed one
-:class:`~repro.serving.stats.ServingStats` object.
+short-circuits repeats. Every request path reports through
+``serving.*`` events, and the server's one request ledger,
+:attr:`RavenServer.metrics` (a
+:class:`~repro.observability.metrics.ServingMetrics` attached to the
+process-wide bus from construction to shutdown), folds them.
 
 Typical use::
 
@@ -14,7 +17,7 @@ Typical use::
     server.prepare("score", SQL, data={"requests": schema_row}, batch=True)
     future = server.submit("score", data={"requests": one_row})
     table = future.result()
-    print(server.stats_snapshot())
+    print(server.stats()["metrics"]["serving.completed"])
 """
 
 from __future__ import annotations
@@ -34,34 +37,14 @@ from repro.errors import (
 )
 from repro.observability import events
 from repro.observability import trace as qtrace
+from repro.observability.metrics import ServingMetrics
 from repro.relational.table import Table
 from repro.serving.batcher import MicroBatcher
 from repro.serving.fingerprint import params_key
 from repro.serving.prepared import PreparedQuery
 from repro.serving.result_cache import ResultCache
-from repro.serving.stats import ServingStats
 
 _SHUTDOWN = object()
-
-
-class _StatsView:
-    """``server.stats`` is both the live :class:`ServingStats` object
-    (attribute access, the historical surface) and *callable*:
-    ``server.stats()`` returns the server's full JSON-serializable
-    snapshot, including the opt-in metrics registry and event-bus
-    health counters."""
-
-    __slots__ = ("_server", "_stats")
-
-    def __init__(self, server: "RavenServer", stats: ServingStats):
-        self._server = server
-        self._stats = stats
-
-    def __call__(self) -> dict:
-        return self._server.stats_snapshot()
-
-    def __getattr__(self, name: str):
-        return getattr(self._stats, name)
 
 
 @dataclass
@@ -91,15 +74,17 @@ class RavenServer:
         max_traces: int = 16,
     ):
         self.session = session
-        self._stats = ServingStats()
-        self.stats = _StatsView(self, self._stats)
+        #: The request ledger: every ``serving.*`` (and cache, backend,
+        #: distributed, ``net.*``) event on the process-wide bus folds
+        #: into ``metrics.registry``; :meth:`stats` and the front
+        #: door's ``/metrics`` both render it.
+        self.metrics = ServingMetrics().attach(events.BUS)
         #: When on, every worker-path request runs under a
         #: :class:`~repro.observability.trace.QueryTrace`; the last
         #: ``max_traces`` trace dicts are kept (see :meth:`traces`).
         self.trace_requests = trace_requests
         self._traces: deque = deque(maxlen=max(1, max_traces))
         self._spans_dropped = 0  # across all completed traces, ever
-        self._metrics = None
         self._watchdog = None
         self._profiler = None
         self.result_cache = result_cache or ResultCache(
@@ -112,13 +97,6 @@ class RavenServer:
         # A new model version (or rollback) must drop stale predictions;
         # the plan cache subscribes separately via the session.
         session.database.add_model_listener(self._on_model_event)
-        # Shard fan-out metrics: every Gather the database dispatches
-        # on behalf of this server's requests reports (scanned, pruned,
-        # fragment latencies) into ServingStats. Registration is
-        # database-level so it survives runtime restarts (close()).
-        self._observes_shards = hasattr(session.database, "add_shard_observer")
-        if self._observes_shards:
-            session.database.add_shard_observer(self._on_shard_query)
         # Database.close() must tear down this server's process-wide
         # BUS subscribers (metrics / watchdog / profiler) even when the
         # caller never shuts the server down explicitly.
@@ -152,11 +130,8 @@ class RavenServer:
         # Stop receiving model events; a shut-down server must not stay
         # reachable from (and invalidated by) a long-lived database.
         self.session.database.remove_model_listener(self._on_model_event)
-        if self._observes_shards:
-            self.session.database.remove_shard_observer(self._on_shard_query)
         if self._observes_close:
             self.session.database.remove_close_listener(self._on_database_close)
-        self.disable_metrics()
         self.disable_watchdog()
         self.disable_profiler()
         for batcher in batchers:
@@ -185,6 +160,8 @@ class RavenServer:
                             "server shut down before executing request"
                         )
                     )
+        # Last, so the requests drained above are still counted.
+        self.metrics.detach()
 
     def __enter__(self) -> "RavenServer":
         return self
@@ -274,7 +251,6 @@ class RavenServer:
         if self._closed:
             raise ServerClosedError("server has been shut down")
         spec = self._spec(name)
-        self._stats.record_submitted()
         events.emit("serving.submitted", query=name)
         try:
             if spec.batch and data and spec.data_name in {
@@ -288,7 +264,6 @@ class RavenServer:
             # Synchronous admission failures (overload, malformed
             # request, shutdown race) count as rejected, keeping
             # submitted == completed + failed + rejected + in-flight.
-            self._stats.record_rejected()
             events.emit("serving.rejected", query=name)
             raise
 
@@ -317,7 +292,6 @@ class RavenServer:
         """
         if self._closed:
             raise ServerClosedError("server has been shut down")
-        self._stats.record_submitted()
         events.emit("serving.submitted", query="sql")
         if params is not None:
             fn = lambda: PreparedQuery(  # noqa: E731
@@ -328,7 +302,6 @@ class RavenServer:
         try:
             return self._enqueue(fn, label="sql")
         except Exception:
-            self._stats.record_rejected()
             events.emit("serving.rejected", query="sql")
             raise
 
@@ -355,9 +328,11 @@ class RavenServer:
             )
             hit = self.result_cache.get(key)
             if hit is not None:
+                events.emit(
+                    "serving.completed", query=name, latency_seconds=0.0
+                )
                 future: Future = Future()
                 future.set_result(hit)
-                self._stats.record_completed(0.0)
                 return future
             future = self._batch_submit(name, spec, params, request_table)
             future.add_done_callback(
@@ -423,7 +398,7 @@ class RavenServer:
                     # the worker queue; overload rejects instead of
                     # queueing unboundedly.
                     max_pending_requests=self.max_queue,
-                    stats=self._stats,
+                    query=name,
                 )
                 self._batchers[key] = batcher
             return batcher
@@ -480,42 +455,18 @@ class RavenServer:
                     result = fn()
             except BaseException as exc:  # noqa: BLE001 — report to caller
                 latency = time.perf_counter() - enqueued_at
-                self._stats.record_failed(latency)
                 events.emit(
                     "serving.failed", query=label, latency_seconds=latency
                 )
                 future.set_exception(exc)
                 continue
             latency = time.perf_counter() - enqueued_at
-            self._stats.record_completed(latency)
             events.emit(
                 "serving.completed", query=label, latency_seconds=latency
             )
             future.set_result(result)
 
     # -- observability -----------------------------------------------------
-
-    def enable_metrics(self, registry=None):
-        """Opt in to the event-fed metrics registry (idempotent).
-
-        Attaches a :class:`~repro.observability.metrics.ServingMetrics`
-        subscriber to the process-wide event bus and returns its
-        registry; ``stats_snapshot()`` (and ``server.stats()``) include
-        its snapshot from then on. Off by default so the serving hot
-        path stays at unsubscribed (zero) cost.
-        """
-        from repro.observability.metrics import ServingMetrics
-
-        with self._lock:
-            if self._metrics is None:
-                self._metrics = ServingMetrics(registry).attach(events.BUS)
-            return self._metrics.registry
-
-    def disable_metrics(self) -> None:
-        with self._lock:
-            metrics, self._metrics = self._metrics, None
-        if metrics is not None:
-            metrics.detach()
 
     def enable_watchdog(self, auto_analyze: bool = True, **config):
         """Opt in to the workload watchdog (idempotent).
@@ -580,7 +531,7 @@ class RavenServer:
         # The database this server fronts is gone: release every
         # process-wide BUS subscription so nothing keeps firing into
         # (or leaking from) a dead serving stack.
-        self.disable_metrics()
+        self.metrics.detach()
         self.disable_watchdog()
         self.disable_profiler()
 
@@ -595,20 +546,15 @@ class RavenServer:
     def _on_model_event(self, event: str, name: str) -> None:
         self.result_cache.invalidate_model(name)
 
-    def _on_shard_query(
-        self,
-        scanned: int,
-        pruned: int,
-        fragment_seconds: list[float],
-        stage_seconds: list[float] | None = None,
-    ) -> None:
-        self._stats.record_shard_query(
-            scanned, pruned, fragment_seconds, stage_seconds
-        )
+    def stats(self) -> dict:
+        """The server's one JSON-serializable snapshot.
 
-    def stats_snapshot(self) -> dict:
-        """One dict with request, latency, and cache metrics."""
-        snapshot = self._stats.snapshot()
+        ``"metrics"`` is the request ledger (:attr:`metrics`' registry:
+        request counts, latency and batch-size histograms, shard
+        fan-out, ``net.*``); beside it sit cache, runtime, watchdog,
+        profiler, event-bus and trace state.
+        """
+        snapshot = {"metrics": self.metrics.registry.snapshot()}
         runtime = getattr(self.session.database, "distributed", None)
         if runtime is not None:
             snapshot["distributed_runtime"] = runtime.stats()
@@ -622,9 +568,6 @@ class RavenServer:
                 "hits": session_cache.hits,
                 "misses": session_cache.misses,
             }
-        metrics = self._metrics
-        if metrics is not None:
-            snapshot["metrics"] = metrics.registry.snapshot()
         watchdog = self._watchdog
         if watchdog is not None:
             snapshot["watchdog"] = watchdog.stats()

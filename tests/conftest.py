@@ -38,6 +38,25 @@ def _no_leaked_pool_runtimes():
     )
 
 
+@pytest.fixture(autouse=True)
+def _no_leaked_bus_subscribers():
+    """Fail any test that leaves a callback subscribed to the event bus.
+
+    Every ``RavenServer`` attaches its metrics registry at construction;
+    one never shut down keeps counting (and keeps its worker threads)
+    for the rest of the session.
+    """
+    from repro.observability import events
+
+    before = events.BUS.stats()["callback_subscribers"]
+    yield
+    after = events.BUS.stats()["callback_subscribers"]
+    assert after <= before, (
+        f"test left {after - before} event-bus subscriber(s) behind; "
+        "shut the server down (or use it as a context manager)"
+    )
+
+
 @pytest.fixture(scope="session")
 def hospital_small():
     """(database, dataset, pipeline) with 2000 hospital rows."""

@@ -624,11 +624,13 @@ class TestServingIntegration:
             server.prepare("score", PREDICT_SQL.format(value=7))
             for _ in range(3):
                 server.query("score")
-            snapshot = server.stats_snapshot()
-            fanout = snapshot["distributed"]
-            assert fanout["shard_queries"] >= 3
-            assert fanout["shards_pruned"] > 0
-            assert fanout["fragment_p95_ms"] >= fanout["fragment_p50_ms"]
+            snapshot = server.stats()
+            fanout = snapshot["metrics"]
+            assert fanout["distributed.shard_queries"] >= 3
+            assert fanout["distributed.shards_pruned"] > 0
+            fragments = fanout["distributed.fragment_seconds"]
+            assert fragments["count"] >= 3
+            assert fragments["p95"] >= fragments["p50"]
             assert snapshot["distributed_runtime"]["queries"] >= 3
         finally:
             server.shutdown()
@@ -1626,9 +1628,9 @@ class TestDagFragments:
             server.prepare("agg", AGG_JOIN_SQL.format(kind="INNER"))
             for _ in range(3):
                 server.query("agg")
-            snapshot = server.stats_snapshot()
-            fanout = snapshot["distributed"]
-            assert fanout["stages_run"] > 0
-            assert fanout["stage_p95_ms"] >= fanout["stage_p50_ms"] > 0.0
+            metrics = server.stats()["metrics"]
+            stages = metrics["distributed.stage_seconds"]
+            assert metrics["distributed.stages_run"] == stages["count"] > 0
+            assert stages["p95"] >= stages["p50"] > 0.0
         finally:
             server.shutdown()

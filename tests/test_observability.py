@@ -19,7 +19,6 @@ from repro.observability.metrics import (
     ServingMetrics,
 )
 from repro.relational.algebra.executor import ExecutionOptions
-from repro.serving.stats import ServingStats
 
 from test_distributed import (
     PREDICT_SQL,
@@ -150,6 +149,7 @@ class TestMetrics:
                 scanned=2,
                 pruned=6,
                 fragment_seconds=[0.001, 0.002],
+                stage_seconds=[0.003],
                 mode="inprocess",
             )
         finally:
@@ -164,6 +164,8 @@ class TestMetrics:
         assert snap["distributed.shards_scanned"] == 2
         assert snap["distributed.shards_pruned"] == 6
         assert snap["distributed.fragment_seconds"]["count"] == 2
+        assert snap["distributed.stages_run"] == 1
+        assert snap["distributed.stage_seconds"]["count"] == 1
         assert not bus.active  # detach restored zero-cost state
         json.dumps(snap)  # snapshot must be JSON-serializable
 
@@ -250,48 +252,6 @@ class TestTraces:
         assert event.attrs["trace"] == "q"
 
 
-# -- reservoir sampling (satellite: ServingStats bias fix) -------------------
-
-
-class TestReservoirSampling:
-    def test_reservoir_stays_uniform_over_stream(self):
-        """Algorithm R must keep early observations representable.
-
-        The old ring buffer overwrote slots cyclically: after 3x
-        wraparound the sample held only the newest window, so a
-        latency regression in the first half of a run vanished from
-        p95. With reservoir sampling the retained sample draws
-        uniformly from the whole stream.
-        """
-        stats = ServingStats(max_latency_samples=500)
-        # First half slow (1.0 s), second half fast (0.001 s).
-        for _ in range(5_000):
-            stats.record_completed(1.0)
-        for _ in range(5_000):
-            stats.record_completed(0.001)
-        slow = sum(1 for v in stats._latencies if v == 1.0)
-        # Uniform over the stream -> ~50% slow samples. The ring buffer
-        # kept 0% (the last 500 observations were all fast).
-        assert 0.35 <= slow / len(stats._latencies) <= 0.65
-        assert stats.latency_percentile(0.95) == 1.0
-
-    def test_reservoir_is_deterministic_across_runs(self):
-        def run():
-            stats = ServingStats(max_latency_samples=50)
-            for i in range(1_000):
-                stats.record_completed(float(i))
-            return list(stats._latencies)
-
-        assert run() == run()
-
-    def test_fragment_reservoir_uses_same_scheme(self):
-        stats = ServingStats(max_latency_samples=100)
-        stats.record_shard_query(2, 6, fragment_seconds=[1.0] * 500)
-        stats.record_shard_query(2, 6, fragment_seconds=[0.001] * 500)
-        slow = sum(1 for v in stats._fragment_latencies if v == 1.0)
-        assert 0.25 <= slow / len(stats._fragment_latencies) <= 0.75
-
-
 # -- database lifecycle (satellite: close() teardown) ------------------------
 
 
@@ -350,26 +310,38 @@ class TestServerStats:
 
     SQL = "SELECT id FROM applicants WHERE age < ? ORDER BY id"
 
-    def test_stats_is_attribute_and_callable(self, session):
+    def test_stats_renders_the_metrics_registry(self, session):
         with RavenServer(session, workers=1) as server:
             server.prepare("q", self.SQL)
             server.query("q", params=(40.0,), timeout=30)
-            assert server.stats.completed == 1  # attribute surface
-            snapshot = server.stats()  # callable surface -> full JSON
-        assert snapshot["completed"] == 1
+            snapshot = server.stats()
+            assert snapshot["metrics"] == server.metrics.registry.snapshot()
+        assert snapshot["metrics"]["serving.completed"] == 1
         assert "events" in snapshot
+        # The hand-kept ledger's top-level keys are gone.
+        for key in ("submitted", "completed", "latency_p50_ms", "distributed"):
+            assert key not in snapshot
         json.dumps(snapshot)
 
-    def test_enable_metrics_folds_serving_events(self, session):
+    def test_metrics_attached_for_the_server_lifetime(self, session):
         with RavenServer(session, workers=1) as server:
+            assert events.BUS.stats()["callback_subscribers"] == 1
             server.prepare("q", self.SQL)
-            registry = server.enable_metrics()
-            assert server.enable_metrics() is registry  # idempotent
             server.query("q", params=(40.0,), timeout=30)
             snapshot = server.stats()
             assert snapshot["metrics"]["serving.completed"] == 1
             assert snapshot["metrics"]["serving.latency_seconds"]["count"] == 1
         assert not events.BUS.active  # shutdown detached the subscriber
+
+    def test_counts_are_process_wide(self, session):
+        """A registry folds the whole bus: with two servers up, each one
+        counts the other's requests too (deliberate — the front door
+        runs one server per process)."""
+        with RavenServer(session, workers=1) as first:
+            with RavenServer(session, workers=1) as second:
+                first.prepare("q", self.SQL)
+                first.query("q", params=(40.0,), timeout=30)
+                assert second.stats()["metrics"]["serving.completed"] == 1
 
     def test_traced_requests_produce_trace_dicts(self, session):
         with RavenServer(session, workers=1, trace_requests=True) as server:

@@ -585,7 +585,6 @@ class TestPrometheusExport:
         session = RavenSession(db)
         server = RavenServer(session, workers=1)
         try:
-            server.enable_metrics()
             server.prepare("q", "SELECT id FROM t WHERE v < ?")
             for _ in range(3):
                 server.query("q", params=(5.0,), timeout=30)
@@ -709,12 +708,14 @@ class TestObservatoryLifecycle:
         server.shutdown()
         db.close()
 
-    def test_enable_metrics_idempotent(self, served):
+    def test_metrics_subscribe_once_per_server(self, served):
         _db, server = served
-        first = server.enable_metrics()
         subscribers = events.BUS.stats()["callback_subscribers"]
-        second = server.enable_metrics()
-        assert first is second
+        with RavenServer(server.session, workers=1) as second:
+            assert second.metrics is not server.metrics
+            assert (
+                events.BUS.stats()["callback_subscribers"] == subscribers + 1
+            )
         assert events.BUS.stats()["callback_subscribers"] == subscribers
 
     def test_enable_watchdog_and_profiler_idempotent(self, served):
@@ -729,7 +730,6 @@ class TestObservatoryLifecycle:
     def test_shutdown_unsubscribes_observers(self):
         db = _drift_db()
         server = RavenServer(RavenSession(db), workers=1)
-        server.enable_metrics()
         server.enable_watchdog()
         server.enable_profiler()
         assert events.BUS.stats()["callback_subscribers"] == 3
@@ -740,7 +740,6 @@ class TestObservatoryLifecycle:
     def test_database_close_unsubscribes_observers(self):
         db = _drift_db()
         server = RavenServer(RavenSession(db), workers=1)
-        server.enable_metrics()
         server.enable_watchdog()
         server.enable_profiler()
         assert events.BUS.stats()["callback_subscribers"] == 3

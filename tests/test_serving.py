@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import time
 from concurrent.futures import wait
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from repro import (
     Database,
+    HttpFrontDoor,
     MicroBatcher,
     PlanCache,
     RavenServer,
@@ -24,6 +28,8 @@ from repro.errors import (
     ServingError,
 )
 from repro.ml import DecisionTreeClassifier, Pipeline, StandardScaler
+from repro.observability import events
+from repro.observability.export import render_prometheus
 from repro.serving.fingerprint import sql_fingerprint
 
 PREDICT_SQL = """
@@ -49,6 +55,21 @@ def _request_row(age: float, income: float) -> Table:
     return Table.from_dict(
         {"age": np.array([age]), "income": np.array([income])}
     )
+
+
+def _get_text(door: HttpFrontDoor, path: str) -> str:
+    conn = http.client.HTTPConnection(door.host, door.port, timeout=30)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        assert response.status == 200, response.status
+        return response.read().decode()
+    finally:
+        conn.close()
+
+
+def _get_json(door: HttpFrontDoor, path: str) -> dict:
+    return json.loads(_get_text(door, path))
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +189,27 @@ class TestPreparedQuery:
         by_param = session.prepare(FILTER_SQL)
         by_data.execute(data={"requests": _request_row(25.0, 80.0)})
         by_param.execute(params=(40.0,))
+        # The plan-cache miss path too: every fresh text below runs a
+        # memo search (join ordering, projection pushdown under PREDICT)
+        # whose per-search state must go with reference counting alone.
+        fresh = (
+            "DECLARE @model varbinary(max) = (SELECT model FROM "
+            "scoring_models WHERE model_name = 'approval');\n"
+            "WITH j AS (SELECT a.id AS id, a.age AS age, b.income AS income "
+            "FROM applicants AS a JOIN applicants AS b ON a.id = b.id)\n"
+            "SELECT d.id, p.pred FROM PREDICT(MODEL = @model, DATA = j AS d) "
+            "WITH (pred float) AS p WHERE d.age < {cutoff}"
+        )
+        session.prepare(fresh.format(cutoff=20.5)).execute()
+        misses = session.plan_cache.misses
         gc.collect()
         gc.disable()
         try:
             for age in (25.0, 45.0, 70.0):
                 by_data.execute(data={"requests": _request_row(age, 40.0)})
                 by_param.execute(params=(age,))
+                session.prepare(fresh.format(cutoff=age + 0.5)).execute()
+            assert session.plan_cache.misses == misses + 3
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -546,6 +582,39 @@ class TestMicroBatcher:
             with pytest.raises(ExecutionError, match="row-preserving"):
                 future.result(timeout=30)
 
+    def test_each_request_reports_its_outcome(self):
+        """One ``serving.completed`` / ``serving.failed`` per request,
+        labelled with the batcher's query, before its future resolves."""
+
+        def flaky(table: Table) -> Table:
+            if table.column("age")[0] < 0:
+                raise ExecutionError("bad batch")
+            return table
+
+        with events.BUS.subscribe_queue("serving.*") as sub:
+            with MicroBatcher(
+                flaky, max_batch_rows=2, max_wait_seconds=5.0, query="score"
+            ) as batcher:
+                futures = [
+                    batcher.submit(_request_row(age, 1.0))
+                    for age in (1.0, 1.0, -1.0, -1.0)
+                ]
+                wait(futures, timeout=30)
+            seen = sub.drain()
+        outcomes = [
+            (e.name, e.attrs["query"])
+            for e in seen
+            if e.name in ("serving.completed", "serving.failed")
+        ]
+        assert sorted(outcomes) == [
+            ("serving.completed", "score"),
+            ("serving.completed", "score"),
+            ("serving.failed", "score"),
+            ("serving.failed", "score"),
+        ]
+        batches = [e.attrs for e in seen if e.name == "serving.batch"]
+        assert batches == [{"size": 2, "requests": 2}]  # only the good one
+
     def test_submit_after_close_raises(self, session):
         batcher = MicroBatcher(lambda t: t, max_batch_rows=4)
         batcher.close()
@@ -626,15 +695,19 @@ class TestRavenServer:
             server.flush_batchers()
             wait(futures, timeout=60)
             results = [f.result() for f in futures]
-            snapshot = server.stats_snapshot()
+            metrics = server.stats()["metrics"]
+            exposition = render_prometheus(server.metrics.registry.snapshot())
         assert all(r.num_rows == 1 for r in results)
         expected = pipeline.predict(np.array([[20.0 + 7, 45.0]]))[0]
         assert results[7].column("pred")[0] == expected
-        assert snapshot["completed"] == 100
-        assert snapshot["batches"] < 100  # coalescing actually happened
-        histogram = snapshot["batch_size_histogram"]
-        assert sum(size * count for size, count in histogram.items()) == 100
-        assert max(histogram) > 1
+        # Batched completions reach the one ledger the server exports.
+        assert metrics["serving.completed"] == 100
+        assert metrics["serving.latency_seconds"]["count"] == 100
+        assert metrics["serving.batched_requests"] == 100
+        assert metrics["serving.batches"] < 100  # coalescing happened
+        assert metrics["serving.batch_size"]["sum"] == 100
+        assert metrics["serving.batch_size"]["max"] > 1
+        assert "repro_serving_completed 100" in exposition.splitlines()
 
     def test_parameterized_requests(self, session):
         with RavenServer(session, workers=2) as server:
@@ -656,9 +729,75 @@ class TestRavenServer:
             server.submit("filtered", params=(31.0,))
             with pytest.raises(ServerOverloadedError):
                 server.submit("filtered", params=(32.0,))
-            assert server.stats.rejected == 1
+            assert server.stats()["metrics"]["serving.rejected"] == 1
         finally:
             server.shutdown(wait=False)
+
+    def test_every_request_is_counted_once(self, session):
+        """Worker path, micro-batch, result-cache hit, overload rejection
+        and a failing request: the registry alone accounts for every
+        admission, and ``stats()``, ``GET /stats`` and ``GET /metrics``
+        render the same counts."""
+        with RavenServer(
+            session,
+            workers=1,
+            max_queue=2,
+            batch_max_wait_seconds=0.005,
+            result_ttl_seconds=100.0,
+        ) as server, HttpFrontDoor(server) as door:
+            server.prepare("filtered", FILTER_SQL)
+            server.prepare(
+                "score",
+                PREDICT_SQL,
+                data={"requests": _request_row(30.0, 50.0)},
+                batch=True,
+                cache_results=True,
+            )
+            server.query("filtered", params=(40.0,), timeout=30)
+            row = {"requests": _request_row(33.0, 44.0)}
+            batched = server.submit("score", data=row)
+            server.flush_batchers()
+            batched.result(timeout=30)
+            # The batch's done-callback fills the cache just after the
+            # future resolves.
+            deadline = time.monotonic() + 10
+            while server.result_cache.stats()["size"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            server.submit("score", data=row).result(timeout=30)  # cache hit
+            with pytest.raises(ParameterBindError):
+                server.query("filtered", params=(1.0, 2.0), timeout=30)
+            accepted = []
+            with pytest.raises(ServerOverloadedError):
+                for _ in range(1000):
+                    accepted.append(server.submit("filtered", params=(30.0,)))
+            wait(accepted, timeout=60)
+
+            metrics = server.stats()["metrics"]
+            over_http = _get_json(door, "/stats")["metrics"]
+            exposition = _get_text(door, "/metrics").splitlines()
+
+        assert server.result_cache.stats()["hits"] == 1
+        assert metrics["serving.batched_requests"] == 1
+        assert metrics["serving.failed"] == 1
+        assert metrics["serving.rejected"] == 1
+        assert metrics["serving.submitted"] == (
+            metrics["serving.completed"]
+            + metrics["serving.failed"]
+            + metrics["serving.rejected"]
+        )
+        assert metrics["serving.latency_seconds"]["count"] == (
+            metrics["serving.completed"] + metrics["serving.failed"]
+        )
+        for name in (
+            "serving.submitted",
+            "serving.completed",
+            "serving.failed",
+            "serving.rejected",
+        ):
+            assert over_http[name] == metrics[name], name
+            sample = f"repro_{name.replace('.', '_')} {int(metrics[name])}"
+            assert sample in exposition, sample
 
     def test_submit_after_shutdown_raises(self, session):
         server = RavenServer(session, workers=1)
