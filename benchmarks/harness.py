@@ -2,19 +2,17 @@
 
 Every ``bench_*`` module reproduces one table or figure from the paper's
 evaluation. Sizes are scaled down from the paper's 10M-row maximum so the
-whole suite runs in minutes (documented in EXPERIMENTS.md); what must be
-preserved is the *shape* of each result — who wins, by roughly what factor,
-and where crossovers fall — which the modules assert on.
+whole suite runs in minutes; what must be preserved is the *shape* of each
+result — who wins, by roughly what factor, and where crossovers fall —
+which the modules assert on.
 
 ``measure`` times a callable with warm-up (the paper reports warm runs);
-``report`` prints paper-vs-measured rows in a uniform format so
-EXPERIMENTS.md can be regenerated from benchmark output.
+``report`` prints paper-vs-measured rows in a uniform format.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Callable
 
 
@@ -59,32 +57,3 @@ def _fmt(value) -> str:
 def speedup(baseline_seconds: float, optimized_seconds: float) -> float:
     return baseline_seconds / max(optimized_seconds, 1e-12)
 
-
-@contextmanager
-def capture_metrics():
-    """Fold event-bus events emitted in the block into a metrics registry.
-
-    Yields a :class:`~repro.observability.metrics.MetricsRegistry`; call
-    ``registry.snapshot()`` to embed a per-scenario metrics snapshot in
-    the benchmark's JSON report, so ``check_regressions.py`` can gate on
-    derived rates (plan-cache hit rate, shard-prune rate) instead of
-    only on wall-clock. Detaches on exit, restoring the bus to its
-    zero-cost unsubscribed state.
-    """
-    from repro.observability import events
-    from repro.observability.metrics import ServingMetrics
-
-    metrics = ServingMetrics()
-    metrics.attach(events.BUS)
-    try:
-        yield metrics.registry
-    finally:
-        metrics.detach()
-
-
-def counter_rate(snapshot: dict, numerator: str, denominator: str) -> float:
-    """``numerator / (numerator + denominator)`` over counter values."""
-    hit = float(snapshot.get(numerator, 0) or 0)
-    miss = float(snapshot.get(denominator, 0) or 0)
-    total = hit + miss
-    return hit / total if total else 0.0

@@ -409,13 +409,11 @@ class SearchContext:
         catalog=None,
         models=None,
         options: dict | None = None,
-        join_search: str = "dp",
         dp_max_relations: int = DP_MAX_RELATIONS,
     ):
         self.catalog = catalog
         self.models = models if models is not None else catalog
         self.options = dict(options or {})
-        self.join_search = join_search
         self.dp_max_relations = dp_max_relations
         self.memo: Memo | None = None
         self.stats: MemoStats = MemoStats()

@@ -230,10 +230,6 @@ class ShardJoinRule(MemoRule):
         if not ctx.options.get("enable_distributed", True):
             return []
         if isinstance(plan, logical.Aggregate):
-            if not ctx.options.get("enable_staged_fragments", True):
-                # Ablation knob: fall back to gathering raw join output
-                # and aggregating on the coordinator.
-                return []
             return self._aggregate_over_join(plan, ctx)
         chain, join = self._join_chain(plan)
         if join is None:

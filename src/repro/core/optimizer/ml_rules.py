@@ -113,7 +113,6 @@ class PredicateBasedModelPruningRule(MemoRule):
                 plan.model_ref,
                 plan.output_columns,
                 plan.alias,
-                plan.batch_size,
                 "ml.pipeline",
                 result.pipeline,
                 kept,
@@ -177,7 +176,6 @@ class BackendChoiceRule(MemoRule):
                     plan.model_ref,
                     plan.output_columns,
                     plan.alias,
-                    plan.batch_size,
                     plan.flavor,
                     plan.payload,
                     plan.feature_names,
@@ -236,7 +234,6 @@ class ModelProjectionPushdownRule(MemoRule):
                 plan.model_ref,
                 plan.output_columns,
                 plan.alias,
-                plan.batch_size,
                 "ml.pipeline",
                 result.pipeline,
                 new_features,

@@ -27,10 +27,6 @@ from repro.relational.types import Schema
 #: Smallest INNER/CROSS chain the join-order rule rewrites.
 MIN_JOIN_RELATIONS = 3
 
-#: The PR 2 greedy planner's cap, kept for the ``legacy`` search mode
-#: (benchmark baseline): chains above it are left in FROM order.
-LEGACY_MAX_RELATIONS = 6
-
 
 # -- reference resolution (shared with the old planner semantics) ------------
 
@@ -278,9 +274,8 @@ class JoinOrderRule(MemoRule):
     Chains of ``MIN_JOIN_RELATIONS``..``dp_max_relations`` INNER/CROSS
     joins are priced exhaustively over connected-by-cost subsets; every
     subset's best sub-plan is registered as a memo group. Larger chains
-    fall back to the PR 2 greedy seed (cheapest connected pair, then
-    grow by minimal intermediate). ``legacy`` mode reproduces the PR 2
-    planner exactly: greedy up to 6 relations, FROM order beyond.
+    fall back to the greedy seed (cheapest connected pair, then grow by
+    minimal intermediate).
     """
 
     name = "DPJoinOrder"
@@ -294,8 +289,6 @@ class JoinOrderRule(MemoRule):
         leaves, conditions = collect_join_chain(plan)
         n = len(leaves)
         if n < MIN_JOIN_RELATIONS:
-            return []
-        if ctx.join_search == "legacy" and n > LEGACY_MAX_RELATIONS:
             return []
         chain_key = frozenset(id(leaf) for leaf in leaves)
         if chain_key in ctx.dp_seen:
@@ -312,21 +305,18 @@ class JoinOrderRule(MemoRule):
         ctx.pin(leaves)
         ctx.dp_seen.add(frozenset(id(leaf) for leaf in leaves))
         estimates = [max(1.0, ctx.estimate_tree(leaf)) for leaf in leaves]
-        use_dp = ctx.join_search == "dp" and n <= ctx.dp_max_relations
-        if use_dp:
+        if n <= ctx.dp_max_relations:
             tree = self._dp(
                 leaves, leaf_names, estimates, unused, ctx, original_leaves
             )
             ctx.stats.dp_relations = max(ctx.stats.dp_relations, n)
             leftover = list(unplaceable)
         else:
-            if ctx.join_search == "dp":
-                ctx.stats.dp_fallbacks += 1
-                detail = f"{n} relations (above DP size guard)"
-            else:
-                detail = f"{n} relations ({ctx.join_search} mode)"
+            ctx.stats.dp_fallbacks += 1
             tree = self._greedy(leaves, leaf_names, estimates, unused, ctx)
-            ctx.record("GreedyJoinOrder", detail)
+            ctx.record(
+                "GreedyJoinOrder", f"{n} relations (above DP size guard)"
+            )
             leftover = unplaceable + [conjunct for conjunct, _ in unused]
         if leftover:
             tree = logical.Filter(tree, conjoin(leftover))

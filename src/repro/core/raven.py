@@ -66,7 +66,7 @@ class RavenSession:
         ``max_inline_nodes``, ``derive_statistics_predicates``,
         ``lossy_pushdown_tolerance``. Distributed planning:
         ``enable_distributed``, ``shard_workers``,
-        ``enable_staged_fragments``, ``repartition_min_rows``.
+        ``repartition_min_rows``.
         ``execute(optimize=False)`` runs the plan as analyzed.
     """
 

@@ -223,7 +223,6 @@ def encode_fragment(
                 [name, dtype.value] for name, dtype in op.output_columns
             ],
             "alias": op.alias,
-            "batch_size": op.batch_size,
             "feature_names": (
                 list(feature_names) if feature_names is not None else None
             ),
@@ -363,7 +362,6 @@ def decode_fragment(
                 for name, type_name in spec["output_columns"]
             ),
             spec.get("alias"),
-            spec.get("batch_size"),
             "ml.pipeline",
             payload,
             tuple(features) if features is not None else None,

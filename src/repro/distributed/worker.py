@@ -66,24 +66,11 @@ OK = "ok"
 MISSING_SHARD = "missing_shard"
 
 
-def _shard_entries(task: dict) -> list[dict]:
-    """The task's shard descriptors (new multi-shard or legacy form)."""
-    entries = task.get("shards")
-    if entries is not None:
-        return entries
-    entry = {"token": task["shard_token"]}
-    if "columns" in task:
-        entry["schema"] = task["shard_schema"]
-        entry["columns"] = task["columns"]
-        entry["partition_size"] = task.get("partition_size")
-    return [entry]
-
-
 def _resolve_entries(task: dict) -> tuple[dict[str, Table], list[str]]:
     """``(shards by localized name, missing table names)`` for a task."""
     shards: dict[str, Table] = {}
     missing: list[str] = []
-    for entry in _shard_entries(task):
+    for entry in task["shards"]:
         token = tuple(entry["token"])
         table_name = str(entry.get("table") or token[0])
         shard = _resolve_shard(entry, token)
@@ -251,7 +238,6 @@ def _single_threaded_executor(table_provider):
         model_resolver=_WorkerModelResolver(),
         options=ExecutionOptions(
             parallel_predict=False,
-            morsel_parallel_predict=False,
             max_workers=1,
         ),
     )
@@ -264,8 +250,8 @@ def execute_fragment(
 
     ``shards`` is either a mapping from localized scan name
     (:func:`~repro.distributed.operators.shard_target`) to shard table,
-    or — the single-table convenience used by tests and the legacy
-    protocol — one bare :class:`Table` served under any shard name.
+    or — the single-table convenience tests use — one bare
+    :class:`Table` served under any shard name.
     """
     if isinstance(shards, Table):
         single = shards

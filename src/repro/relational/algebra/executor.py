@@ -53,7 +53,7 @@ class ModelResolver(Protocol):
 
 
 class ExecutionOptions:
-    """Tuning knobs for the executor (used by ablation benchmarks).
+    """Tuning knobs for the executor.
 
     ``max_workers`` defaults from the machine via
     :func:`repro.concurrency.default_max_workers` (capped) rather than a
@@ -65,21 +65,18 @@ class ExecutionOptions:
         parallel_predict: bool = True,
         parallel_row_threshold: int = 50_000,
         max_workers: int | None = None,
-        default_batch_size: int | None = None,
         enable_zone_map_pruning: bool = True,
-        morsel_parallel_predict: bool = True,
         enable_distributed: bool = True,
         distributed_mode: str = "process",
-        enable_staged_fragments: bool = True,
     ):
+        #: Whether PREDICT may score on the thread pool: chunked over a
+        #: large input, or morsel-at-a-time over a partitioned scan.
         self.parallel_predict = parallel_predict
         self.parallel_row_threshold = parallel_row_threshold
         self.max_workers = (
             max_workers if max_workers is not None else default_max_workers()
         )
-        self.default_batch_size = default_batch_size
         self.enable_zone_map_pruning = enable_zone_map_pruning
-        self.morsel_parallel_predict = morsel_parallel_predict
         #: Whether the optimizer may choose scatter-gather plans over
         #: sharded tables, and how their fragments run (``"process"``
         #: for the multi-process pool, ``"inprocess"`` for a serial
@@ -87,11 +84,6 @@ class ExecutionOptions:
         #: environments).
         self.enable_distributed = enable_distributed
         self.distributed_mode = distributed_mode
-        #: Whether aggregates over distributed joins may run as staged
-        #: worker pipelines (partial aggregation inside the exchange).
-        #: Off = the ablation baseline: gather raw join output and
-        #: aggregate on the coordinator.
-        self.enable_staged_fragments = enable_staged_fragments
 
 
 def _shuffle_tables(shuffle) -> list[str]:
@@ -829,7 +821,7 @@ class Executor:
             return morsel
         table = self.execute(op.child)
         scorer = self._resolve_scorer(op)
-        outputs = self._score(scorer, table, op.batch_size)
+        outputs = self._score(scorer, table)
         return self._attach_outputs(op, table, outputs)
 
     def _resolve_scorer(self, op: logical.Predict):
@@ -878,7 +870,7 @@ class Executor:
         operator-at-a-time path.
         """
         options = self.options
-        if not (options.morsel_parallel_predict and options.parallel_predict):
+        if not options.parallel_predict:
             return None
         filter_op = op.child
         if not isinstance(filter_op, logical.Filter):
@@ -900,13 +892,10 @@ class Executor:
             self._record_pruning(scan.table_name, keep)
         scorer = self._resolve_scorer(op)
 
-        # Within a morsel, scoring is chunked by the same batch-size
-        # knobs as the sequential path, but never parallelized: the
-        # morsel threads ARE the parallelism, and a nested pool per
-        # morsel (possible with huge manual partitions) would spawn up
-        # to max_workers^2 threads.
-        batch_size = op.batch_size or options.default_batch_size
-
+        # Within a morsel, scoring is never parallelized: the morsel
+        # threads ARE the parallelism, and a nested pool per morsel
+        # (possible with huge manual partitions) would spawn up to
+        # max_workers^2 threads.
         def work(bound: tuple[int, int]) -> Table:
             start, stop = bound
             with qtrace.span("morsel", rows_in=stop - start):
@@ -916,13 +905,7 @@ class Executor:
                 filtered = self._apply_predicate(chunk, filter_op.predicate)
                 if filtered.num_rows == 0:
                     return self._empty_predict_result(op, filtered)
-                if batch_size is not None and filtered.num_rows > batch_size:
-                    outputs = self._score(
-                        scorer, filtered, batch_size, allow_parallel=False
-                    )
-                else:
-                    outputs = scorer(filtered)
-                return self._attach_outputs(op, filtered, outputs)
+                return self._attach_outputs(op, filtered, scorer(filtered))
 
         surviving = [b for b, kept in zip(bounds, keep) if kept]
         if not surviving:
@@ -953,27 +936,19 @@ class Executor:
         self,
         scorer: Callable[[Table], dict[str, np.ndarray]],
         table: Table,
-        batch_size: int | None,
-        allow_parallel: bool = True,
     ) -> dict[str, np.ndarray]:
         options = self.options
-        batch_size = batch_size or options.default_batch_size
-        use_parallel = (
-            allow_parallel
-            and options.parallel_predict
-            and table.num_rows >= options.parallel_row_threshold
-        )
-        if not use_parallel and batch_size is None:
+        if (
+            not options.parallel_predict
+            or table.num_rows < options.parallel_row_threshold
+        ):
             return scorer(table)
-        if batch_size is None:
-            batch_size = max(
-                1, table.num_rows // (options.max_workers * 2)
-            )
+        batch_size = max(1, table.num_rows // (options.max_workers * 2))
         chunks = [
             table.slice(start, min(start + batch_size, table.num_rows))
             for start in range(0, max(table.num_rows, 1), batch_size)
         ]
-        if use_parallel and len(chunks) > 1:
+        if len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=options.max_workers) as pool:
                 results = list(pool.map(qtrace.wrap(scorer), chunks))
         else:

@@ -278,7 +278,6 @@ class Predict(LogicalOp):
     model_ref: str
     output_columns: tuple[tuple[str, DataType], ...]
     alias: str | None = None
-    batch_size: int | None = field(default=None, compare=False)
     flavor: str | None = field(default=None, compare=False)
     payload: object = field(default=None, compare=False)
     feature_names: tuple[str, ...] | None = field(default=None, compare=False)
@@ -303,7 +302,6 @@ class Predict(LogicalOp):
             self.model_ref,
             self.output_columns,
             self.alias,
-            self.batch_size,
             self.flavor,
             self.payload,
             self.feature_names,

@@ -10,13 +10,8 @@ relational layer uses, and renders ``EXPLAIN`` output (per-operator
 row/cost estimates, zone-map pruning outcomes, and the memo's search
 statistics).
 
-``join_search`` selects the search mode:
-
-* ``"dp"`` (default) — Selinger DP inside the memo for 3..10-relation
-  INNER/CROSS chains (bushy allowed), greedy seed beyond;
-* ``"greedy"`` — the greedy seed for any chain size (ablations);
-* ``"legacy"`` — the PR 2 behavior: greedy up to 6 relations, FROM
-  order beyond (the benchmark baseline).
+Join ordering is Selinger DP inside the memo for 3..10-relation
+INNER/CROSS chains (bushy allowed), with the greedy seed beyond.
 """
 
 from __future__ import annotations
@@ -55,13 +50,12 @@ class PhysicalPlanner:
     ``scoring_models``) degrade to default estimates.
     """
 
-    def __init__(self, catalog, execution_options=None, join_search="dp"):
+    def __init__(self, catalog, execution_options=None):
         self._catalog = catalog
         # The executor's knobs (zone-map pruning on/off, copy
         # threshold), so EXPLAIN reports the plan that will actually
         # execute rather than an idealized one.
         self._execution_options = execution_options
-        self.join_search = join_search
         #: The memo report of the most recent ``optimize`` call — a
         #: single-threaded diagnostic (like the executor's
         #: ``last_scan_pruning``) that EXPLAIN renders.
@@ -71,7 +65,7 @@ class PhysicalPlanner:
 
     def optimize(self, plan: logical.LogicalOp) -> logical.LogicalOp:
         """Search the memo for the cheapest equivalent plan."""
-        context = self._search_context(self.join_search)
+        context = self._search_context()
         optimizer = MemoOptimizer(sql_rules(), context)
         best, report = optimizer.optimize(plan)
         self.last_report = report
@@ -86,9 +80,6 @@ class PhysicalPlanner:
         return {
             "enable_distributed": options.enable_distributed,
             "shard_workers": options.max_workers,
-            "enable_staged_fragments": getattr(
-                options, "enable_staged_fragments", True
-            ),
         }
 
     # -- statistics access ---------------------------------------------------
@@ -99,12 +90,10 @@ class PhysicalPlanner:
         except Exception:
             return None
 
-    def _search_context(self, join_search: str = "dp"):
+    def _search_context(self):
         """A memo :class:`SearchContext` over this planner's catalog."""
         return SearchContext(
-            catalog=self._catalog,
-            options=self._search_options(),
-            join_search=join_search,
+            catalog=self._catalog, options=self._search_options()
         )
 
     def _estimation_context(self, plan: logical.LogicalOp):
@@ -186,7 +175,6 @@ class PhysicalPlanner:
                         # (compaction would cost more than it saves).
                         morsel = (
                             isinstance(parent, logical.Predict)
-                            and opts.morsel_parallel_predict
                             and opts.parallel_predict
                             and table_rows >= opts.parallel_row_threshold
                         )

@@ -120,16 +120,12 @@ class SessionCache:
 class Database:
     """An in-memory relational database with native model scoring."""
 
-    def __init__(
-        self,
-        options: ExecutionOptions | None = None,
-        enable_session_cache: bool = True,
-    ):
+    def __init__(self, options: ExecutionOptions | None = None):
         from repro.relational.transactions import TransactionManager
 
         self.catalog = Catalog()
         self.transactions = TransactionManager(self.catalog)
-        self.session_cache = SessionCache() if enable_session_cache else None
+        self.session_cache = SessionCache()
         self._binder = Binder(_CatalogView(self))
         self._executor = Executor(
             table_provider=self._provide_table,
@@ -344,8 +340,7 @@ class Database:
             pass
 
     def _on_model_event(self, event: str, name: str) -> None:
-        if self.session_cache is not None:
-            self.session_cache.invalidate_model(name)
+        self.session_cache.invalidate_model(name)
         for fn in list(self._model_listeners):
             fn(event, name)
 
@@ -694,10 +689,7 @@ class Database:
             "cpu",
             self.external_runtime,
         )
-        if self.session_cache is not None:
-            scorer = self.session_cache.get_or_create(key, build)
-        else:
-            scorer = build()
+        scorer = self.session_cache.get_or_create(key, build)
         output_names = [name for name, _ in output_columns]
         return _bind_output_names(scorer, output_names)
 

@@ -563,11 +563,10 @@ class RavenServer:
             snapshot["plan_cache"] = plan_cache.stats()
         snapshot["result_cache"] = self.result_cache.stats()
         session_cache = self.session.database.session_cache
-        if session_cache is not None:
-            snapshot["session_cache"] = {
-                "hits": session_cache.hits,
-                "misses": session_cache.misses,
-            }
+        snapshot["session_cache"] = {
+            "hits": session_cache.hits,
+            "misses": session_cache.misses,
+        }
         watchdog = self._watchdog
         if watchdog is not None:
             snapshot["watchdog"] = watchdog.stats()

@@ -1471,20 +1471,27 @@ class TestDagFragments:
 
     @pytest.mark.parametrize("kind", ["LEFT", "FULL"])
     @pytest.mark.parametrize(
-        "layout", [(8, 5), (8, 8)], ids=["shuffle", "colocated"]
+        "layout, strategy",
+        [((8, 5), "join=shuffle"), ((8, 8), "join=colocated")],
+        ids=["shuffle", "colocated"],
     )
     def test_outer_join_rows_match_local(
-        self, events, groups, kind, layout
+        self, events, groups, kind, layout, strategy
     ):
+        """The outer join runs on the workers, not gathered and joined
+        on the coordinator, and NULL-extends like the local join."""
         sql = (
             "SELECT grp, ggrp, v, w FROM events "
             f"{kind} JOIN groups ON events.grp = groups.ggrp "
             "ORDER BY grp, ggrp, v, w"
         )
         db = outer_join_db(events, groups, *layout)
-        assert_tables_close(
-            db.execute(sql), local_db(events, groups).execute(sql)
-        )
+        plan = "\n".join(db.execute("EXPLAIN " + sql).column("plan"))
+        assert strategy in plan
+        assert f"Join {kind}" in plan
+        result = db.execute(sql)
+        assert np.isnan(result.column("w")).sum() > 0
+        assert_tables_close(result, local_db(events, groups).execute(sql))
 
     def test_full_join_pads_unmatched_right_rows(self, events, groups):
         """FULL output must include right rows no left key matches."""

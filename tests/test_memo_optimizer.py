@@ -174,20 +174,6 @@ class TestDPJoinSearch:
         naive = _naive_rows(db, sql)
         assert _row_multiset(optimized) == _row_multiset(naive)
 
-    def test_legacy_mode_never_runs_dp(self):
-        """``legacy`` reproduces PR 2: greedy only, and only for
-        sub-chains within the 6-relation cap — the full 8-way chain is
-        left in FROM order (no DP, no fallback accounting)."""
-        db = _star_db()
-        db._planner.join_search = "legacy"
-        result = db.execute(_star_sql(7))
-        stats = db._planner.last_report.stats
-        assert "DPJoinOrder" not in stats.fired_rule_names()
-        assert stats.dp_subsets == 0
-        assert stats.dp_fallbacks == 0
-        naive = _naive_rows(db, _star_sql(7))
-        assert _row_multiset(result) == _row_multiset(naive)
-
     def test_dp_beats_or_matches_from_order_estimate(self):
         """The DP plan's estimated cost never exceeds FROM order's."""
         db = _star_db()

@@ -176,3 +176,48 @@ def test_names_the_e2e_span_wrappers_patch_still_resolve():
     ):
         for name in names:
             assert callable(vars(owner).get(name)), f"{owner.__name__}.{name}"
+
+
+# -- no ablation knobs ---------------------------------------------------------
+
+
+def test_settings_surface_is_pinned():
+    """Every executor, database and planner setting is listed here, so a
+    new one is a visible edit of this test, not a silent default."""
+    import dataclasses
+    import inspect
+
+    from repro.relational.algebra.executor import ExecutionOptions
+    from repro.relational.algebra.logical import Predict
+    from repro.relational.algebra.planner import PhysicalPlanner
+    from repro.relational.database import Database
+
+    def parameters(cls):
+        return list(inspect.signature(cls.__init__).parameters)[1:]
+
+    assert parameters(ExecutionOptions) == [
+        "parallel_predict",
+        "parallel_row_threshold",
+        "max_workers",
+        "enable_zone_map_pruning",
+        "enable_distributed",
+        "distributed_mode",
+    ]
+    assert parameters(Database) == ["options"]
+    assert parameters(PhysicalPlanner) == ["catalog", "execution_options"]
+    assert parameters(optimizer.SearchContext) == [
+        "catalog",
+        "models",
+        "options",
+        "dp_max_relations",
+    ]
+    assert [field.name for field in dataclasses.fields(Predict)] == [
+        "child",
+        "model_ref",
+        "output_columns",
+        "alias",
+        "flavor",
+        "payload",
+        "feature_names",
+        "extra",
+    ]

@@ -172,17 +172,6 @@ class TestParallelScoring:
             sequential.table.column("id").tolist()
         )
 
-    def test_batched_scoring_matches(self, hospital_small):
-        db, _, _ = hospital_small
-        session = RavenSession(db, options={"enable_inlining": False})
-        session.executor.options.default_batch_size = 64
-        batched = session.execute(hospital.INFERENCE_QUERY)
-        session.executor.options.default_batch_size = None
-        whole = session.execute(hospital.INFERENCE_QUERY)
-        assert sorted(batched.table.column("id").tolist()) == sorted(
-            whole.table.column("id").tolist()
-        )
-
 
 @pytest.fixture(scope="module")
 def small_model_bundle():

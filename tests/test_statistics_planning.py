@@ -323,7 +323,7 @@ class TestMorselParallelPredict:
         )
         sequential_db = Database(
             options=ExecutionOptions(
-                morsel_parallel_predict=False, enable_zone_map_pruning=False
+                parallel_predict=False, enable_zone_map_pruning=False
             )
         )
         sequential_db.register_table("flights", scored_db.table("flights"))
