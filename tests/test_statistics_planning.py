@@ -335,6 +335,27 @@ class TestMorselParallelPredict:
         )
         assert parallel.equals(sequential_db.execute(sql))
 
+    def test_parallel_predict_off_skips_morsels(self, scored_db):
+        """``parallel_predict`` gates the morsel path too: switched off,
+        the filter→predict pipeline runs operator-at-a-time."""
+        from repro import observability as qtrace
+
+        sql = (
+            "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
+            "WHERE model_name = 'flight_delay');"
+            "SELECT d.flight_id, p.delayed FROM PREDICT(MODEL = @m, "
+            "DATA = flights AS d) WITH (delayed float) AS p "
+            "WHERE d.flight_id < 30000"
+        )
+        with qtrace.trace_query("on") as on:
+            parallel = scored_db.execute(sql)
+        scored_db._executor.options.parallel_predict = False
+        with qtrace.trace_query("off") as off:
+            sequential = scored_db.execute(sql)
+        assert len(on.find("morsel")) > 1
+        assert off.find("morsel") == []
+        assert parallel.equals(sequential)
+
 
 class TestCostModelStatistics:
     @staticmethod
