@@ -3,8 +3,9 @@
 The paper builds this from ~4.6M public notebooks; ours is hand-curated but
 plays the same role: it maps qualified names of data-science APIs (both
 ``sklearn.*``/``pandas.*`` spellings and this package's ``repro.*`` ones)
-onto IR operator constructors. The analyzer consults it when it sees an
-imported name called in a script; anything absent becomes a UDF.
+onto the classes they construct. The analyzer consults it when it sees an
+imported name called in a script, and rebuilds the estimator from the
+call's literal arguments; a call it does not know builds nothing.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 @dataclass(frozen=True)
 class ApiEntry:
-    """One known API: the class it constructs and its IR role."""
+    """One known API: the class it constructs."""
 
     constructor: type
-    role: str  # "transformer" | "estimator" | "pipeline" | "union" | "column_transformer"
 
 
 _ALIASES: dict[str, tuple[str, ...]] = {
@@ -115,30 +115,6 @@ _ALIASES: dict[str, tuple[str, ...]] = {
     "KMeans": ("sklearn.cluster.KMeans", "repro.ml.cluster.KMeans"),
 }
 
-_ROLES: dict[str, str] = {
-    "Pipeline": "pipeline",
-    "FeatureUnion": "union",
-    "ColumnTransformer": "column_transformer",
-    "StandardScaler": "transformer",
-    "MinMaxScaler": "transformer",
-    "OneHotEncoder": "transformer",
-    "Binarizer": "transformer",
-    "SimpleImputer": "transformer",
-    "LabelEncoder": "transformer",
-    "DecisionTreeClassifier": "estimator",
-    "DecisionTreeRegressor": "estimator",
-    "RandomForestClassifier": "estimator",
-    "RandomForestRegressor": "estimator",
-    "GradientBoostingRegressor": "estimator",
-    "LinearRegression": "estimator",
-    "LogisticRegression": "estimator",
-    "Ridge": "estimator",
-    "Lasso": "estimator",
-    "MLPClassifier": "estimator",
-    "MLPRegressor": "estimator",
-    "KMeans": "estimator",
-}
-
 _CLASSES: dict[str, type] = {
     "Pipeline": Pipeline,
     "FeatureUnion": FeatureUnion,
@@ -170,7 +146,7 @@ class KnowledgeBase:
     def __init__(self):
         self._by_path: dict[str, ApiEntry] = {}
         for canonical, paths in _ALIASES.items():
-            entry = ApiEntry(_CLASSES[canonical], _ROLES[canonical])
+            entry = ApiEntry(_CLASSES[canonical])
             self._by_path[canonical] = entry
             for path in paths:
                 self._by_path[path] = entry
@@ -183,10 +159,10 @@ class KnowledgeBase:
         tail = name.rsplit(".", 1)[-1]
         return self._by_path.get(tail)
 
-    def register(self, path: str, constructor: type, role: str) -> None:
+    def register(self, path: str, constructor: type) -> None:
         """Extend the KB at runtime (the paper calls the set 'easily
         extensible')."""
-        self._by_path[path] = ApiEntry(constructor, role)
+        self._by_path[path] = ApiEntry(constructor)
 
     def known_paths(self) -> list[str]:
         return sorted(self._by_path)

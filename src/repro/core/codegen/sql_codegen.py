@@ -10,125 +10,181 @@ database, which is how the round-trip tests validate codegen.
 
 from __future__ import annotations
 
-from repro.errors import CodegenError
+from repro.errors import CodegenError, SchemaError
 from repro.relational.algebra import logical
-from repro.relational.types import DataType
+from repro.relational.algebra.binder import unique_names
+from repro.relational.expressions import ColumnRef, Expression
+from repro.relational.types import Column, DataType, Schema
+
+_OVER_ONE_SUBQUERY = (
+    logical.Filter,
+    logical.Project,
+    logical.OrderBy,
+    logical.Limit,
+    logical.Distinct,
+    logical.Aggregate,
+)
+
+
+#: ``(logical name, SQL name)`` per column of an operator, in schema
+#: order: the name the plan's expressions use for the column, and the
+#: name (or, around a sub-query, the reference) SQL knows it by.
+Columns = list[tuple[str, str]]
 
 
 def generate_sql(plan: logical.LogicalOp) -> str:
     """Render a plan as a SQL query string.
 
     Sub-queries are aliased by the operator's post-order position in the
-    plan, so every alias in one statement is distinct.
+    plan, so every alias in one statement is distinct. An operator above
+    a sub-query names its columns through that alias, by the name the
+    sub-query emits them under, so the SQL re-binds to the same columns.
     """
     index = {id(op): i for i, op in enumerate(logical.post_order(plan))}
-    return _render(plan, index)
+    return _render(plan, index)[0]
 
 
-def _render(op: logical.LogicalOp, index: dict[int, int]) -> str:
+def _render(op: logical.LogicalOp, index: dict[int, int]) -> tuple[str, Columns]:
+    """``op`` as SQL, and the name it emits each of its columns under."""
     if isinstance(op, logical.Scan):
-        return f"SELECT * FROM {op.table_name}" + (
-            f" AS {op.alias}" if op.alias else ""
-        )
+        alias = f" AS {op.alias}" if op.alias else ""
+        columns = [(name, name) for name in op.schema.names]
+        return f"SELECT * FROM {op.table_name}{alias}", _star(columns)
     if isinstance(op, logical.InlineTable):
         raise CodegenError(
             "inline tables have no SQL form; pass them via execute(data=...)"
         )
+    if isinstance(op, logical.Join):
+        left, left_columns = _subquery(op.left, "l", index)
+        right, right_columns = _subquery(op.right, "r", index)
+        columns = left_columns + right_columns
+        if op.kind == "CROSS" or op.condition is None:
+            return f"SELECT * FROM {left} CROSS JOIN {right}", _star(columns)
+        condition = op.condition.substitute(_References(columns)).to_sql()
+        sql = f"SELECT * FROM {left} {op.kind} JOIN {right} ON {condition}"
+        return sql, _star(columns)
+    if isinstance(op, logical.UnionAll):
+        branches = [_render(branch, index) for branch in op.branches]
+        return " UNION ALL ".join(sql for sql, _ in branches), branches[0][1]
+    if isinstance(op, logical.Predict):
+        outputs = [
+            (f"{op.alias}.{name}" if op.alias else name, name)
+            for name, _ in op.output_columns
+        ]
+        if op.flavor == "python.script":
+            child, columns = _render(op.child, index)
+            escaped = child.replace("'", "''")
+            sql = (
+                "EXEC sp_execute_external_script @language = 'python', "
+                f"@script = '{op.model_ref}', @input_data_1 = '{escaped}'"
+            )
+            return sql, columns + outputs
+        child, columns = _subquery(op.child, op.alias or "d", index)
+        with_clause = ", ".join(
+            f"{name} {_sql_type(dtype)}" for name, dtype in op.output_columns
+        )
+        variable = "@" + _safe_name(
+            op.model_ref.replace(":", "_").replace(".", "_")
+        )
+        alias = f" AS {op.alias}" if op.alias else ""
+        sql = (
+            f"SELECT * FROM PREDICT(MODEL = {variable}, DATA = {child}) "
+            f"WITH ({with_clause}){alias}"
+        )
+        return sql, _star(columns + outputs)
+    if not isinstance(op, _OVER_ONE_SUBQUERY):
+        raise CodegenError(f"no SQL rendering for {type(op).__name__}")
+    child, columns = _subquery(op.child, "sq", index)
+    references = _References(columns)
+
+    def sql(expr: Expression) -> str:
+        return expr.substitute(references).to_sql()
+
     if isinstance(op, logical.Filter):
-        child = _subquery(op.child, "sq", index)
-        return f"SELECT * FROM {child} WHERE {op.predicate.to_sql()}"
+        return f"SELECT * FROM {child} WHERE {sql(op.predicate)}", _star(columns)
     if isinstance(op, logical.Project):
-        child = _subquery(op.child, "sq", index)
         # Output names keep their unqualified form so references above the
         # subquery (``d.pregnant``) still resolve via suffix matching.
-        used: set[str] = set()
-        parts = []
-        for expr, name in op.items:
-            short = _safe_name(name.split(".")[-1])
-            candidate = short
-            suffix = 1
-            while candidate in used:
-                suffix += 1
-                candidate = f"{short}_{suffix}"
-            used.add(candidate)
-            parts.append(f"{expr.to_sql()} AS {candidate}")
-        return f"SELECT {', '.join(parts)} FROM {child}"
-    if isinstance(op, logical.Join):
-        left = _subquery(op.left, "l", index)
-        right = _subquery(op.right, "r", index)
-        if op.kind == "CROSS" or op.condition is None:
-            return f"SELECT * FROM {left} CROSS JOIN {right}"
-        return (
-            f"SELECT * FROM {left} {op.kind} JOIN {right} "
-            f"ON {op.condition.to_sql()}"
+        names = unique_names(
+            _safe_name(name.split(".")[-1]) for _, name in op.items
         )
-    if isinstance(op, logical.UnionAll):
-        return " UNION ALL ".join(
-            _render(branch, index) for branch in op.branches
+        items = ", ".join(
+            f"{sql(expr)} AS {name}" for (expr, _), name in zip(op.items, names)
         )
+        return f"SELECT {items} FROM {child}", [
+            (name, emitted) for (_, name), emitted in zip(op.items, names)
+        ]
     if isinstance(op, logical.OrderBy):
-        child = _subquery(op.child, "sq", index)
         keys = ", ".join(
-            f"{expr.to_sql()} {'ASC' if ascending else 'DESC'}"
+            f"{sql(expr)} {'ASC' if ascending else 'DESC'}"
             for expr, ascending in op.keys
         )
-        return f"SELECT * FROM {child} ORDER BY {keys}"
+        return f"SELECT * FROM {child} ORDER BY {keys}", _star(columns)
     if isinstance(op, logical.Limit):
-        child = _subquery(op.child, "sq", index)
-        return f"SELECT * FROM {child} LIMIT {op.count}"
+        return f"SELECT * FROM {child} LIMIT {op.count}", _star(columns)
     if isinstance(op, logical.Distinct):
-        child = _subquery(op.child, "sq", index)
-        return f"SELECT DISTINCT * FROM {child}"
-    if isinstance(op, logical.Aggregate):
-        child = _subquery(op.child, "sq", index)
-        selects = []
-        groups = []
-        for expr, name in op.group_by:
-            selects.append(f"{expr.to_sql()} AS {_safe_name(name)}")
-            groups.append(expr.to_sql())
-        for func, arg, alias in op.aggregates:
-            arg_sql = "*" if arg is None else arg.to_sql()
-            selects.append(f"{func}({arg_sql}) AS {_safe_name(alias)}")
-        sql = f"SELECT {', '.join(selects)} FROM {child}"
-        if groups:
-            sql += f" GROUP BY {', '.join(groups)}"
-        return sql
-    if isinstance(op, logical.Predict):
-        if op.flavor == "python.script":
-            return _render_exec_external(op, index)
-        return _render_predict(op, index)
-    raise CodegenError(f"no SQL rendering for {type(op).__name__}")
-
-
-def _render_predict(op: logical.Predict, index: dict[int, int]) -> str:
-    child = _subquery(op.child, op.alias or "d", index)
-    with_clause = ", ".join(
-        f"{name} {_sql_type(dtype)}" for name, dtype in op.output_columns
-    )
-    suffix = f" AS {op.alias}" if op.alias else ""
-    variable = "@" + _safe_name(
-        op.model_ref.replace(":", "_").replace(".", "_")
-    )
-    return (
-        f"SELECT * FROM PREDICT(MODEL = {variable}, DATA = {child}) "
-        f"WITH ({with_clause}){suffix}"
-    )
-
-
-def _render_exec_external(op: logical.Predict, index: dict[int, int]) -> str:
-    escaped = _render(op.child, index).replace("'", "''")
-    return (
-        "EXEC sp_execute_external_script @language = 'python', "
-        f"@script = '{op.model_ref}', @input_data_1 = '{escaped}'"
-    )
+        return f"SELECT DISTINCT * FROM {child}", _star(columns)
+    # An Aggregate.
+    names = [name for _, name in op.group_by] + [
+        alias for _, _, alias in op.aggregates
+    ]
+    selects = [sql(expr) for expr, _ in op.group_by] + [
+        f"{func}({'*' if arg is None else sql(arg)})"
+        for func, arg, _ in op.aggregates
+    ]
+    items = ", ".join(f"{s} AS {_safe_name(n)}" for s, n in zip(selects, names))
+    query = f"SELECT {items} FROM {child}"
+    if op.group_by:
+        query += f" GROUP BY {', '.join(selects[: len(op.group_by)])}"
+    return query, [(name, _safe_name(name)) for name in names]
 
 
 def _subquery(
     op: logical.LogicalOp, alias_hint: str, index: dict[int, int]
-) -> str:
+) -> tuple[str, Columns]:
+    """``op`` as a FROM item, and how the query around it references each
+    of ``op``'s columns: a table scan by its own (qualified) names, a
+    sub-query through its alias by the names it emits."""
     if isinstance(op, logical.Scan):
-        return f"{op.table_name} AS {op.alias}" if op.alias else op.table_name
-    return f"({_render(op, index)}) AS {alias_hint}{index[id(op)]}"
+        item = f"{op.table_name} AS {op.alias}" if op.alias else op.table_name
+        return item, [(name, name) for name in op.schema.names]
+    alias = f"{alias_hint}{index[id(op)]}"
+    sql, columns = _render(op, index)
+    return f"({sql}) AS {alias}", [
+        (name, f"{alias}.{emitted}") for name, emitted in columns
+    ]
+
+
+class _References(dict):
+    """Column name -> the reference SQL knows it by, resolved among the
+    logical names of ``columns`` the way ``Table.column`` resolves them
+    when an expression first asks. A name that does not resolve is not
+    in the mapping, and the expression keeps it as it is."""
+
+    def __init__(self, columns: Columns):
+        super().__init__()
+        self._columns = columns
+        # Resolution reads names only; the type is a placeholder.
+        self._schema = Schema(tuple(Column(n, DataType.FLOAT) for n, _ in columns))
+
+    def __contains__(self, name: object) -> bool:
+        if not isinstance(name, str):
+            return False
+        if not super().__contains__(name):
+            try:
+                column = self._schema.column(name)
+            except SchemaError:
+                return False
+            at = self._schema.columns.index(column)
+            self[name] = ColumnRef(self._columns[at][1])
+        return True
+
+
+def _star(columns: Columns) -> Columns:
+    """What the binder's ``SELECT *`` over ``columns`` emits: each
+    reference's unqualified name, made unique."""
+    emitted = unique_names(ref.split(".")[-1] for _, ref in columns)
+    return [(name, sql_name) for (name, _), sql_name in zip(columns, emitted)]
 
 
 def _safe_name(name: str) -> str:

@@ -21,9 +21,11 @@ Static Analyzer -> unified IR -> Cross Optimizer -> Runtime Code Generator
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.errors import CodegenError
+from repro.core.analysis.python_analyzer import PythonStaticAnalyzer
 from repro.core.analysis.sql_analyzer import SQLAnalyzer
 from repro.core.codegen.sql_codegen import generate_sql
 from repro.core.optimizer import (
@@ -34,6 +36,7 @@ from repro.core.optimizer import (
 from repro.core.runtime.executor import RavenExecutor
 from repro.core.runtime.outofprocess import OutOfProcessRuntime
 from repro.core.vocabulary import render
+from repro.observability import trace as qtrace
 from repro.relational.algebra.logical import LogicalOp
 from repro.relational.database import Database
 from repro.relational.table import Table
@@ -123,10 +126,6 @@ class RavenSession:
         self, sql: str, data: dict[str, Table] | None = None
     ) -> LogicalOp:
         """Static analysis: inference query -> unified IR (a logical plan)."""
-        import time
-
-        from repro.observability import trace as qtrace
-
         start = time.perf_counter()
         with qtrace.span("analyze"):
             plan = self.analyzer.analyze(sql, data)
@@ -169,15 +168,24 @@ class RavenSession:
         optimize: bool = True,
     ) -> RavenResult:
         """Analyze, optimize, codegen, and run an inference query."""
-        import time
-
-        from repro.observability import trace as qtrace
-
-        timings: dict[str, float] = {}
         start = time.perf_counter()
         plan = self.analyze(sql, data)
-        timings["analyze"] = time.perf_counter() - start
+        return self._run(plan, time.perf_counter() - start, optimize)
 
+    def execute_script(self, source: str) -> RavenResult:
+        """Analyze a Python script into the plan SQL analysis builds
+        (paper §3.2), then optimize, codegen and run it as :meth:`execute`
+        does. Raises ``StaticAnalysisError`` naming the first line that
+        could not be translated."""
+        start = time.perf_counter()
+        with qtrace.span("analyze"):
+            plan = PythonStaticAnalyzer().analyze(source, self.database).plan
+        return self._run(plan, time.perf_counter() - start, optimize=True)
+
+    def _run(
+        self, plan: LogicalOp, analyze_seconds: float, optimize: bool
+    ) -> RavenResult:
+        timings = {"analyze": analyze_seconds}
         if optimize:
             start = time.perf_counter()
             with qtrace.span("optimize"):

@@ -130,6 +130,19 @@ WITH (length_of_stay float) AS p
 WHERE d.pregnant = 1 AND p.length_of_stay > 7
 """
 
+#: The same inference as a pandas-style script (§3.2): the static analyzer
+#: turns it into the plan :data:`INFERENCE_QUERY` binds to, so
+#: ``RavenSession.execute_script`` cross-optimizes it the same way.
+INFERENCE_SCRIPT = """
+data = table('patient_info').merge(table('blood_tests'), on='id')
+data = data.merge(table('prenatal_tests'), on='id')
+data = data[['id', 'age', 'pregnant', 'gender', 'bp', 'heart_rate', 'glucose']]
+model = load_model('duration_of_stay')
+scored = model.predict(data)
+scored = scored[(scored.pregnant == 1) & (scored.prediction > 7)]
+scored[['id', 'prediction']]
+"""
+
 QUERY_FEATURE_NAMES = [
     "age",
     "pregnant",

@@ -103,10 +103,6 @@ class RavenError(ReproError):
     """Base class for errors from the Raven core (IR/analysis/optimizer)."""
 
 
-class IRValidationError(RavenError):
-    """A dataflow-sketch DAG violates a structural invariant."""
-
-
 class StaticAnalysisError(RavenError):
     """The static analyzer could not process an input script."""
 

@@ -168,17 +168,6 @@ class Binder:
         self, items: tuple[ast.SelectItem, ...], schema: Schema
     ) -> list[tuple[Expression, str]]:
         out: list[tuple[Expression, str]] = []
-        used: set[str] = set()
-
-        def output_name(base: str) -> str:
-            name = base
-            suffix = 1
-            while name.lower() in used:
-                suffix += 1
-                name = f"{base}_{suffix}"
-            used.add(name.lower())
-            return name
-
         for item in items:
             if item.star:
                 for column in schema:
@@ -187,7 +176,7 @@ class Binder:
                     ):
                         continue
                     short = column.name.split(".")[-1]
-                    out.append((ColumnRef(column.name), output_name(short)))
+                    out.append((ColumnRef(column.name), short))
                 continue
             expr = item.expression
             assert expr is not None
@@ -197,8 +186,9 @@ class Binder:
                 base = expr.unqualified
             else:
                 base = f"expr_{len(out) + 1}"
-            out.append((expr, output_name(base)))
-        return out
+            out.append((expr, base))
+        names = unique_names(base for _expr, base in out)
+        return [(expr, name) for (expr, _base), name in zip(out, names)]
 
     @staticmethod
     def substitutable_variables(variables: dict[str, object]) -> dict[str, Expression]:
@@ -262,6 +252,21 @@ class Binder:
                     for g, name in group_items
                 ]
         return logical.Aggregate(plan, tuple(group_items), tuple(aggregates))
+
+
+def unique_names(bases) -> list[str]:
+    """The SELECT list's output names: each base name, suffixed ``_2``,
+    ``_3``... when an earlier one already took it (case-insensitively)."""
+    used: set[str] = set()
+    names = []
+    for base in bases:
+        name, suffix = base, 1
+        while name.lower() in used:
+            suffix += 1
+            name = f"{base}_{suffix}"
+        used.add(name.lower())
+        names.append(name)
+    return names
 
 
 def _substitute_variables(

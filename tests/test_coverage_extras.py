@@ -108,7 +108,7 @@ class TestKnowledgeBase:
         class CustomFeaturizer:
             pass
 
-        kb.register("my.lib.CustomFeaturizer", CustomFeaturizer, "transformer")
+        kb.register("my.lib.CustomFeaturizer", CustomFeaturizer)
         entry = kb.lookup("my.lib.CustomFeaturizer")
         assert entry is not None and entry.constructor is CustomFeaturizer
 

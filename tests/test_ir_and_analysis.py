@@ -1,10 +1,13 @@
-"""Tests for static analysis: the Python analyzer's dataflow sketch, and
-SQL analysis into the unified plan."""
+"""Tests for static analysis: Python scripts and SQL both analyzed into
+the one logical plan."""
+
+import collections
 
 import numpy as np
 import pytest
 
-from repro.errors import IRValidationError, StaticAnalysisError
+from repro import Database, RavenSession, Table
+from repro.errors import StaticAnalysisError
 from repro.core.analysis import PythonStaticAnalyzer, SQLAnalyzer
 from repro.core.analysis.type_inference import (
     TypeSet,
@@ -12,71 +15,13 @@ from repro.core.analysis.type_inference import (
     infer_literal,
     narrow_with_schema,
 )
-from repro.core.ir import IRGraph, OpCategory
 from repro.core.optimizer.cleanup import references_above
 from repro.core.vocabulary import engine_of, op_name
-from repro.ml import Pipeline, StandardScaler
+from repro.data import flights, hospital
+from repro.ml import DecisionTreeRegressor, Pipeline, StandardScaler
 from repro.relational.algebra import logical
-from repro.relational.expressions import BinaryOp, col, lit
+from repro.relational.expressions import BinaryOp, UnaryOp, col, lit
 from repro.relational.types import DataType, Schema
-
-
-def small_ir():
-    graph = IRGraph()
-    scan = graph.add(
-        "ra.scan",
-        table="t",
-        schema=Schema.of(("a", DataType.FLOAT), ("b", DataType.FLOAT)),
-    )
-    filt = graph.add(
-        "ra.filter", [scan.id], predicate=BinaryOp(">", col("a"), lit(1.0))
-    )
-    proj = graph.add("ra.project", [filt.id], items=[(col("a"), "a")])
-    graph.set_output(proj)
-    return graph, scan, filt, proj
-
-
-class TestIRGraph:
-    def test_categories(self):
-        graph, scan, filt, proj = small_ir()
-        assert scan.category is OpCategory.RA
-        pipeline_node = graph.add(
-            "mld.pipeline", [proj.id], pipeline=None, output_columns=()
-        )
-        assert pipeline_node.category is OpCategory.MLD
-
-    def test_unknown_op_rejected(self):
-        graph = IRGraph()
-        with pytest.raises(IRValidationError):
-            graph.add("ra.teleport")
-
-    def test_topological_order_and_validate(self):
-        graph, *_ = small_ir()
-        ops = [n.op for n in graph.topological_order()]
-        assert ops == ["ra.scan", "ra.filter", "ra.project"]
-        graph.validate()
-
-    def test_copy_independent(self):
-        graph, scan, *_ = small_ir()
-        clone = graph.copy()
-        clone.node(scan.id).attrs["table"] = "other"
-        assert graph.node(scan.id).attrs["table"] == "t"
-
-    def test_join_arity_validation(self):
-        graph = IRGraph()
-        scan = graph.add(
-            "ra.scan", table="t", schema=Schema.of(("a", DataType.INT))
-        )
-        join = graph.add("ra.join", [scan.id], kind="INNER", condition=None)
-        join.inputs = [scan.id]
-        graph.set_output(join)
-        with pytest.raises(IRValidationError):
-            graph.validate()
-
-    def test_pretty_mentions_ops(self):
-        graph, *_ = small_ir()
-        text = graph.pretty()
-        assert "ra.scan(t)" in text and "ra.project" in text
 
 
 def small_plan(predict_flavor="ml.pipeline"):
@@ -98,7 +43,7 @@ def small_plan(predict_flavor="ml.pipeline"):
 
 
 class TestPlanSchemasAndReferences:
-    """What ``core/ir/schema.py`` answered over IR graphs, asked of the
+    """What the IR graphs' schema module answered, asked of the
     logical plan: ``LogicalOp.schema`` and the clean-up pass's
     ancestor references."""
 
@@ -143,6 +88,28 @@ class TestPlanSchemasAndReferences:
             assert (op_name(proj), engine_of(proj)) == ("ra.project", "relational")
 
 
+@pytest.fixture(scope="module")
+def script_db():
+    """Tables ``t(id, a, b)`` and ``u(id, c)`` and a model ``m`` on ``a, b``."""
+    rng = np.random.default_rng(3)
+    rows = 60
+    a, b = rng.integers(0, 4, rows).astype(float), rng.normal(size=rows)
+    database = Database()
+    database.register_table(
+        "t", Table.from_dict({"id": np.arange(rows), "a": a, "b": b})
+    )
+    database.register_table(
+        "u", Table.from_dict({"id": np.arange(rows), "c": rng.normal(size=rows)})
+    )
+    model = DecisionTreeRegressor(max_depth=3).fit(np.column_stack([a, b]), a + b)
+    database.store_model("m", model, metadata={"feature_names": ["a", "b"]})
+    return database
+
+
+def _ops(plan):
+    return [op_name(op) for op in plan.walk()]
+
+
 class TestPythonAnalyzer:
     def test_pipeline_reconstruction(self):
         source = """
@@ -159,45 +126,50 @@ model_pipeline = Pipeline([
         assert isinstance(pipeline.steps[0][1], StandardScaler)
         assert pipeline.final_estimator.max_depth == 4
 
-    def test_dataframe_ops_become_ra(self):
+    def test_dataframe_ops_become_ra(self, script_db):
         source = """
-df = table('patients')
-df = df[df.age > 30]
-df = df[['age', 'bp']]
-df
+df = table('t')
+df = df[df.a > 1]
+df = df[['a', 'b']]
+df.head(5)
 """
-        result = PythonStaticAnalyzer().analyze(source)
-        plan = result.plan
-        ops = [n.op for n in plan.topological_order()]
-        assert ops == ["ra.scan", "ra.filter", "ra.project"]
+        plan = PythonStaticAnalyzer().analyze(source, script_db).plan
+        assert _ops(plan) == ["ra.project", "ra.limit", "ra.filter", "ra.scan"]
+        assert plan.schema.names == ("a", "b")
+        out = script_db.execute_plan(plan)
+        expected = script_db.execute("SELECT a, b FROM t WHERE a > 1 LIMIT 5")
+        assert list(out.rows()) == list(expected.rows())
 
-    def test_merge_becomes_join(self):
+    def test_merge_becomes_join(self, script_db):
         source = """
-a = table('a')
-b = table('b')
-joined = a.merge(b, on='id')
-joined
+joined = table('t').merge(table('u'), on='id')
+joined.drop(columns=['b'])
 """
-        plan = PythonStaticAnalyzer().analyze(source).plan
-        assert [n.op for n in plan.topological_order()] == [
-            "ra.scan",
-            "ra.scan",
-            "ra.join",
-        ]
+        plan = PythonStaticAnalyzer().analyze(source, script_db).plan
+        assert _ops(plan) == ["ra.project", "ra.join", "ra.scan", "ra.scan"]
+        join = plan.child
+        # Qualified, so it resolves against the join's schema.
+        assert join.condition == BinaryOp("=", col("t.id"), col("u.id"))
+        # pandas keeps one key column.
+        assert plan.schema.names == ("id", "a", "c")
+        assert script_db.execute_plan(plan).num_rows == 60
 
-    def test_predict_becomes_mld_node(self):
+    def test_predict_becomes_mld_node(self, script_db):
         source = """
-from repro.ml.pipeline import Pipeline
-from repro.ml.tree import DecisionTreeClassifier
-model = Pipeline([('clf', DecisionTreeClassifier())])
-df = table('patients')
-scored = model.predict(df)
+model = load_model('m')
+scored = model.predict(table('t'))
 scored
 """
-        plan = PythonStaticAnalyzer().analyze(source).plan
-        assert plan.output.op == "mld.pipeline"
+        plan = PythonStaticAnalyzer().analyze(source, script_db).plan
+        predict = plan.child
+        assert op_name(predict) == "mld.pipeline"
+        # Resolved the way SQL's DECLARE ... scoring_models is.
+        assert predict.model_ref == "m:v1"
+        assert predict.payload is script_db.get_model("m").payload
+        assert predict.feature_names == ("a", "b")
+        assert plan.schema.names == ("id", "a", "b", "prediction")
 
-    def test_conditionals_fork_plans(self):
+    def test_conditionals_fork_plans(self, script_db):
         source = """
 df = table('t')
 if flag:
@@ -206,10 +178,12 @@ else:
     df = df[df.a > 2]
 df
 """
-        result = PythonStaticAnalyzer().analyze(source)
+        result = PythonStaticAnalyzer().analyze(source, script_db)
         assert len(result.plans) == 2
+        with pytest.raises(StaticAnalysisError, match="2 plans"):
+            result.plan
 
-    def test_loops_become_udfs(self):
+    def test_loops_yield_a_diagnostic(self, script_db):
         source = """
 df = table('t')
 df = df[df.a > 1]
@@ -217,22 +191,81 @@ for i in range(3):
     df = something(df)
 df
 """
-        result = PythonStaticAnalyzer().analyze(source)
-        assert result.udf_count >= 1
-        assert any(n.op == "udf.python" for n in result.plan.nodes())
+        result = PythonStaticAnalyzer().analyze(source, script_db)
+        assert result.plans == []
+        assert result.diagnostics == ["line 4: loop: 'for i in range(3):'"]
+        with pytest.raises(StaticAnalysisError, match="line 4: loop"):
+            result.plan
 
-    def test_unknown_method_becomes_udf(self):
+    def test_unknown_method_yields_a_diagnostic(self, script_db):
         source = """
 df = table('t')
 df = df.pivot_table(index='a')
 df
 """
-        result = PythonStaticAnalyzer().analyze(source)
-        assert result.plan.output.op == "udf.python"
+        result = PythonStaticAnalyzer().analyze(source, script_db)
+        assert result.diagnostics == [
+            "line 3: unsupported frame method .pivot_table(): "
+            "\"df.pivot_table(index='a')\""
+        ]
+        with pytest.raises(StaticAnalysisError, match="pivot_table"):
+            result.plan
+
+    @pytest.mark.parametrize(
+        "mask, expected",
+        [
+            (
+                "(df.a > 1) & (df.b < 0)",
+                BinaryOp(
+                    "AND",
+                    BinaryOp(">", col("t.a"), lit(1)),
+                    BinaryOp("<", col("t.b"), lit(0)),
+                ),
+            ),
+            (
+                "(df.a > 1) | (df.b < 0)",
+                BinaryOp(
+                    "OR",
+                    BinaryOp(">", col("t.a"), lit(1)),
+                    BinaryOp("<", col("t.b"), lit(0)),
+                ),
+            ),
+            ("~(df.a > 1)", UnaryOp("NOT", BinaryOp(">", col("t.a"), lit(1)))),
+        ],
+    )
+    def test_mask_combinators_become_boolean_operators(
+        self, script_db, mask, expected
+    ):
+        source = f"df = table('t')\ndf = df[{mask}]\ndf\n"
+        plan = PythonStaticAnalyzer().analyze(source, script_db).plan
+        assert plan.child.predicate == expected
+        t = script_db.table("t")
+        a, b = t.column("a"), t.column("b")
+        keep = {"&": (a > 1) & (b < 0), "|": (a > 1) | (b < 0), "~": ~(a > 1)}
+        [operator] = [c for c in "&|~" if c in mask]
+        assert script_db.execute_plan(plan).num_rows == int(keep[operator].sum())
+
+    @pytest.mark.parametrize(
+        "index", ["df.a.isin([1, 2])", "threshold", "'missing'"]
+    )
+    def test_untranslatable_subscript_yields_a_diagnostic(
+        self, script_db, index
+    ):
+        """A mask the analyzer cannot read, an unknown value, a column the
+        frame lacks: never the frame unfiltered."""
+        subscript = f"df[{index}]"
+        source = f"df = table('t')\ndf = {subscript}\ndf\n"
+        result = PythonStaticAnalyzer().analyze(source, script_db)
+        assert result.plans == []
+        assert result.diagnostics == [
+            f"line 2: unsupported subscript: {subscript!r}"
+        ]
+        with pytest.raises(StaticAnalysisError, match="unsupported subscript"):
+            result.plan
 
     def test_syntax_error_raises(self):
         with pytest.raises(StaticAnalysisError):
-            PythonStaticAnalyzer().analyze("def broken(:\n    pass")
+            PythonStaticAnalyzer().analyze("def broken(:\n    pass", None)
 
     def test_analysis_under_10ms(self):
         """The paper's §3.2 claim: static analysis < 10 ms typical."""
@@ -245,10 +278,63 @@ from sklearn.tree import DecisionTreeClassifier
 model_pipeline = Pipeline([('s', StandardScaler()), ('c', DecisionTreeClassifier())])
 """
         analyzer = PythonStaticAnalyzer()
-        analyzer.analyze(source)  # warm imports
+        analyzer.analyze(source, None)  # warm imports
         start = time.perf_counter()
-        analyzer.analyze(source)
+        analyzer.analyze(source, None)
         assert time.perf_counter() - start < 0.05  # generous CI margin
+
+
+_FLIGHT_DELAY_SCRIPT = """
+model = load_model('flight_delay')
+scored = model.predict(table('flights'))
+scored = scored[(scored.dest == 3) & (scored.prediction == 1)]
+scored[['flight_id', 'prediction']]
+"""
+
+_FLIGHT_DELAY_QUERY = (
+    "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
+    "WHERE model_name = 'flight_delay');"
+    "SELECT d.flight_id, p.delay_pred "
+    "FROM PREDICT(MODEL = @m, DATA = flights AS d) "
+    "WITH (delay_pred float) AS p "
+    "WHERE d.dest = 3 AND p.delay_pred = 1"
+)
+
+
+def _hospital_case():
+    database, _, _ = hospital.setup_database(3000, seed=5, max_depth=6)
+    rules = {
+        "PredicateBasedModelPruning",
+        "ModelProjectionPushdown",
+        "ModelInlining",
+        "JoinElimination: dropped join with prenatal_tests",
+    }
+    return RavenSession(database), hospital.INFERENCE_SCRIPT, (
+        hospital.INFERENCE_QUERY
+    ), rules
+
+
+def _flight_delay_case():
+    database, _, _ = flights.setup_database(num_rows=50_000, seed=4, C=0.05)
+    session = RavenSession(database, options={"enable_inlining": False})
+    return session, _FLIGHT_DELAY_SCRIPT, _FLIGHT_DELAY_QUERY, set()
+
+
+@pytest.mark.parametrize("case", [_hospital_case, _flight_delay_case])
+def test_scripts_cross_optimize_like_sql(case):
+    """§3.2: a script is analyzed into the plan its SQL binds to, so the
+    same memo, rules and executor give it the same rows (scores compared
+    exactly) — the golden queries of ``tests/golden`` as scripts."""
+    session, script, query, rules = case()
+    from_script = session.execute_script(script)
+    from_sql = session.execute(query)
+    assert from_script.table.num_rows > 0
+    assert collections.Counter(from_script.table.rows()) == collections.Counter(
+        from_sql.table.rows()
+    )
+    applied = {entry.split(":")[0] for entry in from_script.report.applied}
+    applied |= set(from_script.report.applied)
+    assert rules <= applied
 
 
 def _predicts(plan):

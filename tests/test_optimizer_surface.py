@@ -11,6 +11,7 @@ is imported first.
 from __future__ import annotations
 
 import ast
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -114,18 +115,27 @@ def _imported_modules(path: pathlib.Path) -> set[str]:
     return imported
 
 
-def test_only_the_python_analyzer_imports_the_dataflow_sketch():
-    """``core/ir`` is what ``PythonStaticAnalyzer`` draws a script in and
-    nothing else: queries are analyzed, optimized, cached, run, explained
-    and rendered to SQL as logical plans."""
-    package = SRC / "repro"
-    importers = {
-        path.relative_to(package).as_posix()
-        for path in package.rglob("*.py")
-        if not path.is_relative_to(package / "core" / "ir")
-        and any(m.startswith("repro.core.ir") for m in _imported_modules(path))
-    }
-    assert importers == {"core/analysis/python_analyzer.py"}
+def test_the_dataflow_sketch_is_gone():
+    """Scripts are analyzed into the logical plan like queries are: the
+    IR-graph package a script used to be sketched in is deleted, and no
+    module (source, tests, examples, benchmarks) still imports it."""
+    import importlib.util
+
+    sketch = ".".join(("repro", "core", "ir"))
+    spec = importlib.util.find_spec(sketch)
+    # A checkout's leftover __pycache__ alone is an empty namespace package.
+    assert spec is None or spec.origin is None
+    root = SRC.parent
+    importers = [
+        path.relative_to(root).as_posix()
+        for folder in ("src", "tests", "examples", "benchmarks")
+        for path in (root / folder).rglob("*.py")
+        if any(
+            m == sketch or m.startswith(sketch + ".")
+            for m in _imported_modules(path)
+        )
+    ]
+    assert importers == []
 
 
 def test_the_bridge_surface_is_gone():
@@ -150,12 +160,24 @@ def test_analysis_front_end_is_a_facade_with_one_sql_entry():
         "SQLAnalyzer",
     ]
     assert all(hasattr(analysis, name) for name in analysis.__all__)
-    entries = [
-        name
-        for name, member in vars(analysis.SQLAnalyzer).items()
-        if callable(member) and not name.startswith("_")
+
+    def entries(cls):
+        return [
+            name
+            for name, member in vars(cls).items()
+            if callable(member) and not name.startswith("_")
+        ]
+
+    assert entries(analysis.SQLAnalyzer) == ["analyze"]
+    # A script is analyzed against the database it runs on, like SQL.
+    script = analysis.PythonStaticAnalyzer
+    assert entries(script) == ["analyze", "extract_pipeline"]
+    assert list(inspect.signature(script).parameters) == []
+    assert list(inspect.signature(script.analyze).parameters) == [
+        "self",
+        "source",
+        "database",
     ]
-    assert entries == ["analyze"]
 
 
 def test_names_the_e2e_span_wrappers_patch_still_resolve():
@@ -185,7 +207,6 @@ def test_settings_surface_is_pinned():
     """Every executor, database and planner setting is listed here, so a
     new one is a visible edit of this test, not a silent default."""
     import dataclasses
-    import inspect
 
     from repro.relational.algebra.executor import ExecutionOptions
     from repro.relational.algebra.logical import Predict

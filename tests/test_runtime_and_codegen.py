@@ -90,20 +90,6 @@ class TestRavenSessionEndToEnd:
         )
 
 
-#: Golden cases whose generated SQL is pinned but does not re-bind to the
-#: same query — codegen defects older than the round-trip test, kept
-#: visible here until codegen renames outer references:
-#: ``predict_scan`` emits the model output ``p.delayed`` and the table's
-#: own ``d.delayed`` as ``delayed_2`` / ``delayed``, so the outer
-#: ``p.delayed`` resolves to the wrong one; ``three_way_join`` wraps a join
-#: of two tables that both have ``carrier`` in ``SELECT *``, so the outer
-#: join condition is ambiguous.
-_SQL_DOES_NOT_REBIND = {
-    "analyze_explain_predict_scan",
-    "analyze_explain_three_way_join",
-}
-
-
 class TestCodegen:
     def test_generated_sql_reexecutes_identically(self):
         """Every golden EXPLAIN case with a ``== generated SQL ==``
@@ -122,8 +108,6 @@ class TestCodegen:
                     continue
                 result = session.execute(sql)
                 assert result.sql == pinned.split("== generated SQL ==\n")[1].rstrip("\n")
-                if name in _SQL_DOES_NOT_REBIND:
-                    continue
                 # A plan that kept its PREDICT names the model by variable.
                 declares = "".join(
                     f"DECLARE @{model}_v{version} varbinary(max) = (SELECT model "
@@ -135,7 +119,7 @@ class TestCodegen:
                 rerun = session.database.execute(declares + result.sql)
                 assert sorted(rerun.rows()) == sorted(result.table.rows()), name
                 checked.append(name)
-        assert len(checked) == 5
+        assert len(checked) == 7
 
     def test_predict_rendered_for_in_process_plans(self, hospital_small):
         db, _, _ = hospital_small
