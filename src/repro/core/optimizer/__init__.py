@@ -4,7 +4,7 @@
 module                job
 ===================== ==================================================
 ``engine``            ``UnifiedOptimizer``: memo search, then clean-up
-``search``            the memo search loop and the two rule sets
+``search``            the memo search loop and the rule set
 ``memo``              groups, expressions, search statistics
 ``coster``            operator costs, cardinalities, ``SearchContext``
 ``relational_rules``  filter merge, predicate pushdown, DP join order
@@ -26,7 +26,6 @@ from repro.core.optimizer.search import (
     MemoOptimizer,
     MemoReport,
     cross_ir_rules,
-    sql_rules,
 )
 
 __all__ = [
@@ -41,6 +40,5 @@ __all__ = [
     "OptimizationReport",
     "RuleContext",
     "SearchContext",
-    "sql_rules",
     "UnifiedOptimizer",
 ]

@@ -1,7 +1,7 @@
 """Cascades-style memo: groups of logically equivalent plan expressions.
 
-The memo is the shared search structure behind every planner in the
-system (paper §4.3's "proper Cascades follow-up"). A *group* holds all
+The memo is the search structure behind the system's one query
+planner (paper §4.3's "proper Cascades follow-up"). A *group* holds all
 known logically-equivalent expressions for one sub-plan; a *group
 expression* is one operator whose children are group references rather
 than concrete sub-plans. Equivalent sub-trees deduplicate structurally,
@@ -11,7 +11,7 @@ priced exactly once.
 
 The memo itself is representation-light: expressions are
 :mod:`repro.relational.algebra.logical` operators (frozen dataclasses),
-which the SQL physical planner and the cross-IR optimizer both speak.
+the one plan form every query is written in.
 
 Search (rule application, cost-bounded extraction) lives in
 :mod:`repro.core.optimizer.search`; this module is only the memo

@@ -191,15 +191,10 @@ class ModelProjectionPushdownRule(MemoRule):
     The §4.1 model-to-data rewrite as a memo rule. The data projection
     below the scoring operator keeps the narrowed features plus every
     column the query needs above the Predict (precomputed by
-    :func:`predict_requirements`); ``insert_projection=False`` narrows
-    only the model, preserving the executor's ``Predict(Filter(Scan))``
-    morsel-parallel fast path for the SQL planner.
+    :func:`predict_requirements`).
     """
 
     name = "ModelProjectionPushdown"
-
-    def __init__(self, insert_projection: bool = True):
-        self.insert_projection = insert_projection
 
     def apply(self, plan, ctx):
         if not isinstance(plan, logical.Predict):
@@ -221,7 +216,7 @@ class ModelProjectionPushdownRule(MemoRule):
             return []
         new_features = tuple(feature_names[i] for i in result.kept_inputs)
         child = plan.child
-        if narrowed_inputs and self.insert_projection:
+        if narrowed_inputs:
             child = self._project_child(plan, child, new_features, ctx)
         ctx.record(
             self.name,

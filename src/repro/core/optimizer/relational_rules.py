@@ -98,11 +98,11 @@ class MergeConsecutiveFiltersRule(MemoRule):
 class PredicatePushdownRule(MemoRule):
     """Sink WHERE conjuncts below joins and scoring operators.
 
-    The relational pushdown pass of the old ``PhysicalPlanner``,
-    re-registered as a memo rule: each conjunct is resolved in its
-    original scope once and placed at the deepest operator exposing
-    exactly those stored columns, so reordering can never re-bind a
-    bare reference (see ``resolve_ref_mapping``).
+    Relational predicate pushdown as a memo rule, in the one rule set
+    every query plans with: each conjunct is resolved in its original
+    scope once and placed at the deepest operator exposing exactly
+    those stored columns, so reordering can never re-bind a bare
+    reference (see ``resolve_ref_mapping``).
     """
 
     name = "PredicatePushdown"

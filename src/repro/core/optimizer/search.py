@@ -1,13 +1,9 @@
 """The memo search loop (Cascades exploration + cost-bounded extraction).
 
-Every planner in the system drives plan search through this module:
-
-* ``Database.execute`` / ``EXPLAIN`` — the SQL physical planner
-  (:class:`repro.relational.algebra.planner.PhysicalPlanner`) registers
-  :func:`sql_rules` and extracts the cheapest plan.
-* ``RavenSession.optimize`` — the cross-IR optimizer searches the same
-  memo over the analyzed plan under :func:`cross_ir_rules`.
-
+Every query is planned through this module under one rule set,
+:func:`cross_ir_rules`: :class:`repro.core.optimizer.engine.UnifiedOptimizer`
+(the entry ``Database.execute``, ``EXPLAIN [ANALYZE]`` and
+``RavenSession.optimize`` share) builds the :class:`MemoOptimizer`.
 Relational and ML transformations therefore compete as *memo rules
 under one cost model* (:mod:`repro.core.optimizer.coster`), which is
 the paper's §4.3 "Cascades-style cost-based optimizer" claim.
@@ -45,42 +41,18 @@ from repro.core.optimizer.rule import MemoRule
 from repro.relational.algebra import logical
 from repro.relational.statistics import DEFAULT_ROW_ESTIMATE
 
-# -- rule sets ---------------------------------------------------------------
-
-
-def sql_rules(options: dict | None = None) -> list[MemoRule]:
-    """The SQL physical planner's rule set (Database.execute / EXPLAIN).
-
-    Predicate-based model pruning is included — it preserves the
-    ``Predict`` operator shape (the relational executor scores the
-    rewritten payload inline) and only fires when WHERE facts actually
-    shrink the model. The always-applicable rewrites (projection
-    pushdown, model inlining) are not: ad-hoc SQL re-optimizes every
-    execution, and swapping a fresh payload per run would defeat the
-    model session cache (Fig. 3's repeat-query advantage) for queries
-    the rewrite barely helps. Prepared/served queries get them through
-    the cross-IR rule set, where the plan cache amortizes the rewrite.
-    """
-    return [
-        MergeConsecutiveFiltersRule(),
-        PredicatePushdownRule(),
-        JoinOrderRule(),
-        PredicateBasedModelPruningRule(),
-        BackendChoiceRule(),
-        ShardedExecutionRule(),
-        ShardJoinRule(),
-    ]
+# -- the rule set ------------------------------------------------------------
 
 
 def cross_ir_rules(options: dict | None = None) -> list[MemoRule]:
-    """The cross-IR optimizer's rule set (RavenSession.optimize)."""
+    """The memo rule set every query is planned with."""
     options = dict(options or {})
     rules: list[MemoRule] = [
         MergeConsecutiveFiltersRule(),
         PredicatePushdownRule(),
         JoinOrderRule(),
         PredicateBasedModelPruningRule(),
-        ModelProjectionPushdownRule(insert_projection=True),
+        ModelProjectionPushdownRule(),
         BackendChoiceRule(),
         ShardedExecutionRule(),
         ShardJoinRule(),

@@ -68,8 +68,9 @@ class RavenSession:
         (``"cpu"``/``"gpu"``, for translated tensor graphs),
         ``max_inline_nodes``, ``derive_statistics_predicates``,
         ``lossy_pushdown_tolerance``. Distributed planning:
-        ``enable_distributed``, ``shard_workers``,
-        ``repartition_min_rows``.
+        ``enable_distributed``, ``shard_workers`` (both default from the
+        database's ``ExecutionOptions``: ``enable_distributed`` and
+        ``max_workers``), ``repartition_min_rows``.
         ``execute(optimize=False)`` runs the plan as analyzed.
     """
 
@@ -133,7 +134,8 @@ class RavenSession:
         return plan
 
     def optimize(self, plan: LogicalOp) -> tuple[LogicalOp, OptimizationReport]:
-        """Cross-optimization through the memo, under the session's options."""
+        """Cross-optimization through the memo, under the session's
+        options: the planner ``Database.execute`` uses too."""
         context = RuleContext(database=self.database)
         return UnifiedOptimizer(self.options).optimize(plan, context)
 

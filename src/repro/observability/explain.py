@@ -1,10 +1,13 @@
-"""EXPLAIN ANALYZE support: per-operator actuals and q-error.
+"""EXPLAIN [ANALYZE] rendering: estimates, per-operator actuals, q-error.
 
-``EXPLAIN ANALYZE <select>`` executes the optimized plan through an
+:func:`explain_lines` renders the plan the optimizer chose, one line per
+operator with its estimated rows and cost, zone-map and shard pruning,
+and the memo search's statistics as a footer.
+``EXPLAIN ANALYZE <select>`` executes that plan through an
 :class:`InstrumentedExecutor` that times every operator dispatch and
-records actual row counts, keyed by operator identity. The planner's
-EXPLAIN renderer then prints ``actual_rows / time / q_error`` next to
-its estimates, and :func:`collect_table_q_errors` attributes each
+records actual row counts, keyed by operator identity.
+:func:`explain_lines` then prints ``actual_rows / time / q_error`` next
+to the estimates, and :func:`collect_table_q_errors` attributes each
 measured operator's q-error back to the base table it reads — the
 feedback hook for adaptive re-costing (ROADMAP item 4), persisted via
 ``Catalog.record_q_error``.
@@ -21,8 +24,20 @@ from __future__ import annotations
 
 import time
 
-from repro.relational.algebra.executor import Executor
+from repro.core.optimizer import OptimizationReport, operator_cost
+from repro.core.optimizer.engine import search_context
+from repro.distributed.operators import (
+    Gather,
+    Repartition,
+    ShardScan,
+    Shuffle,
+    ShuffleJoin,
+)
+from repro.relational import statistics as table_stats
 from repro.relational.algebra import logical
+from repro.relational.algebra.executor import Executor
+from repro.relational.expressions import Expression
+from repro.relational.statistics import estimate_predicate_selectivity
 
 
 class OperatorStats:
@@ -101,8 +116,6 @@ def _anchor_table(op) -> str | None:
     fragment). Joins and aggregates mix cardinalities from several
     inputs, so their q-error is reported but not attributed.
     """
-    from repro.distributed.operators import Gather
-
     if isinstance(op, logical.Scan):
         return op.table_name
     if isinstance(op, logical.Filter):
@@ -115,14 +128,16 @@ def _anchor_table(op) -> str | None:
 
 
 def collect_table_q_errors(
-    plan, records: dict[int, OperatorStats], estimate
+    plan, records: dict[int, OperatorStats], database
 ) -> dict[str, float]:
     """Worst per-table q-error across anchored operators of one plan.
 
-    ``estimate(op)`` is the planner's cardinality estimator. The result
-    maps table name -> max q-error observed, which the database folds
-    into ``Catalog.record_q_error`` after every EXPLAIN ANALYZE.
+    Estimates come from the optimizer's cardinality estimator over
+    ``database``. The result maps table name -> max q-error observed,
+    which the database folds into ``Catalog.record_q_error`` after every
+    EXPLAIN ANALYZE.
     """
+    estimate = _estimation_context(plan, database).estimate_tree
     worst: dict[str, float] = {}
 
     def walk(op) -> None:
@@ -138,3 +153,236 @@ def collect_table_q_errors(
 
     walk(plan)
     return worst
+
+
+# -- EXPLAIN rendering --------------------------------------------------------
+
+
+def _estimation_context(plan, database):
+    """The optimizer's estimator over ``database``, prepared for ``plan``."""
+    context = search_context(database)
+    context.prepare(plan)
+    return context
+
+
+def explain_lines(
+    plan: logical.LogicalOp,
+    database,
+    report: OptimizationReport,
+    actuals: dict[int, OperatorStats] | None = None,
+) -> list[str]:
+    """The optimized plan, one indented line per operator.
+
+    Each line carries the estimated rows and (after the bracket) the
+    operator's estimated cost; filters over scans additionally report
+    how many partitions the zone maps keep, e.g.
+    ``partitions=2/13 (zone-map)``. The search statistics of ``report``
+    — groups created, expressions explored, branches pruned, DP subset
+    counts — and the rules that fired are appended as footer lines.
+
+    ``actuals`` (EXPLAIN ANALYZE) maps ``id(op)`` to the instrumented
+    executor's :class:`OperatorStats`; measured operators additionally
+    print actual rows, wall time, and the estimate's q-error. Operators
+    fused into a parent pipeline (or executed worker-side inside a
+    fragment) have no record and keep their estimate-only line.
+    """
+    lines: list[str] = []
+    context = _estimation_context(plan, database)
+    options = database.executor_options
+
+    def walk(
+        op: logical.LogicalOp,
+        depth: int,
+        parent: logical.LogicalOp | None,
+    ) -> None:
+        rows = context.estimate_tree(op)
+        annotations = [f"est_rows={rows:.0f}"]
+        if isinstance(op, logical.Filter):
+            selectivity = estimate_predicate_selectivity(
+                op.predicate, context.resolver
+            )
+            annotations.append(f"selectivity={selectivity:.3f}")
+            if (
+                isinstance(op.child, logical.Scan)
+                and options.enable_zone_map_pruning
+            ):
+                pruning = _pruning_counts(database, op.child, op.predicate)
+                if pruning is not None:
+                    kept, total, table_rows = pruning
+                    # Mirror the executor's decision. A filter feeding
+                    # PREDICT on a big-enough table runs morsel-parallel
+                    # and skips pruned partitions without compaction, so
+                    # no copy threshold applies; otherwise weak pruning
+                    # is declined (compaction would cost more than it
+                    # saves).
+                    morsel = (
+                        isinstance(parent, logical.Predict)
+                        and options.parallel_predict
+                        and table_rows >= options.parallel_row_threshold
+                    )
+                    if morsel or kept <= total * Executor.PRUNE_COPY_THRESHOLD:
+                        annotations.append(
+                            f"partitions={kept}/{total} (zone-map)"
+                        )
+                    else:
+                        annotations.append(
+                            f"partitions={kept}/{total} "
+                            "(zone-map: weak, full scan)"
+                        )
+        if isinstance(op, logical.Scan):
+            stats = context.table_statistics(op.table_name)
+            if stats is not None:
+                annotations[0] = f"rows={stats.row_count}"
+        if isinstance(op, Gather):
+            suffix = " (zone-map)" if op.pruned_by == "zone-map" else ""
+            shards = f"shards={op.shards_scanned}/{op.total_shards}{suffix}"
+            if op.join == "colocated":
+                shards = f"join=colocated {shards}"
+                if any(
+                    isinstance(n, logical.Aggregate)
+                    for n in op.fragment.walk()
+                ):
+                    shards += " [partial-agg]"
+            annotations.append(shards)
+        if isinstance(op, ShuffleJoin):
+            detail = f"join=shuffle buckets={op.num_buckets}"
+            if op.stages:
+                detail += f" stages={len(op.stages)}"
+            annotations.append(detail)
+        if isinstance(op, Shuffle):
+            if op.is_sharded:
+                suffix = " (zone-map)" if op.pruned_by == "zone-map" else ""
+                annotations.append(
+                    f"shards={len(op.shard_ids)}/{op.total_shards}{suffix}"
+                )
+            else:
+                annotations.append("local")
+        if actuals is not None:
+            record = actuals.get(id(op))
+            if record is not None:
+                annotations.extend(analyze_annotations(record, rows))
+        child_rows = [context.estimate_tree(c) for c in op.children]
+        cost = operator_cost(op, rows, child_rows, context)
+        lines.append(
+            "  " * depth
+            + _describe(op)
+            + " ["
+            + ", ".join(annotations)
+            + "]"
+            + f" cost={cost:.0f}"
+        )
+        if isinstance(op, Gather):
+            # The per-shard fragment, rendered as a sub-plan.
+            walk(op.fragment, depth + 1, op)
+        if isinstance(op, ShuffleJoin):
+            walk(op.left, depth + 1, op)
+            walk(op.right, depth + 1, op)
+            # Post-join worker stages, rendered as sub-plans under a
+            # stage=k/N header (the whole pipeline runs in the same
+            # worker round-trip as the bucket join).
+            for index, stage in enumerate(op.stages):
+                marker = (
+                    " [partial-agg]"
+                    if any(
+                        isinstance(n, logical.Aggregate) for n in stage.walk()
+                    )
+                    else ""
+                )
+                lines.append(
+                    "  " * (depth + 1)
+                    + f"Stage stage={index + 1}/{len(op.stages)}"
+                    + marker
+                )
+                walk(stage, depth + 2, op)
+        if isinstance(op, Shuffle):
+            walk(op.fragment, depth + 1, op)
+        for child in op.children:
+            walk(child, depth + 1, op)
+
+    walk(plan, 0, None)
+    if report.memo:
+        lines.extend(_memo_footer(report.memo))
+    return lines
+
+
+def _memo_footer(memo: dict) -> list[str]:
+    """Memo search statistics (``MemoStats.to_dict()``) as text.
+
+    Rule names render as lowercase slugs so the footer never collides
+    with operator-line assertions (``Filter``, ``Join``).
+    """
+    lines = [
+        "memo: groups={groups_created} expressions={expressions_added} "
+        "explored={expressions_explored} pruned={branches_pruned} "
+        "dedup={dedup_hits}".format(**memo)
+    ]
+    if memo["dp_relations"] or memo["dp_fallbacks"]:
+        lines.append(
+            "memo: dp relations={dp_relations} subsets={dp_subsets} "
+            "fallbacks={dp_fallbacks}".format(**memo)
+        )
+    if memo["rules_fired"]:
+        lines.append(
+            "memo rules: " + ", ".join(_slug(n) for n in memo["rules_fired"])
+        )
+    return lines
+
+
+def _pruning_counts(
+    database, scan: logical.Scan, predicate: Expression
+) -> tuple[int, int, int] | None:
+    """``(kept, total, table_rows)`` under zone maps, or ``None``.
+
+    ``table_rows`` is the live table's row count (not the possibly
+    drift-stale statistics), because the executor's morsel guard checks
+    the real table.
+    """
+    try:
+        table = database.catalog.get_table(scan.table_name)
+    except Exception:
+        return None
+    keep = table_stats.surviving_partitions(table, predicate)
+    if keep is None:
+        return None
+    return int(keep.sum()), int(len(keep)), table.num_rows
+
+
+def _slug(name: str) -> str:
+    out = []
+    for i, char in enumerate(name):
+        if char.isupper() and i > 0 and not name[i - 1].isupper():
+            out.append("_")
+        out.append(char.lower())
+    return "".join(out)
+
+
+def _describe(op: logical.LogicalOp) -> str:
+    label = type(op).__name__
+    if isinstance(op, (logical.Scan, ShardScan)):
+        return f"{label} {op.table_name}" + (
+            f" AS {op.alias}" if op.alias else ""
+        )
+    if isinstance(op, Gather):
+        return f"{label} {op.table_name} key={op.shard_key}"
+    if isinstance(op, Shuffle):
+        return f"{label} {op.table_name} key={op.key}"
+    if isinstance(op, ShuffleJoin):
+        return f"{label} {op.kind} [{op.condition!r}]"
+    if isinstance(op, Repartition):
+        return f"{label} key={op.key} buckets={op.num_buckets}"
+    if isinstance(op, logical.Filter):
+        return f"{label} [{op.predicate!r}]"
+    if isinstance(op, logical.Project):
+        return f"{label} [" + ", ".join(n for _, n in op.items) + "]"
+    if isinstance(op, logical.Join):
+        detail = f" [{op.condition!r}]" if op.condition is not None else ""
+        return f"{label} {op.kind}{detail}"
+    if isinstance(op, logical.Predict):
+        detail = f"{label} model={op.model_ref}"
+        backend = dict(op.extra).get("backend") if op.extra else None
+        if backend:
+            detail += f" backend={backend}"
+        return detail
+    if isinstance(op, logical.Limit):
+        return f"{label} {op.count}"
+    return label

@@ -20,12 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.optimizer import RuleContext, UnifiedOptimizer
 from repro.errors import BindError, CatalogError, ExecutionError
 from repro.observability import events
 from repro.observability import trace as qtrace
 from repro.relational.algebra.binder import BindContext, Binder
 from repro.relational.algebra.executor import ExecutionOptions, Executor
-from repro.relational.algebra.planner import PhysicalPlanner
 from repro.relational.catalog import Catalog, ModelEntry
 from repro.relational.scoring import (
     _bind_output_names,
@@ -135,7 +135,6 @@ class Database:
             fragment_runner=self._run_gather,
             shuffle_runner=self._run_shuffle,
         )
-        self._planner = PhysicalPlanner(self.catalog, self._executor.options)
         self._distributed = None
         self._distributed_lock = threading.Lock()
         # Canonical shard-query observer list. The runtime is
@@ -411,7 +410,7 @@ class Database:
             with qtrace.span("bind"):
                 plan = self._binder.bind_select(statement, context)
             with qtrace.span("optimize"):
-                plan = self._planner.optimize(plan)
+                plan, _ = self._optimize(plan)
             with qtrace.span("execute") as sp:
                 result = self._executor.execute(plan)
                 sp.set("rows", result.num_rows)
@@ -468,39 +467,44 @@ class Database:
             }
         )
 
+    def _optimize(self, plan):
+        """Plan a bound query the way ``RavenSession.optimize`` does."""
+        return UnifiedOptimizer().optimize(plan, RuleContext(database=self))
+
     def _execute_explain(
         self, statement: ast.ExplainStatement, context: BindContext
     ) -> Table:
         """``EXPLAIN [ANALYZE] <select>``: the plan as a one-column table.
 
-        Lines carry histogram-based row estimates, filter selectivities,
-        and zone-map partition pruning counts for filtered scans. With
-        ``ANALYZE``, the optimized plan is executed through an
-        instrumented executor and each measured operator's line gains
-        ``actual_rows / time_ms / q_error``; the worst q-error per base
-        table is folded into the catalog (the estimate-feedback hook).
+        The plan is the one ``execute`` and the server run
+        (``UnifiedOptimizer``: cross-IR rules plus clean-up), so ANALYZE
+        measures the served plan. Lines carry histogram-based row estimates, filter
+        selectivities, and zone-map partition pruning counts for
+        filtered scans. With ``ANALYZE``, the optimized plan is executed
+        through an instrumented executor and each measured operator's
+        line gains ``actual_rows / time_ms / q_error``; the worst q-error
+        per base table is folded into the catalog (the estimate-feedback
+        hook).
         """
-        plan = self._binder.bind_select(statement.select, context)
-        plan = self._planner.optimize(plan)
-        if not statement.analyze:
-            lines = self._planner.explain_lines(plan)
-            # Object (BINARY) storage keeps lines unbounded; the STRING
-            # storage dtype would truncate plans at 64 characters.
-            return Table.from_dict({"plan": np.array(lines, dtype=object)})
         from repro.observability.explain import (
             InstrumentedExecutor,
             collect_table_q_errors,
+            explain_lines,
         )
 
+        plan = self._binder.bind_select(statement.select, context)
+        plan, report = self._optimize(plan)
+        if not statement.analyze:
+            lines = explain_lines(plan, self, report)
+            # Object (BINARY) storage keeps lines unbounded; the STRING
+            # storage dtype would truncate plans at 64 characters.
+            return Table.from_dict({"plan": np.array(lines, dtype=object)})
         instrumented = InstrumentedExecutor.from_executor(self._executor)
         start = _time.perf_counter()
         result = instrumented.execute(plan)
         total = _time.perf_counter() - start
-        lines = self._planner.explain_lines(plan, actuals=instrumented.records)
-        estimation = self._planner._estimation_context(plan)
-        table_q = collect_table_q_errors(
-            plan, instrumented.records, estimation.estimate_tree
-        )
+        lines = explain_lines(plan, self, report, instrumented.records)
+        table_q = collect_table_q_errors(plan, instrumented.records, self)
         for name, q in sorted(table_q.items()):
             self.catalog.record_q_error(name, q)
             summary = self.catalog.q_error_summary(name)

@@ -44,9 +44,8 @@ DEFAULT_HISTOGRAM_BINS = 32
 #: Per-conjunct selectivity when no statistics apply (the old constant).
 DEFAULT_SELECTIVITY = 0.33
 
-#: Assumed table cardinality when no statistics exist. Shared by the
-#: SQL physical planner and the cross-IR cost model so the two price
-#: stat-less plans identically.
+#: Assumed table cardinality when no statistics exist, so the cost
+#: model prices every stat-less input identically.
 DEFAULT_ROW_ESTIMATE = 10_000.0
 
 #: Above this many non-null values, NDV switches from exact
@@ -437,8 +436,7 @@ def column_stats_resolver(
 
     Columns register under their base name and, for aliased scans, the
     qualified ``alias.name``; qualified lookups fall back to the bare
-    name. Shared by the SQL physical planner and the cross-IR cost
-    model so both price plans from identical statistics.
+    name. The cost model and EXPLAIN price plans through it.
     """
     lookup: dict[str, ColumnStatistics] = {}
     for stats, alias in sources:
@@ -514,9 +512,9 @@ def combine_join_estimate(
 ) -> float:
     """Join output rows from side estimates + condition selectivity.
 
-    One combiner for the SQL planner and the IR cost model: without an
-    informable condition, fall back to ``max`` (the old structural
-    heuristic); LEFT joins preserve every left row.
+    The cost model's one join combiner: without an informable
+    condition, fall back to ``max`` (the old structural heuristic);
+    LEFT joins preserve every left row.
     """
     if selectivity is None:
         estimate = max(left_rows, right_rows)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.raven import RavenSession
 from repro.distributed import routing, serialize, worker
 from repro.distributed.operators import (
     Gather,
@@ -87,6 +88,11 @@ def distributed_db(table, pipeline=None, shards=8, key="grp", **shard_kw):
             "m", pipeline, metadata={"feature_names": ["grp", "v"]}
         )
     return db
+
+
+def optimized(db, plan, options=None):
+    """``plan`` as the query planner every entry shares optimizes it."""
+    return RavenSession(db, options).optimize(plan)[0]
 
 
 def baseline_db(table, pipeline=None):
@@ -419,10 +425,32 @@ class TestGatherExecution:
         assert "Gather t key=grp" in lines
         assert "ShardScan t" in lines
 
+    def test_session_plans_locally_when_distribution_is_off(self, base_table):
+        """``ExecutionOptions(enable_distributed=False)`` binds every query
+        entry: the session plans a local aggregate and never starts the
+        shard runtime, while the same session over a distributed
+        database gathers."""
+        sql = "SELECT grp, COUNT(*) AS c FROM t GROUP BY grp"
+        options = {"shard_workers": 8}
+        on = RavenSession(distributed_db(base_table), options).execute(sql)
+        assert any(isinstance(op, Gather) for op in on.plan.walk())
+        db = Database(
+            options=ExecutionOptions(
+                max_workers=8,
+                distributed_mode="inprocess",
+                enable_distributed=False,
+            )
+        )
+        db.register_table("t", base_table)
+        db.shard_table("t", "grp", 8)
+        off = RavenSession(db, options).execute(sql)
+        assert not any(isinstance(op, Gather) for op in off.plan.walk())
+        assert db._distributed is None
+        assert off.table.num_rows == on.table.num_rows
+
     def test_gather_falls_back_when_table_unsharded(self, base_table):
         db = distributed_db(base_table)
-        plan = db.bind("SELECT id, grp, v FROM t WHERE grp = 5")
-        plan = db._planner.optimize(plan)
+        plan = optimized(db, db.bind("SELECT id, grp, v FROM t WHERE grp = 5"))
         db.catalog.unshard_table("t")
         fragment = logical.Filter(
             ShardScan("t", base_table.schema, None, 8),
@@ -513,22 +541,12 @@ class TestRepartition:
                 assert seen.setdefault(int(value), index) == index
 
     def test_repartitioned_final_aggregate_matches(self, base_table):
-        from repro.core.optimizer import (
-            MemoOptimizer,
-            SearchContext,
-            sql_rules,
-        )
-
         db = distributed_db(base_table)
         db0 = baseline_db(base_table)
         sql = "SELECT grp, AVG(v) AS m, COUNT(*) AS c FROM t GROUP BY grp"
-        plan = db.bind(sql)
-        context = SearchContext(
-            catalog=db.catalog,
-            options={"shard_workers": 8, "repartition_min_rows": 10},
+        best = optimized(
+            db, db.bind(sql), {"shard_workers": 8, "repartition_min_rows": 10}
         )
-        optimizer = MemoOptimizer(sql_rules(), context)
-        best, _report = optimizer.optimize(plan)
         assert any(isinstance(op, Repartition) for op in best.walk())
         result = db.execute_plan(best)
         expected = db0.execute(sql)
@@ -541,8 +559,6 @@ class TestRepartition:
 
 class TestServingIntegration:
     def _session(self, db):
-        from repro.core.raven import RavenSession
-
         return RavenSession(
             db,
             options={"shard_workers": 8, "enable_inlining": False},
@@ -1176,8 +1192,7 @@ class TestDistributedJoins:
             {"key": "id", "num_shards": 8},
             {"key": "id", "num_shards": 5},
         )
-        plan = db.bind(self.BIG_SQL)
-        best = db._planner.optimize(plan)
+        best = optimized(db, db.bind(self.BIG_SQL))
         assert any(isinstance(op, ShuffleJoin) for op in best.walk())
         with_runner = db.execute_plan(best)
         inline = Executor(
@@ -1216,7 +1231,7 @@ class TestDistributedJoins:
         WITH (out float) AS p
         ORDER BY id
         """
-        plan = db._planner.optimize(db.bind(sql))
+        plan = optimized(db, db.bind(sql))
         gathers = [op for op in plan.walk() if isinstance(op, Gather)]
         assert gathers and gathers[0].join == "colocated"
         assert any(
@@ -1228,7 +1243,6 @@ class TestDistributedJoins:
     def test_prepared_join_reroutes_after_reshard_and_unshard(
         self, events, groups, expected
     ):
-        from repro.core.raven import RavenSession
         from repro.serving.prepared import PreparedQuery
 
         db = join_db(
@@ -1279,8 +1293,7 @@ class TestDistributedJoins:
             {"key": "grp", "num_shards": 8},
             {"key": "grp", "num_shards": 8},
         )
-        plan = db.bind(JOIN_SQL.format(where=""))
-        best = db._planner.optimize(plan)
+        best = optimized(db, db.bind(JOIN_SQL.format(where="")))
         assert any(
             isinstance(op, Gather) and op.join == "colocated"
             for op in best.walk()
@@ -1601,7 +1614,6 @@ class TestDagFragments:
         self, events, groups
     ):
         """Resharding *either* join side invalidates a cached plan."""
-        from repro.core.raven import RavenSession
         from repro.serving.prepared import PreparedQuery
 
         db = outer_join_db(events, groups, 8, 5)
@@ -1622,7 +1634,6 @@ class TestDagFragments:
         assert prepared.replans == 2
 
     def test_server_stats_surface_stage_latencies(self, events, groups):
-        from repro.core.raven import RavenSession
         from repro.serving.server import RavenServer
 
         db = outer_join_db(events, groups, 8, 5)

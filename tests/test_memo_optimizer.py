@@ -21,6 +21,11 @@ def _naive_rows(db, sql):
     return db._executor.execute(db.bind(sql))
 
 
+def _report(db, sql):
+    """The optimization report of the plan ``db.execute(sql)`` runs."""
+    return RavenSession(db).optimize(db.bind(sql))[1]
+
+
 def _row_multiset(table):
     return sorted(tuple(row) for row in table.rows())
 
@@ -107,10 +112,10 @@ class TestDPJoinSearch:
         optimized = db.execute(sql)
         naive = _naive_rows(db, sql)
         assert _row_multiset(optimized) == _row_multiset(naive)
-        stats = db._planner.last_report.stats
-        assert stats.dp_relations == 8
-        assert stats.dp_subsets > 0
-        assert "DPJoinOrder" in stats.fired_rule_names()
+        memo = _report(db, sql).memo
+        assert memo["dp_relations"] == 8
+        assert memo["dp_subsets"] > 0
+        assert "DPJoinOrder" in memo["rules_fired"]
 
     def test_eight_way_explain_reports_dp_stats(self):
         db = _star_db()
@@ -152,7 +157,7 @@ class TestDPJoinSearch:
             "SELECT a.va FROM a JOIN b ON a.ka = b.kb "
             "CROSS JOIN c JOIN d AS d ON c.kc = d.kd",
         )
-        optimized = db._planner.optimize(plan)
+        optimized, _ = RavenSession(db).optimize(plan)
         joins = [
             op for op in optimized.walk() if isinstance(op, logical.Join)
         ]
@@ -168,9 +173,9 @@ class TestDPJoinSearch:
         db = _star_db(num_dims=11, fact_rows=500, dim_rows=5)
         sql = _star_sql(11)
         optimized = db.execute(sql)
-        stats = db._planner.last_report.stats
-        assert stats.dp_fallbacks >= 1
-        assert "GreedyJoinOrder" in stats.fired_rule_names()
+        memo = _report(db, sql).memo
+        assert memo["dp_fallbacks"] >= 1
+        assert "GreedyJoinOrder" in memo["rules_fired"]
         naive = _naive_rows(db, sql)
         assert _row_multiset(optimized) == _row_multiset(naive)
 
@@ -181,7 +186,7 @@ class TestDPJoinSearch:
         context = SearchContext(catalog=db.catalog)
         context.prepare(plan)
         naive_cost = context.cost_tree(plan)
-        optimized = db._planner.optimize(plan)
+        optimized, _ = RavenSession(db).optimize(plan)
         context_opt = SearchContext(catalog=db.catalog)
         context_opt.prepare(optimized)
         assert context_opt.cost_tree(optimized) <= naive_cost
@@ -244,20 +249,33 @@ class TestUnifiedEngineAcceptance:
         assert optimized.num_rows > 0
         assert _row_multiset(optimized) == _row_multiset(naive)
 
-    def test_session_report_shares_rule_names_with_sql_planner(self):
-        db = _scored_db()
+    def test_explain_analyze_measures_the_session_plan(self):
+        """There is one query path: the operators ``EXPLAIN ANALYZE``
+        prints, in order and at their depths, are the plan the session
+        optimizes the same query to."""
+        from repro.data import hospital
+
+        db, _, _ = hospital.setup_database(3_000, seed=5)
+        query = hospital.INFERENCE_QUERY
         session = RavenSession(db)
-        result = session.execute(PREDICT_SQL.format(verb=""))
-        applied = " ".join(result.report.applied)
-        assert "PredicateBasedModelPruning" in applied
-        assert "PushFilterBelowPredict" in applied
-        assert "ModelInlining" in applied
-        assert result.report.strategy == "memo"
-        assert result.report.memo["groups_created"] > 0
-        # SQL path fires the same registered rules (same engine).
-        db.execute(PREDICT_SQL.format(verb="EXPLAIN"))
-        sql_fired = db._planner.last_report.stats.fired_rule_names()
-        assert "PredicateBasedModelPruning" in sql_fired
+        plan, report = session.optimize(session.analyze(query))
+        assert "ModelInlining" in " ".join(report.applied)
+
+        def operators(op, depth=0):
+            yield "  " * depth + type(op).__name__
+            for child in op.children:
+                yield from operators(child, depth + 1)
+
+        explain = query.replace("WITH data", "EXPLAIN ANALYZE WITH data", 1)
+        lines = db.execute(explain)["plan"].tolist()
+        measured = [
+            line[: len(line) - len(line.lstrip())]
+            + line.lstrip().split(" ", 1)[0]
+            for line in lines
+            if not line.startswith(("memo", "analyze"))
+        ]
+        assert measured == list(operators(plan))
+        assert all("actual_rows=" in line for line in lines[: len(measured)])
 
     def test_sql_predict_with_pruning_matches_session_results(self):
         db = _scored_db()

@@ -75,10 +75,12 @@ def test_package_imports_whichever_submodule_comes_first():
     )
     modules = list(_modules())
     assert "repro.core.optimizer.search" in modules
-    # ...and the packages on either side of it: the planner imports the
-    # optimizer, and the rules import these, at module level.
+    # ...and the modules on either side of it: the database and the
+    # EXPLAIN renderer import the optimizer, and the rules import these,
+    # at module level.
     modules += [
-        "repro.relational.algebra.planner",
+        "repro.relational.database",
+        "repro.observability.explain",
         "repro.distributed.operators",
         "repro.tensor.converters",
     ]
@@ -200,17 +202,75 @@ def test_names_the_e2e_span_wrappers_patch_still_resolve():
             assert callable(vars(owner).get(name)), f"{owner.__name__}.{name}"
 
 
+# -- one query path ------------------------------------------------------------
+
+
+def _source_modules():
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+
+
+def _called_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def test_the_memo_search_is_built_in_one_place():
+    """Every query plans through ``UnifiedOptimizer``: no other module
+    builds a ``MemoOptimizer`` (a second query path would)."""
+    builders = sorted(
+        path
+        for path, tree in _source_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "MemoOptimizer"
+    )
+    assert builders == ["repro/core/optimizer/engine.py"]
+
+
+def test_there_is_one_rule_set():
+    """Only ``cross_ir_rules`` assembles memo rules into a rule set: a
+    function constructing two or more kinds of rule is a second one."""
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub.__name__
+            yield from subclasses(sub)
+
+    rules = set(subclasses(optimizer.MemoRule))
+    assert len(rules) >= 8
+    rule_sets = sorted(
+        f"{path}:{function.name}"
+        for path, tree in _source_modules()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and len(
+            {
+                _called_name(node)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+            }
+            & rules
+        )
+        >= 2
+    )
+    assert rule_sets == ["repro/core/optimizer/search.py:cross_ir_rules"]
+
+
 # -- no ablation knobs ---------------------------------------------------------
 
 
 def test_settings_surface_is_pinned():
-    """Every executor, database and planner setting is listed here, so a
+    """Every executor, database and optimizer setting is listed here, so a
     new one is a visible edit of this test, not a silent default."""
     import dataclasses
 
     from repro.relational.algebra.executor import ExecutionOptions
     from repro.relational.algebra.logical import Predict
-    from repro.relational.algebra.planner import PhysicalPlanner
     from repro.relational.database import Database
 
     def parameters(cls):
@@ -225,7 +285,6 @@ def test_settings_surface_is_pinned():
         "distributed_mode",
     ]
     assert parameters(Database) == ["options"]
-    assert parameters(PhysicalPlanner) == ["catalog", "execution_options"]
     assert parameters(optimizer.SearchContext) == [
         "catalog",
         "models",

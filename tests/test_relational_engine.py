@@ -329,11 +329,35 @@ class TestPredictStatement:
             "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = inputs AS d) "
             "WITH (yhat float) AS p"
         )
-        simple_db.execute(query)
+        # The bound plan scores the stored model by name, through the
+        # session cache; ``execute`` would inline this tree instead.
+        plan = simple_db.bind(query)
+        simple_db.execute_plan(plan)
         misses = simple_db.session_cache.misses
-        simple_db.execute(query)
+        simple_db.execute_plan(plan)
         assert simple_db.session_cache.misses == misses  # second run cached
         assert simple_db.session_cache.hits >= 1
+
+    def test_inlined_model_builds_no_scorer(self, simple_db):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(50, 2))
+        pipe = Pipeline([("m", DecisionTreeRegressor(max_depth=3))]).fit(
+            X, X[:, 0]
+        )
+        simple_db.register_table(
+            "inputs", Table.from_dict({"f1": X[:, 0], "f2": X[:, 1]})
+        )
+        simple_db.store_model("reg", pipe, metadata={"feature_names": ["f1", "f2"]})
+        out = simple_db.execute(
+            "DECLARE @m varbinary(max) = "
+            "(SELECT model FROM scoring_models WHERE model_name = 'reg');"
+            "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = inputs AS d) "
+            "WITH (yhat float) AS p"
+        )
+        # The tree ran as an inlined CASE: no session was built.
+        assert np.allclose(np.asarray(out["yhat"]), pipe.predict(X))
+        assert simple_db.session_cache.misses == 0
+        assert len(simple_db.session_cache) == 0
 
     def test_fresh_data_injection(self, simple_db):
         rng = np.random.default_rng(1)
@@ -397,7 +421,8 @@ class TestSessionCache:
             "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = inputs AS d) "
             "WITH (yhat float) AS p"
         )
-        simple_db.execute(query)
+        # The bound plan scores the stored model through the session cache.
+        simple_db.execute_plan(simple_db.bind(query))
         assert len(simple_db.session_cache) == 1
         # A repeated store under the same name drops every cached session
         # for that model, not just the latest version's key.

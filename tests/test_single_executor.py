@@ -110,7 +110,10 @@ class TestPayloadScorerCache:
             n_estimators=8, max_depth=4, random_state=3
         ).fit(X, X[:, 0] * 2.0 - X[:, 1])
         db = _scored_db(9000, forest)
-        plan = db._planner.optimize(db.bind(PREDICT_SQL + " WHERE d.f0 > 0.0"))
+        # Inlining off: the forest would otherwise run as a CASE.
+        plan, _ = RavenSession(db, {"enable_inlining": False}).optimize(
+            db.bind(PREDICT_SQL + " WHERE d.f0 > 0.0")
+        )
         predicts = [
             op for op in plan.walk() if isinstance(op, logical.Predict)
         ]

@@ -347,11 +347,19 @@ class TestMorselParallelPredict:
             "DATA = flights AS d) WITH (delayed float) AS p "
             "WHERE d.flight_id < 30000"
         )
+        # ``execute`` would inline the model, leaving no Predict to run
+        # morsel-parallel; run the bound plan with its filter pushed
+        # below PREDICT, the Predict(Filter(Scan)) shape the path takes.
+        project = scored_db.bind(sql)
+        where, predict = project.child, project.child.child
+        plan = project.with_children(
+            [predict.with_children([where.with_children([predict.child])])]
+        )
         with qtrace.trace_query("on") as on:
-            parallel = scored_db.execute(sql)
+            parallel = scored_db.execute_plan(plan)
         scored_db._executor.options.parallel_predict = False
         with qtrace.trace_query("off") as off:
-            sequential = scored_db.execute(sql)
+            sequential = scored_db.execute_plan(plan)
         assert len(on.find("morsel")) > 1
         assert off.find("morsel") == []
         assert parallel.equals(sequential)
