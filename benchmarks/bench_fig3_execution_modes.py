@@ -12,8 +12,8 @@ Paper observations reproduced here:
 
 "Standalone ORT" = creating an InferenceSession from the serialized graph
 and running it (a fresh session per query, like loading the model file);
-"Raven" = the in-database path with a warm session cache and chunked
-parallel PREDICT.
+"Raven" = the in-database path with a warm session cache and
+morsel-parallel PREDICT.
 """
 
 import numpy as np
@@ -35,7 +35,6 @@ from repro.tensor.serialize import dumps as graph_dumps
 from repro.tensor.serialize import loads as graph_loads
 
 SIZES = [1_000, 20_000, 120_000]
-PARALLEL_THRESHOLD = 50_000
 
 
 def _models():
@@ -89,7 +88,6 @@ def environment():
                     }
                 ),
             )
-        db.executor_options.parallel_row_threshold = PARALLEL_THRESHOLD
         databases[name] = (db, graph_dumps(graph))
     return models, datasets, databases
 

@@ -1,10 +1,10 @@
 """Shared thread-pool sizing for every parallel component.
 
-The executor's chunked PREDICT path, the morsel-parallel scan pipeline,
-and the serving micro-batcher all dispatch work onto thread pools. One
-helper decides how wide those pools are so a deployment tunes a single
-knob (or just inherits the machine size) instead of chasing hard-coded
-constants through the stack.
+The executor's morsel-parallel PREDICT scoring, its bucket-parallel
+aggregate, and the serving micro-batcher all dispatch work onto thread
+pools. One helper decides how wide those pools are so a deployment
+tunes a single knob (or just inherits the machine size) instead of
+chasing hard-coded constants through the stack.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ COLUMN_ITEM_COST = 0.05  # projecting an existing column is a dict re-pick
 # Distributed execution weights. A fragment dispatch pays plan
 # serialization + IPC round-trip regardless of data size; gathered rows
 # pay a per-row pickle/concat toll. Together they make scatter-gather
-# lose on small tables and cheap fragments (where the in-process morsel
-# path is already optimal) and win when per-row fragment work dominates.
+# lose on small tables and cheap fragments (where in-process morsel
+# scoring is already optimal) and win when per-row fragment work dominates.
 FRAGMENT_DISPATCH_COST = 2_000.0  # per dispatched fragment
 GATHER_ROW_COST = 0.3  # per gathered result row (IPC + concat)
 REPARTITION_ROW_COST = 0.5  # hash + stable reorder, per input row

@@ -193,8 +193,7 @@ class PredicatePushdownRule(MemoRule):
             # Sink past this filter only when the conjunct can go
             # strictly deeper (into a join side or below a model call);
             # over a leaf, merge into ONE filter — stacked filters
-            # would hide the Filter(Scan) shape from zone-map pruning
-            # and the morsel-parallel PREDICT path.
+            # would hide the Filter(Scan) shape from zone-map pruning.
             if isinstance(plan.child, (logical.Join, logical.Predict)):
                 sunk = self._sink(plan.child, conjunct, resolved, trace)
                 if sunk is not None:

@@ -26,9 +26,9 @@ class MemoRule:
     ``substitute=True`` marks a normalization rule: its output replaces
     the matched expression (which is disabled for extraction) instead
     of competing on cost. Filter merging and predicate pushdown are
-    substitutions — the executor's zone-map and morsel-parallel fast
-    paths key on the single-``Filter(Scan)`` shape they establish, a
-    benefit the per-operator cost model cannot see. Rules that change
+    substitutions — the executor's zone-map pruning keys on the
+    single-``Filter(Scan)`` shape they establish, a benefit the
+    per-operator cost model cannot see. Rules that change
     *how* work is done (join order, model rewrites, inlining) stay
     competitive.
     """

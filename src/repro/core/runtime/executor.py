@@ -2,8 +2,8 @@
 
 A session's plan is a logical plan, and the database's relational
 ``Executor`` runs it: PREDICT is one more operator there — so a
-scan → filter → PREDICT pipeline gets zone-map pruning, morsel
-parallelism and chunked thread-pool scoring (Fig. 3, observation iii),
+scan → filter → PREDICT pipeline gets zone-map pruning and
+morsel-parallel scoring of a large input (Fig. 3, observation iii),
 and a sub-plan both branches of a model/query split share runs once.
 
 Execution never mutates the plan and keeps no state here, so the serving

@@ -300,8 +300,7 @@ def decode_fragment(
         # The worker scans its shard through the normal Scan operator
         # (under the table's localized shard_target name, so join
         # fragments address each table's shard distinctly), keeping
-        # intra-shard zone maps and the morsel-parallel fast path alive
-        # inside each worker process.
+        # intra-shard zone maps alive inside each worker process.
         return logical.Scan(
             shard_target(spec["table"]),
             decode_schema(spec["schema"]),

@@ -2,8 +2,8 @@
 
 A :class:`ShardedTable` carries the shards of one catalog table. Each
 shard is a full :class:`~repro.relational.table.Table` (inheriting the
-base table's partition size, so intra-shard zone maps and morsel
-parallelism still apply) plus lazily collected per-shard
+base table's partition size, so intra-shard zone maps still apply) plus
+lazily collected per-shard
 :class:`~repro.relational.statistics.TableStatistics`. Those shard
 statistics are the shard-level zone maps: the router prunes shards the
 same way the executor prunes partitions.

@@ -12,12 +12,11 @@ measured operator's q-error back to the base table it reads — the
 feedback hook for adaptive re-costing (ROADMAP item 4), persisted via
 ``Catalog.record_q_error``.
 
-Operators fused into a parent's pipeline (a morsel-parallel
-``Predict(Filter(Scan))``, or a pruned ``Filter``-over-``Scan`` that
-never executes the scan node itself) carry no actuals of their own;
-the fusion root's measurement covers them. Fragment interiors of a
-sharded plan execute on workers, so only the ``Gather`` boundary has
-coordinator-side actuals.
+A ``Scan`` under a pruned ``Filter`` is the one fused operator: the
+filter reads the surviving partitions itself and never executes the
+scan node, so the scan carries no actuals of its own and the filter's
+measurement covers it. Fragment interiors of a sharded plan execute on
+workers, so only the ``Gather`` boundary has coordinator-side actuals.
 """
 
 from __future__ import annotations
@@ -182,19 +181,14 @@ def explain_lines(
 
     ``actuals`` (EXPLAIN ANALYZE) maps ``id(op)`` to the instrumented
     executor's :class:`OperatorStats`; measured operators additionally
-    print actual rows, wall time, and the estimate's q-error. Operators
-    fused into a parent pipeline (or executed worker-side inside a
+    print actual rows, wall time, and the estimate's q-error. The scan
+    under a pruned filter (and operators executed worker-side inside a
     fragment) have no record and keep their estimate-only line.
     """
     lines: list[str] = []
     context = _estimation_context(plan, database)
-    options = database.executor_options
 
-    def walk(
-        op: logical.LogicalOp,
-        depth: int,
-        parent: logical.LogicalOp | None,
-    ) -> None:
+    def walk(op: logical.LogicalOp, depth: int) -> None:
         rows = context.estimate_tree(op)
         annotations = [f"est_rows={rows:.0f}"]
         if isinstance(op, logical.Filter):
@@ -204,23 +198,14 @@ def explain_lines(
             annotations.append(f"selectivity={selectivity:.3f}")
             if (
                 isinstance(op.child, logical.Scan)
-                and options.enable_zone_map_pruning
+                and database.executor_options.enable_zone_map_pruning
             ):
                 pruning = _pruning_counts(database, op.child, op.predicate)
                 if pruning is not None:
-                    kept, total, table_rows = pruning
-                    # Mirror the executor's decision. A filter feeding
-                    # PREDICT on a big-enough table runs morsel-parallel
-                    # and skips pruned partitions without compaction, so
-                    # no copy threshold applies; otherwise weak pruning
-                    # is declined (compaction would cost more than it
-                    # saves).
-                    morsel = (
-                        isinstance(parent, logical.Predict)
-                        and options.parallel_predict
-                        and table_rows >= options.parallel_row_threshold
-                    )
-                    if morsel or kept <= total * Executor.PRUNE_COPY_THRESHOLD:
+                    kept, total = pruning
+                    # Mirror the executor: weak pruning is declined
+                    # (compaction would cost more than it saves).
+                    if kept <= total * Executor.PRUNE_COPY_THRESHOLD:
                         annotations.append(
                             f"partitions={kept}/{total} (zone-map)"
                         )
@@ -273,10 +258,10 @@ def explain_lines(
         )
         if isinstance(op, Gather):
             # The per-shard fragment, rendered as a sub-plan.
-            walk(op.fragment, depth + 1, op)
+            walk(op.fragment, depth + 1)
         if isinstance(op, ShuffleJoin):
-            walk(op.left, depth + 1, op)
-            walk(op.right, depth + 1, op)
+            walk(op.left, depth + 1)
+            walk(op.right, depth + 1)
             # Post-join worker stages, rendered as sub-plans under a
             # stage=k/N header (the whole pipeline runs in the same
             # worker round-trip as the bucket join).
@@ -293,13 +278,13 @@ def explain_lines(
                     + f"Stage stage={index + 1}/{len(op.stages)}"
                     + marker
                 )
-                walk(stage, depth + 2, op)
+                walk(stage, depth + 2)
         if isinstance(op, Shuffle):
-            walk(op.fragment, depth + 1, op)
+            walk(op.fragment, depth + 1)
         for child in op.children:
-            walk(child, depth + 1, op)
+            walk(child, depth + 1)
 
-    walk(plan, 0, None)
+    walk(plan, 0)
     if report.memo:
         lines.extend(_memo_footer(report.memo))
     return lines
@@ -330,13 +315,8 @@ def _memo_footer(memo: dict) -> list[str]:
 
 def _pruning_counts(
     database, scan: logical.Scan, predicate: Expression
-) -> tuple[int, int, int] | None:
-    """``(kept, total, table_rows)`` under zone maps, or ``None``.
-
-    ``table_rows`` is the live table's row count (not the possibly
-    drift-stale statistics), because the executor's morsel guard checks
-    the real table.
-    """
+) -> tuple[int, int] | None:
+    """``(kept, total)`` partitions under zone maps, or ``None``."""
     try:
         table = database.catalog.get_table(scan.table_name)
     except Exception:
@@ -344,7 +324,7 @@ def _pruning_counts(
     keep = table_stats.surviving_partitions(table, predicate)
     if keep is None:
         return None
-    return int(keep.sum()), int(len(keep)), table.num_rows
+    return int(keep.sum()), int(len(keep))
 
 
 def _slug(name: str) -> str:

@@ -38,8 +38,8 @@ from typing import Callable
 
 from repro.observability import events
 
-#: Hard cap on spans per trace; morsel-parallel plans over many
-#: partitions could otherwise make a single trace arbitrarily large.
+#: Hard cap on spans per trace; morsel-parallel scoring of a large
+#: input could otherwise make a single trace arbitrarily large.
 MAX_SPANS = 2048
 
 
@@ -226,7 +226,7 @@ def wrap(fn: Callable) -> Callable:
     """Propagate the *caller's* active span into a thread-pool task.
 
     Returns ``fn`` unchanged when tracing is off (the common case), so
-    the morsel path pays nothing for the capability.
+    morsel-parallel scoring pays nothing for the capability.
     """
     parent = _CURRENT.get()
     if parent is None:

@@ -5,10 +5,11 @@ NumPy arrays: equi-joins, GROUP BY and DISTINCT on one key kernel
 (:mod:`repro.relational.algebra.keys`), sort-based ORDER BY.
 ``Predict`` dispatches to a model scorer resolved from the plan's own
 payload or the model catalog — this is the integration point where the
-"database" calls the "ML runtime", and where chunked parallel scoring
-happens (the paper's Fig. 3 observation that SQL Server parallelizes
-scan + PREDICT). It is the only plan interpreter: SQL statements, session
-plans (``RavenExecutor``) and worker fragments all run here.
+"database" calls the "ML runtime", and where a large input is scored in
+partition-sized morsels on a thread pool (the paper's Fig. 3 observation
+that SQL Server parallelizes scan + PREDICT). It is the only plan
+interpreter: SQL statements, session plans (``RavenExecutor``) and
+worker fragments all run here.
 """
 
 from __future__ import annotations
@@ -25,8 +26,14 @@ from repro.observability import trace as qtrace
 from repro.relational import statistics as table_stats
 from repro.relational.algebra import logical
 from repro.relational.algebra.keys import equi_join, factorize, first_rows
+from repro.relational.catalog import DEFAULT_PARTITION_SIZE
 from repro.relational.table import Table
 from repro.relational.types import DataType, Schema
+
+#: PREDICT inputs of at least this many rows score in partition-sized
+#: morsels on the thread pool (when ``parallel_predict`` is on); smaller
+#: ones score in one call, where a pool would cost more than it saves.
+PARALLEL_ROWS = 50_000
 
 
 class ModelResolver(Protocol):
@@ -57,22 +64,23 @@ class ExecutionOptions:
 
     ``max_workers`` defaults from the machine via
     :func:`repro.concurrency.default_max_workers` (capped) rather than a
-    hard-coded constant; pass an explicit value to pin it.
+    hard-coded constant; pass an explicit value to pin it. Parallel
+    PREDICT has one switch, ``parallel_predict``; the input size it
+    starts at is the module constant :data:`PARALLEL_ROWS`, and its
+    morsels are the catalog's ``DEFAULT_PARTITION_SIZE`` rows.
     """
 
     def __init__(
         self,
         parallel_predict: bool = True,
-        parallel_row_threshold: int = 50_000,
         max_workers: int | None = None,
         enable_zone_map_pruning: bool = True,
         enable_distributed: bool = True,
         distributed_mode: str = "process",
     ):
-        #: Whether PREDICT may score on the thread pool: chunked over a
-        #: large input, or morsel-at-a-time over a partitioned scan.
+        #: Whether PREDICT may score an input of ``PARALLEL_ROWS`` or
+        #: more rows in partition-sized morsels on the thread pool.
         self.parallel_predict = parallel_predict
-        self.parallel_row_threshold = parallel_row_threshold
         self.max_workers = (
             max_workers if max_workers is not None else default_max_workers()
         )
@@ -238,28 +246,6 @@ class Executor:
     #: predicate evaluation it saves, so the full table is scanned.
     PRUNE_COPY_THRESHOLD = 0.5
 
-    def _zone_map_survivors(
-        self, base: Table, predicate
-    ) -> np.ndarray | None:
-        """Keep-mask of ``base``'s partitions under ``predicate``.
-
-        The single source of zone-map pruning decisions — both the
-        Filter fast path and the morsel-parallel Predict path consult
-        it, so pruning semantics never diverge. ``None`` when pruning
-        does not apply. Callers record ``last_scan_pruning`` only when
-        they commit to the pruned execution.
-        """
-        if not self.options.enable_zone_map_pruning:
-            return None
-        return table_stats.surviving_partitions(base, predicate)
-
-    def _record_pruning(self, table_name: str, keep: np.ndarray) -> None:
-        self.last_scan_pruning = {
-            "table": table_name,
-            "partitions_total": int(len(keep)),
-            "partitions_scanned": int(keep.sum()),
-        }
-
     def _pruned_scan_input(self, op: logical.Filter) -> Table | None:
         """Zone-map pruned base rows for a filter directly over a scan.
 
@@ -270,16 +256,23 @@ class Executor:
         execute the child normally.
         """
         scan = op.child
-        if not isinstance(scan, logical.Scan):
+        if (
+            not isinstance(scan, logical.Scan)
+            or not self.options.enable_zone_map_pruning
+        ):
             return None
         base = self._table_provider(scan.table_name)
-        keep = self._zone_map_survivors(base, op.predicate)
+        keep = table_stats.surviving_partitions(base, op.predicate)
         if keep is None:
             return None
         kept = int(keep.sum())
         if kept > len(keep) * self.PRUNE_COPY_THRESHOLD:
             return None  # weak pruning: compaction would cost more
-        self._record_pruning(scan.table_name, keep)
+        self.last_scan_pruning = {
+            "table": scan.table_name,
+            "partitions_total": int(len(keep)),
+            "partitions_scanned": kept,
+        }
         surviving = [
             base.slice(start, stop)
             for (start, stop), is_kept in zip(base.partition_bounds(), keep)
@@ -816,9 +809,6 @@ class Executor:
     def _execute_predict(self, op: logical.Predict) -> Table:
         if self._model_resolver is None:
             raise ExecutionError("no model resolver configured for PREDICT")
-        morsel = self._morsel_predict(op)
-        if morsel is not None:
-            return morsel
         table = self.execute(op.child)
         scorer = self._resolve_scorer(op)
         outputs = self._score(scorer, table)
@@ -858,102 +848,33 @@ class Executor:
             result = result.with_column(out_name, values)
         return result
 
-    def _morsel_predict(self, op: logical.Predict) -> Table | None:
-        """Morsel-parallel filter→predict over a partitioned scan.
-
-        A ``Predict(Filter(Scan))`` pipeline on a large partitioned
-        table runs partition-at-a-time on the thread pool: each morsel
-        evaluates the predicate, filters, and scores independently, and
-        zone maps drop non-matching partitions before any work is
-        scheduled. Results concatenate in partition order, so row order
-        matches sequential execution. ``None`` falls back to the
-        operator-at-a-time path.
-        """
-        options = self.options
-        if not options.parallel_predict:
-            return None
-        filter_op = op.child
-        if not isinstance(filter_op, logical.Filter):
-            return None
-        scan = filter_op.child
-        if not isinstance(scan, logical.Scan):
-            return None
-        # Cheap guards first: zone maps are only computed once this
-        # path commits (declining here falls back to _execute_filter,
-        # which would otherwise repeat the survivors computation).
-        base = self._table_provider(scan.table_name)
-        if not base.partition_size or base.num_rows < options.parallel_row_threshold:
-            return None
-        bounds = base.partition_bounds()
-        keep = self._zone_map_survivors(base, filter_op.predicate)
-        if keep is None:
-            keep = np.ones(len(bounds), dtype=bool)
-        else:
-            self._record_pruning(scan.table_name, keep)
-        scorer = self._resolve_scorer(op)
-
-        # Within a morsel, scoring is never parallelized: the morsel
-        # threads ARE the parallelism, and a nested pool per morsel
-        # (possible with huge manual partitions) would spawn up to
-        # max_workers^2 threads.
-        def work(bound: tuple[int, int]) -> Table:
-            start, stop = bound
-            with qtrace.span("morsel", rows_in=stop - start):
-                chunk = base.slice(start, stop)
-                if scan.alias:
-                    chunk = chunk.prefixed(scan.alias)
-                filtered = self._apply_predicate(chunk, filter_op.predicate)
-                if filtered.num_rows == 0:
-                    return self._empty_predict_result(op, filtered)
-                return self._attach_outputs(op, filtered, scorer(filtered))
-
-        surviving = [b for b, kept in zip(bounds, keep) if kept]
-        if not surviving:
-            empty = base.slice(0, 0)
-            if scan.alias:
-                empty = empty.prefixed(scan.alias)
-            return self._empty_predict_result(op, empty)
-        if len(surviving) > 1:
-            # Worker threads do not inherit the submitter's contextvars;
-            # qtrace.wrap re-installs the active span so morsel spans
-            # attribute to this query's trace (a no-op when untraced).
-            with ThreadPoolExecutor(max_workers=options.max_workers) as pool:
-                parts = list(pool.map(qtrace.wrap(work), surviving))
-        else:
-            parts = [work(surviving[0])]
-        return Table.concat_rows(parts)
-
-    @classmethod
-    def _empty_predict_result(cls, op: logical.Predict, empty: Table) -> Table:
-        """A zero-row result with the predict output columns appended."""
-        outputs = {
-            name: np.empty(0, dtype=dtype.numpy_dtype)
-            for name, dtype in op.output_columns
-        }
-        return cls._attach_outputs(op, empty, outputs)
-
     def _score(
         self,
         scorer: Callable[[Table], dict[str, np.ndarray]],
         table: Table,
     ) -> dict[str, np.ndarray]:
-        options = self.options
-        if (
-            not options.parallel_predict
-            or table.num_rows < options.parallel_row_threshold
-        ):
+        """Score ``table``: in one call below :data:`PARALLEL_ROWS`,
+        otherwise in partition-sized morsels on the thread pool, with
+        the outputs concatenated in row order."""
+        rows = table.num_rows
+        if not self.options.parallel_predict or rows < PARALLEL_ROWS:
             return scorer(table)
-        batch_size = max(1, table.num_rows // (options.max_workers * 2))
-        chunks = [
-            table.slice(start, min(start + batch_size, table.num_rows))
-            for start in range(0, max(table.num_rows, 1), batch_size)
-        ]
-        if len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=options.max_workers) as pool:
-                results = list(pool.map(qtrace.wrap(scorer), chunks))
-        else:
-            results = [scorer(chunk) for chunk in chunks]
-        merged: dict[str, np.ndarray] = {}
-        for key in results[0]:
-            merged[key] = np.concatenate([r[key] for r in results])
-        return merged
+
+        def work(start: int) -> dict[str, np.ndarray]:
+            stop = min(start + DEFAULT_PARTITION_SIZE, rows)
+            with qtrace.span("morsel", rows_in=stop - start):
+                return scorer(table.slice(start, stop))
+
+        # Worker threads do not inherit the submitter's contextvars;
+        # qtrace.wrap re-installs the active span so morsel spans
+        # attribute to this query's trace (a no-op when untraced).
+        with ThreadPoolExecutor(max_workers=self.options.max_workers) as pool:
+            results = list(
+                pool.map(
+                    qtrace.wrap(work), range(0, rows, DEFAULT_PARTITION_SIZE)
+                )
+            )
+        return {
+            key: np.concatenate([result[key] for result in results])
+            for key in results[0]
+        }

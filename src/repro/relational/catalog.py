@@ -27,11 +27,11 @@ from repro.relational.table import Table
 from repro.relational.types import Schema
 
 #: Tables at or above this row count are automatically partitioned on
-#: registration so zone-map pruning and morsel parallelism apply without
-#: callers opting in.
+#: registration so zone-map pruning applies without callers opting in.
 AUTO_PARTITION_MIN_ROWS = 32_768
 
-#: Chunk size used for automatic partitioning.
+#: Chunk size used for automatic partitioning, and the morsel size of
+#: parallel PREDICT scoring.
 DEFAULT_PARTITION_SIZE = 8_192
 
 #: Relative row-count drift below which a write keeps the existing

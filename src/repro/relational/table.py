@@ -29,8 +29,7 @@ class Table:
     partition_size:
         Optional fixed row-chunk size. A partitioned table carries lazy
         per-partition zone maps (column min/max) that the executor uses
-        to skip chunks a predicate cannot match, and that morsel-parallel
-        scan+PREDICT pipelines use as work units. Derived tables (filter,
+        to skip chunks a predicate cannot match. Derived tables (filter,
         take, ...) do not inherit partitioning — only base tables are
         partitioned, by the catalog or by :meth:`with_partitioning`.
     """
@@ -347,7 +346,7 @@ class Table:
         return Table(schema, columns)
 
     def slice(self, start: int, stop: int) -> "Table":
-        """Rows in ``[start, stop)`` — used for chunked parallel execution."""
+        """Rows in ``[start, stop)``: a partition, or a scoring morsel."""
         return Table(
             self._schema,
             {name: arr[start:stop] for name, arr in self._columns.items()},

@@ -6,8 +6,8 @@ independent one-row requests. :class:`MicroBatcher` queues concurrent
 requests and dispatches them as a single vectorized scoring call when
 either ``max_batch_rows`` accumulate or the oldest request has waited
 ``max_wait_seconds`` (classic size-or-deadline coalescing). The combined
-batch then flows through the executor's chunked thread-pool scoring path,
-so intra-batch parallelism still applies to large coalesced batches.
+batch then flows through the executor's morsel-parallel scoring, so
+intra-batch parallelism still applies to large coalesced batches.
 
 The runner must be *row-preserving*: one output row per input row, in
 order (true of the canonical ``SELECT ..., p.pred FROM PREDICT(...)``

@@ -521,6 +521,61 @@ class TestExplainAnalyze:
         assert len(footer) == 1
         assert "rows=1" in footer[0]
 
+    def test_analyze_measures_the_filter_under_predict(self):
+        """A tensor graph over a table of exactly its features plans as
+        ``Predict(Filter(Scan))``; the filter and scan run as ordinary
+        operators, so both are timed and the weak pruning is a full
+        scan."""
+        from repro.data import hospital
+        from repro.ml import MLPClassifier, Pipeline, StandardScaler
+        from repro.tensor import convert
+
+        train = hospital.generate(2_000, seed=31)
+        model = Pipeline(
+            [
+                ("scale", StandardScaler()),
+                (
+                    "clf",
+                    MLPClassifier(
+                        hidden_layer_sizes=(8,), max_iter=5, random_state=0
+                    ),
+                ),
+            ]
+        ).fit(train.features, train.length_of_stay)
+        data = hospital.generate(60_000, seed=32)
+        db = Database()
+        db.store_model(
+            "mlp",
+            convert(model),
+            flavor="tensor.graph",
+            metadata={"feature_names": hospital.FEATURE_NAMES},
+        )
+        db.register_table(
+            "rows",
+            Table.from_dict(
+                {
+                    name: data.features[:, i]
+                    for i, name in enumerate(hospital.FEATURE_NAMES)
+                }
+            ),
+        )
+        assert db.table("rows").partition_size is not None
+        lines = list(
+            db.execute(
+                "DECLARE @m varbinary(max) = (SELECT model FROM "
+                "scoring_models WHERE model_name = 'mlp');"
+                "EXPLAIN ANALYZE SELECT p.prediction FROM PREDICT(MODEL = @m, "
+                "DATA = rows AS d) WITH (prediction float) AS p "
+                "WHERE d.age < 60"
+            ).column("plan")
+        )
+        (filter_line,) = [line for line in lines if "Filter" in line]
+        (scan_line,) = [line for line in lines if "Scan rows" in line]
+        assert "(zone-map: weak, full scan)" in filter_line
+        assert "actual_rows=" in filter_line
+        assert "actual_rows=60000" in scan_line
+        assert "operators_timed=4" in lines[-1]
+
     def test_q_error_floor_is_one(self):
         from repro.observability.explain import q_error
 

@@ -261,6 +261,32 @@ def test_there_is_one_rule_set():
     assert rule_sets == ["repro/core/optimizer/search.py:cross_ir_rules"]
 
 
+def test_predict_scores_in_parallel_in_one_place():
+    """The executor builds a thread pool in ``_score`` (PREDICT morsels)
+    and ``_bucket_parallel_aggregate`` only: a pool anywhere else would
+    be a second parallel PREDICT path."""
+    tree = ast.parse(
+        (SRC / "repro" / "relational" / "algebra" / "executor.py").read_text(
+            encoding="utf-8"
+        )
+    )
+    builders = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and _called_name(node) == "ThreadPoolExecutor"
+        ):
+            builders.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    assert sorted(builders) == ["_bucket_parallel_aggregate", "_score"]
+
+
 # -- no ablation knobs ---------------------------------------------------------
 
 
@@ -278,7 +304,6 @@ def test_settings_surface_is_pinned():
 
     assert parameters(ExecutionOptions) == [
         "parallel_predict",
-        "parallel_row_threshold",
         "max_workers",
         "enable_zone_map_pruning",
         "enable_distributed",

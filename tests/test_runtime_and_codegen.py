@@ -12,6 +12,7 @@ from repro.data import hospital
 from repro.errors import RuntimeDispatchError
 from repro.ml import DecisionTreeRegressor, Pipeline, StandardScaler
 from repro.ml import model_format
+from repro.relational.algebra import executor
 
 
 class TestRavenSessionEndToEnd:
@@ -144,17 +145,21 @@ class TestCodegen:
 
 
 class TestParallelScoring:
-    def test_parallel_matches_sequential(self, hospital_small):
+    def test_parallel_matches_sequential(self, hospital_small, monkeypatch):
+        """Morsel outputs concatenate in row order: the parallel table is
+        the sequential one, scores and row order included."""
+        from repro import observability as qtrace
+
+        monkeypatch.setattr(executor, "PARALLEL_ROWS", 100)
+        monkeypatch.setattr(executor, "DEFAULT_PARTITION_SIZE", 32)
         db, dataset, pipeline = hospital_small
         session = RavenSession(db, options={"enable_inlining": False})
-        session.executor.options.parallel_row_threshold = 100
-        parallel = session.execute(hospital.INFERENCE_QUERY)
-        session.executor.options.parallel_predict = False
+        with qtrace.trace_query("parallel") as trace:
+            parallel = session.execute(hospital.INFERENCE_QUERY)
+        monkeypatch.setattr(session.executor.options, "parallel_predict", False)
         sequential = session.execute(hospital.INFERENCE_QUERY)
-        session.executor.options.parallel_predict = True
-        assert sorted(parallel.table.column("id").tolist()) == sorted(
-            sequential.table.column("id").tolist()
-        )
+        assert len(trace.find("morsel")) > 1
+        assert parallel.table.equals(sequential.table)
 
 
 @pytest.fixture(scope="module")

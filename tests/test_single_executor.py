@@ -1,7 +1,7 @@
 """One executor, one scorer.
 
-Session plans run on the relational ``Executor`` (zone maps, morsels, shared
-sub-plans executed once), every PREDICT is scored by
+Session plans run on the relational ``Executor`` (zone maps, morsel-parallel
+scoring, shared sub-plans executed once), every PREDICT is scored by
 ``repro.relational.scoring.build_scorer``, and plan-embedded payloads
 share one bounded scorer cache.
 """

@@ -6,7 +6,7 @@ import pytest
 from repro import Database, RavenSession, Table
 from repro.concurrency import default_max_workers
 from repro.core.optimizer import SearchContext
-from repro.relational.algebra import logical
+from repro.relational.algebra import executor, logical
 from repro.relational.algebra.executor import ExecutionOptions
 from repro.relational.catalog import AUTO_PARTITION_MIN_ROWS
 from repro.relational.statistics import (
@@ -290,14 +290,21 @@ class TestPrunedExecution:
 
 
 class TestMorselParallelPredict:
+    SQL = (
+        "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
+        "WHERE model_name = 'flight_delay');"
+        "SELECT d.flight_id, p.delayed FROM PREDICT(MODEL = @m, "
+        "DATA = flights AS d) WITH (delayed float) AS p "
+        "WHERE d.flight_id < 30000"
+    )
+
     @pytest.fixture()
-    def scored_db(self):
+    def scored_db(self, monkeypatch):
         from repro.data import flights
 
+        monkeypatch.setattr(executor, "PARALLEL_ROWS", 10_000)
         dataset = flights.generate(60_000, seed=3)
-        db = Database(
-            options=ExecutionOptions(parallel_row_threshold=10_000)
-        )
+        db = Database()
         flights.load_into(db, dataset)
         pipeline = flights.train_logistic_pipeline(dataset, max_iter=60)
         db.store_model(
@@ -307,16 +314,16 @@ class TestMorselParallelPredict:
         )
         return db
 
-    def test_morsel_predict_matches_sequential(self, scored_db):
-        sql = (
-            "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
-            "WHERE model_name = 'flight_delay');"
-            "SELECT d.flight_id, p.delayed FROM PREDICT(MODEL = @m, "
-            "DATA = flights AS d) WITH (delayed float) AS p "
-            "WHERE d.flight_id < 3000"
-        )
+    def test_parallel_scoring_matches_sequential(self, scored_db):
+        """Inlining off keeps a ``Predict`` over the pruned filter, so the
+        30 000 surviving rows score in morsels on the thread pool."""
+        from repro import observability as qtrace
+
         assert scored_db.table("flights").partition_size is not None
-        parallel = scored_db.execute(sql)
+        session = RavenSession(scored_db, {"enable_inlining": False})
+        with qtrace.trace_query("parallel") as trace:
+            parallel = session.execute(self.SQL).table
+        assert len(trace.find("morsel")) > 1
         info = scored_db._executor.last_scan_pruning
         assert info is not None and info["partitions_scanned"] < (
             info["partitions_total"]
@@ -333,34 +340,26 @@ class TestMorselParallelPredict:
             metadata={"feature_names": ["carrier", "origin", "dest",
                                         "distance", "dep_hour", "day_of_week"]},
         )
-        assert parallel.equals(sequential_db.execute(sql))
+        sequential = RavenSession(
+            sequential_db, {"enable_inlining": False}
+        ).execute(self.SQL).table
+        assert parallel.equals(sequential)
 
     def test_parallel_predict_off_skips_morsels(self, scored_db):
-        """``parallel_predict`` gates the morsel path too: switched off,
-        the filter→predict pipeline runs operator-at-a-time."""
+        """The session's own plan, ``Predict(Project(Filter(Scan)))``,
+        scores in morsels; ``parallel_predict`` off, it scores in one
+        call."""
         from repro import observability as qtrace
 
-        sql = (
-            "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
-            "WHERE model_name = 'flight_delay');"
-            "SELECT d.flight_id, p.delayed FROM PREDICT(MODEL = @m, "
-            "DATA = flights AS d) WITH (delayed float) AS p "
-            "WHERE d.flight_id < 30000"
-        )
-        # ``execute`` would inline the model, leaving no Predict to run
-        # morsel-parallel; run the bound plan with its filter pushed
-        # below PREDICT, the Predict(Filter(Scan)) shape the path takes.
-        project = scored_db.bind(sql)
-        where, predict = project.child, project.child.child
-        plan = project.with_children(
-            [predict.with_children([where.with_children([predict.child])])]
-        )
+        session = RavenSession(scored_db, {"enable_inlining": False})
         with qtrace.trace_query("on") as on:
-            parallel = scored_db.execute_plan(plan)
-        scored_db._executor.options.parallel_predict = False
+            parallel = session.execute(self.SQL).table
+        scored_db.executor_options.parallel_predict = False
         with qtrace.trace_query("off") as off:
-            sequential = scored_db.execute_plan(plan)
-        assert len(on.find("morsel")) > 1
+            sequential = session.execute(self.SQL).table
+        morsels = on.find("morsel")
+        assert len(morsels) > 1
+        assert sum(m.attrs["rows_in"] for m in morsels) == parallel.num_rows
         assert off.find("morsel") == []
         assert parallel.equals(sequential)
 
