@@ -30,11 +30,6 @@ from repro.relational.catalog import DEFAULT_PARTITION_SIZE
 from repro.relational.table import Table
 from repro.relational.types import DataType, Schema
 
-#: PREDICT inputs of at least this many rows score in partition-sized
-#: morsels on the thread pool (when ``parallel_predict`` is on); smaller
-#: ones score in one call, where a pool would cost more than it saves.
-PARALLEL_ROWS = 50_000
-
 
 class ModelResolver(Protocol):
     """Resolves a Predict's model — a catalog reference, or the payload
@@ -65,9 +60,9 @@ class ExecutionOptions:
     ``max_workers`` defaults from the machine via
     :func:`repro.concurrency.default_max_workers` (capped) rather than a
     hard-coded constant; pass an explicit value to pin it. Parallel
-    PREDICT has one switch, ``parallel_predict``; the input size it
-    starts at is the module constant :data:`PARALLEL_ROWS`, and its
-    morsels are the catalog's ``DEFAULT_PARTITION_SIZE`` rows.
+    PREDICT has one switch, ``parallel_predict``: an input that spans
+    more than one morsel (the catalog's ``DEFAULT_PARTITION_SIZE``
+    rows) scores its morsels on the thread pool.
     """
 
     def __init__(
@@ -78,8 +73,8 @@ class ExecutionOptions:
         enable_distributed: bool = True,
         distributed_mode: str = "process",
     ):
-        #: Whether PREDICT may score an input of ``PARALLEL_ROWS`` or
-        #: more rows in partition-sized morsels on the thread pool.
+        #: Whether PREDICT may score an input of more than one
+        #: partition-sized morsel on the thread pool.
         self.parallel_predict = parallel_predict
         self.max_workers = (
             max_workers if max_workers is not None else default_max_workers()
@@ -812,7 +807,12 @@ class Executor:
         table = self.execute(op.child)
         scorer = self._resolve_scorer(op)
         outputs = self._score(scorer, table)
-        return self._attach_outputs(op, table, outputs)
+        result = table
+        for name, dtype in op.output_columns:
+            out_name = f"{op.alias}.{name}" if op.alias else name
+            values = outputs[name].astype(dtype.numpy_dtype)
+            result = result.with_column(out_name, values)
+        return result
 
     def _resolve_scorer(self, op: logical.Predict):
         """Scorer for a Predict: its own payload first, catalog second.
@@ -837,27 +837,16 @@ class Executor:
             op.model_ref, op.output_columns, backend
         )
 
-    @staticmethod
-    def _attach_outputs(
-        op: logical.Predict, table: Table, outputs: dict[str, np.ndarray]
-    ) -> Table:
-        result = table
-        for name, dtype in op.output_columns:
-            out_name = f"{op.alias}.{name}" if op.alias else name
-            values = outputs[name].astype(dtype.numpy_dtype)
-            result = result.with_column(out_name, values)
-        return result
-
     def _score(
         self,
         scorer: Callable[[Table], dict[str, np.ndarray]],
         table: Table,
     ) -> dict[str, np.ndarray]:
-        """Score ``table``: in one call below :data:`PARALLEL_ROWS`,
+        """Score ``table``: in one call if it fits in one morsel,
         otherwise in partition-sized morsels on the thread pool, with
         the outputs concatenated in row order."""
         rows = table.num_rows
-        if not self.options.parallel_predict or rows < PARALLEL_ROWS:
+        if not self.options.parallel_predict or rows <= DEFAULT_PARTITION_SIZE:
             return scorer(table)
 
         def work(start: int) -> dict[str, np.ndarray]:

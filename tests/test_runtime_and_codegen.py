@@ -150,7 +150,6 @@ class TestParallelScoring:
         the sequential one, scores and row order included."""
         from repro import observability as qtrace
 
-        monkeypatch.setattr(executor, "PARALLEL_ROWS", 100)
         monkeypatch.setattr(executor, "DEFAULT_PARTITION_SIZE", 32)
         db, dataset, pipeline = hospital_small
         session = RavenSession(db, options={"enable_inlining": False})

@@ -6,7 +6,7 @@ import pytest
 from repro import Database, RavenSession, Table
 from repro.concurrency import default_max_workers
 from repro.core.optimizer import SearchContext
-from repro.relational.algebra import executor, logical
+from repro.relational.algebra import logical
 from repro.relational.algebra.executor import ExecutionOptions
 from repro.relational.catalog import AUTO_PARTITION_MIN_ROWS
 from repro.relational.statistics import (
@@ -299,10 +299,9 @@ class TestMorselParallelPredict:
     )
 
     @pytest.fixture()
-    def scored_db(self, monkeypatch):
+    def scored_db(self):
         from repro.data import flights
 
-        monkeypatch.setattr(executor, "PARALLEL_ROWS", 10_000)
         dataset = flights.generate(60_000, seed=3)
         db = Database()
         flights.load_into(db, dataset)
