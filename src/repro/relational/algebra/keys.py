@@ -7,6 +7,14 @@ builds its three key operators on it: GROUP BY's codes are the group
 ids, DISTINCT keeps the first row per code, and :func:`equi_join`
 matches the two sides' codes with a stable sort plus ``bincount``
 offsets. No operator walks rows in Python.
+
+Dense integer keys skip the sort. An integer column whose values span
+at most ``_DENSE_SPAN`` slots per row is coded with a presence bitmap
+and ``cumsum``; an equi-join whose build (right) side holds unique
+integer keys spanning at most ``_DENSE_SPAN`` slots per key scatters
+the build rows into a slot array indexed by ``key - min`` and probes
+it with one lookup per left row. Both give exactly the codes and row
+indices, order included, that the sorting path gives.
 """
 
 from __future__ import annotations
@@ -18,15 +26,41 @@ import numpy as np
 from repro.errors import ExecutionError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: Direct addressing applies when integer keys fit in at most this many
+#: slots per key, which caps its bitmap and slot arrays at that many
+#: entries per key.
+_DENSE_SPAN = 4
 
 
-def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _span(values: np.ndarray, count: int) -> tuple[np.generic, int] | None:
+    """``(low, slots)`` when integer ``values`` lie in ``slots`` values
+    from ``low`` on and ``slots <= _DENSE_SPAN * count``, else ``None``."""
+    if values.dtype.kind not in "iu" or not len(values):
+        return None
+    low = values.min()
+    slots = int(values.max()) - int(low) + 1
+    return (low, slots) if slots <= _DENSE_SPAN * count else None
+
+
+def _codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(codes, n_codes)`` for one key column, codes ascending with the
+    key: a presence bitmap and ``cumsum`` for dense integers, else
+    ``np.unique``'s sort."""
+    span = _span(values, len(values))
+    if span is not None:
+        low, slots = span
+        offsets = values - low
+        present = np.zeros(slots, dtype=bool)
+        present[offsets] = True
+        rank = np.cumsum(present) - 1
+        return rank[offsets], int(rank[-1]) + 1
     try:
-        return np.unique(values, return_inverse=True)
+        uniques, codes = np.unique(values, return_inverse=True)
     except TypeError as exc:  # object keys with no total order
         raise ExecutionError(
             f"cannot compare {values.dtype} key values: {exc}"
         ) from None
+    return codes, len(uniques)
 
 
 def factorize(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
@@ -38,18 +72,15 @@ def factorize(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     mixed radix; when the radix product would overflow int64 the codes
     so far are re-densified first.
     """
-    uniques, codes = _unique(key_arrays[0])
-    n_codes = len(uniques)
+    codes, n_codes = _codes(key_arrays[0])
     for values in key_arrays[1:]:
-        uniques, inverse = _unique(values)
-        if n_codes * len(uniques) > _INT64_MAX:
-            seen, codes = np.unique(codes, return_inverse=True)
-            n_codes = len(seen)
-        codes = codes * len(uniques) + inverse
-        n_codes *= len(uniques)
+        inverse, n_values = _codes(values)
+        if n_codes * n_values > _INT64_MAX:
+            codes, n_codes = _codes(codes)
+        codes = codes * n_values + inverse
+        n_codes *= n_values
     if len(key_arrays) > 1:
-        seen, codes = np.unique(codes, return_inverse=True)
-        n_codes = len(seen)
+        codes, n_codes = _codes(codes)
     return codes.astype(np.int64, copy=False), n_codes
 
 
@@ -109,31 +140,67 @@ def equi_join(
     for FULL, both ascending. NaN keys never match.
     """
     keys, never = _join_keys(left, right)
+    matches = _direct_matches(keys, never, len(left))
+    if matches is None:
+        matches = _sorted_matches(keys, never, len(left))
+    left_idx, right_idx = matches
+    none = np.zeros(0, dtype=np.int64)
+    unmatched_left = (
+        _unhit(left_idx, len(left)) if kind in ("LEFT", "FULL") else none
+    )
+    unmatched_right = _unhit(right_idx, len(right)) if kind == "FULL" else none
+    return left_idx, right_idx, unmatched_left, unmatched_right
+
+
+def _direct_matches(
+    keys: np.ndarray, never: np.ndarray, n_left: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Matches by direct addressing, or ``None`` unless the build side's
+    matchable keys are unique integers spanning few slots per key."""
+    matchable = ~never[n_left:]
+    build = keys[n_left:][matchable]
+    span = _span(build, len(build))
+    if span is None:
+        return None
+    low, slots = span
+    row_at = np.full(slots, -1, dtype=np.int64)
+    row_at[build - low] = np.flatnonzero(matchable)
+    if np.count_nonzero(row_at >= 0) < len(build):  # a duplicate key
+        return None
+    probe = keys[:n_left]
+    clipped = np.clip(probe, low, low + (slots - 1))
+    match = row_at[clipped - low]
+    match[(clipped != probe) | never[:n_left]] = -1
+    left_idx = np.flatnonzero(match >= 0)
+    return left_idx, match[left_idx]
+
+
+def _sorted_matches(
+    keys: np.ndarray, never: np.ndarray, n_left: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matches by sorting the build side by key code; any keys."""
     codes, n_codes = factorize([keys])
     codes[never] = n_codes  # one past the last code: matches nothing
-    left_codes, right_codes = codes[: len(left)], codes[len(left):]
+    left_codes, right_codes = codes[:n_left], codes[n_left:]
+    n_right = len(right_codes)
     # Build: right rows grouped by code, ascending within a code. The
     # row number makes every sort key unique, so the default (unstable,
     # much faster than timsort) argsort yields the stable order.
-    order = np.argsort(right_codes * len(right) + np.arange(len(right)))
+    order = np.argsort(right_codes * n_right + np.arange(n_right))
     counts = np.bincount(right_codes, minlength=n_codes + 1)
     counts[n_codes] = 0
     starts = np.cumsum(counts) - counts
     # Probe: repeat each left row once per right row with its code.
     per_left = counts[left_codes]
-    left_idx = np.repeat(np.arange(len(left)), per_left)
+    left_idx = np.repeat(np.arange(n_left), per_left)
     rank = np.arange(len(left_idx)) - np.repeat(
         np.cumsum(per_left) - per_left, per_left
     )
-    right_idx = order[np.repeat(starts[left_codes], per_left) + rank]
-    none = np.zeros(0, dtype=np.int64)
-    unmatched_left = (
-        np.flatnonzero(per_left == 0) if kind in ("LEFT", "FULL") else none
-    )
-    unmatched_right = none
-    if kind == "FULL":
-        probed = np.zeros(n_codes + 1, dtype=bool)
-        probed[left_codes] = True
-        probed[n_codes] = False
-        unmatched_right = np.flatnonzero(~probed[right_codes])
-    return left_idx, right_idx, unmatched_left, unmatched_right
+    return left_idx, order[np.repeat(starts[left_codes], per_left) + rank]
+
+
+def _unhit(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The rows of ``range(n_rows)`` not in ``rows``, ascending."""
+    hit = np.zeros(n_rows, dtype=bool)
+    hit[rows] = True
+    return np.flatnonzero(~hit)

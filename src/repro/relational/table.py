@@ -15,6 +15,8 @@ import numpy as np
 from repro.errors import SchemaError
 from repro.relational.types import Column, DataType, Schema
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class Table:
     """An immutable, columnar table.
@@ -61,6 +63,16 @@ class Table:
                     f"column {col.name!r} must be 1-D, got shape {arr.shape}"
                 )
             if arr.dtype != col.dtype.numpy_dtype:
+                if (
+                    arr.dtype.kind == "u"
+                    and col.dtype is DataType.INT
+                    and len(arr)
+                    and arr.max() > _INT64_MAX
+                ):
+                    raise SchemaError(
+                        f"column {col.name!r} holds {arr.max()}, above "
+                        f"the int64 maximum {_INT64_MAX}"
+                    )
                 arr = arr.astype(col.dtype.numpy_dtype)
             if num_rows is None:
                 num_rows = len(arr)

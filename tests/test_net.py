@@ -633,3 +633,5 @@ def test_codec_roundtrip_and_errors(net_db):
         payload_to_table(["not", "a", "mapping"])
     with pytest.raises(HttpError):
         payload_to_table({"a": [1, 2], "b": [1]})  # ragged columns
+    with pytest.raises(HttpError, match="int64"):
+        payload_to_table({"id": [2**64 - 1]})  # would wrap to -1

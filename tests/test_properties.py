@@ -377,22 +377,41 @@ def _same(got, want):
     return np.array_equal(got, want)
 
 
+INT64_EXTREMES = [-(2**63), 2**63 - 1]
+
+
+def _dense_keys(draw):
+    """Right keys that are a shuffled, shifted int range (the join's
+    direct-address path), and left keys in and around it."""
+    low = draw(st.integers(-30, 30))
+    size = draw(st.integers(1, 25))
+    right = draw(st.permutations(range(low, low + size)))
+    probe = st.one_of(
+        st.integers(low - 3, low + size + 2), st.sampled_from(INT64_EXTREMES)
+    )
+    left = draw(st.lists(probe, max_size=25))
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+
 @st.composite
 def join_case(draw):
-    left_kind, right_kind = draw(
-        st.sampled_from(
-            [
-                ("int", "int"),
-                ("float", "float"),
-                ("str", "str"),
-                ("bool", "bool"),
-                ("int", "float"),
-                ("float", "int"),
-                ("str", "int"),
-            ]
+    if draw(st.booleans()):
+        left, right = _dense_keys(draw)
+    else:
+        left_kind, right_kind = draw(
+            st.sampled_from(
+                [
+                    ("int", "int"),
+                    ("float", "float"),
+                    ("str", "str"),
+                    ("bool", "bool"),
+                    ("int", "float"),
+                    ("float", "int"),
+                    ("str", "int"),
+                ]
+            )
         )
-    )
-    left, right = _keys(draw, left_kind), _keys(draw, right_kind)
+        left, right = _keys(draw, left_kind), _keys(draw, right_kind)
     v = draw(st.lists(finite_floats, min_size=len(left), max_size=len(left)))
     w = draw(st.lists(finite_floats, min_size=len(right), max_size=len(right)))
     kind = draw(st.sampled_from(["INNER", "LEFT", "FULL"]))
@@ -415,6 +434,21 @@ def _int_join_case(left, right, kind):
 @example(_int_join_case([2, 2], [], "LEFT"), False)
 @example(_int_join_case([0, 1, 1], [5, 6], "FULL"), False)
 @example(_int_join_case([0, 1, 1], [5, 6], "INNER"), True)
+# The sorting path's cases: duplicate build keys, a span above the
+# direct-address bound, and no matchable build key at all.
+@example(_int_join_case([0, 1, 2, 5], [1, 0, 1, 2], "FULL"), False)
+@example(_int_join_case([0, 9, 10, 11], [0, 10], "FULL"), False)
+@example(_int_join_case([-(2**63), 0], [], "FULL"), False)
+@example(
+    (
+        np.array([0, 1], dtype=np.int64),
+        np.array([math.nan, math.nan]),
+        np.zeros(2),
+        np.ones(2),
+        "FULL",
+    ),
+    False,
+)
 def test_join_kernel_matches_dict_join(case, residual):
     """Row for row, order included: inner matches in left-row order with
     right rows ascending, then unmatched left, then unmatched right rows;

@@ -191,6 +191,40 @@ class TestNanAndTypedKeys:
             db.execute("SELECT k, COUNT(*) AS n FROM t GROUP BY k")
 
 
+def test_dense_int_keys_join_and_group_without_sorting(monkeypatch):
+    """Unique build keys over a dense int range join by direct
+    addressing, and dense int keys get their codes from a bitmap: the
+    key kernel runs no sort on either."""
+    from repro.relational.algebra import keys
+
+    rng = np.random.default_rng(0)
+    right = rng.permutation(20_000) - 5_000
+    left = rng.integers(-6_000, 16_000, 20_000)  # some outside the range
+    row_of = np.empty(20_000, dtype=np.int64)
+    row_of[right + 5_000] = np.arange(20_000)
+    inside = (left >= -5_000) & (left < 15_000)
+    want = (
+        np.flatnonzero(inside),
+        row_of[left[inside] + 5_000],
+        np.flatnonzero(~inside),
+        np.flatnonzero(~np.isin(right, left)),
+    )
+    want_codes = np.unique(left, return_inverse=True)[1]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the key kernel sorted")
+
+    for name in ("argsort", "lexsort", "sort", "unique"):
+        monkeypatch.setattr(np, name, no_sort)
+    got = keys.equi_join(left, right, "FULL")
+    codes, n_codes = keys.factorize([left])
+    monkeypatch.undo()
+    for got_rows, want_rows in zip(got, want):
+        assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(codes, want_codes)
+    assert n_codes == len(np.unique(left))
+
+
 class TestCtesAndUnion:
     def test_cte(self, simple_db):
         out = simple_db.execute(

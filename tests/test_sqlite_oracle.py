@@ -1,12 +1,13 @@
 """Differential test against an oracle outside the code: stdlib ``sqlite3``.
 
-On random NaN-free tables, equi-joins (INNER/LEFT/FULL, duplicate keys),
-GROUP BY with COUNT/SUM/AVG/MIN/MAX over one and two keys, and DISTINCT
-must return the same row multiset through ``Database.execute`` as
-through SQLite. SQLite pads outer joins with NULL where the engine pads
-with its type defaults (NaN for floats, 0 for ints, "" for strings), so
-NULLs are mapped before comparing. Values are multiples of 1/4, so sums
-and averages are exact in any summation order.
+On random NaN-free tables, equi-joins (INNER/LEFT/FULL, duplicate or
+unique build keys), GROUP BY with COUNT/SUM/AVG/MIN/MAX over one and two
+keys, and DISTINCT must return the same row multiset through
+``Database.execute`` as through SQLite. SQLite pads outer joins with
+NULL where the engine pads with its type defaults (NaN for floats, 0
+for ints, "" for strings), so NULLs are mapped before comparing. Values
+are multiples of 1/4, so sums and averages are exact in any summation
+order.
 """
 
 import math
@@ -37,24 +38,32 @@ QUERIES = [
 ]
 
 PADS = {DataType.FLOAT: math.nan, DataType.INT: 0, DataType.STRING: ""}
+#: Seeds whose ``rt.k`` repeats keys, so joins sort the build side.
+DUPLICATE_KEY_SEEDS = range(6)
+#: Seeds whose ``rt.k`` is a shuffled, shifted range of unique keys, so
+#: joins address the build side directly.
+UNIQUE_KEY_SEEDS = range(6, 9)
 
 
 def _tables(seed: int) -> dict[str, dict[str, np.ndarray]]:
     rng = np.random.default_rng(seed)
     n, m = rng.integers(0, 40, 2)
     words = np.array(["a", "b", "c"])
-    return {
-        "lt": {
-            "k": rng.integers(0, 8, n),
-            "s": words[rng.integers(0, 3, n)],
-            "v": rng.integers(-40, 40, n) / 4,
-        },
-        "rt": {
-            "k": rng.integers(3, 12, m),
-            "t": words[rng.integers(0, 3, m)],
-            "w": rng.integers(-40, 40, m) / 4,
-        },
+    lt = {
+        "k": rng.integers(0, 8, n),
+        "s": words[rng.integers(0, 3, n)],
+        "v": rng.integers(-40, 40, n) / 4,
     }
+    if seed in UNIQUE_KEY_SEEDS:
+        right_keys = rng.permutation(m) + rng.integers(-4, 6)
+    else:
+        right_keys = rng.integers(3, 12, m)
+    rt = {
+        "k": right_keys,
+        "t": words[rng.integers(0, 3, m)],
+        "w": rng.integers(-40, 40, m) / 4,
+    }
+    return {"lt": lt, "rt": rt}
 
 
 def _canonical(row) -> tuple:
@@ -65,7 +74,7 @@ def _canonical(row) -> tuple:
     )
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", [*DUPLICATE_KEY_SEEDS, *UNIQUE_KEY_SEEDS])
 @pytest.mark.parametrize("sql", QUERIES)
 def test_engine_matches_sqlite(sql, seed):
     if " FULL JOIN " in sql and not FULL_JOIN_SUPPORTED:
