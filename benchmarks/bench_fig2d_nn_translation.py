@@ -10,7 +10,7 @@ substitution table); its *time* is simulated, its *results* are computed
 by the same kernels and asserted equal.
 
 The CPU series runs once per scoring backend: ``numpy`` (the per-node
-interpreter) and ``fused`` (stacked-GEMM tree kernel); ``numba`` joins
+interpreter) and ``fused`` (threshold-mask tree kernel); ``numba`` joins
 when importable. All backends must agree exactly with scikit-learn.
 """
 

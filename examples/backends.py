@@ -1,8 +1,8 @@
 """Compiled scoring backends: fused tree kernels and cost-based choice.
 
-* explicit choice: the same tensor graph scored by the ``numpy``
-  per-node interpreter and the ``fused`` stacked-GEMM tree kernel
-  (Hummingbird-style), at identical output,
+* explicit choice: the same (Hummingbird-style) tensor graph scored by
+  the ``numpy`` per-node interpreter and the ``fused`` threshold-mask
+  tree kernel, at identical output,
 * calibration: the micro-benchmarked per-backend row costs the
   optimizer prices alternatives with, persisted in the catalog,
 * cost-based choice: EXPLAIN shows the memo keeping a small PREDICT

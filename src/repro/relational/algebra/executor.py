@@ -323,9 +323,9 @@ class Executor:
         table = self.execute(op.child)
         if table.num_rows == 0:
             return table
-        codes, _ = factorize([table.column(c.name) for c in table.schema])
+        codes, n_codes = factorize([table.column(c.name) for c in table.schema])
         keep = np.zeros(table.num_rows, dtype=bool)
-        keep[first_rows(codes)] = True
+        keep[first_rows(codes, n_codes)] = True
         return table.filter(keep)
 
     # -- joins ----------------------------------------------------------------
@@ -468,7 +468,7 @@ class Executor:
     def _aggregate_table(self, op: logical.Aggregate, table: Table) -> Table:
         key_arrays = [expr.evaluate(table) for expr, _ in op.group_by]
         group_ids, num_groups = factorize(key_arrays)
-        firsts = first_rows(group_ids)
+        firsts = first_rows(group_ids, num_groups)
         columns: dict[str, np.ndarray] = {
             name: arr[firsts] for (_, name), arr in zip(op.group_by, key_arrays)
         }

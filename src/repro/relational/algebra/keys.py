@@ -4,9 +4,10 @@
 int64 code, and codes follow lexicographic key order. NaN keys equal
 each other (one group, one DISTINCT row) and sort last. The executor
 builds its three key operators on it: GROUP BY's codes are the group
-ids, DISTINCT keeps the first row per code, and :func:`equi_join`
-matches the two sides' codes with a stable sort plus ``bincount``
-offsets. No operator walks rows in Python.
+ids, DISTINCT keeps the first row per code (:func:`first_rows`, no
+sort), and :func:`equi_join` matches the two sides' codes with a
+stable sort plus ``bincount`` offsets. No operator walks rows in
+Python.
 
 Dense integer keys skip the sort. An integer column whose values span
 at most ``_DENSE_SPAN`` slots per row is coded with a presence bitmap
@@ -84,9 +85,12 @@ def factorize(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return codes.astype(np.int64, copy=False), n_codes
 
 
-def first_rows(codes: np.ndarray) -> np.ndarray:
-    """Index of the first row holding each code, in code order."""
-    return np.unique(codes, return_index=True)[1]
+def first_rows(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """Index of the first row holding each code, in code order; every
+    code in ``range(n_codes)`` must occur."""
+    firsts = np.full(n_codes, len(codes), dtype=np.int64)
+    np.minimum.at(firsts, codes, np.arange(len(codes)))
+    return firsts
 
 
 def _int_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

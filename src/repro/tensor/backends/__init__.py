@@ -5,10 +5,11 @@ strategy is a physical property the optimizer chooses — not a global
 switch. Three backends implement one protocol:
 
 - ``numpy``   — the per-node kernel interpreter (default; zero setup).
-- ``fused``   — graph-level operator fusion + tree-ensemble->GEMM
-  tensorization with preallocated buffers (:mod:`.fused`).
-- ``numba``   — JIT tree kernels behind an optional import, falling
-  back to the fused numpy stages when numba is absent (:mod:`.numba_backend`).
+- ``fused``   — graph-level operator fusion, with tree ensembles
+  scored by a per-feature threshold-mask kernel (QuickScorer) instead
+  of their GEMM chains (:mod:`.fused`).
+- ``numba``   — JIT tree kernels behind an optional import; without
+  numba a request for it runs the interpreter (:mod:`.numba_backend`).
 
 The memo offers each *available* compiled backend as an alternative
 Predict implementation and prices it with calibrated per-row costs

@@ -1,21 +1,23 @@
-"""The fused backend: graph-level fusion + tree-ensemble tensorization.
+"""The fused backend: graph-level fusion + a tree-ensemble kernel.
 
 Two fusions run at session-build time, both found by pattern-matching
 the optimized graph:
 
-1. **Tree-ensemble -> GEMM** (Hummingbird's strategy). The converter
-   emits every decision tree as the same 7-op chain::
+1. **Tree ensembles -> threshold masks.** The converter emits every
+   decision tree as the same 7-op chain (Hummingbird's GEMM form)::
 
        MatMul(X, A) -> LessOrEqual(., B) -> Cast -> MatMul(., C)
          -> Equal(., D) -> Cast -> MatMul(., V)
 
-   Per tree that is 3 small matmuls plus elementwise glue — 7 kernel
-   dispatches and 6 intermediate allocations *per tree*, which is why
-   a 100-tree forest is dispatch-bound under the interpreter. The
-   fused backend stacks every tree over the same input into block
-   matrices at build time (padded to the widest tree) and scores the
-   whole ensemble with **three** batched matmuls, summing the trees in
-   one reduction when the graph combines them with an Add chain.
+   Interpreted, that is 3 matmuls plus glue per tree, and their cost
+   grows with nodes x leaves. The fused backend reads each chain's
+   matrices back as a tree (``A``'s one-hot column is a node's
+   feature, ``B`` its threshold, ``C`` its left and right subtrees)
+   and scores every tree over the same input with QuickScorer's
+   bitvector kernel (:class:`TreeEnsembleStep`): per feature, one
+   ``searchsorted`` over the sorted thresholds and one table gather;
+   AND-ed over the features, each tree's lowest surviving leaf bit is
+   its exit leaf. No matmul runs.
 
 2. **Elementwise chains.** Maximal runs of single-stream elementwise
    ops (scaler arithmetic, activations, casts) execute as one step:
@@ -23,14 +25,25 @@ the optimized graph:
    variables), skipping the per-node device dispatch and the tensor
    dictionary traffic.
 
-Exactness: the one-hot rows of ``A`` make stage 1 an exact gather; the
-path-sum ``S @ C`` is a small integer count in float64, so the ``== D``
-match is exact. Only the final tree summation differs in order from
-the interpreted graph (pairwise vs. single reduction) — within normal
-fp tolerance.
+Which leaf a row reaches: node ``i`` sends the row left when
+``x[feature] <= threshold`` and right otherwise, so ties go left and
+NaN fails every test on its feature, as in
+``TreeStructure.decision_path_apply``; the row's other features still
+route it, and ``+-inf`` compares as any number does. The interpreted
+GEMM chain differs on non-finite input only: ``NaN * 0`` and
+``inf * 0`` in stage 1 poison every node of the row.
 
-Everything the matcher does not recognize falls back to per-node
-device execution, so the fused backend accepts *any* valid graph.
+Exactness: each tree contributes its exit leaf's ``V`` row, the value
+the GEMM's one-hot product picks, and the trees are summed by the
+same reduction over a ``(trees, rows, outputs)`` array that the
+stacked GEMM stages this kernel replaced used, so on finite input its
+output is bit-identical to theirs. Against the interpreted graph,
+whose Add chain sums the trees one by one, only the summation order
+can differ — within normal fp tolerance.
+
+Everything the matcher does not recognize — including a 7-op chain
+whose matrices do not encode a tree — falls back to per-node device
+execution, so the fused backend accepts *any* valid graph.
 """
 
 from __future__ import annotations
@@ -64,6 +77,19 @@ _ELEMENTWISE = {
 }
 
 
+#: Rows per pass of the tree kernel: its per-chunk scratch, a few
+#: ``rows x trees`` word arrays, stays cache-resident.
+CHUNK = 2048
+
+#: Trees per set of threshold tables. A node adds a row of masks, one
+#: per tree of its block, to its feature's table: blocks cap that at
+#: ``TREE_BLOCK`` masks per node instead of one per tree of the
+#: ensemble.
+TREE_BLOCK = 64
+
+_ALL_LEAVES = np.uint64(2**64 - 1)
+
+
 class _TreeChain:
     """One matched 7-op tree chain and its GEMM matrices."""
 
@@ -81,23 +107,25 @@ class _TreeChain:
 
 
 class TreeEnsembleStep:
-    """All trees of one ensemble, stacked into padded block matrices.
+    """All trees of one ensemble, scored by per-feature threshold masks.
 
-    Stage 1 runs on a ``(features, trees*nodes)`` block; stages 2-3 run
-    batched over the tree axis. Padding is inert by construction: zero
-    columns of ``A`` compare against ``-1`` thresholds (never true),
-    phantom leaves carry ``+inf`` path counts (never matched) and zero
-    values.
+    The kernel is QuickScorer's (Lucchese et al., SIGIR 2015). Every
+    internal node carries the bitmask of the leaves outside its left
+    subtree; a row that fails the node's test (``x <= t`` is false,
+    NaN included) cannot exit into that subtree. AND-ing the masks of
+    every node a row fails leaves its exit leaf as the lowest set bit:
+    a leaf left of it lies in the left subtree of a node on its path
+    that the row failed, while no failed node's left subtree holds it.
+    Leaves are numbered in ``C``/``V`` column order, which is
+    left-first, and masks are ``ceil(leaves / 64)`` words wide.
 
-    Rows are processed in :data:`CHUNK`-sized slices: the indicator
-    block and the per-tree intermediates for a wide forest over a large
-    scan run tens of MB each, so one-shot buffers evict between stages
-    and every stage becomes a DRAM round-trip. Chunk-sized scratch stays
-    cache-resident across all four stages.
+    Per feature the nodes testing it are sorted by threshold, and their
+    masks are prefix-ANDed per tree into a ``(thresholds + 1, trees,
+    words)`` table over the feature's distinct thresholds: the nodes a
+    row fails on that feature are the prefix that
+    ``searchsorted(thresholds, x, side="left")`` counts, so one table
+    row holds all of them. Rows run in :data:`CHUNK`-sized slices.
     """
-
-    #: Rows per kernel pass over stages 1-4.
-    CHUNK = 512
 
     def __init__(self, chains: list[_TreeChain], combined_output: str | None,
                  skip_nodes: list[Node]):
@@ -105,120 +133,195 @@ class TreeEnsembleStep:
         self.data = chains[0].data
         self.combined_output = combined_output
         self.skip_nodes = skip_nodes
-        trees = len(chains)
-        n_features = chains[0].a.shape[0]
-        n_out = chains[0].v.shape[1]
-        m_max = max(c.a.shape[1] for c in chains)
+        self.trees = len(chains)
+        self.n_features = chains[0].a.shape[0]
+        self.n_out = chains[0].v.shape[1]
         l_max = max(c.v.shape[0] for c in chains)
-        self.trees = trees
-        self.m_max = m_max
-        self.l_max = l_max
-        self.n_out = n_out
-        self.a_stack = np.zeros((n_features, trees * m_max))
-        self.b_stack = np.full(trees * m_max, -1.0)
-        self.c_pad = np.zeros((trees, m_max, l_max))
-        self.d_pad = np.full((trees, 1, l_max), np.inf)
-        self.v_pad = np.zeros((trees, l_max, n_out))
-        for t, chain in enumerate(chains):
-            m = chain.a.shape[1]
-            leaves = chain.v.shape[0]
-            self.a_stack[:, t * m_max:t * m_max + m] = chain.a
-            self.b_stack[t * m_max:t * m_max + m] = np.ravel(chain.b)
-            self.c_pad[t, :m, :leaves] = chain.c
-            self.d_pad[t, 0, :leaves] = np.ravel(chain.d)
-            self.v_pad[t, :leaves, :] = chain.v
+        self.words = -(-l_max // 64)
+        # A bit's float64 exponent, less the bias, plus its word's offset.
+        self.word_base = 64 * np.arange(self.words) - 1023
+        # Each tree's leaf values at rows ``t * l_max + leaf``.
+        self.tree_base = np.arange(self.trees) * l_max
+        self.leaf_values = np.zeros((self.trees * l_max, self.n_out))
+        for base, chain in zip(self.tree_base, chains):
+            self.leaf_values[base:base + len(chain.v)] = chain.v
+        self.blocks = [
+            self._tables(chains[lo:lo + TREE_BLOCK])
+            for lo in range(0, self.trees, TREE_BLOCK)
+        ]
 
-    def _cache(self, local: threading.local) -> dict:
+    def _tables(self, chains: list[_TreeChain]):
+        """``[(feature, thresholds, table)]`` for one block of trees, one
+        entry per feature the block tests: its distinct thresholds in
+        ascending order, and ``table[j]``, per tree, the AND of the masks
+        of its nodes with a threshold below ``thresholds[j]``."""
+        features = np.concatenate([c.a.argmax(axis=0) for c in chains])
+        thresholds = np.concatenate([c.b for c in chains])
+        trees = np.concatenate(
+            [np.full(len(c.b), t) for t, c in enumerate(chains)]
+        )
+        masks = np.concatenate([_node_masks(c.c, self.words) for c in chains])
+        tables = []
+        for feature in np.unique(features):
+            at = np.flatnonzero(features == feature)
+            at = at[np.argsort(thresholds[at], kind="stable")]
+            steps = np.full((len(at) + 1, len(chains), self.words), _ALL_LEAVES)
+            steps[np.arange(1, len(at) + 1), trees[at]] = masks[at]
+            prefix = np.bitwise_and.accumulate(steps, axis=0)
+            distinct, first = np.unique(thresholds[at], return_index=True)
+            tables.append(
+                (int(feature), distinct, prefix[np.append(first, len(at))])
+            )
+        return tables
+
+    def _scratch(self, local: threading.local, rows: int) -> dict:
+        """This thread's flat chunk buffers, grown to ``min(rows, CHUNK)``
+        rows. Fresh chunk-sized temporaries would cost a page-faulting
+        allocation each; views of these stay cache-resident."""
         cache = getattr(local, "buffers", None)
         if cache is None:
             cache = local.buffers = {}
-        return cache.setdefault(id(self), {})
-
-    def _buffers(self, local: threading.local, rows: int):
-        chunk = min(rows, self.CHUNK)
-        shapes = {
-            "s": (chunk, self.trees * self.m_max),
-            "t": (self.trees, chunk, self.l_max),
-            "r": (self.trees, chunk, self.l_max),
-            "p": (self.trees, chunk, self.n_out),
-        }
-        mine = self._cache(local)
-        for key, shape in shapes.items():
-            buf = mine.get(key)
-            if buf is None or buf.shape != shape:
-                mine[key] = np.empty(shape)
+        chunk = min(rows, CHUNK)
+        mine = cache.get(id(self))
+        if mine is None or mine["chunk"] < chunk:
+            block = chunk * min(self.trees, TREE_BLOCK) * self.words
+            mine = cache[id(self)] = {
+                "chunk": chunk,
+                "alive": np.empty(block, dtype=np.uint64),
+                "hit": np.empty(block, dtype=np.uint64),
+                "leaf": np.empty(chunk * self.trees, dtype=np.int64),
+                "values": np.empty(chunk * self.trees * self.n_out),
+            }
         return mine
 
-    def leaf_indicators(self, x: np.ndarray, local: threading.local):
-        """Stage 1 for all rows: the ``(rows, trees*nodes)`` 0/1 block.
-
-        Unchunked — callers that fuse the remaining stages into a single
-        kernel (the numba backend) consume the whole block at once.
-        """
-        mine = self._cache(local)
-        shape = (x.shape[0], self.trees * self.m_max)
-        s = mine.get("s_full")
-        if s is None or s.shape != shape:
-            s = mine["s_full"] = np.empty(shape)
-        np.matmul(x, self.a_stack, out=s)
-        np.less_equal(s, self.b_stack, out=s, casting="unsafe")
-        return s, mine
+    def _exit_leaves(self, x: np.ndarray, scratch: dict) -> np.ndarray:
+        """``(rows, trees)``: the row of :attr:`leaf_values` each input
+        row exits at, per tree."""
+        n, words = len(x), self.words
+        leaf = scratch["leaf"][:n * self.trees].reshape(n, self.trees)
+        lo = 0
+        for tables in self.blocks:
+            hi = min(lo + TREE_BLOCK, self.trees)
+            shape = (n, hi - lo, words)
+            alive = scratch["alive"][:np.prod(shape)].reshape(shape)
+            hit = scratch["hit"][:np.prod(shape)].reshape(shape)
+            for i, (feature, thresholds, table) in enumerate(tables):
+                failed = np.searchsorted(thresholds, x[:, feature], side="left")
+                np.take(table, failed, axis=0, out=hit if i else alive,
+                        mode="clip")
+                if i:
+                    np.bitwise_and(alive, hit, out=alive)
+            # Keep each word's lowest set bit; its float64 exponent is
+            # its place. The lowest nonzero word holds the exit leaf.
+            np.invert(alive, out=hit)
+            np.add(hit, np.uint64(1), out=hit)
+            np.bitwise_and(alive, hit, out=alive)
+            place = hit.view(np.int64)
+            place.view(np.float64)[...] = alive
+            np.right_shift(place, 52, out=place)
+            place += self.word_base
+            exit_leaf = leaf[:, lo:hi]
+            np.copyto(exit_leaf, place[..., -1])
+            for k in range(words - 2, -1, -1):
+                np.copyto(exit_leaf, place[..., k], where=alive[..., k] != 0)
+            lo = hi
+        leaf += self.tree_base
+        return leaf
 
     def run(self, tensors: dict, stats: RunStats, local: threading.local) -> None:
         start = time.perf_counter()
         x = np.asarray(tensors[self.data], dtype=np.float64)
         if x.ndim == 1:
             x = x.reshape(1, -1)
+        if x.shape[1] != self.n_features:
+            raise ValueError(
+                f"tree ensemble expects {self.n_features} features, "
+                f"got {x.shape[1]}"
+            )
         rows = x.shape[0]
-        buffers = self._buffers(local, rows)
-        s, t3, r, p = buffers["s"], buffers["t"], buffers["r"], buffers["p"]
-        # Outputs are fresh arrays, never views of the reusable scratch:
-        # a downstream view (Reshape/Slice) may escape as a graph output
-        # and must not alias buffers the next run clobbers.
+        scratch = self._scratch(local, rows)
         combined = None
         per_tree = None
         if self.combined_output is not None:
             combined = np.empty((rows, self.n_out))
         else:
             per_tree = [np.empty((rows, self.n_out)) for _ in self.chains]
-        for lo in range(0, rows, self.CHUNK):
-            hi = min(lo + self.CHUNK, rows)
-            n = hi - lo
-            sv, tv, rv, pv = s[:n], t3[:, :n], r[:, :n], p[:, :n]
-            np.matmul(x[lo:hi], self.a_stack, out=sv)
-            np.less_equal(sv, self.b_stack, out=sv, casting="unsafe")
-            s3 = sv.reshape(n, self.trees, self.m_max).transpose(1, 0, 2)
-            np.matmul(s3, self.c_pad, out=tv)
-            np.equal(tv, self.d_pad, out=rv, casting="unsafe")
-            np.matmul(rv, self.v_pad, out=pv)
+        for lo in range(0, rows, CHUNK):
+            hi = min(lo + CHUNK, rows)
+            leaf = self._exit_leaves(x[lo:hi], scratch)
+            # (trees, rows, n_out), reduced over the tree axis as the
+            # stacked GEMM stages did, so the sums stay bit-identical.
+            shape = (self.trees, hi - lo, self.n_out)
+            values = scratch["values"][:np.prod(shape)].reshape(shape)
+            np.take(self.leaf_values, leaf.T, axis=0, out=values, mode="clip")
             if combined is not None:
-                pv.sum(axis=0, out=combined[lo:hi])
+                values.sum(axis=0, out=combined[lo:hi])
             else:
                 for t in range(self.trees):
-                    per_tree[t][lo:hi] = pv[t]
+                    per_tree[t][lo:hi] = values[t]
         if combined is not None:
             tensors[self.combined_output] = combined
         else:
             for t, chain in enumerate(self.chains):
                 tensors[chain.output] = per_tree[t]
-        self._account(stats, rows, time.perf_counter() - start, x)
-
-    def _account(self, stats: RunStats, rows: int, elapsed: float,
-                 x: np.ndarray) -> None:
+        elapsed = time.perf_counter() - start
         stats.wall_seconds += elapsed
         stats.ops_executed += 1
-        flops = 2.0 * rows * (
-            self.a_stack.shape[0] * self.a_stack.shape[1]
-            + self.trees * self.m_max * self.l_max
-            + self.trees * self.l_max * self.n_out
-        )
-        stats.flops += flops
-        stats.bytes_moved += float(
-            x.nbytes + rows * self.trees * (self.m_max + 2 * self.l_max + self.n_out) * 8
-        )
+        # At most one mask word AND per row, tree, word and feature.
+        stats.flops += float(rows * self.trees * self.words * self.n_features)
+        stats.bytes_moved += float(x.nbytes + rows * self.n_out * 8)
         stats.per_op_seconds["FusedTreeEnsemble"] = (
             stats.per_op_seconds.get("FusedTreeEnsemble", 0.0) + elapsed
         )
+
+
+def _node_masks(c: np.ndarray, words: int) -> np.ndarray:
+    """``(nodes, words)`` uint64: per node of a GEMM tree, the bits of
+    the leaves outside its left subtree (``C[i] > 0`` marks those in it)."""
+    bits = np.zeros((c.shape[0], words * 64), dtype=bool)
+    bits[:, :c.shape[1]] = c <= 0
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _is_tree(c: np.ndarray, d: np.ndarray) -> bool:
+    """Whether ``C``/``D`` encode a binary tree with left-first leaves:
+    node ``i``'s left-subtree leaves (``C[i] == 1``) and right-subtree
+    leaves (``C[i] == -1``) are adjacent ranges, every child range of
+    two or more leaves is the span of exactly one other node, and
+    ``D`` counts each leaf's left turns. Only then does the threshold
+    mask kernel reach the leaf the GEMM stages match."""
+    nodes, leaves = c.shape
+    left, right = c == 1, c == -1
+    n_left, n_right = left.sum(axis=1), right.sum(axis=1)
+    if (
+        nodes != leaves - 1
+        or not (left | right | (c == 0)).all()
+        or not np.array_equal(d, left.sum(axis=0))
+        or not ((n_left > 0) & (n_right > 0)).all()
+    ):
+        return False
+    lo = left.argmax(axis=1)
+    mid = lo + n_left
+    hi = mid + n_right
+    place = np.arange(leaves)
+    if not (
+        np.array_equal(left, (place >= lo[:, None]) & (place < mid[:, None]))
+        and np.array_equal(right, (place >= mid[:, None]) & (place < hi[:, None]))
+    ):
+        return False
+    width = leaves + 1
+    spans = lo * width + hi
+    children = np.concatenate([lo * width + mid, mid * width + hi])
+    sizes = np.concatenate([n_left, n_right])
+    root = leaves  # the span (0, leaves)
+    return (
+        len(np.unique(spans)) == nodes
+        and root in spans
+        and np.array_equal(
+            np.sort(children[sizes > 1]), np.sort(spans[spans != root])
+        )
+    )
 
 
 class ElementwiseChainStep:
@@ -393,17 +496,22 @@ def _match_tree_chain(start: Node, graph: Graph, consumers: dict,
 
     m = a.shape[1]
     leaves = v.shape[0] if v.ndim == 2 else 0
+    b = np.ravel(b).astype(np.float64)
+    d = np.ravel(d).astype(np.float64)
     if (
         v.ndim != 2
-        or np.ravel(b).size != m
+        or b.size != m
         or c.shape != (m, leaves)
-        or np.ravel(d).size != leaves
+        or d.size != leaves
+        # Stage 1 must be a gather: one 1.0 per column of A.
+        or not ((a == 0) | (a == 1)).all()
+        or not (a.sum(axis=0) == 1).all()
+        or np.isnan(b).any()
+        or not _is_tree(c, d)
     ):
         return None
     nodes.extend([le, cast1, mm2, eq, cast2, mm3])
-    return _TreeChain(data, a, np.ravel(b).astype(np.float64), c,
-                      np.ravel(d).astype(np.float64), v, nodes,
-                      mm3.outputs[0])
+    return _TreeChain(data, a, b, c, d, v, nodes, mm3.outputs[0])
 
 
 def _match_combiner(group: list[_TreeChain], consumers: dict,

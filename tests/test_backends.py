@@ -12,6 +12,7 @@ carrying the backend choice.
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -41,10 +42,11 @@ from repro.tensor.backends import (
     compiled_pipeline_scorer,
     resolve_backend,
 )
-from repro.tensor.backends import calibrate
+from repro.tensor.backends import calibrate, fused
 from repro.tensor.backends.fused import FusedExecutor
-from repro.tensor.backends.numba_backend import numba_available
-from repro.tensor.converters import convert, supports
+from repro.tensor.backends.numba_backend import NumbaTreeStep, numba_available
+from repro.tensor.converters import convert, supports, tree_gemm_matrices
+from repro.tensor.device import RunStats
 from repro.tensor.session import InferenceSession, clear_optimization_memo
 
 N_FEATURES = 5
@@ -135,6 +137,125 @@ class TestBackendEquivalence:
             for got, want in zip(outputs, reference):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("batch", [1, 7, 3000])
+    @pytest.mark.parametrize("kind", ["classifier", "forest", "gbr"])
+    def test_fused_matches_predict_on_null_features(self, kind, batch):
+        # NaN fails every test on its feature (``NaN <= t`` is false)
+        # and no other: the row's other features still route it.
+        model = MODELS[kind](seed=11)
+        score = compiled_pipeline_scorer(model, N_FEATURES, "fused")
+        assert score.backend == "fused"
+        rng = np.random.default_rng(batch)
+        X = rng.normal(size=(batch, N_FEATURES))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        X[0] = [0.5, -0.5, np.nan, 0.25, -0.25]
+        np.testing.assert_allclose(
+            score(X), model.predict(X), rtol=1e-9, atol=1e-9
+        )
+
+    def test_fused_tree_kernel_splits_trees_into_table_blocks(
+        self, monkeypatch
+    ):
+        # 12 trees in blocks of 5, 5 and 2; rows in chunks of 100.
+        monkeypatch.setattr(fused, "TREE_BLOCK", 5)
+        monkeypatch.setattr(fused, "CHUNK", 100)
+        model = _forest(seed=8)
+        session = InferenceSession(
+            convert(model, n_features=N_FEATURES), backend="fused"
+        )
+        step = next(s for k, s in session._executor.plan if k == "tree")
+        assert len(step.blocks) == 3
+        X = np.random.default_rng(8).normal(size=(250, N_FEATURES))
+        np.testing.assert_allclose(
+            session.run_single(X).ravel(), model.predict(X),
+            rtol=1e-9, atol=1e-9,
+        )
+
+    def test_fused_leaves_a_non_tree_chain_to_the_interpreter(self):
+        # A loaded graph may hold the 7-op chain with its leaves out of
+        # left-first order. The GEMM stages still define its value, but
+        # the mask kernel would misroute it, so it must run per node.
+        model = _tree(seed=2)
+        graph = convert(model, n_features=N_FEATURES)
+        inits = graph.initializers
+        equal = next(n for n in graph.nodes if n.op_type == "Equal")
+        paths = next(n for n in graph.nodes if equal.inputs[0] in n.outputs)
+        cast = next(n for n in graph.nodes if equal.outputs[0] in n.inputs)
+        values = next(n for n in graph.nodes if cast.outputs[0] in n.inputs)
+        for name, axis in (
+            (paths.inputs[1], 1), (equal.inputs[1], 1), (values.inputs[1], 0)
+        ):
+            inits[name] = np.flip(inits[name], axis=axis).copy()
+        session = InferenceSession(graph, backend="fused")
+        assert session._executor.fused_tree_steps == 0
+        X = np.random.default_rng(2).normal(size=(200, N_FEATURES))
+        np.testing.assert_allclose(
+            session.run_single(X).ravel(), model.predict(X),
+            rtol=1e-9, atol=1e-9,
+        )
+
+    def test_fused_tree_kernel_runs_no_matmul(self, monkeypatch):
+        X, y = _training_data(seed=4)
+        model = GradientBoostingRegressor(
+            n_estimators=24, max_depth=3, random_state=4
+        ).fit(X, y)
+        session = InferenceSession(
+            convert(model, n_features=N_FEATURES), backend="fused"
+        )
+        assert session._executor.fused_tree_steps == 1
+
+        def no_matmul(*args, **kwargs):
+            raise AssertionError("the fused tree kernel ran a matmul")
+
+        monkeypatch.setattr(np, "matmul", no_matmul)
+        out = session.run_single(X)
+        monkeypatch.undo()
+        np.testing.assert_allclose(
+            out.ravel(), model.predict(X), rtol=1e-9, atol=1e-9
+        )
+
+    def test_numba_step_stacks_the_converter_matrices(self):
+        # Runs on every leg: without numba the step's run falls back to
+        # the fused kernel, with it the JIT kernel must agree.
+        model = _forest(seed=5)
+        session = InferenceSession(
+            convert(model, n_features=N_FEATURES), backend="fused"
+        )
+        step = next(s for k, s in session._executor.plan if k == "tree")
+        numba_step = NumbaTreeStep(step)
+        m_max = numba_step.m_max
+        for t, estimator in enumerate(model.estimators_):
+            A, B, C, D, V = tree_gemm_matrices(
+                estimator.tree_, N_FEATURES, estimator.tree_.value
+            )
+            m, leaves = C.shape
+            block = slice(t * m_max, t * m_max + m)
+            padding = slice(t * m_max + m, (t + 1) * m_max)
+            assert np.array_equal(numba_step.a_stack[:, block], A)
+            assert not numba_step.a_stack[:, padding].any()
+            assert np.array_equal(numba_step.b_stack[block], B.ravel())
+            assert (numba_step.b_stack[padding] == -1.0).all()
+            assert np.array_equal(numba_step.c_pad[t, :m, :leaves], C)
+            assert not numba_step.c_pad[t, m:].any()
+            assert not numba_step.c_pad[t, :, leaves:].any()
+            assert np.array_equal(numba_step.d_flat[t, :leaves], D.ravel())
+            assert np.isinf(numba_step.d_flat[t, leaves:]).all()
+            assert np.array_equal(numba_step.v_pad[t, :leaves], V)
+            assert not numba_step.v_pad[t, leaves:].any()
+        X = np.random.default_rng(6).normal(size=(300, N_FEATURES))
+        local = threading.local()
+        indicators = numba_step.leaf_indicators(X, local)
+        assert np.array_equal(
+            indicators, X @ numba_step.a_stack <= numba_step.b_stack
+        )
+        by_step, by_jit = {step.data: X}, {step.data: X}
+        step.run(by_step, RunStats(), local)
+        numba_step.run(by_jit, RunStats(), local)
+        np.testing.assert_allclose(
+            by_jit[step.combined_output], by_step[step.combined_output],
+            rtol=1e-9, atol=1e-9,
+        )
 
     def test_fused_executor_actually_fuses_tree_ensembles(self):
         model = _forest(seed=3)

@@ -26,12 +26,15 @@ from repro.ml import (
     DecisionTreeRegressor,
     LogisticRegression,
     Pipeline,
+    RandomForestClassifier,
     StandardScaler,
 )
+from repro.ml.ensemble import GradientBoostingRegressor, RandomForestRegressor
 from repro.relational.expressions import BinaryOp, col, conjoin, lit
 from repro.relational.sql.parser import parse_expression
 from repro.relational.table import Table
 from repro.tensor import InferenceSession, convert
+from repro.tensor.backends import compiled_pipeline_scorer
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -150,6 +153,61 @@ def test_regressor_nn_translation(problem):
     model = DecisionTreeRegressor(max_depth=4, random_state=0).fit(X, y)
     out = InferenceSession(convert(model)).run({"X": X})[0]
     assert np.allclose(out.ravel(), model.predict(X))
+
+
+@st.composite
+def ensemble_and_rows(draw):
+    """A tree ensemble of depth 1-10 (1 to 4 mask words per tree) and
+    rows whose cells hit its thresholds exactly, or are +-inf or NaN."""
+    kind = draw(st.sampled_from(("forest", "gbr", "classifier")))
+    depth = draw(st.integers(1, 10))
+    n_features = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(300, n_features)).round(1)
+    y = X.sum(axis=1) + rng.normal(size=300)
+    trees = {"n_estimators": 3, "max_depth": depth, "random_state": seed}
+    if kind == "forest":
+        model = RandomForestRegressor(**trees).fit(X, y)
+        scale, shift = np.ones(n_features), np.zeros(n_features)
+    elif kind == "gbr":
+        model = GradientBoostingRegressor(**trees).fit(X, y)
+        scale, shift = np.ones(n_features), np.zeros(n_features)
+    else:
+        model = Pipeline(
+            [("scale", StandardScaler()),
+             ("clf", RandomForestClassifier(**trees))]
+        ).fit(X, (y > 0).astype(np.float64))
+        scaler = model.steps[0][1]
+        scale, shift = scaler.scale_, scaler.mean_
+    estimators = (model.steps[1][1] if kind == "classifier" else model).estimators_
+    cells = []
+    for f in range(n_features):
+        hits = [
+            float(t.tree_.threshold[node]) * scale[f] + shift[f]
+            for t in estimators
+            for node in np.flatnonzero(t.tree_.feature == f)
+        ]
+        cells.append(
+            st.sampled_from(hits + [np.nan, np.inf, -np.inf, float(X[0, f])])
+        )
+    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=60))
+    return kind, model, np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ensemble_and_rows())
+def test_fused_tree_kernel_matches_predict(case):
+    """The fused backend's threshold-mask kernel routes every row as
+    the tree walk does: ties go left, NaN fails every test."""
+    kind, model, rows = case
+    score = compiled_pipeline_scorer(model, rows.shape[1], "fused")
+    assert score.session._executor.fused_tree_steps == 1
+    got, want = score(rows), model.predict(rows)
+    if kind == "classifier":
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

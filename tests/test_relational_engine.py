@@ -214,15 +214,29 @@ def test_dense_int_keys_join_and_group_without_sorting(monkeypatch):
     def no_sort(*args, **kwargs):
         raise AssertionError("the key kernel sorted")
 
+    db = Database()
+    db.register_table(
+        "t", Table.from_dict({"k": left, "v": np.ones(len(left))})
+    )
+    grouped = db.bind("SELECT k, SUM(v) AS n FROM t GROUP BY k")
+    distinct = db.bind("SELECT DISTINCT k FROM t")
     for name in ("argsort", "lexsort", "sort", "unique"):
         monkeypatch.setattr(np, name, no_sort)
     got = keys.equi_join(left, right, "FULL")
     codes, n_codes = keys.factorize([left])
+    groups = db.execute_plan(grouped)
+    distinct_rows = db.execute_plan(distinct)
     monkeypatch.undo()
     for got_rows, want_rows in zip(got, want):
         assert np.array_equal(got_rows, want_rows)
     assert np.array_equal(codes, want_codes)
     assert n_codes == len(np.unique(left))
+    # GROUP BY emits groups in key order, DISTINCT keeps first rows.
+    values, counts = np.unique(left, return_counts=True)
+    assert np.array_equal(groups["k"], values)
+    assert np.array_equal(groups["n"], counts)
+    first = np.sort(np.unique(left, return_index=True)[1])
+    assert np.array_equal(distinct_rows["k"], left[first])
 
 
 class TestCtesAndUnion:
