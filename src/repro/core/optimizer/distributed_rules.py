@@ -7,7 +7,10 @@ model as the single-process plan they compete with.
 
 from __future__ import annotations
 
-from repro.core.optimizer.relational_rules import resolve_ref_mapping
+from repro.core.optimizer.relational_rules import (
+    PredicatePushdownRule,
+    resolve_ref_mapping,
+)
 from repro.core.optimizer.rule import MemoRule
 from repro.distributed.operators import (
     Gather,
@@ -288,7 +291,10 @@ class ShardJoinRule(MemoRule):
         co-located Gather whose *fragment* ends in the partial
         aggregate, or a ShuffleJoin carrying the pipeline + partial
         aggregate as a post-join worker stage — either way the join
-        output never reaches the coordinator, only group rows do.
+        output never reaches the coordinator, only group rows do. A
+        WHERE directly above the join first has its single-side
+        conjuncts sunk into the sides. Nothing is recorded or offered
+        when no side is sharded.
         """
         if any(
             func not in logical.AGGREGATE_FUNCTIONS
@@ -301,6 +307,10 @@ class ShardJoinRule(MemoRule):
         chain, join = self._join_chain(plan.child)
         if join is None:
             return []
+        sides = self._join_sides(join, ctx)
+        if sides is None or (sides[0][2] is None and sides[1][2] is None):
+            return []
+        chain, join = self._sink_into_sides(chain, join)
         sides = self._join_sides(join, ctx)
         if sides is None:
             return []
@@ -348,6 +358,31 @@ class ShardJoinRule(MemoRule):
             return []
         ctx.record(self.name, "partial aggregate rides the join round-trip")
         return [_final_aggregate_over(exchange, plan, split, ctx)]
+
+    @staticmethod
+    def _sink_into_sides(chain, join):
+        """``(chain, join)`` with the single-side conjuncts of the filters
+        directly above the join sunk into its sides.
+
+        The memo matches this rule on the aggregate group's original
+        tree, where the WHERE still sits above the join: predicate
+        pushdown rewrites the child group, not this binding. Sinking
+        here too lets the shuffle sides (and their shard routing) see
+        the filter, so the staged alternative ships only filtered rows.
+        Conjuncts spanning both sides stay above the join.
+        """
+        filters = []
+        while chain and isinstance(chain[-1], logical.Filter):
+            filters.append(chain[-1].predicate)
+            chain = chain[:-1]
+        if not filters:
+            return chain, join
+        sunk, residual = _PUSHDOWN.sink(
+            join, conjoin(filters), [], merge=False
+        )
+        if residual:
+            chain = chain + [logical.Filter(sunk, conjoin(residual))]
+        return chain, sunk
 
     # -- shared analysis ---------------------------------------------------
 
@@ -587,6 +622,9 @@ class ShardJoinRule(MemoRule):
         )
         return shuffle_join
 
+
+#: The pushdown rule whose sink ``ShardJoin`` reuses for its sides.
+_PUSHDOWN = PredicatePushdownRule()
 
 #: Guard column global partial aggregates append (see the rule).
 _PARTIAL_ROWS = "__partial_rows"

@@ -114,20 +114,8 @@ class PredicatePushdownRule(MemoRule):
             and isinstance(plan.child, (logical.Join, logical.Predict))
         ):
             return []
-        residual: list[Expression] = []
-        child = plan.child
         trace: list[str] = []
-        for conjunct in conjuncts(plan.predicate):
-            resolved = resolve_refs(child.schema, conjunct)
-            sunk = (
-                self._sink(child, conjunct, resolved, trace)
-                if resolved is not None
-                else None
-            )
-            if sunk is None:
-                residual.append(conjunct)
-            else:
-                child = sunk
+        child, residual = self.sink(plan.child, plan.predicate, trace)
         if child is plan.child:
             return []
         for kind in trace:
@@ -136,12 +124,39 @@ class PredicatePushdownRule(MemoRule):
             return [logical.Filter(child, conjoin(residual))]
         return [child]
 
+    def sink(
+        self,
+        plan: logical.LogicalOp,
+        predicate: Expression,
+        trace: list[str],
+        merge: bool = True,
+    ) -> tuple[logical.LogicalOp, list[Expression]]:
+        """``(plan with predicate's conjuncts sunk, residual conjuncts)``.
+
+        ``merge=False`` keeps a conjunct spanning both sides of a join
+        out of the join condition: it stays residual instead.
+        """
+        residual: list[Expression] = []
+        for conjunct in conjuncts(predicate):
+            resolved = resolve_refs(plan.schema, conjunct)
+            sunk = (
+                self._sink(plan, conjunct, resolved, trace, merge)
+                if resolved is not None
+                else None
+            )
+            if sunk is None:
+                residual.append(conjunct)
+            else:
+                plan = sunk
+        return plan, residual
+
     def _sink(
         self,
         plan: logical.LogicalOp,
         conjunct: Expression,
         resolved: frozenset,
         trace: list[str],
+        merge: bool = True,
     ) -> logical.LogicalOp | None:
         """Push one conjunct down, guided by its resolved stored columns."""
         if not resolved <= stored_names(plan.schema):
@@ -152,16 +167,18 @@ class PredicatePushdownRule(MemoRule):
             allow_left = plan.kind in ("INNER", "CROSS", "LEFT")
             allow_right = plan.kind in ("INNER", "CROSS")
             if allow_left:
-                sunk = self._sink(plan.left, conjunct, resolved, trace)
+                sunk = self._sink(plan.left, conjunct, resolved, trace, merge)
                 if sunk is not None:
                     trace.append("PushFilterIntoJoin")
                     return plan.with_children((sunk, plan.right))
             if allow_right:
-                sunk = self._sink(plan.right, conjunct, resolved, trace)
+                sunk = self._sink(
+                    plan.right, conjunct, resolved, trace, merge
+                )
                 if sunk is not None:
                     trace.append("PushFilterIntoJoin")
                     return plan.with_children((plan.left, sunk))
-            if plan.kind in ("INNER", "CROSS"):
+            if merge and plan.kind in ("INNER", "CROSS"):
                 # Spans both sides: merge into the join condition.
                 condition = (
                     conjunct
@@ -184,7 +201,7 @@ class PredicatePushdownRule(MemoRule):
                     plan.alias.lower() + "."
                 ):
                     return None
-            sunk = self._sink(plan.child, conjunct, resolved, trace)
+            sunk = self._sink(plan.child, conjunct, resolved, trace, merge)
             if sunk is not None:
                 trace.append("PushFilterBelowPredict")
                 return plan.with_children((sunk,))
@@ -195,7 +212,9 @@ class PredicatePushdownRule(MemoRule):
             # over a leaf, merge into ONE filter — stacked filters
             # would hide the Filter(Scan) shape from zone-map pruning.
             if isinstance(plan.child, (logical.Join, logical.Predict)):
-                sunk = self._sink(plan.child, conjunct, resolved, trace)
+                sunk = self._sink(
+                    plan.child, conjunct, resolved, trace, merge
+                )
                 if sunk is not None:
                     return logical.Filter(sunk, plan.predicate)
             return logical.Filter(plan.child, plan.predicate & conjunct)

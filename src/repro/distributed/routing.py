@@ -99,6 +99,63 @@ def effective_shard_ids(gather, sharded: ShardedTable) -> list[int]:
     return [i for i in ids if keep[i]]
 
 
+def co_partitioned(shuffle, sharded: ShardedTable, num_buckets: int) -> bool:
+    """Whether shard *k* of ``sharded`` already holds exactly bucket *k*
+    of one shuffle side, so the side needs no map phase.
+
+    Hash sharding and bucketing share :func:`hash_buckets`, so this
+    holds when the live layout hash-shards the table into
+    ``num_buckets`` shards on the column the side's join key reads —
+    carried to the fragment's output unchanged, through filters and
+    plain column projections only. Checked against the live spec at
+    execution time: a reshard that raced a cached plan maps as usual.
+    """
+    spec = sharded.spec
+    if spec.kind != "hash" or sharded.num_shards != num_buckets:
+        return False
+    column = _source_column(shuffle.fragment, shuffle.key)
+    return (
+        column is not None
+        and column.lower() == spec.key.split(".")[-1].lower()
+    )
+
+
+def _source_column(op, name: str) -> str | None:
+    """The base column a fragment output column passes through unchanged
+    from its ``ShardScan`` leaf, or ``None``."""
+    from repro.distributed.operators import ShardScan
+    from repro.errors import SchemaError
+    from repro.relational.algebra import logical
+    from repro.relational.expressions import ColumnRef
+
+    while True:
+        if isinstance(op, ShardScan):
+            names = [n.lower() for n in op.schema.names]
+            if name.lower() not in names:
+                return None
+            return op.base_schema.names[names.index(name.lower())]
+        if isinstance(op, logical.Filter):
+            op = op.child
+        elif isinstance(op, logical.Project):
+            item = next(
+                (
+                    expr
+                    for expr, alias in op.items
+                    if alias.lower() == name.lower()
+                ),
+                None,
+            )
+            if not isinstance(item, ColumnRef):
+                return None
+            try:
+                name = op.child.schema.column(item.name).name
+            except SchemaError:
+                return None
+            op = op.child
+        else:
+            return None
+
+
 # -- co-located joins ---------------------------------------------------------
 
 

@@ -6,8 +6,10 @@ database (amortizing process start-up across queries), encodes each
 the same fragment object for every execution), and drives the
 ship-on-miss shard protocol: tasks go out carrying only the shard
 token; a worker that has not cached that shard replies ``missing`` and
-the task is re-sent with the columns attached. Steady state moves plan
-JSON and result columns only.
+the task is re-sent with the columns attached. Shuffle joins use the
+same protocol for their bucket-join tasks, whose sides read
+co-partitioned shards, or buckets mapped once and kept, from the
+worker cache. Steady state moves plan JSON and result columns only.
 
 Every gather reports ``(shards scanned, shards pruned, per-fragment
 latencies, per-stage latencies)`` to the runtime's own counters
@@ -23,9 +25,11 @@ parallel across processes.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import weakref
+from collections import OrderedDict
 from typing import Callable
 
 from repro.concurrency import default_max_workers
@@ -44,6 +48,12 @@ from repro.relational.table import Table
 #: An encoded-fragment identity cache larger than any plan cache is
 #: pointless; stale entries pin model bundles, so keep it modest.
 MAX_CACHED_FRAGMENTS = 64
+#: Shuffle sides whose mapped buckets the coordinator keeps (each entry
+#: holds one side's rows, so keep it small).
+MAX_CACHED_BUCKET_SIDES = 8
+
+#: Serial numbers that make every kept bucket set's cache tokens unique.
+_BUCKET_SETS = itertools.count()
 
 
 def _pool_failures() -> tuple:
@@ -106,6 +116,7 @@ class DistributedRuntime:
         self._pool_broken = False
         self._lock = threading.Lock()
         self._fragment_specs: "dict[int, tuple[object, dict]]" = {}
+        self._side_buckets: "OrderedDict[int, tuple]" = OrderedDict()
         self._observers: list[Callable[[int, int, list[float]], None]] = []
         # Counters (guarded by the lock; benchmarks and stats read them).
         self.queries = 0
@@ -238,14 +249,18 @@ class DistributedRuntime:
                 total = sharded.num_shards
             sp.set("shards_scanned", len(shard_ids))
             sp.set("shards_total", total)
-        spec = self._fragment_spec(op.fragment)
+        payload = {"fragment": self._fragment_spec(op.fragment)}
         tables = fragment_tables(op.fragment)
         tasks = [
-            (shard_id, [(name, shardeds[name], shard_id) for name in tables])
+            (
+                shard_id,
+                [(name, shardeds[name], shard_id) for name in tables],
+                payload,
+            )
             for shard_id in shard_ids
         ]
         latencies: list[float] = []
-        results = self._dispatch(worker.run_fragment, spec, tasks, latencies)
+        results = self._dispatch(worker.run_fragment, tasks, latencies)
         self._notify(
             len(shard_ids),
             total - len(shard_ids),
@@ -260,11 +275,27 @@ class DistributedRuntime:
         """Bucket-pair join results, in bucket order (empties skipped).
 
         ``sides`` is ``[(shuffle, sharded_or_none, local_table_or_none),
-        ...]`` for the left and right side: sharded sides map on the
-        worker pool (fragment → hash-partition, reusing the
-        ship-on-miss shard caches), unsharded sides arrive pre-executed
-        as a local table the coordinator partitions itself. Bucket *k*
-        of both sides then joins on one worker.
+        ...]`` for the left and right side. Each side reaches bucket
+        join *k* in one of three ways, decided here against the live
+        layout:
+
+        * **co-partitioned** — the side's table is hash-sharded on its
+          join key into ``num_buckets`` shards, so shard *k* holds
+          exactly bucket *k*: no map runs, and task *k* carries the
+          side's fragment plus shard *k*'s token;
+        * **bucketed once** — a sharded side whose fragment object an
+          earlier request already dispatched (a prepared template's
+          side that binds no parameter) maps once per shard epoch; the
+          coordinator keeps its buckets and task *k* carries bucket
+          *k*'s cache token. A write moves the epoch, so the next
+          request maps again;
+        * **inline** — any other sharded side maps on the worker pool
+          (fragment → hash-partition), and an unsharded side arrives
+          pre-executed as a local table the coordinator partitions;
+          task *k* carries bucket *k*'s columns.
+
+        Shards and kept buckets travel by the ship-on-miss protocol of
+        :meth:`_dispatch`, so each is shipped to a worker once.
 
         The empty-bucket guard is join-kind aware: an INNER pair is
         skipped when either side is empty, a LEFT pair only when its
@@ -275,52 +306,63 @@ class DistributedRuntime:
         aggregates and filters run on the bucket owner and only the
         final stage's output returns.
         """
-        from repro.distributed.routing import effective_shard_ids
+        from repro.distributed.routing import (
+            co_partitioned,
+            effective_shard_ids,
+        )
 
         num_buckets = op.num_buckets
         latencies: list[float] = []
         scanned = 0
         pruned = 0
-        side_buckets: list[list[Table | None]] = []
+        side_parts = []
         for shuffle, sharded, local in sides:
-            if sharded is not None:
-                shard_ids = effective_shard_ids(shuffle, sharded)
-                scanned += len(shard_ids)
-                pruned += sharded.num_shards - len(shard_ids)
-                side_buckets.append(
-                    self._map_side(
+            if sharded is None:
+                side_parts.append(
+                    _inline_parts(
+                        worker.bucketize(local, shuffle.key, num_buckets)
+                    )
+                )
+                continue
+            shard_ids = effective_shard_ids(shuffle, sharded)
+            scanned += len(shard_ids)
+            pruned += sharded.num_shards - len(shard_ids)
+            if co_partitioned(shuffle, sharded, num_buckets):
+                side_parts.append(
+                    self._shard_parts(shuffle, sharded, shard_ids)
+                )
+            else:
+                side_parts.append(
+                    self._bucket_parts(
                         shuffle, sharded, shard_ids, num_buckets, latencies
                     )
                 )
-            else:
-                side_buckets.append(
-                    worker.bucketize(local, shuffle.key, num_buckets)
-                )
-        left_buckets, right_buckets = side_buckets
-        condition_spec = serialize.encode_expression(op.condition)
-        stage_specs = self._stage_specs(op)
+        payload = {
+            "kind": op.kind,
+            "condition": serialize.encode_expression(op.condition),
+        }
+        if op.stages:
+            payload["stages"] = [
+                self._fragment_spec(stage) for stage in op.stages
+            ]
         join_tasks = []
         skipped = 0
-        for bucket_id in range(num_buckets):
-            left = left_buckets[bucket_id]
-            right = right_buckets[bucket_id]
+        for bucket_id, (left, right) in enumerate(zip(*side_parts)):
             if _skip_bucket_pair(op.kind, left, right):
                 skipped += 1
                 continue
-            if left is None:
-                left = Table.empty(op.left.schema)
-            if right is None:
-                right = Table.empty(op.right.schema)
-            task = {
-                "kind": op.kind,
-                "condition": condition_spec,
-                "left": _encode_table(left),
-                "right": _encode_table(right),
-            }
-            if stage_specs:
-                task["stages"] = stage_specs
-            join_tasks.append((bucket_id, task))
-        results = self._run_tasks(worker.run_bucket_join, join_tasks, latencies)
+            left_side, left_shards = left or _empty_part(op.left.schema)
+            right_side, right_shards = right or _empty_part(op.right.schema)
+            join_tasks.append(
+                (
+                    bucket_id,
+                    left_shards + right_shards,
+                    {**payload, "left": left_side, "right": right_side},
+                )
+            )
+        results = self._dispatch(
+            worker.run_bucket_join, join_tasks, latencies, kind="bucket"
+        )
         stage_seconds = _collect_stage_seconds(results.values())
         with self._lock:
             self.shuffle_joins += 1
@@ -329,25 +371,65 @@ class DistributedRuntime:
         self._notify(scanned, pruned, latencies, stage_seconds)
         return [
             _decode_result(results[bucket_id])
-            for bucket_id, _task in join_tasks
+            for bucket_id, _shards, _payload in join_tasks
         ]
 
-    def _stage_specs(self, op: ShuffleJoin) -> list:
-        """The encoded post-join stage templates (identity-cached like
-        fragments — cached plans re-dispatch the same stage objects)."""
-        if not op.stages:
-            return []
-        key = id(op.stages)
+    def _shard_parts(self, shuffle, sharded, shard_ids) -> list:
+        """Per-bucket parts of a co-partitioned side: bucket *k* is the
+        side's fragment over shard *k* (``None`` where shard *k* was
+        pruned or holds no rows)."""
+        side = {"fragment": self._fragment_spec(shuffle.fragment)}
+        name = shuffle.table_name.lower()
+        live = set(shard_ids)
+        return [
+            (side, [(name, sharded, k)])
+            if k in live and sharded.shard(k).num_rows
+            else None
+            for k in range(sharded.num_shards)
+        ]
+
+    def _bucket_parts(
+        self, shuffle, sharded, shard_ids, num_buckets, latencies
+    ) -> list:
+        """Per-bucket parts of a side that needs the map phase.
+
+        The buckets of a side whose fragment object an earlier request
+        already dispatched are kept, keyed by that object (identity-
+        checked) together with the scanned shards' tokens — which carry
+        the table's epoch — the key and the bucket count. A side bound
+        afresh per request never qualifies, so its per-value buckets
+        ride inline and never enter the worker caches.
+        """
+        fragment = shuffle.fragment
+        key = id(fragment)
+        signature = (
+            tuple(sharded.shard_token(i) for i in shard_ids),
+            shuffle.key,
+            num_buckets,
+        )
         with self._lock:
-            cached = self._fragment_specs.get(key)
-            if cached is not None and cached[0] is op.stages:
-                return cached[1]
-        specs = serialize.encode_stages(op.stages, self.model_resolver)
+            cached = self._side_buckets.get(key)
+            if (
+                cached is not None
+                and cached[0] is fragment
+                and cached[1] == signature
+            ):
+                self._side_buckets.move_to_end(key)
+                return cached[2].parts()
+            seen = self._fragment_specs.get(key)
+            reused = seen is not None and seen[0] is fragment
+        buckets = self._map_side(
+            shuffle, sharded, shard_ids, num_buckets, latencies
+        )
+        if not reused:
+            return _inline_parts(buckets)
+        kept = _BucketSet(buckets)
         with self._lock:
-            if len(self._fragment_specs) >= MAX_CACHED_FRAGMENTS:
-                self._fragment_specs.clear()
-            self._fragment_specs[key] = (op.stages, specs)
-        return specs
+            self._side_buckets[key] = (fragment, signature, kept)
+            self._side_buckets.move_to_end(key)
+            while len(self._side_buckets) > MAX_CACHED_BUCKET_SIDES:
+                self._side_buckets.popitem(last=False)
+        return kept.parts()
 
     def _map_side(
         self,
@@ -359,15 +441,17 @@ class DistributedRuntime:
     ) -> "list[Table | None]":
         """Shard-parallel map phase of one side: per-shard bucket lists,
         merged bucket-wise at the coordinator (the routing point)."""
-        spec = self._fragment_spec(shuffle.fragment)
-        extra = {"key": shuffle.key, "num_buckets": num_buckets}
+        payload = {
+            "fragment": self._fragment_spec(shuffle.fragment),
+            "key": shuffle.key,
+            "num_buckets": num_buckets,
+        }
         name = shuffle.table_name.lower()
         tasks = [
-            (shard_id, [(name, sharded, shard_id)]) for shard_id in shard_ids
+            (shard_id, [(name, sharded, shard_id)], payload)
+            for shard_id in shard_ids
         ]
-        replies = self._dispatch(
-            worker.run_shuffle_map, spec, tasks, latencies, extra
-        )
+        replies = self._dispatch(worker.run_shuffle_map, tasks, latencies)
         pieces: list[list[Table]] = [[] for _ in range(num_buckets)]
         for shard_id in shard_ids:
             reply = replies[shard_id]
@@ -384,22 +468,21 @@ class DistributedRuntime:
 
     # -- dispatch machinery ------------------------------------------------
 
-    def _dispatch(
-        self, fn, spec, tasks, latencies, extra=None
-    ) -> dict[int, dict]:
+    def _dispatch(self, fn, tasks, latencies, kind="shard") -> dict[int, dict]:
         """Run one shard-addressed task set with ship-on-miss per table.
 
-        ``tasks`` is ``[(task_key, [(table, sharded, shard_id), ...])]``
-        — each task carries one cache token per shard it reads, and a
-        worker that misses any of them replies with the missing table
-        names so the retry ships only those columns.
+        ``tasks`` is ``[(task_key, [(table, sharded, shard_id), ...],
+        payload)]`` — each task carries its ``payload`` plus one cache
+        token per shard it reads (a kept bucket set answers to the same
+        ``shard_token``/``shard`` calls as a :class:`ShardedTable`); a
+        task whose worker misses any of them is re-sent with all of its
+        entries' columns attached.
         """
-        extra = extra or {}
         start_mode = self.effective_mode
         recorded = len(latencies)
         if start_mode == "process":
             try:
-                return self._dispatch_pooled(fn, spec, tasks, latencies, extra)
+                return self._dispatch_pooled(fn, tasks, latencies, kind)
             except _POOL_FAILURES:
                 # A broken/unavailable pool (restricted environments,
                 # killed workers) must not fail queries; degrade to
@@ -411,21 +494,23 @@ class DistributedRuntime:
                 # Every task re-runs below; drop this call's partial
                 # timings (earlier phases sharing the list keep theirs).
                 del latencies[recorded:]
-        return self._dispatch_inprocess(fn, spec, tasks, latencies, extra)
+        return self._dispatch_inprocess(fn, tasks, latencies, kind)
 
-    def _task(self, spec, shards, ship, extra, transient=False) -> dict:
-        """One worker task. ``transient`` marks in-process execution:
-        the shard data rides along but must NOT enter the module-level
-        worker cache — the coordinator process would otherwise seed
-        every future forked pool worker with entries whose tokens can
-        collide across databases."""
+    def _task(self, shards, payload, ship=False, transient=False) -> dict:
+        """One worker task: ``payload`` plus a cache token per shard,
+        with every shard's columns attached when ``ship`` is set.
+        ``transient`` marks in-process execution: the shard data rides
+        along but must NOT enter the module-level worker cache — the
+        coordinator process would otherwise seed every future forked
+        pool worker with entries whose tokens can collide across
+        databases."""
         entries = []
         for table_name, sharded, shard_id in shards:
             entry = {
                 "table": table_name,
                 "token": list(sharded.shard_token(shard_id)),
             }
-            if table_name in ship:
+            if ship:
                 shard = sharded.shard(shard_id)
                 entry["schema"] = serialize.encode_schema(shard.schema)
                 entry["columns"] = shard.to_dict()
@@ -436,41 +521,37 @@ class DistributedRuntime:
                     with self._lock:
                         self.shard_ships += 1
             entries.append(entry)
-        return {"fragment": spec, "shards": entries, **extra}
+        return {**payload, "shards": entries}
 
-    def _dispatch_pooled(
-        self, fn, spec, tasks, latencies, extra
-    ) -> dict[int, dict]:
+    def _dispatch_pooled(self, fn, tasks, latencies, kind) -> dict[int, dict]:
         pool = self._ensure_pool()
-        started = {
-            key: (
+        started = [
+            (
+                key,
+                shards,
+                payload,
                 time.perf_counter(),
-                pool.submit(fn, self._task(spec, shards, set(), extra)),
+                pool.submit(fn, self._task(shards, payload)),
             )
-            for key, shards in tasks
-        }
-        shards_by_key = dict(tasks)
+            for key, shards, payload in tasks
+        ]
         results: dict[int, dict] = {}
-        retries: list[tuple[int, set]] = []
-        for key, (start, future) in started.items():
+        retried = []
+        for key, shards, payload, start, future in started:
             reply = future.result(timeout=self.fragment_timeout)
             if reply["status"] == worker.MISSING_SHARD:
-                retries.append((key, set(reply.get("missing", ()))))
+                # The retry may land on another worker, which can miss
+                # a different entry than the one that replied: ship all.
+                task = self._task(shards, payload, ship=True)
+                retried.append(
+                    (key, time.perf_counter(), pool.submit(fn, task))
+                )
                 continue
             end = time.perf_counter()
             latencies.append(end - start)
             results[key] = reply
-            _fragment_span(key, start, end, reply)
-        retried = {
-            key: (
-                time.perf_counter(),
-                pool.submit(
-                    fn, self._task(spec, shards_by_key[key], ship, extra)
-                ),
-            )
-            for key, ship in retries
-        }
-        for key, (start, future) in retried.items():
+            _fragment_span(key, start, end, reply, kind)
+        for key, start, future in retried:
             reply = future.result(timeout=self.fragment_timeout)
             if reply["status"] != worker.OK:
                 raise RuntimeDispatchError(
@@ -479,17 +560,16 @@ class DistributedRuntime:
             end = time.perf_counter()
             latencies.append(end - start)
             results[key] = reply
-            _fragment_span(key, start, end, reply, shipped=True)
+            _fragment_span(key, start, end, reply, kind, shipped=True)
         return results
 
     def _dispatch_inprocess(
-        self, fn, spec, tasks, latencies, extra
+        self, fn, tasks, latencies, kind
     ) -> dict[int, dict]:
         results: dict[int, dict] = {}
-        for key, shards in tasks:
-            ship = {name for name, _sharded, _sid in shards}
+        for key, shards, payload in tasks:
             start = time.perf_counter()
-            reply = fn(self._task(spec, shards, ship, extra, transient=True))
+            reply = fn(self._task(shards, payload, ship=True, transient=True))
             end = time.perf_counter()
             latencies.append(end - start)
             if reply["status"] != worker.OK:
@@ -497,54 +577,61 @@ class DistributedRuntime:
                     f"in-process fragment failed task {key}"
                 )
             results[key] = reply
-            _fragment_span(key, start, end, reply)
-        return results
-
-    def _run_tasks(self, fn, tasks, latencies) -> dict[int, dict]:
-        """Run self-contained (data-carrying) tasks; no miss protocol."""
-        recorded = len(latencies)
-        if self.effective_mode == "process":
-            try:
-                pool = self._ensure_pool()
-                started = {
-                    key: (time.perf_counter(), pool.submit(fn, task))
-                    for key, task in tasks
-                }
-                results = {}
-                for key, (start, future) in started.items():
-                    reply = future.result(timeout=self.fragment_timeout)
-                    end = time.perf_counter()
-                    latencies.append(end - start)
-                    results[key] = reply
-                    _fragment_span(key, start, end, reply, kind="bucket")
-                return results
-            except _POOL_FAILURES:
-                self._pool_broken = True
-                events.emit("distributed.degraded", tasks=len(tasks))
-                # Every task re-runs below; keep only one timing each.
-                del latencies[recorded:]
-        results = {}
-        for key, task in tasks:
-            start = time.perf_counter()
-            reply = fn(task)
-            end = time.perf_counter()
-            results[key] = reply
-            latencies.append(end - start)
-            _fragment_span(key, start, end, reply, kind="bucket")
+            _fragment_span(key, start, end, reply, kind)
         return results
 
     def _fragment_spec(self, fragment) -> dict:
+        """The encoded fragment (identity-cached), carrying the content
+        digest workers key their decoded-fragment cache on."""
         key = id(fragment)
         with self._lock:
             cached = self._fragment_specs.get(key)
             if cached is not None and cached[0] is fragment:
                 return cached[1]
         spec = serialize.encode_fragment(fragment, self.model_resolver)
+        spec["digest"] = serialize.fragment_digest(spec)
         with self._lock:
             if len(self._fragment_specs) >= MAX_CACHED_FRAGMENTS:
                 self._fragment_specs.clear()
             self._fragment_specs[key] = (fragment, spec)
         return spec
+
+
+class _BucketSet:
+    """One shuffle side's kept buckets, addressed like a sharded table's
+    shards: bucket *k* answers ``shard(k)`` under a token no other
+    bucket set shares, so join tasks reach it through ship-on-miss."""
+
+    def __init__(self, buckets: "list[Table | None]"):
+        self.name = f"#buckets{next(_BUCKET_SETS)}"
+        self.buckets = buckets
+
+    def shard(self, bucket_id: int) -> Table:
+        return self.buckets[bucket_id]
+
+    def shard_token(self, bucket_id: int) -> tuple:
+        return (self.name, bucket_id)
+
+    def parts(self) -> list:
+        return [
+            None
+            if bucket is None
+            else ({"bucket": self.name}, [(self.name, self, bucket_id)])
+            for bucket_id, bucket in enumerate(self.buckets)
+        ]
+
+
+def _empty_part(schema) -> tuple:
+    """A zero-row inline part: the worker NULL-extends against it."""
+    return _encode_table(Table.empty(schema)), []
+
+
+def _inline_parts(buckets: "list[Table | None]") -> list:
+    """Per-bucket parts that carry their columns in the task."""
+    return [
+        None if bucket is None else (_encode_table(bucket), [])
+        for bucket in buckets
+    ]
 
 
 def _fragment_span(key, start, end, reply, kind="shard", shipped=False):

@@ -15,6 +15,8 @@ operator and expression shapes without paying for the model-bundle dump
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Callable
 
 from repro.errors import RuntimeDispatchError
@@ -275,19 +277,15 @@ def _model_bundle(
 ModelLoader = Callable[[str], object]
 
 
-def encode_stages(
-    stages, model_resolver: ModelResolver | None = None
-) -> list:
-    """The JSON form of a multi-stage fragment's post-join stages."""
-    return [encode_fragment(stage, model_resolver) for stage in stages]
+def fragment_digest(spec: dict) -> str:
+    """A content digest of one encoded fragment.
 
-
-def decode_stages(
-    specs: list, model_loader: ModelLoader | None = None
-) -> tuple:
-    """Decode post-join stage templates (leaves stay ``StageInput``;
-    the worker binds each one to the previous stage's result)."""
-    return tuple(decode_fragment(spec, model_loader) for spec in specs)
+    Workers key their decoded-fragment cache on it: a pool task arrives
+    as a freshly unpickled dict, so only the content can say that two
+    tasks carry the same fragment.
+    """
+    text = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
 def decode_fragment(

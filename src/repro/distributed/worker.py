@@ -1,26 +1,35 @@
 """The per-process fragment executor (runs inside pool workers).
 
-Each worker process keeps two module-level caches:
+Each worker process keeps three module-level caches:
 
 * ``_SHARD_CACHE`` — shard tables keyed by their catalog token
-  ``(table, shard_id, epoch)``. The coordinator ships shard columns
-  only when a worker reports a miss (the ship-on-miss protocol in
+  ``(table, shard_id, epoch)``, and the coordinator's cached shuffle
+  buckets under their own tokens. The coordinator ships columns only
+  when a worker reports a miss (the ship-on-miss protocol in
   :mod:`repro.distributed.runtime`), so steady-state queries move plan
-  JSON and results, not data. Co-located join tasks resolve *several*
-  shards (one per fragment table) through the same cache.
+  JSON and results, not data. Co-located join tasks and bucket joins
+  resolve *several* entries through the same cache.
 * ``_MODEL_CACHE`` — decoded model bundles keyed by content hash, so a
   hot PREDICT fragment deserializes its model once per process, not
   once per call. A decoded model keeps its identity, which is what the
   shared payload-scorer cache (:mod:`repro.relational.scoring`) keys
   compiled sessions on.
+* ``_FRAGMENT_CACHE`` — decoded fragments keyed by the content digest
+  of their JSON spec.
 
 Besides plain fragments, workers run the two halves of the shuffle
 exchange: :func:`run_shuffle_map` executes a side's fragment over its
 shard and hash-partitions the result into key-disjoint buckets, and
-:func:`run_bucket_join` joins one bucket pair shipped back by the
-coordinator. Empty buckets are represented as ``None`` and are never
-dispatched for joining — an INNER join over an empty input is provably
-empty (the empty-bucket guard).
+:func:`run_bucket_join` joins bucket *k* of both sides. Each side of a
+bucket join reaches the worker in one of three forms: columns inline in
+the task; a bucket the coordinator mapped once and now names by cache
+token (shipped, like a shard, only on a miss); or, for a side whose
+table is hash-sharded on the join key into as many shards as there are
+buckets, the side's fragment plus shard *k*'s token — that shard holds
+exactly bucket *k*, so the worker runs the fragment over its cached
+shard and no map phase runs at all. Empty buckets are represented as
+``None`` and are never dispatched for joining — an INNER join over an
+empty input is provably empty (the empty-bucket guard).
 
 Fragments execute through the ordinary relational
 :class:`~repro.relational.algebra.executor.Executor` with intra-worker
@@ -31,6 +40,7 @@ nested thread pools would oversubscribe the machine.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from collections import OrderedDict
 from typing import Mapping
@@ -54,12 +64,12 @@ MAX_CACHED_FRAGMENTS = 16
 
 _SHARD_CACHE: "OrderedDict[tuple, Table]" = OrderedDict()
 _MODEL_CACHE: "OrderedDict[str, object]" = OrderedDict()
-#: Decoded fragments keyed by spec-dict identity (identity-checked on
-#: read). The coordinator's in-process path passes the same cached spec
-#: object for every shard of a gather, so the JSON→logical decode runs
-#: once per plan instead of once per shard. Pool workers receive a
-#: fresh unpickled dict per task, so the cache is a no-op there.
-_FRAGMENT_CACHE: "OrderedDict[int, tuple[dict, object]]" = OrderedDict()
+#: Decoded fragments keyed by the content digest the coordinator sends
+#: in each encoded spec, so every task carrying one fragment — pickled
+#: afresh per pool task — decodes it once per process.
+_FRAGMENT_CACHE: "OrderedDict[str, object]" = OrderedDict()
+#: In-process dispatch runs worker code on the server's threads.
+_FRAGMENT_LOCK = threading.Lock()
 
 #: Status markers in the worker reply.
 OK = "ok"
@@ -107,15 +117,17 @@ def run_fragment(task: dict) -> dict:
 
 
 def _decode_cached(spec: dict):
-    key = id(spec)
-    cached = _FRAGMENT_CACHE.get(key)
-    if cached is not None and cached[0] is spec:
-        _FRAGMENT_CACHE.move_to_end(key)
-        return cached[1]
+    key = spec["digest"]
+    with _FRAGMENT_LOCK:
+        cached = _FRAGMENT_CACHE.get(key)
+        if cached is not None:
+            _FRAGMENT_CACHE.move_to_end(key)
+            return cached
     fragment = serialize.decode_fragment(spec, _load_model)
-    _FRAGMENT_CACHE[key] = (spec, fragment)
-    while len(_FRAGMENT_CACHE) > MAX_CACHED_FRAGMENTS:
-        _FRAGMENT_CACHE.popitem(last=False)
+    with _FRAGMENT_LOCK:
+        _FRAGMENT_CACHE[key] = fragment
+        while len(_FRAGMENT_CACHE) > MAX_CACHED_FRAGMENTS:
+            _FRAGMENT_CACHE.popitem(last=False)
     return fragment
 
 
@@ -148,6 +160,12 @@ def run_bucket_join(task: dict) -> dict:
     """Reduce half of the shuffle: join one bucket pair locally, then
     run any post-join ``stages`` over the joined rows.
 
+    ``task["left"]``/``task["right"]`` each give one side's bucket:
+    inline ``schema`` + ``columns``, a ``bucket`` name served from the
+    task's shard entries, or a ``fragment`` run over the task's
+    (co-partitioned) shard. A worker missing a cached shard or bucket
+    replies with the missing names, exactly like :func:`run_fragment`.
+
     Each stage is a pipeline spec whose leaf is a ``stage_input``
     placeholder; the worker binds it to the previous stage's result and
     executes in place — so filters, PREDICT, and partial aggregates run
@@ -159,14 +177,12 @@ def run_bucket_join(task: dict) -> dict:
     from repro.distributed.operators import bind_stage_input
     from repro.relational.algebra import logical
 
-    left = Table(
-        serialize.decode_schema(task["left"]["schema"]),
-        task["left"]["columns"],
-    )
-    right = Table(
-        serialize.decode_schema(task["right"]["schema"]),
-        task["right"]["columns"],
-    )
+    shards, missing = _resolve_entries(task)
+    if missing:
+        return {"status": MISSING_SHARD, "missing": missing}
+    start = time.perf_counter()
+    left = _bucket_side(task["left"], shards)
+    right = _bucket_side(task["right"], shards)
     condition = serialize.decode_expression(task["condition"])
     plan = logical.Join(
         logical.InlineTable(left),
@@ -175,7 +191,6 @@ def run_bucket_join(task: dict) -> dict:
         condition,
     )
     executor = _single_threaded_executor(lambda _name: _no_table(_name))
-    start = time.perf_counter()
     result = executor.execute(plan)
     join_elapsed = time.perf_counter() - start
     stage_timings: list[dict] = []
@@ -202,6 +217,15 @@ def run_bucket_join(task: dict) -> dict:
         "columns": result.to_dict(),
         "timings": timings,
     }
+
+
+def _bucket_side(side: dict, shards: Mapping[str, Table]) -> Table:
+    """One bucket-join input, in whichever form the coordinator sent."""
+    if "fragment" in side:
+        return execute_fragment(_decode_cached(side["fragment"]), shards)
+    if "bucket" in side:
+        return shards[shard_target(side["bucket"])]
+    return Table(serialize.decode_schema(side["schema"]), side["columns"])
 
 
 def bucketize(table: Table, key: str, num_buckets: int) -> list[Table | None]:

@@ -355,6 +355,48 @@ class TestSerialization:
         second = worker._load_model(bundle)
         assert first is second
 
+    def test_pickled_copies_of_one_task_decode_once(self, monkeypatch):
+        """Pool tasks arrive as fresh unpickled dicts, so the worker's
+        fragment cache must key on content, not on dict identity."""
+        import pickle
+
+        table = make_table(n=400)
+        db = distributed_db(table, shards=2)
+        fragment = logical.Filter(
+            ShardScan("t", table.schema, None, 2),
+            BinaryOp("<", col("grp"), lit(10)),
+        )
+        runtime = db.distributed
+        task = runtime._task(
+            [("t", db.catalog.sharding("t"), 0)],
+            {
+                "fragment": runtime._fragment_spec(fragment),
+                "key": "id",
+                "num_buckets": 2,
+            },
+            ship=True,
+            transient=True,
+        )
+        decodes = []
+        real = serialize.decode_fragment
+
+        def counting(spec, loader=None):
+            decodes.append(spec["op"])
+            return real(spec, loader)
+
+        monkeypatch.setattr(serialize, "decode_fragment", counting)
+        worker.clear_caches()
+        try:
+            replies = [
+                worker.run_shuffle_map(pickle.loads(pickle.dumps(task)))
+                for _copy in range(2)
+            ]
+        finally:
+            worker.clear_caches()
+        assert [reply["status"] for reply in replies] == [worker.OK] * 2
+        # One decode of the fragment (the filter, then its scan leaf).
+        assert decodes == ["filter", "shard_scan"]
+
 
 class TestGatherExecution:
     def test_distributed_aggregate_matches_baseline(self, base_table):
@@ -522,6 +564,30 @@ class TestProcessPool:
             assert np.allclose(
                 first.column("out"), expected.column("out")
             )
+        finally:
+            db.close()
+
+    def test_bucket_joins_ship_on_miss_from_cold_pool(self):
+        """From a cold pool, co-partitioned shards and kept buckets both
+        reach the workers through the miss-and-ship path."""
+        events, mirror = make_side_tables(n=2_000)
+        db = side_db(events, mirror, mode="process")
+        local = Database(options=ExecutionOptions(enable_distributed=False))
+        local.register_table("events", events)
+        local.register_table("mirror", mirror)
+        plan, expected = side_plans(events, mirror, "FULL")
+        want = local.execute_plan(expected)
+        try:
+            ships = []
+            for _request in range(4):  # mapped, kept, then reused twice
+                assert_tables_close(db.execute_plan(plan), want)
+                ships.append(db.distributed.stats()["shard_ships"])
+            stats = db.distributed.stats()
+            if stats["mode"] == "process":
+                # Request 2 keeps mirror's buckets and names them by
+                # token: each of its join tasks misses and ships.
+                assert ships[1] - ships[0] >= SIDE_BUCKETS
+                assert stats["fragments_run"] == 3 * 2 + 4 * SIDE_BUCKETS
         finally:
             db.close()
 
@@ -1652,3 +1718,288 @@ class TestDagFragments:
             assert stages["p95"] >= stages["p50"] > 0.0
         finally:
             server.shutdown()
+
+
+# -- worker-resident shuffle sides ---------------------------------------------
+
+SIDE_ROWS = 4_000
+SIDE_BUCKETS = 4
+SIDE_KEYS = ("a.id", "a.g", "a.v", "b.id", "b.w")
+
+
+def make_side_tables(n=SIDE_ROWS):
+    """``events`` hash-sharded on ``id`` into as many shards as there
+    are buckets (co-partitioned), ``mirror`` into three (mapped).
+    ``g = id % 4`` equals the events shard id, so a filter on ``g``
+    prunes whole shards through their zone maps."""
+    rng = np.random.default_rng(21)
+    ids = np.arange(n, dtype=np.int64)
+    events = Table.from_dict(
+        {"id": ids, "g": ids % SIDE_BUCKETS, "v": rng.normal(size=n)}
+    )
+    # Mirror misses some event ids and holds ids no event has, so both
+    # outer-join directions NULL-extend rows.
+    mirror_ids = rng.permutation(np.arange(n // 4, n + n // 4, dtype=np.int64))
+    mirror = Table.from_dict(
+        {"id": mirror_ids, "w": rng.normal(size=mirror_ids.size)}
+    )
+    return events, mirror
+
+
+def side_db(events, mirror, mode="inprocess"):
+    db = Database(
+        options=ExecutionOptions(max_workers=2, distributed_mode=mode)
+    )
+    db.register_table("events", events)
+    db.register_table("mirror", mirror)
+    db.shard_table("events", "id", SIDE_BUCKETS)
+    db.shard_table("mirror", "id", 3)
+    db.catalog.table_statistics("events")
+    db.catalog.table_statistics("mirror")
+    return db
+
+
+def side_shuffle(table, name, alias, shards, predicate=None):
+    leaf = ShardScan(name, table.schema, alias, shards)
+    fragment = leaf if predicate is None else logical.Filter(leaf, predicate)
+    return Shuffle(
+        name,
+        fragment,
+        f"{alias}.id",
+        tuple(range(shards)),
+        shards,
+        SIDE_BUCKETS,
+    )
+
+
+def side_scan(table, name, alias, predicate=None):
+    scan = logical.Scan(name, table.schema, alias)
+    return scan if predicate is None else logical.Filter(scan, predicate)
+
+
+def ordered(plan):
+    return logical.OrderBy(plan, tuple((col(key), True) for key in SIDE_KEYS))
+
+
+def side_plans(events, mirror, kind, copartitioned_left=True, prune=False):
+    """``(ShuffleJoin plan, equivalent local plan)`` over the side
+    tables; ``prune`` filters the events side to the rows of shards 0
+    and 1, and zone maps prune shard 3."""
+    predicate = BinaryOp("<", col("a.g"), lit(2)) if prune else None
+    sides = [
+        (
+            side_shuffle(events, "events", "a", SIDE_BUCKETS, predicate),
+            side_scan(events, "events", "a", predicate),
+        ),
+        (
+            side_shuffle(mirror, "mirror", "b", 3),
+            side_scan(mirror, "mirror", "b"),
+        ),
+    ]
+    if not copartitioned_left:
+        sides.reverse()
+    (left, left_local), (right, right_local) = sides
+    condition = BinaryOp("=", col(left.key), col(right.key))
+    shuffle_join = ShuffleJoin(left, right, kind, condition, SIDE_BUCKETS)
+    local = logical.Join(left_local, right_local, kind, condition)
+    return ordered(shuffle_join), ordered(local)
+
+
+def count_map_tasks(monkeypatch):
+    """Patch the map half of the shuffle to record each task's table."""
+    tables = []
+    real = worker.run_shuffle_map
+
+    def counting(task):
+        tables.append(task["shards"][0]["table"])
+        return real(task)
+
+    monkeypatch.setattr(worker, "run_shuffle_map", counting)
+    return tables
+
+
+class TestWorkerResidentShuffle:
+    """Bucket joins read co-partitioned shards and once-bucketed sides
+    from the worker cache instead of a map phase per request."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return make_side_tables()
+
+    @pytest.fixture(scope="class")
+    def local(self, tables):
+        db = Database(options=ExecutionOptions(enable_distributed=False))
+        db.register_table("events", tables[0])
+        db.register_table("mirror", tables[1])
+        return db
+
+    def test_co_partitioned_side_runs_no_map(self, tables, local, monkeypatch):
+        maps = count_map_tasks(monkeypatch)
+        db = side_db(*tables)
+        plan, expected = side_plans(*tables, "INNER")
+        result = db.execute_plan(plan)
+        assert_tables_close(result, local.execute_plan(expected))
+        assert maps == ["mirror"] * 3
+        assert db.distributed.stats()["buckets_joined"] == SIDE_BUCKETS
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["all", "pruned"])
+    @pytest.mark.parametrize(
+        "copartitioned_left", [True, False], ids=["left", "right"]
+    )
+    @pytest.mark.parametrize("kind", ["INNER", "LEFT", "FULL"])
+    def test_join_kinds_match_local(
+        self, tables, local, monkeypatch, kind, copartitioned_left, prune
+    ):
+        maps = count_map_tasks(monkeypatch)
+        db = side_db(*tables)
+        plan, expected = side_plans(
+            *tables, kind, copartitioned_left, prune
+        )
+        want = local.execute_plan(expected)
+        for _request in range(3):  # mapped, then kept, then reused
+            assert_tables_close(db.execute_plan(plan), want)
+        assert "events" not in maps
+        assert (db.distributed.stats()["shards_pruned"] > 0) is prune
+        if kind != "INNER":
+            padded = "b.w" if copartitioned_left else "a.v"
+            assert np.isnan(want.column(padded)).any()
+
+    def test_parameter_free_side_is_bucketed_once_per_epoch(
+        self, tables, monkeypatch
+    ):
+        maps = count_map_tasks(monkeypatch)
+        db = side_db(*tables)
+        plan, _expected = side_plans(*tables, "INNER")
+        db.execute_plan(plan)
+        # The second request to dispatch the same fragment object keeps
+        # its buckets; every later request reads them from the cache.
+        db.execute_plan(plan)
+        assert maps == ["mirror"] * 6
+        first = db.execute_plan(plan)
+        db.execute_plan(plan)
+        assert maps == ["mirror"] * 6
+        db.execute("INSERT INTO mirror (id, w) VALUES (7, 1000.0)")
+        second = db.execute_plan(plan)
+        assert maps == ["mirror"] * 9
+        assert second.num_rows == first.num_rows + 1
+        assert 1000.0 in second.column("b.w")
+        db.execute_plan(plan)
+        assert maps == ["mirror"] * 9
+
+    def test_bound_side_keeps_inline_buckets(self, tables, monkeypatch):
+        """A side rebuilt per request never enters the bucket cache."""
+        maps = count_map_tasks(monkeypatch)
+        db = side_db(*tables)
+        for _request in range(3):
+            plan, _expected = side_plans(*tables, "INNER")
+            db.execute_plan(plan)
+        assert maps == ["mirror"] * 9
+        assert not db.distributed._side_buckets
+
+    def test_concurrent_requests_share_one_kept_side(self, tables, local):
+        """Threads executing one plan at once: every result is right,
+        the runtime's counters lose no update, and the side is kept
+        once."""
+        import sys
+        import threading
+
+        db = side_db(*tables)
+        plan, expected = side_plans(*tables, "INNER")
+        want = local.execute_plan(expected)
+        db.execute_plan(plan)  # maps inline; later requests keep it
+        results, errors = [], []
+
+        def run():
+            try:
+                for _request in range(5):
+                    results.append(db.execute_plan(plan))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _thread in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 40
+        for result in results:
+            assert_tables_close(result, want)
+        stats = db.distributed.stats()
+        assert stats["shuffle_joins"] == 41
+        assert stats["buckets_joined"] == 41 * SIDE_BUCKETS
+        assert len(db.distributed._side_buckets) == 1
+
+    def test_reshard_between_plan_and_execute_maps(
+        self, tables, local, monkeypatch
+    ):
+        maps = count_map_tasks(monkeypatch)
+        db = side_db(*tables)
+        plan, expected = side_plans(*tables, "LEFT")
+        want = local.execute_plan(expected)
+        assert_tables_close(db.execute_plan(plan), want)
+        assert "events" not in maps
+        db.catalog.unshard_table("events")
+        db.shard_table("events", "id", 3)
+        assert_tables_close(db.execute_plan(plan), want)
+        assert maps.count("events") == 3
+        db.catalog.unshard_table("events")
+        db.shard_table("events", "g", SIDE_BUCKETS)
+        assert_tables_close(db.execute_plan(plan), want)
+        assert maps.count("events") == 3 + SIDE_BUCKETS
+
+    def test_prepared_filtered_aggregate_stages_partial_aggregate(self):
+        """The ``sharded_agg`` shape: the WHERE sinks into the events
+        side and the partial aggregate still rides the bucket join."""
+        rng = np.random.default_rng(5)
+        n = 30_000
+        events = Table.from_dict(
+            {
+                "id": np.arange(n, dtype=np.int64),
+                "grp": rng.integers(0, 64, n).astype(np.int64),
+                "v": rng.normal(size=n),
+            }
+        )
+        mirror = Table.from_dict(
+            {"id": rng.permutation(n).astype(np.int64),
+             "w": rng.normal(size=n)}
+        )
+        db = Database(
+            options=ExecutionOptions(max_workers=2, distributed_mode="inprocess")
+        )
+        db0 = Database(options=ExecutionOptions(enable_distributed=False))
+        for database in (db, db0):
+            database.register_table("events", events)
+            database.register_table("mirror", mirror)
+        db.shard_table("events", "id", 4)
+        db.shard_table("mirror", "id", 3)
+        sql = (
+            "SELECT a.grp, COUNT(*) AS c, AVG(b.w) AS m FROM events AS a "
+            "JOIN mirror AS b ON a.id = b.id WHERE a.grp < ? GROUP BY a.grp"
+        )
+        prepared = RavenSession(db, {"shard_workers": 4}).prepare(sql)
+        (exchange,) = [
+            op for op in prepared.plan.walk() if isinstance(op, ShuffleJoin)
+        ]
+        assert [type(stage).__name__ for stage in exchange.stages] == [
+            "Aggregate"
+        ]
+        assert isinstance(exchange.left.fragment, logical.Filter)
+        for cutoff in (8, 40):
+            got = prepared.execute([cutoff])
+            want = db0.execute(sql.replace("?", str(cutoff)))
+            assert_tables_close(
+                db.execute_plan(logical.OrderBy(
+                    logical.InlineTable(got), ((col("grp"), True),)
+                )),
+                db0.execute_plan(logical.OrderBy(
+                    logical.InlineTable(want), ((col("grp"), True),)
+                )),
+            )
+        assert db.distributed.stats()["stages_run"] == 2 * SIDE_BUCKETS

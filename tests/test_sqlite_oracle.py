@@ -3,7 +3,9 @@
 On random NaN-free tables, equi-joins (INNER/LEFT/FULL, duplicate or
 unique build keys), GROUP BY with COUNT/SUM/AVG/MIN/MAX over one and two
 keys, and DISTINCT must return the same row multiset through
-``Database.execute`` as through SQLite. SQLite pads outer joins with
+``Database.execute`` as through SQLite. The joins and GROUP BYs also
+run over sharded copies as shuffle joins, with one side co-partitioned
+with the buckets or with both sides mapped. SQLite pads outer joins with
 NULL where the engine pads with its type defaults (NaN for floats, 0
 for ints, "" for strings), so NULLs are mapped before comparing. Values
 are multiples of 1/4, so sums and averages are exact in any summation
@@ -74,22 +76,15 @@ def _canonical(row) -> tuple:
     )
 
 
-@pytest.mark.parametrize("seed", [*DUPLICATE_KEY_SEEDS, *UNIQUE_KEY_SEEDS])
-@pytest.mark.parametrize("sql", QUERIES)
-def test_engine_matches_sqlite(sql, seed):
-    if " FULL JOIN " in sql and not FULL_JOIN_SUPPORTED:
-        pytest.skip(f"sqlite {sqlite3.sqlite_version} has no FULL JOIN")
-    tables = _tables(seed)
-    db = Database()
+def _assert_matches_sqlite(sql, tables, out):
+    """``out`` holds the same row multiset SQLite returns for ``sql``."""
     oracle = sqlite3.connect(":memory:")
     for name, columns in tables.items():
-        db.register_table(name, Table.from_dict(columns))
         oracle.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
         oracle.executemany(
             f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})",
             zip(*(values.tolist() for values in columns.values())),
         )
-    out = db.execute(sql)
     pads = [PADS[column.dtype] for column in out.schema]
     want = [
         tuple(pad if v is None else v for v, pad in zip(row, pads))
@@ -98,3 +93,61 @@ def test_engine_matches_sqlite(sql, seed):
     oracle.close()
     got = list(zip(*(out.column(name).tolist() for name in out.schema.names)))
     assert sorted(map(_canonical, got)) == sorted(map(_canonical, want))
+
+
+@pytest.mark.parametrize("seed", [*DUPLICATE_KEY_SEEDS, *UNIQUE_KEY_SEEDS])
+@pytest.mark.parametrize("sql", QUERIES)
+def test_engine_matches_sqlite(sql, seed):
+    if " FULL JOIN " in sql and not FULL_JOIN_SUPPORTED:
+        pytest.skip(f"sqlite {sqlite3.sqlite_version} has no FULL JOIN")
+    tables = _tables(seed)
+    db = Database()
+    for name, columns in tables.items():
+        db.register_table(name, Table.from_dict(columns))
+    _assert_matches_sqlite(sql, tables, db.execute(sql))
+
+
+#: The join and GROUP BY queries, plus WHERE clauses a side can take.
+DISTRIBUTED_QUERIES = [
+    *QUERIES[:4],
+    "SELECT l.s, COUNT(*) AS c, SUM(r.w) AS total "
+    "FROM lt AS l JOIN rt AS r ON l.k = r.k WHERE l.v > 0 GROUP BY l.s",
+    "SELECT l.k, l.v, r.t FROM lt AS l LEFT JOIN rt AS r ON l.k = r.k "
+    "WHERE l.s <> 'b'",
+]
+#: The bucket count the session plans shuffles with.
+SHARD_WORKERS = 4
+#: Shard counts of ``lt`` and ``rt`` (both on ``k``): ``lt`` holds
+#: exactly one bucket per shard, or neither side does.
+LAYOUTS = {"co_partitioned": (SHARD_WORKERS, 3), "mapped": (3, 5)}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("seed", [*DUPLICATE_KEY_SEEDS, *UNIQUE_KEY_SEEDS])
+@pytest.mark.parametrize("sql", DISTRIBUTED_QUERIES)
+def test_shuffle_join_matches_sqlite(sql, seed, layout, monkeypatch):
+    """The same queries over sharded copies, run as shuffle joins."""
+    from repro.core.optimizer import coster
+    from repro.core.raven import RavenSession
+    from repro.distributed.operators import ShuffleJoin
+    from repro.relational.algebra.executor import ExecutionOptions
+
+    if " FULL JOIN " in sql and not FULL_JOIN_SUPPORTED:
+        pytest.skip(f"sqlite {sqlite3.sqlite_version} has no FULL JOIN")
+    # The cost model rightly keeps joins of 40-row tables local; free
+    # fragment dispatch puts them on the shuffle path under test.
+    monkeypatch.setattr(coster, "FRAGMENT_DISPATCH_COST", 0.0)
+    tables = _tables(seed)
+    db = Database(
+        options=ExecutionOptions(max_workers=2, distributed_mode="inprocess")
+    )
+    try:
+        for (name, columns), shards in zip(tables.items(), LAYOUTS[layout]):
+            db.register_table(name, Table.from_dict(columns))
+            db.shard_table(name, "k", shards)
+        session = RavenSession(db, {"shard_workers": SHARD_WORKERS})
+        result = session.execute(sql)
+        assert any(isinstance(op, ShuffleJoin) for op in result.plan.walk())
+        _assert_matches_sqlite(sql, tables, result.table)
+    finally:
+        db.close()
