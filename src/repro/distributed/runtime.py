@@ -115,7 +115,9 @@ class DistributedRuntime:
         self._pool = None
         self._pool_broken = False
         self._lock = threading.Lock()
-        self._fragment_specs: "dict[int, tuple[object, dict]]" = {}
+        self._fragment_specs: "OrderedDict[int, tuple[object, dict]]" = (
+            OrderedDict()
+        )
         self._side_buckets: "OrderedDict[int, tuple]" = OrderedDict()
         self._observers: list[Callable[[int, int, list[float]], None]] = []
         # Counters (guarded by the lock; benchmarks and stats read them).
@@ -569,7 +571,12 @@ class DistributedRuntime:
         results: dict[int, dict] = {}
         for key, shards, payload in tasks:
             start = time.perf_counter()
-            reply = fn(self._task(shards, payload, ship=True, transient=True))
+            # Untraced, like a pool worker: the fragment span below is
+            # the task's whole record, so both modes trace alike.
+            with qtrace.activate(None):
+                reply = fn(
+                    self._task(shards, payload, ship=True, transient=True)
+                )
             end = time.perf_counter()
             latencies.append(end - start)
             if reply["status"] != worker.OK:
@@ -581,19 +588,23 @@ class DistributedRuntime:
         return results
 
     def _fragment_spec(self, fragment) -> dict:
-        """The encoded fragment (identity-cached), carrying the content
-        digest workers key their decoded-fragment cache on."""
+        """The encoded fragment (identity-cached, least recently used
+        evicted first, so the specs a prepared statement reuses outlive
+        the ones bound afresh per request), carrying the content digest
+        workers key their decoded-fragment cache on."""
         key = id(fragment)
         with self._lock:
             cached = self._fragment_specs.get(key)
             if cached is not None and cached[0] is fragment:
+                self._fragment_specs.move_to_end(key)
                 return cached[1]
         spec = serialize.encode_fragment(fragment, self.model_resolver)
         spec["digest"] = serialize.fragment_digest(spec)
         with self._lock:
-            if len(self._fragment_specs) >= MAX_CACHED_FRAGMENTS:
-                self._fragment_specs.clear()
             self._fragment_specs[key] = (fragment, spec)
+            self._fragment_specs.move_to_end(key)
+            while len(self._fragment_specs) > MAX_CACHED_FRAGMENTS:
+                self._fragment_specs.popitem(last=False)
         return spec
 
 

@@ -5,8 +5,9 @@ structured :mod:`event bus <repro.observability.events>`, contextvar
 :mod:`query traces <repro.observability.trace>` spanning coordinator
 and worker-side fragment timings, an explicit-bucket
 :mod:`metrics registry <repro.observability.metrics>` fed from events,
-and the :mod:`EXPLAIN ANALYZE <repro.observability.explain>`
-instrumentation producing estimate-vs-actual q-error feedback.
+and :mod:`EXPLAIN ANALYZE <repro.observability.explain>`, which
+folds a traced run's operator spans into estimate-vs-actual q-error
+feedback.
 
 On top of those signals sits the workload observatory: the
 :mod:`drift watchdog <repro.observability.watchdog>` (q-error drift
@@ -21,7 +22,7 @@ text exposition, Chrome trace events).
 # here — it depends on the relational executor, and the relational
 # database imports this package for event/trace emission; importing it
 # at package level would close that cycle. Import it as
-# ``from repro.observability.explain import InstrumentedExecutor``.
+# ``from repro.observability.explain import explain_lines``.
 from repro.observability.events import (
     BUS,
     Event,

@@ -3,9 +3,10 @@
 :func:`explain_lines` renders the plan the optimizer chose, one line per
 operator with its estimated rows and cost, zone-map and shard pruning,
 and the memo search's statistics as a footer.
-``EXPLAIN ANALYZE <select>`` executes that plan through an
-:class:`InstrumentedExecutor` that times every operator dispatch and
-records actual row counts, keyed by operator identity.
+``EXPLAIN ANALYZE <select>`` executes that plan on the ordinary
+executor under a query trace, in which every operator dispatch is a
+span carrying the operator's identity and its output rows;
+:func:`operator_actuals` folds those spans into per-operator actuals.
 :func:`explain_lines` then prints ``actual_rows / time / q_error`` next
 to the estimates, and :func:`collect_table_q_errors` attributes each
 measured operator's q-error back to the base table it reads — the
@@ -20,8 +21,6 @@ workers, so only the ``Gather`` boundary has coordinator-side actuals.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.core.optimizer import OptimizationReport, operator_cost
 from repro.core.optimizer.engine import search_context
@@ -39,17 +38,6 @@ from repro.relational.expressions import Expression
 from repro.relational.statistics import estimate_predicate_selectivity
 
 
-class OperatorStats:
-    """Actuals for one plan operator: rows out, inclusive wall time."""
-
-    __slots__ = ("rows", "seconds", "calls")
-
-    def __init__(self):
-        self.rows = 0
-        self.seconds = 0.0
-        self.calls = 0
-
-
 def q_error(estimated: float, actual: float) -> float:
     """The symmetric ratio error ``max(e, a) / min(e, a)``, floored at
     one row on both sides so empty results stay finite."""
@@ -58,50 +46,43 @@ def q_error(estimated: float, actual: float) -> float:
     return max(est, act) / min(est, act)
 
 
-class InstrumentedExecutor(Executor):
-    """An executor that times every operator dispatch.
+#: ``id(op) -> (rows, seconds, calls)``: an operator's output rows (of
+#: its last call), inclusive wall time and dispatch count.
+Actuals = dict[int, tuple[int, float, int]]
 
-    ``records`` maps ``id(op)`` to :class:`OperatorStats`; times are
-    *inclusive* (an operator's clock runs while its children execute),
-    matching how EXPLAIN renders the tree. Re-entrant dispatches of the
-    same node (retries) accumulate; a sub-plan shared by several parents
-    runs — and is counted — once per top-level execution.
+
+def operator_actuals(trace, plan: logical.LogicalOp) -> Actuals:
+    """Fold ``trace``'s operator spans into actuals for ``plan``.
+
+    Times are *inclusive* (an operator's span stays open while its
+    children execute), matching how EXPLAIN renders the tree. Repeated
+    dispatches of one node accumulate; a sub-plan shared by several
+    parents runs — and is counted — once per top-level execution.
+    Spans of operators outside ``plan`` (a fragment run locally, a
+    shuffle join's one-bucket join) are not its operators' actuals.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.records: dict[int, OperatorStats] = {}
-
-    @classmethod
-    def from_executor(cls, executor: Executor) -> "InstrumentedExecutor":
-        return cls(
-            table_provider=executor._table_provider,
-            model_resolver=executor._model_resolver,
-            options=executor.options,
-            shard_provider=executor._shard_provider,
-            fragment_runner=executor._fragment_runner,
-            shuffle_runner=executor._shuffle_runner,
-        )
-
-    def _run_operator(self, plan):
-        start = time.perf_counter()
-        result = super()._run_operator(plan)
-        elapsed = time.perf_counter() - start
-        record = self.records.get(id(plan))
-        if record is None:
-            record = self.records[id(plan)] = OperatorStats()
-        record.calls += 1
-        record.seconds += elapsed
-        record.rows = result.num_rows
-        return result
+    ids = {id(op) for op in plan.walk()}
+    actuals: Actuals = {}
+    stack = [trace.root]
+    while stack:
+        span = stack.pop()
+        key = span.attrs.get("op")
+        if key in ids:
+            _rows, seconds, calls = actuals.get(key, (0, 0.0, 0))
+            actuals[key] = (span.attrs["rows"], seconds + span.duration, calls + 1)
+        stack.extend(reversed(span.children))
+    return actuals
 
 
-def analyze_annotations(record: OperatorStats, estimated: float) -> list[str]:
+def analyze_annotations(
+    record: tuple[int, float, int], estimated: float
+) -> list[str]:
     """The ``actual_rows / time_ms / q_error`` suffix for one line."""
+    rows, seconds, _calls = record
     return [
-        f"actual_rows={record.rows}",
-        f"time_ms={record.seconds * 1e3:.2f}",
-        f"q_error={q_error(estimated, record.rows):.2f}",
+        f"actual_rows={rows}",
+        f"time_ms={seconds * 1e3:.2f}",
+        f"q_error={q_error(estimated, rows):.2f}",
     ]
 
 
@@ -127,7 +108,7 @@ def _anchor_table(op) -> str | None:
 
 
 def collect_table_q_errors(
-    plan, records: dict[int, OperatorStats], database
+    plan, records: Actuals, database
 ) -> dict[str, float]:
     """Worst per-table q-error across anchored operators of one plan.
 
@@ -144,7 +125,7 @@ def collect_table_q_errors(
         if record is not None:
             table = _anchor_table(op)
             if table is not None:
-                q = q_error(estimate(op), record.rows)
+                q = q_error(estimate(op), record[0])
                 if q > worst.get(table, 0.0):
                     worst[table] = q
         for child in getattr(op, "children", ()):
@@ -168,7 +149,7 @@ def explain_lines(
     plan: logical.LogicalOp,
     database,
     report: OptimizationReport,
-    actuals: dict[int, OperatorStats] | None = None,
+    actuals: Actuals | None = None,
 ) -> list[str]:
     """The optimized plan, one indented line per operator.
 
@@ -179,8 +160,8 @@ def explain_lines(
     — groups created, expressions explored, branches pruned, DP subset
     counts — and the rules that fired are appended as footer lines.
 
-    ``actuals`` (EXPLAIN ANALYZE) maps ``id(op)`` to the instrumented
-    executor's :class:`OperatorStats`; measured operators additionally
+    ``actuals`` (EXPLAIN ANALYZE) maps ``id(op)`` to the
+    :func:`operator_actuals` of its run; measured operators additionally
     print actual rows, wall time, and the estimate's q-error. The scan
     under a pruned filter (and operators executed worker-side inside a
     fragment) have no record and keep their estimate-only line.

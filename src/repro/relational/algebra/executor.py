@@ -89,25 +89,12 @@ class ExecutionOptions:
         self.distributed_mode = distributed_mode
 
 
-def _shuffle_tables(shuffle) -> list[str]:
-    """Base tables a shuffle side's ShardScan leaves read (none for a
-    coordinator-local side whose leaf is a plain Scan)."""
-    from repro.distributed.operators import fragment_tables
-
-    return fragment_tables(shuffle.fragment)
-
-
-def _side_gather(shuffle):
-    """A Gather view of one shuffle side (for the inline map phase)."""
-    from repro.distributed.operators import Gather
-
-    return Gather(
-        shuffle.table_name,
-        shuffle.fragment,
-        shuffle.key,
-        shuffle.shard_ids,
-        shuffle.total_shards,
-    )
+def _record(op: logical.LogicalOp, **facts) -> None:
+    """Attach ``facts`` to ``op``'s own trace span (a no-op untraced, or
+    when a full trace gave ``op`` no span)."""
+    span = qtrace.current_span()
+    if span is not None and span.attrs.get("op") == id(op):
+        span.attrs.update(facts)
 
 
 def _null_extended(schema, count: int) -> "Table":
@@ -171,15 +158,6 @@ class Executor:
         self._fragment_runner = fragment_runner
         self._shuffle_runner = shuffle_runner
         self.options = options or ExecutionOptions()
-        #: Zone-map outcome of the most recent pruned scan:
-        #: {"table", "partitions_total", "partitions_scanned"}. A
-        #: single-threaded diagnostic for tests and benchmarks only —
-        #: it is unsynchronized and persists across queries that prune
-        #: nothing, so read it immediately after the query of interest.
-        self.last_scan_pruning: dict | None = None
-        #: Same diagnostic for the most recent Gather: {"table",
-        #: "shards_total", "shards_scanned"}.
-        self.last_shard_routing: dict | None = None
 
     def execute(self, plan: logical.LogicalOp) -> Table:
         """Run ``plan`` (operators execute their children through here).
@@ -203,10 +181,19 @@ class Executor:
         return shared[id(plan)]
 
     def _run_operator(self, plan: logical.LogicalOp) -> Table:
-        method = getattr(self, f"_execute_{type(plan).__name__.lower()}", None)
+        """Dispatch one operator; under an active trace, inside a span
+        named by the dispatch key carrying ``op`` (``id(plan)``) and the
+        output ``rows`` — the actuals EXPLAIN ANALYZE folds."""
+        name = type(plan).__name__.lower()
+        method = getattr(self, f"_execute_{name}", None)
         if method is None:
             raise ExecutionError(f"no physical operator for {type(plan).__name__}")
-        return method(plan)
+        if qtrace.current_span() is None:
+            return method(plan)
+        with qtrace.span(name, op=id(plan)) as span:
+            result = method(plan)
+            span.set("rows", result.num_rows)
+            return result
 
     # -- leaf operators -------------------------------------------------------
 
@@ -263,11 +250,7 @@ class Executor:
         kept = int(keep.sum())
         if kept > len(keep) * self.PRUNE_COPY_THRESHOLD:
             return None  # weak pruning: compaction would cost more
-        self.last_scan_pruning = {
-            "table": scan.table_name,
-            "partitions_total": int(len(keep)),
-            "partitions_scanned": kept,
-        }
+        _record(op, partitions_scanned=kept, partitions_total=int(len(keep)))
         surviving = [
             base.slice(start, stop)
             for (start, stop), is_kept in zip(base.partition_bounds(), keep)
@@ -536,124 +519,58 @@ class Executor:
 
         Dispatch goes through the injected ``fragment_runner`` (the
         database's :class:`~repro.distributed.runtime.DistributedRuntime`
-        by default; tests inject recording runners). A table that is no
-        longer sharded — or a missing runner — degrades to executing
-        the fragment once over the full base table(s), which is
+        by default; tests inject recording runners). Without a runner,
+        when a table is no longer sharded, or when a co-located join's
+        layout assumptions no longer hold (a reshard raced a cached
+        plan), the fragment runs once here over the full base tables —
         equivalent for every fragment shape the optimizer emits
         (filters, scoring, joins, and *partial* aggregates are all
-        union-compatible). A co-located join whose layout assumptions
-        no longer hold (a reshard raced a cached plan) degrades the
-        same way — joining the full base tables locally is always
-        correct.
+        union-compatible). The operator's trace span records
+        ``shards_scanned`` / ``shards_total``.
         """
-        with qtrace.span("gather", table=op.table_name, join=op.join) as sp:
-            result = self._gather(op)
-            routing = self.last_shard_routing or {}
-            sp.set("shards_scanned", routing.get("shards_scanned"))
-            sp.set("shards_total", routing.get("shards_total"))
-            sp.set("rows", result.num_rows)
-            return result
-
-    def _gather(self, op) -> Table:
         from repro.distributed.operators import fragment_tables
         from repro.distributed.routing import colocated_layouts_ok
 
-        tables = fragment_tables(op.fragment)
         shardeds = {}
-        for name in tables:
-            sharded = (
-                self._shard_provider(name)
-                if self._shard_provider is not None
-                else None
-            )
-            if sharded is None:
-                break
-            shardeds[name] = sharded
-        layout_ok = len(shardeds) == len(tables)
+        runner = self._fragment_runner
+        if runner is not None and self._shard_provider is not None:
+            shardeds = {
+                name: self._shard_provider(name)
+                for name in fragment_tables(op.fragment)
+            }
+        layout_ok = bool(shardeds) and None not in shardeds.values()
         if layout_ok and op.join == "colocated":
             layout_ok = colocated_layouts_ok(op, shardeds)
         if not layout_ok:
-            self.last_shard_routing = {
-                "table": op.table_name,
-                "shards_total": 1,
-                "shards_scanned": 1,
-                "join": op.join,
-            }
-            return self._execute_fragment_locally(
-                op.fragment,
-                {name: self._table_provider(name) for name in tables},
-            )
-        if self._fragment_runner is not None:
-            parts = self._fragment_runner(op, shardeds)
-        else:
-            parts = self._gather_inline(op, shardeds)
-        self.last_shard_routing = {
-            "table": op.table_name,
-            "shards_total": op.total_shards,
-            "shards_scanned": len(parts),
-            "join": op.join,
-        }
+            _record(op, table=op.table_name, shards_scanned=1, shards_total=1)
+            return self._execute_fragment_locally(op.fragment)
+        parts = runner(op, shardeds)
+        _record(
+            op,
+            table=op.table_name,
+            shards_scanned=len(parts),
+            shards_total=op.total_shards,
+        )
         if not parts:
             return Table.empty(op.schema)
         return Table.concat_rows(parts)
 
-    def _gather_inline(self, op, shardeds) -> list[Table]:
-        """No-runner gather: run the fragment per shard in this process."""
-        from repro.distributed.operators import shard_target
-        from repro.distributed.routing import (
-            colocated_shard_ids,
-            effective_shard_ids,
-        )
-
-        if op.join == "colocated":
-            shard_ids, _pruned = colocated_shard_ids(op.fragment, shardeds)
-        else:
-            shard_ids = effective_shard_ids(
-                op, shardeds[op.table_name.lower()]
-            )
-        parts = []
-        for shard_id in shard_ids:
-            shards = {
-                shard_target(name): sharded.shard(shard_id)
-                for name, sharded in shardeds.items()
-            }
-            parts.append(
-                self._execute_fragment_locally(
-                    op.fragment, shards, localized=True
-                )
-            )
-        return parts
-
-    def _execute_fragment_locally(
-        self, fragment, tables: dict, localized: bool = False
-    ) -> Table:
-        """Run a fragment over its shard (or base) tables *in-process*.
-
-        ``tables`` maps either base table names (``localized=False``,
-        the degradation path over full tables) or localized
-        :func:`~repro.distributed.operators.shard_target` names to the
-        tables each ShardScan should read. Unlike a pool worker, the
-        coordinator still has the model catalog, so catalog-referenced
-        models resolve normally.
-        """
+    def _execute_fragment_locally(self, fragment) -> Table:
+        """Run a fragment once, *in-process*, over its full base tables
+        (each ShardScan reads its whole table). Unlike a pool worker,
+        the coordinator still has the model catalog, so
+        catalog-referenced models resolve normally."""
         from repro.distributed.operators import (
+            fragment_tables,
             localize_fragment,
             shard_target,
         )
 
-        if not localized:
-            tables = {
-                shard_target(name): table for name, table in tables.items()
-            }
-
-        def provide(name: str) -> Table:
-            shard = tables.get(name)
-            if shard is not None:
-                return shard
-            return self._table_provider(name)
-
+        bases = {shard_target(name): name for name in fragment_tables(fragment)}
         sub = Executor(
-            table_provider=provide,
+            table_provider=lambda name: self._table_provider(
+                bases.get(name, name)
+            ),
             model_resolver=self._model_resolver,
             options=self.options,
         )
@@ -664,12 +581,27 @@ class Executor:
 
         Sharded sides map on the worker pool; unsharded (or no longer
         sharded) sides are executed here and partitioned by the
-        runtime. Without an injected ``shuffle_runner`` the whole
-        exchange degrades to an in-process bucket-by-bucket join —
-        identical results, same bucket order, no pool.
+        runtime. Without an injected ``shuffle_runner`` both sides run
+        here and join as one bucket, and the post-join stages run once
+        over the whole join (stages are union-compatible, like a Gather
+        fragment). The operator's trace span records the sides' shard
+        counts.
         """
+        from repro.distributed.operators import bind_stage_input
         from repro.distributed.routing import effective_shard_ids
 
+        if self._shuffle_runner is None:
+            left, right = (
+                logical.InlineTable(self._execute_fragment_locally(s.fragment))
+                for s in op.sides
+            )
+            result = self.execute(
+                logical.Join(left, right, op.kind, op.condition)
+            )
+            for stage in op.stages:
+                result = self.execute(bind_stage_input(stage, result))
+            _record(op, shards_scanned=2, shards_total=2)
+            return result
         sides = []
         scanned = 0
         total = 0
@@ -683,84 +615,21 @@ class Executor:
                 sharded = None
             local = None
             if sharded is None:
-                local = self._execute_fragment_locally(
-                    shuffle.fragment,
-                    {
-                        name: self._table_provider(name)
-                        for name in _shuffle_tables(shuffle)
-                    },
-                )
+                local = self._execute_fragment_locally(shuffle.fragment)
                 scanned += 1
                 total += 1
             else:
                 # Mirror the runtime's execution-time routing so the
-                # diagnostic agrees with the live layout and with
+                # span agrees with the live layout and with
                 # DistributedRuntime.stats() for the same query.
                 scanned += len(effective_shard_ids(shuffle, sharded))
                 total += sharded.num_shards
             sides.append((shuffle, sharded, local))
-        if self._shuffle_runner is not None:
-            parts = self._shuffle_runner(op, sides)
-        else:
-            parts = self._shuffle_inline(op, sides)
-        self.last_shard_routing = {
-            "table": op.left.table_name,
-            "shards_total": total,
-            "shards_scanned": scanned,
-            "join": "shuffle",
-        }
+        parts = self._shuffle_runner(op, sides)
+        _record(op, shards_scanned=scanned, shards_total=total)
         if not parts:
             return Table.empty(op.schema)
         return Table.concat_rows(parts)
-
-    def _shuffle_inline(self, op, sides) -> list[Table]:
-        """No-runner shuffle join: bucket and join inside this process.
-
-        Mirrors the runtime's bucket order, its join-kind-aware
-        empty-bucket guard, and its post-join stage execution, so
-        results are row-for-row identical to the pooled path.
-        """
-        from repro.distributed import worker
-        from repro.distributed.operators import bind_stage_input
-        from repro.distributed.runtime import _skip_bucket_pair
-
-        bucket_lists = []
-        for shuffle, sharded, local in sides:
-            if local is None:
-                parts = self._gather_inline(
-                    _side_gather(shuffle), {shuffle.table_name.lower(): sharded}
-                )
-                local = (
-                    Table.concat_rows(parts)
-                    if parts
-                    else Table.empty(shuffle.schema)
-                )
-            bucket_lists.append(
-                worker.bucketize(local, shuffle.key, op.num_buckets)
-            )
-        left_buckets, right_buckets = bucket_lists
-        parts = []
-        for bucket_id in range(op.num_buckets):
-            left = left_buckets[bucket_id]
-            right = right_buckets[bucket_id]
-            if _skip_bucket_pair(op.kind, left, right):
-                continue
-            if left is None:
-                left = Table.empty(op.left.schema)
-            if right is None:
-                right = Table.empty(op.right.schema)
-            result = self.execute(
-                logical.Join(
-                    logical.InlineTable(left),
-                    logical.InlineTable(right),
-                    op.kind,
-                    op.condition,
-                )
-            )
-            for stage in op.stages:
-                result = self.execute(bind_stage_input(stage, result))
-            parts.append(result)
-        return parts
 
     def _execute_repartition(self, op) -> Table:
         """Hash-recluster rows into key-disjoint contiguous buckets."""

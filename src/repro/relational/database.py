@@ -13,7 +13,6 @@ verbatim.
 from __future__ import annotations
 
 import threading
-import time as _time
 from collections import OrderedDict
 from functools import partial
 from typing import Callable, Sequence
@@ -480,16 +479,17 @@ class Database:
         (``UnifiedOptimizer``: cross-IR rules plus clean-up), so ANALYZE
         measures the served plan. Lines carry histogram-based row estimates, filter
         selectivities, and zone-map partition pruning counts for
-        filtered scans. With ``ANALYZE``, the optimized plan is executed
-        through an instrumented executor and each measured operator's
-        line gains ``actual_rows / time_ms / q_error``; the worst q-error
-        per base table is folded into the catalog (the estimate-feedback
+        filtered scans. With ``ANALYZE``, the optimized plan runs on the
+        ordinary executor under a query trace, whose operator spans fold
+        into actuals: each measured operator's line gains
+        ``actual_rows / time_ms / q_error``, and the worst q-error per
+        base table is folded into the catalog (the estimate-feedback
         hook).
         """
         from repro.observability.explain import (
-            InstrumentedExecutor,
             collect_table_q_errors,
             explain_lines,
+            operator_actuals,
         )
 
         plan = self._binder.bind_select(statement.select, context)
@@ -499,12 +499,12 @@ class Database:
             # Object (BINARY) storage keeps lines unbounded; the STRING
             # storage dtype would truncate plans at 64 characters.
             return Table.from_dict({"plan": np.array(lines, dtype=object)})
-        instrumented = InstrumentedExecutor.from_executor(self._executor)
-        start = _time.perf_counter()
-        result = instrumented.execute(plan)
-        total = _time.perf_counter() - start
-        lines = explain_lines(plan, self, report, instrumented.records)
-        table_q = collect_table_q_errors(plan, instrumented.records, self)
+        with qtrace.trace_query("explain analyze") as trace:
+            result = self._executor.execute(plan)
+        total = trace.duration
+        actuals = operator_actuals(trace, plan)
+        lines = explain_lines(plan, self, report, actuals)
+        table_q = collect_table_q_errors(plan, actuals, self)
         for name, q in sorted(table_q.items()):
             self.catalog.record_q_error(name, q)
             summary = self.catalog.q_error_summary(name)
@@ -517,7 +517,7 @@ class Database:
             )
         lines.append(
             "analyze: rows={} total_ms={:.2f} operators_timed={}".format(
-                result.num_rows, total * 1e3, len(instrumented.records)
+                result.num_rows, total * 1e3, len(actuals)
             )
         )
         return Table.from_dict({"plan": np.array(lines, dtype=object)})

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import observability as qtrace
 from repro.core.raven import RavenSession
 from repro.distributed import routing, serialize, worker
 from repro.distributed.operators import (
@@ -406,9 +407,10 @@ class TestGatherExecution:
             "SELECT grp, COUNT(*) AS c, SUM(v) AS s, AVG(v) AS m, "
             "MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY grp ORDER BY grp"
         )
-        result = db.execute(sql)
-        assert db._executor.last_shard_routing is not None
-        assert db._executor.last_shard_routing["shards_total"] == 8
+        with qtrace.trace_query("aggregate") as trace:
+            result = db.execute(sql)
+        [gather] = trace.find("gather")
+        assert gather.attrs["shards_total"] == 8
         assert result.equals(db0.execute(sql))
 
     def test_global_aggregate_matches_baseline(self, base_table):
@@ -433,11 +435,54 @@ class TestGatherExecution:
         db = distributed_db(base_table, pipeline)
         db0 = baseline_db(base_table, pipeline)
         sql = PREDICT_SQL.format(value=7)
-        result = db.execute(sql)
-        routing_info = db._executor.last_shard_routing
-        assert routing_info["table"] == "t"
-        assert routing_info["shards_scanned"] < routing_info["shards_total"]
+        with qtrace.trace_query("predict") as trace:
+            result = db.execute(sql)
+        [gather] = trace.find("gather")
+        assert gather.attrs["table"] == "t"
+        assert gather.attrs["shards_scanned"] < gather.attrs["shards_total"]
         assert result.equals(db0.execute(sql))
+
+    def test_concurrent_requests_report_their_own_routing(self, base_table):
+        """Two threads run differently routed queries on one database,
+        each under its own trace: every gather span reports the shards
+        of its own request, never the other thread's."""
+        import sys
+        import threading
+
+        db = distributed_db(base_table)
+        queries = {
+            "one": "SELECT COUNT(*) AS c FROM t WHERE grp = 3",
+            "all": "SELECT grp, COUNT(*) AS c FROM t GROUP BY grp",
+        }
+        scanned = {name: [] for name in queries}
+        barrier = threading.Barrier(len(queries))
+        errors = []
+
+        def run(name):
+            try:
+                barrier.wait()
+                for _request in range(40):
+                    with qtrace.trace_query(name) as trace:
+                        db.execute(queries[name])
+                    [gather] = trace.find("gather")
+                    scanned[name].append(gather.attrs["shards_scanned"])
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(name,)) for name in queries
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two requests finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert scanned == {"one": [1] * 40, "all": [8] * 40}
 
     def test_pruned_shards_never_dispatch(self, base_table, pipeline):
         """The acceptance-criterion test: fragment runners are only
@@ -1260,15 +1305,29 @@ class TestDistributedJoins:
         )
         best = optimized(db, db.bind(self.BIG_SQL))
         assert any(isinstance(op, ShuffleJoin) for op in best.walk())
-        with_runner = db.execute_plan(best)
-        inline = Executor(
+        runnerless = Executor(
             table_provider=db._provide_table,
             model_resolver=db,
             options=db.executor_options,
             shard_provider=db._provide_shards,
-        ).execute(best)
+        )
+        with_runner = db.execute_plan(best)
+        inline = runnerless.execute(best)
         assert with_runner.equals(inline)
         assert with_runner.equals(big_expected)
+        # A staged exchange: without a runner the partial aggregate runs
+        # once over the one-bucket join, and the final merge still holds.
+        sql = (
+            "SELECT a.grp, COUNT(*) AS c, SUM(b.w) AS s FROM events AS a "
+            "JOIN mirror AS b ON a.id = b.id GROUP BY a.grp ORDER BY a.grp"
+        )
+        staged = optimized(db, db.bind(sql))
+        assert any(
+            isinstance(op, ShuffleJoin) and op.stages for op in staged.walk()
+        )
+        expected = self._big_db(events, mirror, None, None).execute(sql)
+        assert_tables_close(db.execute_plan(staged), expected)
+        assert_tables_close(runnerless.execute(staged), expected)
 
     def test_predict_rides_inside_colocated_join_fragment(
         self, events, groups
@@ -1664,8 +1723,6 @@ class TestDagFragments:
         assert left_ids == full_ids
 
     def test_stage_spans_attach_under_trace(self, events, groups):
-        from repro import observability as qtrace
-
         db = outer_join_db(events, groups, 8, 5)
         sql = AGG_JOIN_SQL.format(kind="LEFT")
         with qtrace.trace_query(sql) as trace:
@@ -1953,6 +2010,57 @@ class TestWorkerResidentShuffle:
         db.shard_table("events", "g", SIDE_BUCKETS)
         assert_tables_close(db.execute_plan(plan), want)
         assert maps.count("events") == 3 + SIDE_BUCKETS
+
+    def test_replayed_statement_keeps_its_reused_specs(self, monkeypatch):
+        """The ``sharded_agg`` shape replayed: every request binds the
+        filtered side afresh (one new encoded spec each), so the spec
+        cache evicts least recently used first and keeps what each
+        request reuses: the stage and the ``mirror`` side are encoded
+        once, and after the two requests that bucket ``mirror`` no
+        request maps again."""
+        rng = np.random.default_rng(5)
+        n = 30_000
+        events = Table.from_dict(
+            {
+                "id": np.arange(n, dtype=np.int64),
+                "grp": rng.integers(0, 64, n).astype(np.int64),
+                "v": rng.normal(size=n),
+            }
+        )
+        mirror = Table.from_dict(
+            {"id": rng.permutation(n).astype(np.int64),
+             "w": rng.normal(size=n)}
+        )
+        db = side_db(events, mirror)
+        prepared = RavenSession(db, {"shard_workers": 4}).prepare(
+            "SELECT a.grp, COUNT(*) AS c, AVG(b.w) AS m FROM events AS a "
+            "JOIN mirror AS b ON a.id = b.id WHERE a.grp < ? GROUP BY a.grp"
+        )
+        (exchange,) = [
+            op for op in prepared.plan.walk() if isinstance(op, ShuffleJoin)
+        ]
+        (kept_side,) = [
+            side for side in exchange.sides if side.table_name == "mirror"
+        ]
+        reused = [*exchange.stages, kept_side.fragment]
+        encoded = []
+        real = serialize.encode_fragment
+
+        def recording(fragment, *args):
+            encoded.append(fragment)
+            return real(fragment, *args)
+
+        monkeypatch.setattr(serialize, "encode_fragment", recording)
+        deltas = []
+        for request in range(150):
+            before = db.distributed.stats()["fragments_run"]
+            prepared.execute([8 * (1 + request % 8)])
+            deltas.append(db.distributed.stats()["fragments_run"] - before)
+        assert deltas[:2] == [3 + SIDE_BUCKETS] * 2  # map + bucket joins
+        assert deltas[2:] == [SIDE_BUCKETS] * 148  # bucket joins only
+        assert [
+            sum(fragment is spec for fragment in encoded) for spec in reused
+        ] == [1, 1]
 
     def test_prepared_filtered_aggregate_stages_partial_aggregate(self):
         """The ``sharded_agg`` shape: the WHERE sinks into the events

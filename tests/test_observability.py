@@ -386,16 +386,39 @@ class TestDistributedTraceCorrectness:
             assert result.num_rows > 0
             assert trace_dict is not None
 
-            def find(node, name):
-                found = [node] if node["name"] == name else []
+            def walk(node):
+                yield node
                 for child in node["children"]:
-                    found.extend(find(child, name))
-                return found
+                    yield from walk(child)
+
+            def find(node, name):
+                return [span for span in walk(node) if span["name"] == name]
 
             root = trace_dict["root"]
             gathers = find(root, "gather")
             assert len(gathers) == 1
             gather = gathers[0]
+            # In-process fragments run untraced, as in a pool worker: the
+            # gather span parents routing and fragment spans only.
+            assert {c["name"] for c in gather["children"]} == {
+                "routing",
+                "fragment",
+            }
+            # One span per coordinator operator, each with its output
+            # rows; the last statement's outermost one is the result.
+            operators = [span for span in walk(root) if "op" in span["attrs"]]
+            assert gather in operators
+            assert len({span["attrs"]["op"] for span in operators}) == len(
+                operators
+            )
+            assert all(span["attrs"]["rows"] >= 0 for span in operators)
+
+            def outermost(node):
+                if "op" in node["attrs"]:
+                    return [node]
+                return [s for c in node["children"] for s in outermost(c)]
+
+            assert outermost(root)[-1]["attrs"]["rows"] == result.num_rows
             # Every fragment span is a *direct child* of the gather span
             # (stable parentage), and none exist anywhere else.
             fragments = [

@@ -232,6 +232,23 @@ def test_the_memo_search_is_built_in_one_place():
     assert builders == ["repro/core/optimizer/engine.py"]
 
 
+def test_there_is_one_plan_interpreter():
+    """No module subclasses the relational ``Executor``: served, traced
+    and ``EXPLAIN ANALYZE``d plans all run on the one executor, which
+    records per-operator actuals itself while a trace is active."""
+    subclasses = sorted(
+        f"{path}:{node.name}"
+        for path, tree in _source_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            getattr(base, "id", getattr(base, "attr", None)) == "Executor"
+            for base in node.bases
+        )
+    )
+    assert subclasses == []
+
+
 def test_there_is_one_rule_set():
     """Only ``cross_ir_rules`` assembles memo rules into a rule set: a
     function constructing two or more kinds of rule is a second one."""

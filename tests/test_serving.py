@@ -335,9 +335,9 @@ class TestPreparedQuery:
         """Binding a ``?`` into a split plan (a ``UnionAll`` whose branches
         read one input *object*) must not give each branch its own copy —
         the executor would then run the join twice."""
+        from repro import observability as qtrace
         from repro.data import hospital
         from repro.distributed.operators import bind_plan
-        from repro.observability.explain import InstrumentedExecutor
         from repro.relational.algebra import logical
         from repro.relational.expressions import Literal
 
@@ -363,9 +363,11 @@ class TestPreparedQuery:
         # The parameter was pushed below the split, into the shared input:
         # binding rebuilt it — once.
         assert shared_input(bound) is not shared_input(prepared.plan)
-        instrumented = InstrumentedExecutor.from_executor(database._executor)
-        rows = instrumented.execute(bound)
-        assert instrumented.records[id(shared_input(bound))].calls == 1
+        with qtrace.trace_query("bound") as trace:
+            rows = database._executor.execute(bound)
+        shared = shared_input(bound)
+        spans = trace.find(type(shared).__name__.lower())
+        assert [span.attrs["op"] for span in spans].count(id(shared)) == 1
         plain = RavenSession(database, options={"enable_inlining": False})
         expected = sorted(
             plain.execute(sql.replace("?", "60.0")).table.rows()

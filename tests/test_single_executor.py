@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from repro import Database, RavenSession, Table
+from repro import observability as qtrace
 from repro.core.vocabulary import op_name
 from repro.data import hospital
 from repro.distributed import worker
 from repro.errors import ExecutionError
 from repro.ml import LinearRegression, Pipeline, StandardScaler
 from repro.ml.ensemble import GradientBoostingRegressor, RandomForestRegressor
-from repro.observability.explain import InstrumentedExecutor
 from repro.relational import scoring
 from repro.relational.algebra import logical
 from repro.relational.types import DataType
@@ -197,10 +197,13 @@ class TestSessionQueriesRunOnTheEngine:
         assert db.table("t").num_partitions > 1
         session = RavenSession(db, options={"enable_inlining": False})
         sql = PREDICT_SQL + " WHERE d.rid < 2000"
-        db._executor.last_scan_pruning = None
-        optimized = session.execute(sql)
-        info = db._executor.last_scan_pruning
-        assert info is not None
+        with qtrace.trace_query("pruned") as trace:
+            optimized = session.execute(sql)
+        [info] = [
+            span.attrs
+            for span in trace.find("filter")
+            if "partitions_scanned" in span.attrs
+        ]
         assert info["partitions_scanned"] < info["partitions_total"]
         naive = session.execute(sql, optimize=False)
         assert optimized.table.num_rows == 2000
@@ -224,9 +227,10 @@ class TestSessionQueriesRunOnTheEngine:
             for op in union.branches[0].walk()
             if all(id(op) in ids for ids in below)
         )
-        instrumented = InstrumentedExecutor.from_executor(db._executor)
-        rows = instrumented.execute(plan)
-        assert instrumented.records[id(shared)].calls == 1
+        with qtrace.trace_query("split") as trace:
+            rows = db._executor.execute(plan)
+        spans = trace.find(type(shared).__name__.lower())
+        assert [span.attrs["op"] for span in spans].count(id(shared)) == 1
         plain = RavenSession(db, options={"enable_inlining": False}).execute(
             hospital.INFERENCE_QUERY
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Database, RavenSession, Table
+from repro import observability as qtrace
 from repro.concurrency import default_max_workers
 from repro.core.optimizer import SearchContext
 from repro.relational.algebra import logical
@@ -16,6 +17,16 @@ from repro.relational.statistics import (
     surviving_partitions,
 )
 from repro.relational.sql.parser import parse_expression
+
+
+def _pruning(trace) -> list[dict]:
+    """The attrs of each filter span in ``trace`` whose zone-map pruning
+    committed."""
+    return [
+        span.attrs
+        for span in trace.find("filter")
+        if "partitions_scanned" in span.attrs
+    ]
 
 
 def _events_table(n=20_000, seed=0):
@@ -274,9 +285,9 @@ class TestExplain:
 class TestPrunedExecution:
     def test_pruned_scan_matches_full_scan(self, events_db):
         sql = "SELECT id, value FROM events WHERE id >= 4000 AND id < 4600"
-        pruned = events_db.execute(sql)
-        info = events_db._executor.last_scan_pruning
-        assert info is not None
+        with qtrace.trace_query("pruned") as trace:
+            pruned = events_db.execute(sql)
+        [info] = _pruning(trace)
         assert info["partitions_scanned"] < info["partitions_total"]
         unpruned_db = Database(
             options=ExecutionOptions(enable_zone_map_pruning=False)
@@ -316,17 +327,13 @@ class TestMorselParallelPredict:
     def test_parallel_scoring_matches_sequential(self, scored_db):
         """Inlining off keeps a ``Predict`` over the pruned filter, so the
         30 000 surviving rows score in morsels on the thread pool."""
-        from repro import observability as qtrace
-
         assert scored_db.table("flights").partition_size is not None
         session = RavenSession(scored_db, {"enable_inlining": False})
         with qtrace.trace_query("parallel") as trace:
             parallel = session.execute(self.SQL).table
         assert len(trace.find("morsel")) > 1
-        info = scored_db._executor.last_scan_pruning
-        assert info is not None and info["partitions_scanned"] < (
-            info["partitions_total"]
-        )
+        [info] = _pruning(trace)
+        assert info["partitions_scanned"] < info["partitions_total"]
         sequential_db = Database(
             options=ExecutionOptions(
                 parallel_predict=False, enable_zone_map_pruning=False
@@ -348,8 +355,6 @@ class TestMorselParallelPredict:
         """The session's own plan, ``Predict(Project(Filter(Scan)))``,
         scores in morsels; ``parallel_predict`` off, it scores in one
         call."""
-        from repro import observability as qtrace
-
         session = RavenSession(scored_db, {"enable_inlining": False})
         with qtrace.trace_query("on") as on:
             parallel = session.execute(self.SQL).table
@@ -559,13 +564,17 @@ class TestPruningDiagnostics:
         db.register_table(
             "t", _events_table(10_000).with_partitioning(1000)
         )
-        db.execute("SELECT id FROM t WHERE id < 500")  # strong: commits
-        assert db._executor.last_scan_pruning["partitions_scanned"] == 1
-        db._executor.last_scan_pruning = None
+        with qtrace.trace_query("strong") as trace:
+            db.execute("SELECT id FROM t WHERE id < 500")  # commits
+        [info] = _pruning(trace)
+        assert info["partitions_scanned"] == 1
         # 9/10 partitions survive: above the copy threshold, pruning is
-        # declined, and the diagnostic must not claim otherwise.
-        db.execute("SELECT id FROM t WHERE id >= 850")
-        assert db._executor.last_scan_pruning is None
+        # declined, and the filter's span must not claim otherwise.
+        with qtrace.trace_query("weak") as trace:
+            db.execute("SELECT id FROM t WHERE id >= 850")
+        [filter_span] = trace.find("filter")
+        assert "partitions_scanned" not in filter_span.attrs
+        assert filter_span.attrs["rows"] == 9_150
 
 
 class TestStringColumnPruningSafety:
