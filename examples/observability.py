@@ -11,8 +11,10 @@ workload:
 3. a per-query trace (nested spans, including worker-side fragment
    timings shipped back in the task protocol);
 4. the server's metrics registry exported as one JSON dict;
-5. the drift watchdog noticing skewed writes degrade the estimates and
-   auto-running ANALYZE (decision audit in ``server.stats()``);
+5. the drift watchdog noticing, from the q-errors that traced served
+   requests fold into the catalog, that skewed writes degrade the
+   estimates, and auto-running ANALYZE (decision audit in
+   ``server.stats()``);
 6. the query-log profiler's top-K / per-operator self-time report;
 7. telemetry export: Prometheus text exposition and Chrome trace-event
    JSON round-tripped through ``json.loads``.
@@ -150,37 +152,37 @@ def observatory_demo(db: Database) -> None:
 
     session = RavenSession(db)
     with RavenServer(session, workers=2) as server:
-        server.enable_watchdog()      # auto_analyze=True by default
+        # auto_analyze=True by default; poll on every completion (the
+        # default debounces polls to one a second).
+        server.enable_watchdog(poll_interval_seconds=0.0)
         server.enable_profiler()      # implies per-request tracing
 
-        # EXPLAIN ANALYZE records the estimate-vs-actual q-error the
-        # watchdog feeds on: the stale histogram expects ~5% of rows
-        # under 5.0, the skewed data puts nearly all of them there.
-        # Twice: the watchdog wants min_observations=2 before acting,
-        # so one bad estimate can't trigger an ANALYZE on its own.
-        db.execute("EXPLAIN ANALYZE SELECT id FROM hot WHERE v < 5.0")
-        db.execute("EXPLAIN ANALYZE SELECT id FROM hot WHERE v < 10.0")
-        print("\n=== Drift watchdog (skewed writes -> auto-ANALYZE) ===")
-        print(f"q-error after skew: {db.catalog.q_error_summary('hot')}")
-
-        # Serving traffic drives the watchdog's piggybacked poll; the
-        # completion of this request already carries the ANALYZE.
+        # Every traced request folds its estimate-vs-actual q-error into
+        # the catalog: the stale histogram expects ~5% of rows under
+        # 5.0, the skewed data puts nearly all of them there. The
+        # watchdog wants min_observations=2 before acting, so one bad
+        # estimate can't trigger an ANALYZE on its own: the second
+        # request's completion carries the ANALYZE.
         prepared = server.prepare("hot_filter",
                                   "SELECT id FROM hot WHERE v < ?")
-        server.query("hot_filter", params=(5.0,))
+        print("\n=== Drift watchdog (skewed writes -> auto-ANALYZE) ===")
+        for cutoff in (5.0, 10.0):
+            server.query("hot_filter", params=(cutoff,))
+            print(f"q-error after serving v < {cutoff}: "
+                  f"{db.catalog.q_error_summary('hot')}")
         for decision in server.stats()["watchdog"]["decisions"]:
             print(f"  decision: {decision['table']}/{decision['signal']} "
                   f"-> {decision['action']} "
                   f"(value={decision['value']:.1f})")
-        print(f"q-error after auto-ANALYZE: "
-              f"{db.catalog.q_error_summary('hot')} "
-              f"(ANALYZE consumes the stale-estimate evidence)")
-        assert prepared is not None
+        print("(ANALYZE consumes the stale-estimate evidence)")
+        assert server.stats()["watchdog"]["tables"]["hot"]["analyzes"] == 1
 
         # 6. Query-log profiler: a small mixed workload, then the
         #    fingerprint-keyed report.
         for cutoff in (1.0, 2.0, 3.0, 4.0, 5.0):
             server.query("hot_filter", params=(cutoff,))
+        print(f"replans after the fresh statistics: {prepared.replans}; "
+              f"q-error now: {db.catalog.q_error_summary('hot')}")
         report = server.profiler_report(top_k=3)
         print("\n=== Query-log profiler (top-K, self-time) ===")
         for slow in report["top_slow"]:

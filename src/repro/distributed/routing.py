@@ -16,19 +16,19 @@ can match) with two extra safe cases the satellite audit calls out:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.distributed.shards import ShardedTable
 from repro.relational.expressions import (
     Expression,
+    Interval,
     equality_constants,
-    range_bounds,
+    interval_bounds,
 )
 from repro.relational.statistics import (
     ColumnStatistics,
     TableStatistics,
+    interval_may_match,
     membership_constraints,
 )
 
@@ -43,7 +43,7 @@ def surviving_shards(
     """
     if predicate is None:
         return None
-    bounds = range_bounds(predicate)
+    bounds = interval_bounds(predicate)
     memberships = membership_constraints(predicate)
     key_shards = _key_routing(sharded, predicate)
     if not bounds and not memberships and key_shards is None:
@@ -352,10 +352,10 @@ def _key_dtype(sharded: ShardedTable) -> np.dtype:
 
 def _shard_can_match(
     stats: TableStatistics,
-    bounds: dict[str, tuple[float, float]],
+    bounds: dict[str, Interval],
     memberships: dict[str, tuple],
 ) -> bool:
-    for name, (low, high) in bounds.items():
+    for name, interval in bounds.items():
         column = stats.column(name)
         if column is None:
             continue  # unknown column here: cannot prune on it
@@ -363,9 +363,9 @@ def _shard_can_match(
             return False  # comparison never matches NULL
         if not isinstance(column.min_value, (int, float)):
             continue  # no numeric bounds (string/opaque): no pruning
-        if not math.isinf(high) and float(column.min_value) > high:
-            return False
-        if not math.isinf(low) and float(column.max_value) < low:
+        if not interval_may_match(
+            float(column.min_value), float(column.max_value), interval
+        ):
             return False
     for name, values in memberships.items():
         if name in bounds:

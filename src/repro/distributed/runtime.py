@@ -175,8 +175,7 @@ class DistributedRuntime:
                 stage_seconds=list(stage_seconds),
                 mode=self.effective_mode,
                 # The routed table (None for shuffle joins, whose
-                # pruning spans two sides) — the workload watchdog
-                # attributes shard-prune quality per table with it.
+                # pruning spans two sides).
                 table=table,
             )
 

@@ -5,15 +5,16 @@ structured :mod:`event bus <repro.observability.events>`, contextvar
 :mod:`query traces <repro.observability.trace>` spanning coordinator
 and worker-side fragment timings, an explicit-bucket
 :mod:`metrics registry <repro.observability.metrics>` fed from events,
-and :mod:`EXPLAIN ANALYZE <repro.observability.explain>`, which
-folds a traced run's operator spans into estimate-vs-actual q-error
-feedback.
+and :mod:`EXPLAIN ANALYZE <repro.observability.explain>`, whose fold
+of a run's operator spans into estimate-vs-actual q-errors every
+traced execution shares (``EXPLAIN ANALYZE``, traced statements and
+traced served requests record them in the catalog).
 
 On top of those signals sits the workload observatory: the
-:mod:`drift watchdog <repro.observability.watchdog>` (q-error drift
-auto-triggers ANALYZE), the
-:mod:`query-log profiler <repro.observability.profiler>` (fingerprint
-aggregates over traces), and the
+:mod:`drift watchdog <repro.observability.watchdog>` (per-table
+q-error drift auto-triggers ANALYZE; the metrics registry keeps every
+count), the :mod:`query-log profiler <repro.observability.profiler>`
+(fingerprint aggregates over the traces the server hands it), and the
 :mod:`telemetry exporters <repro.observability.export>` (Prometheus
 text exposition, Chrome trace events).
 """

@@ -9,9 +9,11 @@ span carrying the operator's identity and its output rows;
 :func:`operator_actuals` folds those spans into per-operator actuals.
 :func:`explain_lines` then prints ``actual_rows / time / q_error`` next
 to the estimates, and :func:`collect_table_q_errors` attributes each
-measured operator's q-error back to the base table it reads — the
-feedback hook for adaptive re-costing (ROADMAP item 4), persisted via
-``Catalog.record_q_error``.
+measured operator's q-error back to the base table it reads. Every
+traced execution — ``EXPLAIN ANALYZE``, a traced statement, a traced
+served request — runs this fold through ``Database._run_plan``, which
+persists the q-errors via ``Catalog.record_q_error`` for the workload
+watchdog.
 
 A ``Scan`` under a pruned ``Filter`` is the one fused operator: the
 filter reads the surviving partitions itself and never executes the
@@ -51,19 +53,21 @@ def q_error(estimated: float, actual: float) -> float:
 Actuals = dict[int, tuple[int, float, int]]
 
 
-def operator_actuals(trace, plan: logical.LogicalOp) -> Actuals:
-    """Fold ``trace``'s operator spans into actuals for ``plan``.
+def operator_actuals(span, plan: logical.LogicalOp) -> Actuals:
+    """Fold one execution's operator spans into actuals for ``plan``.
 
-    Times are *inclusive* (an operator's span stays open while its
-    children execute), matching how EXPLAIN renders the tree. Repeated
-    dispatches of one node accumulate; a sub-plan shared by several
-    parents runs — and is counted — once per top-level execution.
-    Spans of operators outside ``plan`` (a fragment run locally, a
-    shuffle join's one-bucket join) are not its operators' actuals.
+    ``span`` is the execution's root operator span; only its subtree
+    is read, so a trace that runs ``plan`` several times folds each run
+    on its own. Times are *inclusive* (an operator's span stays open
+    while its children execute), matching how EXPLAIN renders the tree.
+    Repeated dispatches of one node accumulate; a sub-plan shared by
+    several parents runs — and is counted — once per execution. Spans
+    of operators outside ``plan`` (a fragment run locally, a shuffle
+    join's one-bucket join) are not its operators' actuals.
     """
     ids = {id(op) for op in plan.walk()}
     actuals: Actuals = {}
-    stack = [trace.root]
+    stack = [span]
     while stack:
         span = stack.pop()
         key = span.attrs.get("op")
@@ -115,7 +119,7 @@ def collect_table_q_errors(
     Estimates come from the optimizer's cardinality estimator over
     ``database``. The result maps table name -> max q-error observed,
     which the database folds into ``Catalog.record_q_error`` after every
-    EXPLAIN ANALYZE.
+    traced execution (``EXPLAIN ANALYZE`` among them).
     """
     estimate = _estimation_context(plan, database).estimate_tree
     worst: dict[str, float] = {}

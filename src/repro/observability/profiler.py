@@ -14,10 +14,9 @@ a workload fingerprint on the serving path):
   seen, each with its full exemplar span tree, plus per-fingerprint
   reservoir-sampled exemplars (Algorithm R) so a *typical* trace of
   every query survives, not only the outliers.
-- **Per-stage and per-backend breakdowns.** Distributed ``stage``
-  spans aggregate by their ``stage`` attribute; ``backend.run`` bus
-  events (optional — :meth:`attach`) aggregate rows/seconds per
-  scoring backend.
+- **Per-stage breakdown.** Distributed ``stage`` spans aggregate by
+  their ``stage`` attribute. (Per-backend runs, rows and seconds are
+  the server's ``backend.<name>.*`` metrics.)
 
 Everything is bounded: fingerprints beyond ``max_queries`` fold into
 an ``__other__`` bucket (and are counted, never silently dropped),
@@ -30,7 +29,6 @@ from __future__ import annotations
 import heapq
 import random
 import threading
-import time
 
 _OTHER = "__other__"
 
@@ -120,60 +118,23 @@ class QueryLogProfiler:
         self._seq = 0
         self._traces = 0
         self._overflowed = 0
-        #: backend -> [runs, rows, seconds]; fed by backend.run events.
-        self._backends: dict[str, list] = {}
-        self._bus = None
-
-    # -- optional bus feed (per-backend breakdown) -------------------------
-
-    def attach(self, bus) -> "QueryLogProfiler":
-        """Subscribe to ``backend.run`` events for the per-backend
-        breakdown; trace folding itself needs no bus (the server calls
-        :meth:`record` directly with the span tree)."""
-        if self._bus is not None:
-            raise RuntimeError("QueryLogProfiler already attached")
-        bus.subscribe(self._on_event, pattern="backend.run")
-        self._bus = bus
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
-            self._bus = None
-
-    def _on_event(self, event) -> None:
-        attrs = event.attrs
-        backend = str(attrs.get("backend", "numpy"))
-        with self._lock:
-            entry = self._backends.setdefault(backend, [0, 0, 0.0])
-            entry[0] += 1
-            entry[1] += attrs.get("rows", 0) or 0
-            entry[2] += attrs.get("seconds", 0.0) or 0.0
 
     # -- folding -----------------------------------------------------------
 
     def record(self, trace, query: str | None = None) -> None:
-        """Fold one completed trace (a :class:`QueryTrace` or its
-        ``to_dict()`` form) into the profile."""
+        """Fold one completed :class:`QueryTrace` into the profile.
+
+        The span objects fold directly; the dict form is only
+        materialized if an exemplar slot or the top-K heap keeps this
+        trace, so the per-request cost stays O(spans).
+        """
         operators: dict[str, list] = {}
         stages: dict[str, list] = {}
-        live = hasattr(trace, "to_dict")
-        if live:
-            # Fold the span objects directly; the dict form is only
-            # materialized if an exemplar slot or the top-K heap keeps
-            # this trace, so the per-request cost stays O(spans).
-            name = query or trace.name or "query"
-            span_count = trace.span_count
-            spans_dropped = trace.spans_dropped
-            duration_ms = self._fold_live(trace.root, operators, stages)
-            trace_dict = None
-        else:
-            name = query or trace.get("trace") or "query"
-            duration_ms = float(trace.get("duration_ms", 0.0))
-            span_count = int(trace.get("span_count", 0))
-            spans_dropped = int(trace.get("spans_dropped", 0))
-            self._fold_span(trace.get("root") or {}, operators, stages)
-            trace_dict = trace
+        name = query or trace.name or "query"
+        span_count = trace.span_count
+        spans_dropped = trace.spans_dropped
+        duration_ms = self._fold(trace.root, operators, stages)
+        trace_dict = None
         with self._lock:
             self._traces += 1
             agg = self._queries.get(name)
@@ -238,46 +199,14 @@ class QueryLogProfiler:
                     (duration_ms, self._seq, name, trace_dict),
                 )
 
-    def _fold_span(
-        self, span: dict, operators: dict, stages: dict
-    ) -> float:
-        duration = float(span.get("duration_ms", 0.0))
-        child_total = 0.0
-        for child in span.get("children") or ():
-            child_total += self._fold_span(child, operators, stages)
-        name = span.get("name", "span")
-        self._fold_entry(
-            name, duration, child_total, operators, stages,
-            span.get("attrs"),
-        )
-        return duration
-
-    def _fold_live(
-        self, span, operators: dict, stages: dict
-    ) -> float:
-        """Fold a live :class:`~repro.observability.trace.Span` tree —
-        same flat profile as :meth:`_fold_span` without the dict form."""
-        end = span.end
-        duration = (
-            (end if end is not None else time.perf_counter()) - span.start
-        ) * 1e3
+    def _fold(self, span, operators: dict, stages: dict) -> float:
+        """Fold a :class:`~repro.observability.trace.Span` tree into a
+        flat profile; returns the span's duration in ms."""
+        duration = span.duration * 1e3
         child_total = 0.0
         for child in span.children:
-            child_total += self._fold_live(child, operators, stages)
-        self._fold_entry(
-            span.name, duration, child_total, operators, stages, span.attrs
-        )
-        return duration
-
-    def _fold_entry(
-        self,
-        name: str,
-        duration: float,
-        child_total: float,
-        operators: dict,
-        stages: dict,
-        attrs,
-    ) -> None:
+            child_total += self._fold(child, operators, stages)
+        name = span.name
         # Concurrent children (morsels, parallel fragments) can overlap,
         # so clamp: self time is never negative.
         self_ms = duration - child_total
@@ -291,13 +220,14 @@ class QueryLogProfiler:
             entry[1] += duration
             entry[2] += self_ms
         if name == "stage":
-            label = str((attrs or {}).get("stage", "?"))
+            label = str(span.attrs.get("stage", "?"))
             stage_entry = stages.get(label)
             if stage_entry is None:
                 stages[label] = [1, duration]
             else:
                 stage_entry[0] += 1
                 stage_entry[1] += duration
+        return duration
 
     # -- reporting ---------------------------------------------------------
 
@@ -363,12 +293,6 @@ class QueryLogProfiler:
                 }
                 for duration, _seq, name, trace in slowest
             ]
-            backends = {
-                backend: {"runs": runs, "rows": rows, "seconds": seconds}
-                for backend, (runs, rows, seconds) in sorted(
-                    self._backends.items()
-                )
-            }
             return {
                 "traces": self._traces,
                 "queries_tracked": len(self._queries),
@@ -377,5 +301,4 @@ class QueryLogProfiler:
                 "spans_dropped": total_dropped,
                 "queries": queries,
                 "top_slow": top_slow,
-                "backends": backends,
             }

@@ -1,13 +1,12 @@
 """The workload watchdog: serving traffic as the optimizer's feedback loop.
 
-``EXPLAIN ANALYZE`` folds per-table estimate-vs-actual q-errors into
-the catalog (:meth:`Catalog.q_error_summary`); plan-cache and
-distributed events describe how well cached decisions are holding up.
-Nothing *acted* on those signals until now. The
-:class:`WorkloadWatchdog` closes the loop (ROADMAP item 4): it
-subscribes to the event bus, polls the catalog's q-error summaries,
-and — when a table's estimate quality drifts past a configurable
-threshold — triggers ``ANALYZE`` itself. Fresh statistics bump the
+Every traced plan execution — a served request under
+``trace_requests``, ``EXPLAIN ANALYZE``, a traced ``execute`` — folds
+per-table estimate-vs-actual q-errors into the catalog
+(:meth:`Catalog.q_error_summary`). The :class:`WorkloadWatchdog` acts
+on them: it polls the catalog's q-error summaries and — when a table's
+estimate quality drifts past a configurable threshold — triggers
+``ANALYZE`` itself. Fresh statistics bump the
 table's stats epoch, which stales every cached/prepared plan over it,
 so the very next request replans against reality.
 
@@ -29,17 +28,14 @@ Detection is deliberately conservative:
   decision is detected, logged, and exported, but the watchdog never
   mutates the catalog.
 
-Secondary signals — plan-cache hit rate, replan rate, and per-table
-shard-prune quality (from ``distributed.gather`` events) — are tracked
-under the same EWMA + hysteresis machinery but are observe-only:
-re-ANALYZE cannot fix a cold cache or a bad shard layout, so they emit
-``watchdog.drift_detected`` and a logged decision for the operator
-(re-sharding is a future item) rather than an action.
+Q-error drift is the only signal: plan-cache, replan and shard-prune
+counts are in the server's metrics registry (``plan_cache.*``,
+``serving.replans``, ``distributed.*``), and ``ANALYZE`` cannot fix
+what they describe.
 
 The watchdog holds no background thread: polls piggyback on
-``serving.completed`` / ``trace.completed`` events (debounced to
-``poll_interval_seconds``) and tests drive :meth:`poll` directly with
-an injected clock.
+``serving.completed`` events (debounced to ``poll_interval_seconds``)
+and tests drive :meth:`poll` directly with an injected clock.
 """
 
 from __future__ import annotations
@@ -60,9 +56,6 @@ class _TableState:
         "state",
         "analyzes",
         "last_analyze",
-        "prune_ewma",
-        "prune_queries",
-        "prune_state",
     )
 
     def __init__(self):
@@ -73,9 +66,6 @@ class _TableState:
         self.state = "ok"  # "ok" | "drifted"
         self.analyzes = 0
         self.last_analyze: float | None = None
-        self.prune_ewma: float | None = None
-        self.prune_queries = 0
-        self.prune_state = "ok"
 
     def reset_signal(self) -> None:
         """Fresh statistics invalidate the old estimate errors."""
@@ -87,7 +77,7 @@ class _TableState:
 
 
 class WorkloadWatchdog:
-    """Watches q-error / cache / routing drift; auto-triggers ANALYZE."""
+    """Watches per-table q-error drift; auto-triggers ANALYZE."""
 
     def __init__(
         self,
@@ -99,10 +89,6 @@ class WorkloadWatchdog:
         min_observations: int = 2,
         cooldown_seconds: float = 60.0,
         poll_interval_seconds: float = 1.0,
-        plan_cache_hit_floor: float = 0.2,
-        plan_cache_min_events: int = 50,
-        shard_prune_floor: float = 0.2,
-        shard_prune_min_queries: int = 5,
         max_decisions: int = 256,
         clock=None,
     ):
@@ -115,10 +101,6 @@ class WorkloadWatchdog:
         self.min_observations = int(min_observations)
         self.cooldown_seconds = float(cooldown_seconds)
         self.poll_interval_seconds = float(poll_interval_seconds)
-        self.plan_cache_hit_floor = float(plan_cache_hit_floor)
-        self.plan_cache_min_events = int(plan_cache_min_events)
-        self.shard_prune_floor = float(shard_prune_floor)
-        self.shard_prune_min_queries = int(shard_prune_min_queries)
         self._clock = clock or time.monotonic
         self._lock = threading.RLock()
         self._tables: dict[str, _TableState] = {}
@@ -130,13 +112,6 @@ class WorkloadWatchdog:
         self.drifts_detected = 0
         self.analyzes_triggered = 0
         self.analyze_errors = 0
-        # Plan-cache / replan signal.
-        self._pc_hits = 0
-        self._pc_misses = 0
-        self._pc_hit_ewma: float | None = None
-        self._pc_state = "ok"
-        self._replans = 0
-        self._completed = 0
 
     # -- bus wiring --------------------------------------------------------
 
@@ -144,74 +119,19 @@ class WorkloadWatchdog:
         bus = bus or _events.BUS
         if self._bus is not None:
             raise RuntimeError("WorkloadWatchdog already attached")
-        bus.subscribe(self._on_event)
+        bus.subscribe(self._maybe_poll, pattern="serving.completed")
         self._bus = bus
         return self
 
     def detach(self) -> None:
         if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
+            self._bus.unsubscribe(self._maybe_poll)
             self._bus = None
-
-    def _on_event(self, event) -> None:
-        name = event.name
-        if name == "plan_cache.hit":
-            self._fold_plan_cache(1.0)
-        elif name == "plan_cache.miss":
-            self._fold_plan_cache(0.0)
-        elif name == "serving.replan":
-            with self._lock:
-                self._replans += 1
-        elif name == "distributed.gather":
-            self._fold_gather(event.attrs)
-        elif name in ("serving.completed", "trace.completed"):
-            if name == "serving.completed":
-                # Lock-free: a monitoring counter bumped on every served
-                # request; a lost increment under contention is benign
-                # and not worth a lock acquisition per request.
-                self._completed += 1
-            self._maybe_poll()
-
-    def _fold_plan_cache(self, hit: float) -> None:
-        with self._lock:
-            if hit:
-                self._pc_hits += 1
-            else:
-                self._pc_misses += 1
-            if self._pc_hit_ewma is None:
-                self._pc_hit_ewma = hit
-            else:
-                self._pc_hit_ewma = (
-                    self.ewma_alpha * hit
-                    + (1.0 - self.ewma_alpha) * self._pc_hit_ewma
-                )
-
-    def _fold_gather(self, attrs: dict) -> None:
-        table = attrs.get("table")
-        if not table:
-            return
-        scanned = attrs.get("scanned", 0) or 0
-        pruned = attrs.get("pruned", 0) or 0
-        total = scanned + pruned
-        if total <= 0:
-            return
-        rate = pruned / total
-        with self._lock:
-            state = self._tables.setdefault(
-                str(table).lower(), _TableState()
-            )
-            state.prune_queries += 1
-            if state.prune_ewma is None:
-                state.prune_ewma = rate
-            else:
-                state.prune_ewma = (
-                    self.ewma_alpha * rate
-                    + (1.0 - self.ewma_alpha) * state.prune_ewma
-                )
 
     # -- polling -----------------------------------------------------------
 
-    def _maybe_poll(self) -> None:
+    def _maybe_poll(self, _event=None) -> None:
+        """The ``serving.completed`` callback: poll unless debounced."""
         # Lock-free debounce: _last_poll is a float updated under the
         # lock; a stale read only costs one redundant poll attempt.
         last = self._last_poll
@@ -225,8 +145,7 @@ class WorkloadWatchdog:
 
         Returns the decisions made by this poll (also appended to the
         decision log). ANALYZE itself runs outside the watchdog lock —
-        an O(rows) statistics pass must not stall the event callbacks
-        feeding the other signals.
+        an O(rows) statistics pass must not stall a concurrent poll.
         """
         now = self._clock() if now is None else now
         catalog = self.database.catalog
@@ -251,12 +170,6 @@ class WorkloadWatchdog:
                     decisions.append(decision)
                     if decision["action"] == "analyze":
                         to_analyze.append(name)
-                prune_decision = self._evaluate_prune(name, state, now)
-                if prune_decision is not None:
-                    decisions.append(prune_decision)
-            pc_decision = self._evaluate_plan_cache(now)
-            if pc_decision is not None:
-                decisions.append(pc_decision)
         for name in to_analyze:
             self._run_analyze(name, decisions)
         return decisions
@@ -290,9 +203,7 @@ class WorkloadWatchdog:
         if state.state == "drifted":
             if ewma <= self.q_error_threshold * self.recovery_ratio:
                 state.state = "ok"
-                return self._decide(
-                    name, "q_error", ewma, action="recovered"
-                )
+                return self._decide(name, ewma, action="recovered")
             return self._maybe_trigger(name, state, ewma, now, fresh=False)
         if ewma >= self.q_error_threshold:
             state.state = "drifted"
@@ -324,13 +235,13 @@ class WorkloadWatchdog:
             # drift is only re-logged when freshly detected, so the
             # decision log isn't spammed every poll.
             return (
-                self._decide(name, "q_error", ewma, action="observe")
+                self._decide(name, ewma, action="observe")
                 if fresh
                 else None
             )
         if cooling:
             return (
-                self._decide(name, "q_error", ewma, action="cooldown")
+                self._decide(name, ewma, action="cooldown")
                 if fresh
                 else None
             )
@@ -341,75 +252,15 @@ class WorkloadWatchdog:
         state.analyzes += 1
         self.analyzes_triggered += 1
         state.reset_signal()
-        return self._decide(name, "q_error", ewma, action="analyze")
+        return self._decide(name, ewma, action="analyze")
 
-    def _evaluate_prune(
-        self, name: str, state: _TableState, now: float
-    ) -> dict | None:
-        ewma = state.prune_ewma
-        if ewma is None or state.prune_queries < self.shard_prune_min_queries:
-            return None
-        if state.prune_state == "drifted":
-            if ewma >= min(1.0, self.shard_prune_floor * 1.5):
-                state.prune_state = "ok"
-                return self._decide(
-                    name, "shard_prune", ewma, action="recovered"
-                )
-            return None
-        if ewma < self.shard_prune_floor:
-            state.prune_state = "drifted"
-            self.drifts_detected += 1
-            _events.emit(
-                "watchdog.drift_detected",
-                table=name,
-                signal="shard_prune",
-                value=ewma,
-                threshold=self.shard_prune_floor,
-            )
-            return self._decide(name, "shard_prune", ewma, action="observe")
-        return None
-
-    def _evaluate_plan_cache(self, now: float) -> dict | None:
-        ewma = self._pc_hit_ewma
-        total = self._pc_hits + self._pc_misses
-        if ewma is None or total < self.plan_cache_min_events:
-            return None
-        if self._pc_state == "drifted":
-            if ewma >= min(1.0, self.plan_cache_hit_floor * 1.5):
-                self._pc_state = "ok"
-                return self._decide(
-                    None, "plan_cache_hit_rate", ewma, action="recovered"
-                )
-            return None
-        if ewma < self.plan_cache_hit_floor:
-            self._pc_state = "drifted"
-            self.drifts_detected += 1
-            _events.emit(
-                "watchdog.drift_detected",
-                table=None,
-                signal="plan_cache_hit_rate",
-                value=ewma,
-                threshold=self.plan_cache_hit_floor,
-            )
-            return self._decide(
-                None, "plan_cache_hit_rate", ewma, action="observe"
-            )
-        return None
-
-    def _decide(
-        self, table: str | None, signal: str, value: float, action: str
-    ) -> dict:
-        threshold = {
-            "q_error": self.q_error_threshold,
-            "shard_prune": self.shard_prune_floor,
-            "plan_cache_hit_rate": self.plan_cache_hit_floor,
-        }[signal]
+    def _decide(self, table: str, value: float, action: str) -> dict:
         decision = {
             "ts": time.time(),
             "table": table,
-            "signal": signal,
+            "signal": "q_error",
             "value": value,
-            "threshold": threshold,
+            "threshold": self.q_error_threshold,
             "action": action,
         }
         self._decisions.append(decision)
@@ -454,21 +305,16 @@ class WorkloadWatchdog:
 
     def stats(self) -> dict:
         with self._lock:
-            tables = {}
-            for name, state in sorted(self._tables.items()):
-                entry = {
+            tables = {
+                name: {
                     "state": state.state,
                     "ewma": state.ewma,
                     "last": state.last,
                     "observations": state.observations,
                     "analyzes": state.analyzes,
                 }
-                if state.prune_ewma is not None:
-                    entry["prune_ewma"] = state.prune_ewma
-                    entry["prune_state"] = state.prune_state
-                    entry["prune_queries"] = state.prune_queries
-                tables[name] = entry
-            pc_total = self._pc_hits + self._pc_misses
+                for name, state in sorted(self._tables.items())
+            }
             return {
                 "auto_analyze": self.auto_analyze,
                 "attached": self._bus is not None,
@@ -479,16 +325,5 @@ class WorkloadWatchdog:
                 "q_error_threshold": self.q_error_threshold,
                 "cooldown_seconds": self.cooldown_seconds,
                 "tables": tables,
-                "plan_cache": {
-                    "hits": self._pc_hits,
-                    "misses": self._pc_misses,
-                    "hit_ewma": self._pc_hit_ewma,
-                    "hit_rate": (
-                        self._pc_hits / pc_total if pc_total else 0.0
-                    ),
-                    "state": self._pc_state,
-                    "replans": self._replans,
-                    "completed": self._completed,
-                },
                 "decisions": [dict(d) for d in self._decisions],
             }

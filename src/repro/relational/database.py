@@ -364,7 +364,40 @@ class Database:
 
     def execute_plan(self, plan) -> Table:
         """Execute an already-bound logical plan."""
-        return self._executor.execute(plan)
+        return self._run_plan(plan)[0]
+
+    def _run_plan(self, plan):
+        """Run ``plan``; under an active trace, fold its estimate errors.
+
+        Returns ``(result, actuals, table_q)``. Traced, the operator
+        spans of *this* run (the root operator's span, opened under the
+        caller's span) fold into ``actuals`` (``id(op) -> (rows,
+        seconds, calls)``), and each anchored base table's worst
+        q-error goes into ``Catalog.record_q_error`` — the estimate
+        feedback ``EXPLAIN ANALYZE``, traced statements and traced
+        served requests share, and the workload watchdog polls.
+        Untraced, both folds are empty and cost one context lookup.
+        """
+        parent = qtrace.current_span()
+        if parent is None:
+            return self._executor.execute(plan), {}, {}
+        from repro.observability.explain import (
+            collect_table_q_errors,
+            operator_actuals,
+        )
+
+        first = len(parent.children)
+        result = self._executor.execute(plan)
+        actuals: dict = {}
+        for span in parent.children[first:]:
+            if span.attrs.get("op") == id(plan):
+                actuals = operator_actuals(span, plan)
+        table_q = (
+            collect_table_q_errors(plan, actuals, self) if actuals else {}
+        )
+        for name, q in sorted(table_q.items()):
+            self.catalog.record_q_error(name, q)
+        return result, actuals, table_q
 
     def bind(self, sql: str, data: dict[str, Table] | None = None):
         """Parse + bind an inference query, returning the logical plan.
@@ -411,7 +444,7 @@ class Database:
             with qtrace.span("optimize"):
                 plan, _ = self._optimize(plan)
             with qtrace.span("execute") as sp:
-                result = self._executor.execute(plan)
+                result = self._run_plan(plan)[0]
                 sp.set("rows", result.num_rows)
             return result
         if isinstance(statement, ast.AnalyzeStatement):
@@ -479,18 +512,13 @@ class Database:
         (``UnifiedOptimizer``: cross-IR rules plus clean-up), so ANALYZE
         measures the served plan. Lines carry histogram-based row estimates, filter
         selectivities, and zone-map partition pruning counts for
-        filtered scans. With ``ANALYZE``, the optimized plan runs on the
-        ordinary executor under a query trace, whose operator spans fold
-        into actuals: each measured operator's line gains
+        filtered scans. With ``ANALYZE``, the optimized plan runs under
+        a query trace through :meth:`_run_plan`, the fold every traced
+        execution shares: each measured operator's line gains
         ``actual_rows / time_ms / q_error``, and the worst q-error per
-        base table is folded into the catalog (the estimate-feedback
-        hook).
+        base table is folded into the catalog.
         """
-        from repro.observability.explain import (
-            collect_table_q_errors,
-            explain_lines,
-            operator_actuals,
-        )
+        from repro.observability.explain import explain_lines
 
         plan = self._binder.bind_select(statement.select, context)
         plan, report = self._optimize(plan)
@@ -500,13 +528,10 @@ class Database:
             # storage dtype would truncate plans at 64 characters.
             return Table.from_dict({"plan": np.array(lines, dtype=object)})
         with qtrace.trace_query("explain analyze") as trace:
-            result = self._executor.execute(plan)
+            result, actuals, table_q = self._run_plan(plan)
         total = trace.duration
-        actuals = operator_actuals(trace, plan)
         lines = explain_lines(plan, self, report, actuals)
-        table_q = collect_table_q_errors(plan, actuals, self)
         for name, q in sorted(table_q.items()):
-            self.catalog.record_q_error(name, q)
             summary = self.catalog.q_error_summary(name)
             lines.append(
                 "analyze q-error {}: last={:.2f} max={:.2f} "

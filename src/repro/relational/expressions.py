@@ -498,17 +498,31 @@ def equality_constants(expr: Expression) -> dict[str, object]:
     return facts
 
 
-def range_bounds(expr: Expression) -> dict[str, tuple[float, float]]:
-    """Extract per-column ``[low, high]`` interval facts from conjuncts.
+#: ``(low, high, low_open, high_open)``: a column's interval, and
+#: whether each end is strict (``<`` / ``>``) rather than closed.
+Interval = tuple[float, float, bool, bool]
 
-    Used to prune decision-tree branches that the intervals make
-    unreachable. Bounds are closed; missing sides are +/- infinity.
+
+def interval_bounds(expr: Expression) -> dict[str, Interval]:
+    """Extract per-column interval facts from conjuncts, with strictness.
+
+    ``v < 4`` gives ``(-inf, 4.0, False, True)``; missing sides are
+    +/- infinity. Zone-map and shard pruning use the strictness: a
+    partition whose minimum is 4 cannot hold a row of ``v < 4``.
     """
-    bounds: dict[str, tuple[float, float]] = {}
+    bounds: dict[str, Interval] = {}
 
-    def update(name: str, low: float, high: float) -> None:
-        old_low, old_high = bounds.get(name, (-math.inf, math.inf))
-        bounds[name] = (max(old_low, low), min(old_high, high))
+    def update(
+        name: str, low: float, high: float, low_open: bool, high_open: bool
+    ) -> None:
+        old = bounds.get(name)
+        if old is not None:
+            old_low, old_high, old_low_open, old_high_open = old
+            if old_low > low or (old_low == low and old_low_open):
+                low, low_open = old_low, old_low_open
+            if old_high < high or (old_high == high and old_high_open):
+                high, high_open = old_high, old_high_open
+        bounds[name] = (low, high, low_open, high_open)
 
     for conjunct in conjuncts(expr):
         if not isinstance(conjunct, BinaryOp):
@@ -524,9 +538,21 @@ def range_bounds(expr: Expression) -> dict[str, tuple[float, float]]:
         value = float(right.value)
         name = left.unqualified
         if op == "=":
-            update(name, value, value)
+            update(name, value, value, False, False)
         elif op in ("<", "<="):
-            update(name, -math.inf, value)
+            update(name, -math.inf, value, False, op == "<")
         elif op in (">", ">="):
-            update(name, value, math.inf)
+            update(name, value, math.inf, op == ">", False)
     return bounds
+
+
+def range_bounds(expr: Expression) -> dict[str, tuple[float, float]]:
+    """Per-column closed ``[low, high]`` hulls of :func:`interval_bounds`.
+
+    Used to prune decision-tree branches that the intervals make
+    unreachable. Bounds are closed; missing sides are +/- infinity.
+    """
+    return {
+        name: (low, high)
+        for name, (low, high, _, _) in interval_bounds(expr).items()
+    }

@@ -29,10 +29,11 @@ from repro.relational.expressions import (
     ColumnRef,
     Expression,
     InList,
+    Interval,
     Literal,
     UnaryOp,
     conjuncts,
-    range_bounds,
+    interval_bounds,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -542,7 +543,7 @@ def combine_aggregate_estimate(
 def membership_constraints(predicate: Expression) -> dict[str, tuple]:
     """Per-column value-set facts (``col = lit`` / ``col IN (...)``).
 
-    Complements :func:`~repro.relational.expressions.range_bounds`
+    Complements :func:`~repro.relational.expressions.interval_bounds`
     (numeric intervals) with string equality and IN lists, which zone
     maps can also prune on.
     """
@@ -565,6 +566,21 @@ def membership_constraints(predicate: Expression) -> dict[str, tuple]:
     return facts
 
 
+def interval_may_match(mins, maxs, interval: Interval):
+    """Whether values in ``[mins, maxs]`` can fall in ``interval``.
+
+    Elementwise over zone-map arrays, or on scalar min/max statistics;
+    a strict end excludes a range that only touches it.
+    """
+    low, high, low_open, high_open = interval
+    keep = True
+    if not math.isinf(high):
+        keep = keep & ((mins < high) if high_open else (mins <= high))
+    if not math.isinf(low):
+        keep = keep & ((maxs > low) if low_open else (maxs >= low))
+    return keep
+
+
 def surviving_partitions(
     table: "Table", predicate: Expression
 ) -> np.ndarray | None:
@@ -576,26 +592,21 @@ def surviving_partitions(
     """
     if not table.partition_size or table.num_partitions <= 1:
         return None
-    bounds = range_bounds(predicate)
+    bounds = interval_bounds(predicate)
     memberships = membership_constraints(predicate)
     if not bounds and not memberships:
         return None
     keep = np.ones(table.num_partitions, dtype=bool)
     constrained = False
-    for name, (low, high) in bounds.items():
+    for name, interval in bounds.items():
         zone = table.zone_map(name)
         if zone is None:
             continue
         mins, maxs = zone
         try:
-            mask = np.ones(len(keep), dtype=bool)
-            if not math.isinf(high):
-                mask &= mins <= high
-            if not math.isinf(low):
-                mask &= maxs >= low
+            keep &= interval_may_match(mins, maxs, interval)
         except TypeError:
             continue  # numeric bound vs string zone: no pruning here
-        keep &= mask
         constrained = True
     for name, values in memberships.items():
         if name in bounds:

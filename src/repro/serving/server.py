@@ -87,6 +87,8 @@ class RavenServer:
         self._spans_dropped = 0  # across all completed traces, ever
         self._watchdog = None
         self._profiler = None
+        #: ``trace_requests`` as enable_profiler() found it.
+        self._traced_before_profiler = trace_requests
         self.result_cache = result_cache or ResultCache(
             result_cache_capacity, result_ttl_seconds
         )
@@ -473,10 +475,11 @@ class RavenServer:
 
         Attaches a
         :class:`~repro.observability.watchdog.WorkloadWatchdog` to the
-        process-wide event bus: serving traffic's measured q-error
-        drift auto-triggers ``ANALYZE`` (unless ``auto_analyze=False``,
-        the observe-only mode), and its decision log appears under
-        ``server.stats()["watchdog"]``.
+        process-wide event bus: measured q-error drift — folded into the
+        catalog by every traced request (``trace_requests``) and every
+        ``EXPLAIN ANALYZE`` — auto-triggers ``ANALYZE`` (unless
+        ``auto_analyze=False``, the observe-only mode), and its decision
+        log appears under ``server.stats()["watchdog"]``.
         """
         from repro.observability.watchdog import WorkloadWatchdog
 
@@ -499,25 +502,27 @@ class RavenServer:
         """Opt in to the query-log profiler (idempotent).
 
         Completed request traces fold into fingerprint-keyed aggregates
-        (per-operator self time, top-K slow queries, per-stage and
-        per-backend breakdowns); the report appears under
+        (per-operator self time, top-K slow queries, per-stage
+        breakdowns); the report appears under
         ``server.stats()["profiler"]`` and in full via
         ``server.profiler_report()``. Forces ``trace_requests`` on —
-        the profiler is a consumer of traces.
+        the profiler is a consumer of traces — until
+        :meth:`disable_profiler` restores the value found here.
         """
         from repro.observability.profiler import QueryLogProfiler
 
         with self._lock:
             if self._profiler is None:
-                self._profiler = QueryLogProfiler(**config).attach(events.BUS)
+                self._profiler = QueryLogProfiler(**config)
+                self._traced_before_profiler = self.trace_requests
                 self.trace_requests = True
             return self._profiler
 
     def disable_profiler(self) -> None:
         with self._lock:
-            profiler, self._profiler = self._profiler, None
-        if profiler is not None:
-            profiler.detach()
+            if self._profiler is not None:
+                self._profiler = None
+                self.trace_requests = self._traced_before_profiler
 
     def profiler_report(self, top_k: int | None = None) -> dict | None:
         """The full workload profile (with exemplar traces), or ``None``

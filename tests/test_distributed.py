@@ -193,6 +193,33 @@ class TestRouting:
         )
         assert keep.tolist() == [True, False, False, False]
 
+    def test_strict_bounds_exclude_touching_shards(self):
+        """``g < 2`` cannot match a shard whose minimum ``g`` is 2."""
+        n = 400
+        ids = np.arange(n, dtype=np.int64)
+        table = Table.from_dict({"id": ids, "g": ids % 4})
+        spec = ShardingSpec(key="g", num_shards=4)
+        sharded = ShardedTable.build("t", table, spec)
+        expected = sorted({int(s) for s in spec.assign(np.array([0, 1]))})
+        keep = routing.surviving_shards(
+            sharded, BinaryOp("<", col("g"), lit(2))
+        )
+        assert np.nonzero(keep)[0].tolist() == expected == [0, 1]
+        keep = routing.surviving_shards(
+            sharded, BinaryOp("<=", col("g"), lit(2))
+        )
+        assert keep.sum() == 3
+        sql = "SELECT id FROM t WHERE g < 2 ORDER BY id"
+        db = distributed_db(table, shards=4, key="g")
+        try:
+            assert (
+                db.execute(sql).column("id").tolist()
+                == baseline_db(table).execute(sql).column("id").tolist()
+                == [i for i in range(n) if i % 4 < 2]
+            )
+        finally:
+            db.close()
+
     def test_hash_key_equality_routes_exactly(self, base_table):
         spec = ShardingSpec(key="grp", num_shards=8)
         sharded = ShardedTable.build("t", base_table, spec)

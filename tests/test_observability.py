@@ -514,6 +514,20 @@ class TestExplainAnalyze:
         summary = db.catalog.q_error_summary("people")
         assert summary["count"] >= 3
 
+    def test_each_run_under_one_trace_folds_once(self, db):
+        """The fold reads one execution's spans, not the whole trace."""
+        plan = db.bind("SELECT id FROM people WHERE age < 30")
+        with qtrace.trace_query("twice"):
+            for _ in range(2):
+                result, actuals, table_q = db._run_plan(plan)
+                rows, _seconds, calls = actuals[id(plan)]
+                assert (rows, calls) == (result.num_rows, 1)
+                assert set(table_q) == {"people"}
+        assert db.catalog.q_error_summary("people")["count"] == 2
+        # Untraced, nothing is measured or folded.
+        assert db._run_plan(plan)[1:] == ({}, {})
+        assert db.catalog.q_error_summary("people")["count"] == 2
+
     def test_analyze_on_sharded_plan(self, shard_table, shard_pipeline):
         db = distributed_db(shard_table, shard_pipeline, shards=4)
         try:

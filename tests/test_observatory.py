@@ -4,6 +4,7 @@ lifecycle satellites."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 
@@ -124,6 +125,74 @@ class TestWatchdogEndToEnd:
         finally:
             server.shutdown()
             db.close()
+
+    def test_served_traffic_alone_triggers_one_analyze(self):
+        """Traced requests fold their own q-errors: no EXPLAIN ANALYZE."""
+        db = _drift_db()
+        epoch0 = db.catalog.stats_epoch("t")
+        server = RavenServer(RavenSession(db), workers=1, trace_requests=True)
+        try:
+            server.enable_watchdog(poll_interval_seconds=0.0)
+            server.prepare("q", "SELECT id FROM t WHERE v < ?")
+            server.query("q", params=(5.0,), timeout=30)
+            # Fresh statistics estimate the uniform table well.
+            assert db.catalog.q_error_summary("t")["last"] < 2.0
+            db.catalog.set_table("t", _skewed_table())
+            assert db.catalog.stats_epoch("t") == epoch0
+
+            def analyzes() -> int:
+                return len(db.catalog.audit_log(["analyze"])) - 1  # setup
+
+            for _ in range(10):
+                server.query("q", params=(5.0,), timeout=30)
+                if analyzes():
+                    break
+            assert analyzes() == 1
+            assert db.catalog.stats_epoch("t") > epoch0
+            prepared = server.prepared("q")
+            assert prepared.replans == 0
+            for _ in range(5):
+                result = server.query("q", params=(5.0,), timeout=30)
+            assert prepared.replans == 1
+            assert result.num_rows > N // 2
+            # Fresh statistics estimate the skew well: no second ANALYZE.
+            assert analyzes() == 1
+            assert db.catalog.q_error_summary("t")["last"] < 2.0
+            watchdog_stats = server.stats()["watchdog"]
+            assert watchdog_stats["analyzes_triggered"] == 1
+            [decision] = [
+                d
+                for d in watchdog_stats["decisions"]
+                if d["action"] == "analyze"
+            ]
+            assert (decision["table"], decision["signal"]) == ("t", "q_error")
+        finally:
+            server.shutdown()
+            db.close()
+
+    def test_explain_analyze_and_served_trace_fold_alike(self):
+        sql = "SELECT id FROM t WHERE v < 5.0"
+        db = _drift_db()
+        db.catalog.set_table("t", _skewed_table())
+        try:
+            with RavenServer(RavenSession(db), workers=1) as server:
+                server.submit_sql(sql).result(timeout=30)
+                # An untraced request measures nothing.
+                assert db.catalog.q_error_summary("t") is None
+                server.trace_requests = True
+                server.submit_sql(sql).result(timeout=30)
+            served = db.catalog.q_error_summary("t")
+            db.execute("EXPLAIN ANALYZE " + sql)
+            explained = db.catalog.q_error_summary("t")
+            assert served["count"] == 1 and explained["count"] == 2
+            assert served["last"] > 4.0
+            assert explained["last"] == pytest.approx(served["last"])
+        finally:
+            db.close()
+        # EXPLAIN ANALYZE reuses the shared fold instead of its own.
+        assert "record_q_error" not in inspect.getsource(
+            Database._execute_explain
+        )
 
     def test_watchdog_emits_drift_and_analyze_events(self):
         db = _drift_db()
@@ -272,70 +341,6 @@ class TestWatchdogHysteresis:
         assert stats["drifts_detected"] == 1
 
 
-class TestWatchdogSecondarySignals:
-    @pytest.fixture()
-    def db(self):
-        database = _drift_db()
-        yield database
-        database.close()
-
-    def test_plan_cache_hit_collapse_is_observe_only(self, db):
-        epoch0 = db.catalog.stats_epoch("t")
-        watchdog = WorkloadWatchdog(
-            db, plan_cache_hit_floor=0.9, plan_cache_min_events=4
-        ).attach(events.BUS)
-        try:
-            for _ in range(6):
-                events.emit("plan_cache.miss", fingerprint="fp")
-            decisions = watchdog.poll()
-        finally:
-            watchdog.detach()
-        assert [d["signal"] for d in decisions] == ["plan_cache_hit_rate"]
-        assert decisions[0]["action"] == "observe"
-        assert db.catalog.stats_epoch("t") == epoch0
-        stats = watchdog.stats()["plan_cache"]
-        assert stats["misses"] == 6
-        assert stats["state"] == "drifted"
-
-    def test_shard_prune_quality_tracked_per_table(self, db):
-        watchdog = WorkloadWatchdog(
-            db, shard_prune_floor=0.5, shard_prune_min_queries=2
-        ).attach(events.BUS)
-        try:
-            for _ in range(3):
-                events.emit(
-                    "distributed.gather", table="t", scanned=8, pruned=0
-                )
-            decisions = watchdog.poll()
-            assert [(d["signal"], d["action"]) for d in decisions] == [
-                ("shard_prune", "observe")
-            ]
-            # Routing quality recovers: pruned-heavy gathers raise the
-            # EWMA past the hysteresis bound.
-            for _ in range(10):
-                events.emit(
-                    "distributed.gather", table="t", scanned=1, pruned=7
-                )
-            decisions = watchdog.poll()
-            assert [(d["signal"], d["action"]) for d in decisions] == [
-                ("shard_prune", "recovered")
-            ]
-            table_stats = watchdog.stats()["tables"]["t"]
-            assert table_stats["prune_state"] == "ok"
-            assert table_stats["prune_queries"] == 13
-        finally:
-            watchdog.detach()
-
-    def test_replans_counted_from_bus(self, db):
-        watchdog = WorkloadWatchdog(db).attach(events.BUS)
-        try:
-            events.emit("serving.replan", fingerprint="fp", replans=1)
-            events.emit("serving.replan", fingerprint="fp", replans=2)
-        finally:
-            watchdog.detach()
-        assert watchdog.stats()["plan_cache"]["replans"] == 2
-
-
 # -- q-error summary edge cases ----------------------------------------------
 
 
@@ -405,6 +410,13 @@ def _make_trace(name: str, sleep: float = 0.0) -> qtrace.QueryTrace:
     return trace
 
 
+def _timed_trace(name: str, duration_ms: float) -> qtrace.QueryTrace:
+    """A finished trace whose root lasted exactly ``duration_ms``."""
+    trace = _make_trace(name)
+    trace.root.end = trace.root.start + duration_ms / 1e3
+    return trace
+
+
 class TestProfiler:
     def test_per_operator_self_time_attribution(self):
         profiler = QueryLogProfiler()
@@ -427,12 +439,7 @@ class TestProfiler:
     def test_top_k_slowest_with_exemplars(self):
         profiler = QueryLogProfiler(top_k=3)
         for i in range(10):
-            trace = _make_trace(f"q{i}")
-            # Synthesize deterministic durations: the dict form is
-            # as acceptable as the live trace.
-            body = trace.to_dict()
-            body["duration_ms"] = float(i)
-            profiler.record(body, query=f"q{i}")
+            profiler.record(_timed_trace(f"q{i}", float(i)))
         report = profiler.report()
         top = report["top_slow"]
         assert [entry["query"] for entry in top] == ["q9", "q8", "q7"]
@@ -464,31 +471,15 @@ class TestProfiler:
         assert set(stages) == {"1/2", "2/2"}
         assert stages["1/2"]["count"] == 1
 
-    def test_backend_breakdown_from_bus(self):
-        profiler = QueryLogProfiler().attach(events.BUS)
-        try:
-            events.emit("backend.run", backend="numba", rows=64, seconds=0.01)
-            events.emit("backend.run", backend="numba", rows=36, seconds=0.02)
-            events.emit("backend.run", backend="numpy", rows=10, seconds=0.001)
-        finally:
-            profiler.detach()
-        backends = profiler.report()["backends"]
-        assert backends["numba"]["runs"] == 2
-        assert backends["numba"]["rows"] == 100
-        assert backends["numpy"]["runs"] == 1
-
     def test_latency_reservoir_percentiles(self):
         profiler = QueryLogProfiler(reservoir_size=128)
-        base = _make_trace("q").to_dict()
         for i in range(100):
-            body = dict(base)
-            body["duration_ms"] = float(i + 1)
-            profiler.record(body, query="q")
+            profiler.record(_timed_trace("q", float(i + 1)))
         stats = profiler.report()["queries"]["q"]
         assert stats["count"] == 100
         assert 40.0 <= stats["p50_ms"] <= 60.0
         assert stats["p95_ms"] >= 90.0
-        assert stats["max_ms"] == 100.0
+        assert stats["max_ms"] == pytest.approx(100.0)
 
 
 # -- exporters ---------------------------------------------------------------
@@ -732,7 +723,9 @@ class TestObservatoryLifecycle:
         server = RavenServer(RavenSession(db), workers=1)
         server.enable_watchdog()
         server.enable_profiler()
-        assert events.BUS.stats()["callback_subscribers"] == 3
+        # The server's metrics and the watchdog; the profiler is fed by
+        # the server directly and holds no subscription.
+        assert events.BUS.stats()["callback_subscribers"] == 2
         server.shutdown()
         assert events.BUS.stats()["callback_subscribers"] == 0
         db.close()
@@ -742,7 +735,9 @@ class TestObservatoryLifecycle:
         server = RavenServer(RavenSession(db), workers=1)
         server.enable_watchdog()
         server.enable_profiler()
-        assert events.BUS.stats()["callback_subscribers"] == 3
+        # The server's metrics and the watchdog; the profiler is fed by
+        # the server directly and holds no subscription.
+        assert events.BUS.stats()["callback_subscribers"] == 2
         db.close()  # never called server.shutdown()
         assert events.BUS.stats()["callback_subscribers"] == 0
         server.shutdown()  # still clean afterwards
@@ -761,6 +756,19 @@ class TestObservatoryLifecycle:
         assert "operators" in snapshot["profiler"]["queries"]["q"]
         full = server.profiler_report()
         assert full["queries"]["q"]["exemplars"]
+
+    def test_disable_profiler_restores_tracing(self, served):
+        _db, server = served
+        server.enable_profiler()
+        assert server.trace_requests is True
+        server.disable_profiler()
+        assert server.trace_requests is False
+        with RavenServer(
+            server.session, workers=1, trace_requests=True
+        ) as traced:
+            traced.enable_profiler()
+            traced.disable_profiler()
+            assert traced.trace_requests is True
 
     def test_plan_cache_invalidation_reasons_exported(self, served):
         db, server = served

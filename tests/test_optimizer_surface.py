@@ -308,10 +308,12 @@ def test_predict_scores_in_parallel_in_one_place():
 
 
 def test_settings_surface_is_pinned():
-    """Every executor, database and optimizer setting is listed here, so a
-    new one is a visible edit of this test, not a silent default."""
+    """Every executor, database, optimizer, watchdog and profiler setting
+    is listed here, so a new one is a visible edit of this test, not a
+    silent default."""
     import dataclasses
 
+    from repro.observability import QueryLogProfiler, WorkloadWatchdog
     from repro.relational.algebra.executor import ExecutionOptions
     from repro.relational.algebra.logical import Predict
     from repro.relational.database import Database
@@ -342,4 +344,23 @@ def test_settings_surface_is_pinned():
         "payload",
         "feature_names",
         "extra",
+    ]
+    assert parameters(WorkloadWatchdog) == [
+        "database",
+        "auto_analyze",
+        "q_error_threshold",
+        "recovery_ratio",
+        "ewma_alpha",
+        "min_observations",
+        "cooldown_seconds",
+        "poll_interval_seconds",
+        "max_decisions",
+        "clock",
+    ]
+    assert parameters(QueryLogProfiler) == [
+        "top_k",
+        "exemplars_per_query",
+        "reservoir_size",
+        "max_queries",
+        "seed",
     ]

@@ -180,6 +180,46 @@ class TestPartitionedTable:
         # No constraint -> no pruning decision.
         assert surviving_partitions(table, parse_expression("value + id > 0")) is None
 
+    def test_strict_bounds_exclude_touching_partitions(self):
+        """A partition whose min (for ``<``) or max (for ``>``) equals the
+        literal holds no matching row; ``<=`` / ``>=`` keep it."""
+        table = Table.from_dict(
+            {"v": np.arange(8, dtype=np.int64)}
+        ).with_partitioning(2)
+
+        def keep(predicate: str) -> list[bool]:
+            return surviving_partitions(
+                table, parse_expression(predicate)
+            ).tolist()
+
+        assert keep("v < 4") == [True, True, False, False]
+        assert keep("4 > v") == [True, True, False, False]
+        assert keep("v <= 4") == [True, True, True, False]
+        assert keep("v > 5") == [False, False, False, True]
+        assert keep("v >= 6") == [False, False, False, True]
+        assert keep("v >= 5") == [False, False, True, True]
+        # The stricter of two equal ends wins, in either order.
+        assert keep("v >= 5 AND v > 5") == [False, False, False, True]
+        assert keep("v > 5 AND v >= 5") == [False, False, False, True]
+        assert keep("v > 1 AND v < 4") == [False, True, False, False]
+
+        pruned_db = Database()
+        pruned_db.register_table("t", table)
+        full_db = Database(
+            options=ExecutionOptions(enable_zone_map_pruning=False)
+        )
+        full_db.register_table("t", table)
+        for predicate, scanned in (("v < 4", 2), ("v > 5", 1)):
+            sql = f"SELECT v FROM t WHERE {predicate} ORDER BY v"
+            with qtrace.trace_query("strict") as trace:
+                pruned = pruned_db.execute(sql)
+            [info] = _pruning(trace)
+            assert info["partitions_scanned"] == scanned
+            assert (
+                pruned.column("v").tolist()
+                == full_db.execute(sql).column("v").tolist()
+            )
+
     def test_auto_partition_on_register(self):
         db = Database()
         db.register_table("big", _events_table(AUTO_PARTITION_MIN_ROWS))
