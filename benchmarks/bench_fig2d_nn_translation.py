@@ -10,8 +10,11 @@ substitution table); its *time* is simulated, its *results* are computed
 by the same kernels and asserted equal.
 
 The CPU series runs once per scoring backend: ``numpy`` (the per-node
-interpreter) and ``fused`` (threshold-mask tree kernel); ``numba`` joins
-when importable. All backends must agree exactly with scikit-learn.
+interpreter over the GEMM encoding the paper measures, so the graph is
+passed through ``lower_tree_ensembles`` first) and ``fused``
+(threshold-mask tree kernel); ``numba`` (a JIT tree walk) joins when
+importable. The simulated GPU lowers to the GEMM encoding by itself.
+All backends must agree exactly with scikit-learn.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ import pytest
 from benchmarks.harness import measure, report
 from repro.data import hospital
 from repro.ml import RandomForestClassifier
-from repro.tensor import InferenceSession, SimulatedGPU, convert
+from repro.tensor import InferenceSession, SimulatedGPU, convert, lower_tree_ensembles
 from repro.tensor.backends.numba_backend import numba_available
 
 SIZES = [1_000, 10_000, 100_000]
@@ -35,7 +38,11 @@ def environment():
     ).fit(train.features, train.length_of_stay)
     graph = convert(forest)
     cpu_sessions = {
-        name: InferenceSession(graph, device="cpu", backend=name)
+        name: InferenceSession(
+            lower_tree_ensembles(graph) if name == "numpy" else graph,
+            device="cpu",
+            backend=name,
+        )
         for name in CPU_BACKENDS
     }
     gpu_session = InferenceSession(graph, device=SimulatedGPU())

@@ -1,7 +1,8 @@
 """Compiled scoring backends: fused tree kernels and cost-based choice.
 
-* explicit choice: the same (Hummingbird-style) tensor graph scored by
-  the ``numpy`` per-node interpreter and the ``fused`` threshold-mask
+* explicit choice: the same tensor graph, its forest one
+  ``TreeEnsemble`` op, scored by the ``numpy`` per-node interpreter
+  (a level-by-level tree descent) and by the ``fused`` threshold-mask
   tree kernel, at identical output,
 * calibration: the micro-benchmarked per-backend row costs the
   optimizer prices alternatives with, persisted in the catalog,

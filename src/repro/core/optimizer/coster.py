@@ -42,6 +42,7 @@ from repro.relational.statistics import (
     group_keys_cardinality,
     join_condition_selectivity,
 )
+from repro.tensor.converters import gemm_node_count
 
 # -- search configuration ----------------------------------------------------
 
@@ -117,7 +118,8 @@ def predict_row_cost(op: logical.Predict, ctx: "SearchContext") -> float:
     flavor = ctx.predict_flavor(op)
     if flavor == "tensor.graph":
         graph = op.payload
-        per_row = 0.2 * (len(graph.nodes) if graph is not None else 10)
+        # Priced per op of the GEMM encoding, trees counted as lowered.
+        per_row = 0.2 * (gemm_node_count(graph) if graph is not None else 10)
         return feature_cost + per_row
     if flavor == "python.script":
         return feature_cost + 20.0

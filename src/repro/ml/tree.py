@@ -54,40 +54,43 @@ class TreeStructure:
     def is_leaf(self, node: int) -> bool:
         return self.feature[node] == LEAF
 
-    def depths(self) -> np.ndarray:
-        """Depth of every node, root = 0 (vectorized level frontier)."""
-        depth = np.zeros(self.node_count, dtype=np.int64)
-        frontier = np.zeros(1, dtype=np.int64)
-        level = 0
+    def levels(self, roots=0) -> list[np.ndarray]:
+        """The nodes below ``roots``, one array per depth (vectorized
+        level frontier); the arrays may hold several trees."""
+        levels = []
+        frontier = np.asarray(roots, dtype=np.int64).reshape(-1)
         while frontier.size:
-            depth[frontier] = level
+            levels.append(frontier)
             internal = frontier[self.feature[frontier] != LEAF]
             frontier = np.concatenate(
                 (self.children_left[internal], self.children_right[internal])
             )
-            level += 1
-        return depth
+        return levels
 
-    def max_depth(self) -> int:
+    def max_depth(self, roots=0) -> int:
         """Longest root-to-leaf path length."""
-        return int(self.depths().max())
+        return len(self.levels(roots)) - 1
 
     def used_features(self) -> set[int]:
         """Feature indices tested anywhere in the tree."""
         return set(int(f) for f in self.feature[self.feature != LEAF])
 
-    def decision_path_apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index reached by each row.
+    def decision_path_apply(self, X: np.ndarray, roots=0) -> np.ndarray:
+        """Leaf index reached by each row: ``(rows,)`` from the one root
+        ``roots``, or ``(rows, len(roots))`` when the arrays hold several
+        trees and ``roots`` lists theirs.
 
         Fully vectorized: leaves are turned into self-loops (their
         children point back at themselves, their test feature is
         clamped to 0), so every row can be advanced ``max_depth`` times
         with three gathers and one ``where`` per level — no boolean
         masking or shrinking index sets, which keeps the hot arrays
-        contiguous for the whole descent.
+        contiguous for the whole descent. A NaN feature fails its test
+        and goes right.
         """
+        roots = np.asarray(roots, dtype=np.int64)
         n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
+        node = np.full((n,) + roots.shape, roots)
         if n == 0:
             return node
         idx = np.arange(self.node_count, dtype=np.int64)
@@ -95,8 +98,8 @@ class TreeStructure:
         left = np.where(leaf, idx, self.children_left)
         right = np.where(leaf, idx, self.children_right)
         feat = np.where(leaf, 0, self.feature)
-        rows = np.arange(n)
-        for _ in range(self.max_depth()):
+        rows = np.arange(n).reshape((n,) + (1,) * roots.ndim)
+        for _ in range(self.max_depth(roots)):
             go_left = X[rows, feat[node]] <= self.threshold[node]
             node = np.where(go_left, left[node], right[node])
         return node

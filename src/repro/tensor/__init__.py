@@ -5,10 +5,11 @@ Graphs of LA operators (:mod:`~repro.tensor.graph`), NumPy kernels
 folding (:mod:`~repro.tensor.optimizer`), executable sessions
 (:mod:`~repro.tensor.session`), CPU + simulated-GPU devices
 (:mod:`~repro.tensor.device`), and NN translation of classical ML models
-(:mod:`~repro.tensor.converters`).
+(:mod:`~repro.tensor.converters`), whose ``TreeEnsemble`` op
+:func:`lower_tree_ensembles` rewrites to the GEMM encoding.
 """
 
-from repro.tensor.converters import convert
+from repro.tensor.converters import convert, lower_tree_ensembles
 from repro.tensor.device import CPUDevice, SimulatedGPU, get_device
 from repro.tensor.graph import Graph, Node
 from repro.tensor.optimizer import optimize
@@ -19,6 +20,7 @@ __all__ = [
     "CPUDevice",
     "Graph",
     "InferenceSession",
+    "lower_tree_ensembles",
     "Node",
     "optimize",
     "SimulatedGPU",

@@ -4,12 +4,14 @@ How a model is *executed* dominates PREDICT latency, so execution
 strategy is a physical property the optimizer chooses — not a global
 switch. Three backends implement one protocol:
 
-- ``numpy``   — the per-node kernel interpreter (default; zero setup).
-- ``fused``   — graph-level operator fusion, with tree ensembles
-  scored by a per-feature threshold-mask kernel (QuickScorer) instead
-  of their GEMM chains (:mod:`.fused`).
-- ``numba``   — JIT tree kernels behind an optional import; without
-  numba a request for it runs the interpreter (:mod:`.numba_backend`).
+- ``numpy``   — the per-node kernel interpreter (default; zero setup);
+  a ``TreeEnsemble`` node descends all its trees at once.
+- ``fused``   — graph-level operator fusion, with each ``TreeEnsemble``
+  node scored by a per-feature threshold-mask kernel (QuickScorer)
+  built from its tree arrays (:mod:`.fused`).
+- ``numba``   — a JIT walk over the same tree arrays behind an optional
+  import; without numba a request for it runs the interpreter
+  (:mod:`.numba_backend`).
 
 The memo offers each *available* compiled backend as an alternative
 Predict implementation and prices it with calibrated per-row costs
@@ -114,12 +116,12 @@ def compiled_pipeline_scorer(pipeline, n_features: int, backend: str,
     input_name = session.graph.inputs[0]
 
     # Bare tree predictors consume columns strictly by split index
-    # (< ``n_features_in_``), so the interpreter silently ignores any
-    # extra trailing columns in a wider matrix (the plan passes the
-    # whole table when the feature list is undeclared). The GEMM
-    # encoding is shape-exact, so reproduce that tolerance by slicing;
-    # every other model family raises on a width mismatch in *both*
-    # paths, which the session reproduces naturally.
+    # (< ``n_features_in_``), so ``predict`` silently ignores any extra
+    # trailing columns in a wider matrix (the plan passes the whole
+    # table when the feature list is undeclared). A ``TreeEnsemble``
+    # node checks the width it was trained on, so reproduce that
+    # tolerance by slicing; every other model family raises on a width
+    # mismatch in *both* paths, which the session reproduces naturally.
     trained_width = None
     from repro.ml.pipeline import Pipeline
 

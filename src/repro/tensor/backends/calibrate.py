@@ -4,7 +4,7 @@ The coster prices a Predict alternative on backend ``b`` as::
 
     engine_switch + setup_cost(b) + input_rows * row_cost * row_scale(b)
 
-``setup_cost`` models session compilation (fusion pattern matching,
+``setup_cost`` models session compilation (fusion planning,
 JIT warm-up) and ``row_scale`` the per-row advantage over the
 interpreter. Hard-coding those would rot with numpy versions and
 hardware, so a micro-benchmark measures ``row_scale`` on first use —
@@ -101,7 +101,7 @@ def _calibrate() -> dict[str, tuple[float, float]]:
     """Measure compiled row scales on a small synthetic forest (<100ms)."""
     from repro.ml.ensemble import RandomForestRegressor
     from repro.tensor.backends import available_compiled_backends
-    from repro.tensor.converters import convert
+    from repro.tensor.converters import convert, lower_tree_ensembles
     from repro.tensor.session import InferenceSession
 
     rng = np.random.default_rng(7)
@@ -113,7 +113,7 @@ def _calibrate() -> dict[str, tuple[float, float]]:
     graph = convert(model, n_features=8)
     batch = rng.normal(size=(2048, 8))
 
-    def best_of(backend: str) -> float:
+    def best_of(backend: str, graph=graph) -> float:
         session = InferenceSession(graph, backend=backend)
         feeds = {session.graph.inputs[0]: batch}
         session.run(feeds)  # warm-up (buffer allocation, JIT compile)
@@ -124,7 +124,9 @@ def _calibrate() -> dict[str, tuple[float, float]]:
             times.append(time.perf_counter() - start)
         return min(times)
 
-    baseline = best_of("numpy")
+    # The interpreter's row cost is the GEMM encoding's, as it was
+    # when these scales and the optimizer's row costs were set.
+    baseline = best_of("numpy", lower_tree_ensembles(graph))
     resolved = dict(DEFAULT_PROFILES)
     if baseline <= 0:
         return resolved

@@ -1,20 +1,11 @@
-"""The fused backend: graph-level fusion + a tree-ensemble kernel.
+"""The fused backend: a tree-ensemble kernel + elementwise fusion.
 
-Two fusions run at session-build time, both found by pattern-matching
-the optimized graph:
+Two kinds of steps replace per-node execution at session-build time:
 
-1. **Tree ensembles -> threshold masks.** The converter emits every
-   decision tree as the same 7-op chain (Hummingbird's GEMM form)::
-
-       MatMul(X, A) -> LessOrEqual(., B) -> Cast -> MatMul(., C)
-         -> Equal(., D) -> Cast -> MatMul(., V)
-
-   Interpreted, that is 3 matmuls plus glue per tree, and their cost
-   grows with nodes x leaves. The fused backend reads each chain's
-   matrices back as a tree (``A``'s one-hot column is a node's
-   feature, ``B`` its threshold, ``C`` its left and right subtrees)
-   and scores every tree over the same input with QuickScorer's
-   bitvector kernel (:class:`TreeEnsembleStep`): per feature, one
+1. **Tree ensembles -> threshold masks.** Each ``TreeEnsemble`` node
+   (see :mod:`repro.tensor.converters`) is scored with QuickScorer's
+   bitvector kernel (:class:`TreeEnsembleStep`), its tables built
+   straight from the node's tree arrays: per feature, one
    ``searchsorted`` over the sorted thresholds and one table gather;
    AND-ed over the features, each tree's lowest surviving leaf bit is
    its exit leaf. No matmul runs.
@@ -29,21 +20,15 @@ Which leaf a row reaches: node ``i`` sends the row left when
 ``x[feature] <= threshold`` and right otherwise, so ties go left and
 NaN fails every test on its feature, as in
 ``TreeStructure.decision_path_apply``; the row's other features still
-route it, and ``+-inf`` compares as any number does. The interpreted
-GEMM chain differs on non-finite input only: ``NaN * 0`` and
-``inf * 0`` in stage 1 poison every node of the row.
+route it, and ``+-inf`` compares as any number does.
 
-Exactness: each tree contributes its exit leaf's ``V`` row, the value
-the GEMM's one-hot product picks, and the trees are summed by the
-same reduction over a ``(trees, rows, outputs)`` array that the
-stacked GEMM stages this kernel replaced used, so on finite input its
-output is bit-identical to theirs. Against the interpreted graph,
-whose Add chain sums the trees one by one, only the summation order
-can differ — within normal fp tolerance.
+Exactness: each tree contributes its exit leaf's value, and the trees
+are summed by the interpreter kernel's reduction over a ``(trees,
+rows, outputs)`` array, so the output is bit-identical to the
+interpreter's.
 
-Everything the matcher does not recognize — including a 7-op chain
-whose matrices do not encode a tree — falls back to per-node device
-execution, so the fused backend accepts *any* valid graph.
+Every other node runs per node on the device, so the fused backend
+accepts *any* valid graph.
 """
 
 from __future__ import annotations
@@ -53,21 +38,10 @@ import time
 
 import numpy as np
 
+from repro.ml.tree import LEAF, TreeStructure
 from repro.tensor.device import Device, RunStats
 from repro.tensor.graph import Graph, Node
 from repro.tensor.ops import KERNELS, estimate_cost
-from repro.tensor.optimizer import DEFAULT_PASSES
-
-#: Pass profile compiled backends optimize under: everything except
-#: ``fuse_matmul_add`` — that pass rewrites the first tree's final
-#: MatMul + combining Add into a Gemm, destroying the 7-op chain the
-#: ensemble matcher keys on (the backend's own fusion strictly
-#: supersedes it).
-FUSED_PASSES = tuple(
-    p for p in DEFAULT_PASSES if p.__name__ != "fuse_matmul_add"
-)
-
-_FLOAT_CASTS = ("float64", "float32", "double", "float")
 
 #: Elementwise ops fusable into a single-stream chain. Multi-input ops
 #: qualify only when every other operand is a constant initializer.
@@ -90,22 +64,6 @@ TREE_BLOCK = 64
 _ALL_LEAVES = np.uint64(2**64 - 1)
 
 
-class _TreeChain:
-    """One matched 7-op tree chain and its GEMM matrices."""
-
-    __slots__ = ("data", "a", "b", "c", "d", "v", "nodes", "output")
-
-    def __init__(self, data, a, b, c, d, v, nodes, output):
-        self.data = data
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-        self.v = v
-        self.nodes = nodes
-        self.output = output
-
-
 class TreeEnsembleStep:
     """All trees of one ensemble, scored by per-feature threshold masks.
 
@@ -116,8 +74,8 @@ class TreeEnsembleStep:
     every node a row fails leaves its exit leaf as the lowest set bit:
     a leaf left of it lies in the left subtree of a node on its path
     that the row failed, while no failed node's left subtree holds it.
-    Leaves are numbered in ``C``/``V`` column order, which is
-    left-first, and masks are ``ceil(leaves / 64)`` words wide.
+    Leaves are numbered left-first within each tree, and masks are
+    ``ceil(leaves / 64)`` words wide.
 
     Per feature the nodes testing it are sorted by threshold, and their
     masks are prefix-ANDed per tree into a ``(thresholds + 1, trees,
@@ -127,45 +85,56 @@ class TreeEnsembleStep:
     row holds all of them. Rows run in :data:`CHUNK`-sized slices.
     """
 
-    def __init__(self, chains: list[_TreeChain], combined_output: str | None,
-                 skip_nodes: list[Node]):
-        self.chains = chains
-        self.data = chains[0].data
-        self.combined_output = combined_output
-        self.skip_nodes = skip_nodes
-        self.trees = len(chains)
-        self.n_features = chains[0].a.shape[0]
-        self.n_out = chains[0].v.shape[1]
-        l_max = max(c.v.shape[0] for c in chains)
+    def __init__(self, node: Node, arrays: tuple[np.ndarray, ...]):
+        self.data = node.inputs[0]
+        self.output = node.outputs[0]
+        self.n_features = node.attrs["n_features"]
+        self.arrays = arrays
+        feature, threshold, left, right, value, roots = arrays
+        self.trees = len(roots)
+        self.n_out = value.shape[1]
+        tree_of, first, leaves = _leaf_spans(
+            TreeStructure(left, right, feature, threshold, value), roots
+        )
+        reached = tree_of >= 0
+        is_leaf = reached & (feature == LEAF)
+        n_leaves = np.bincount(tree_of[is_leaf], minlength=self.trees)
+        l_max = int(n_leaves.max())
         self.words = -(-l_max // 64)
         # A bit's float64 exponent, less the bias, plus its word's offset.
         self.word_base = 64 * np.arange(self.words) - 1023
         # Each tree's leaf values at rows ``t * l_max + leaf``.
         self.tree_base = np.arange(self.trees) * l_max
         self.leaf_values = np.zeros((self.trees * l_max, self.n_out))
-        for base, chain in zip(self.tree_base, chains):
-            self.leaf_values[base:base + len(chain.v)] = chain.v
-        self.blocks = [
-            self._tables(chains[lo:lo + TREE_BLOCK])
-            for lo in range(0, self.trees, TREE_BLOCK)
-        ]
+        self.leaf_values[self.tree_base[tree_of[is_leaf]] + first[is_leaf]] = (
+            value[is_leaf]
+        )
+        # Per internal node, its leaves outside its left subtree: all of
+        # its tree's leaves but the span ``[first, first + leaves[left])``.
+        nodes = np.flatnonzero(reached & (feature != LEAF))
+        tree = tree_of[nodes]
+        lo, hi = first[nodes], first[nodes] + leaves[left[nodes]]
+        masks = _bit_span(0, lo, self.words) | _bit_span(
+            hi, n_leaves[tree], self.words
+        )
+        self.blocks = []
+        for start in range(0, self.trees, TREE_BLOCK):
+            at = (tree >= start) & (tree < start + TREE_BLOCK)
+            self.blocks.append(self._tables(
+                feature[nodes[at]], threshold[nodes[at]], tree[at] - start,
+                masks[at], min(TREE_BLOCK, self.trees - start),
+            ))
 
-    def _tables(self, chains: list[_TreeChain]):
+    def _tables(self, features, thresholds, trees, masks, n_trees):
         """``[(feature, thresholds, table)]`` for one block of trees, one
         entry per feature the block tests: its distinct thresholds in
         ascending order, and ``table[j]``, per tree, the AND of the masks
         of its nodes with a threshold below ``thresholds[j]``."""
-        features = np.concatenate([c.a.argmax(axis=0) for c in chains])
-        thresholds = np.concatenate([c.b for c in chains])
-        trees = np.concatenate(
-            [np.full(len(c.b), t) for t, c in enumerate(chains)]
-        )
-        masks = np.concatenate([_node_masks(c.c, self.words) for c in chains])
         tables = []
         for feature in np.unique(features):
             at = np.flatnonzero(features == feature)
             at = at[np.argsort(thresholds[at], kind="stable")]
-            steps = np.full((len(at) + 1, len(chains), self.words), _ALL_LEAVES)
+            steps = np.full((len(at) + 1, n_trees, self.words), _ALL_LEAVES)
             steps[np.arange(1, len(at) + 1), trees[at]] = masks[at]
             prefix = np.bitwise_and.accumulate(steps, axis=0)
             distinct, first = np.unique(thresholds[at], return_index=True)
@@ -205,6 +174,8 @@ class TreeEnsembleStep:
             shape = (n, hi - lo, words)
             alive = scratch["alive"][:np.prod(shape)].reshape(shape)
             hit = scratch["hit"][:np.prod(shape)].reshape(shape)
+            if not tables:  # single-leaf trees only: no test to fail
+                alive.fill(_ALL_LEAVES)
             for i, (feature, thresholds, table) in enumerate(tables):
                 failed = np.searchsorted(thresholds, x[:, feature], side="left")
                 np.take(table, failed, axis=0, out=hit if i else alive,
@@ -240,30 +211,17 @@ class TreeEnsembleStep:
             )
         rows = x.shape[0]
         scratch = self._scratch(local, rows)
-        combined = None
-        per_tree = None
-        if self.combined_output is not None:
-            combined = np.empty((rows, self.n_out))
-        else:
-            per_tree = [np.empty((rows, self.n_out)) for _ in self.chains]
+        out = np.empty((rows, self.n_out))
         for lo in range(0, rows, CHUNK):
             hi = min(lo + CHUNK, rows)
             leaf = self._exit_leaves(x[lo:hi], scratch)
             # (trees, rows, n_out), reduced over the tree axis as the
-            # stacked GEMM stages did, so the sums stay bit-identical.
+            # interpreter's kernel does, so the sums stay bit-identical.
             shape = (self.trees, hi - lo, self.n_out)
             values = scratch["values"][:np.prod(shape)].reshape(shape)
             np.take(self.leaf_values, leaf.T, axis=0, out=values, mode="clip")
-            if combined is not None:
-                values.sum(axis=0, out=combined[lo:hi])
-            else:
-                for t in range(self.trees):
-                    per_tree[t][lo:hi] = values[t]
-        if combined is not None:
-            tensors[self.combined_output] = combined
-        else:
-            for t, chain in enumerate(self.chains):
-                tensors[chain.output] = per_tree[t]
+            values.sum(axis=0, out=out[lo:hi])
+        tensors[self.output] = out
         elapsed = time.perf_counter() - start
         stats.wall_seconds += elapsed
         stats.ops_executed += 1
@@ -275,53 +233,36 @@ class TreeEnsembleStep:
         )
 
 
-def _node_masks(c: np.ndarray, words: int) -> np.ndarray:
-    """``(nodes, words)`` uint64: per node of a GEMM tree, the bits of
-    the leaves outside its left subtree (``C[i] > 0`` marks those in it)."""
-    bits = np.zeros((c.shape[0], words * 64), dtype=bool)
-    bits[:, :c.shape[1]] = c <= 0
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64)
+def _leaf_spans(forest: TreeStructure, roots: np.ndarray):
+    """Per node of ``forest``'s arrays: the tree it belongs to (-1 when
+    no root reaches it), the left-first place of its subtree's first
+    leaf within that tree, and its subtree's leaf count."""
+    feature, left, right = forest.feature, forest.children_left, forest.children_right
+    levels = forest.levels(roots)
+    tree_of = np.full(forest.node_count, -1)
+    tree_of[roots] = np.arange(len(roots))
+    first = np.zeros(forest.node_count, dtype=np.int64)
+    leaves = np.ones(forest.node_count, dtype=np.int64)
+    for level in reversed(levels):
+        inner = level[feature[level] != LEAF]
+        leaves[inner] = leaves[left[inner]] + leaves[right[inner]]
+    for level in levels:
+        inner = level[feature[level] != LEAF]
+        tree_of[left[inner]] = tree_of[right[inner]] = tree_of[inner]
+        first[left[inner]] = first[inner]
+        first[right[inner]] = first[inner] + leaves[left[inner]]
+    return tree_of, first, leaves
 
 
-def _is_tree(c: np.ndarray, d: np.ndarray) -> bool:
-    """Whether ``C``/``D`` encode a binary tree with left-first leaves:
-    node ``i``'s left-subtree leaves (``C[i] == 1``) and right-subtree
-    leaves (``C[i] == -1``) are adjacent ranges, every child range of
-    two or more leaves is the span of exactly one other node, and
-    ``D`` counts each leaf's left turns. Only then does the threshold
-    mask kernel reach the leaf the GEMM stages match."""
-    nodes, leaves = c.shape
-    left, right = c == 1, c == -1
-    n_left, n_right = left.sum(axis=1), right.sum(axis=1)
-    if (
-        nodes != leaves - 1
-        or not (left | right | (c == 0)).all()
-        or not np.array_equal(d, left.sum(axis=0))
-        or not ((n_left > 0) & (n_right > 0)).all()
-    ):
-        return False
-    lo = left.argmax(axis=1)
-    mid = lo + n_left
-    hi = mid + n_right
-    place = np.arange(leaves)
-    if not (
-        np.array_equal(left, (place >= lo[:, None]) & (place < mid[:, None]))
-        and np.array_equal(right, (place >= mid[:, None]) & (place < hi[:, None]))
-    ):
-        return False
-    width = leaves + 1
-    spans = lo * width + hi
-    children = np.concatenate([lo * width + mid, mid * width + hi])
-    sizes = np.concatenate([n_left, n_right])
-    root = leaves  # the span (0, leaves)
-    return (
-        len(np.unique(spans)) == nodes
-        and root in spans
-        and np.array_equal(
-            np.sort(children[sizes > 1]), np.sort(spans[spans != root])
-        )
-    )
+def _bit_span(lo, hi, words: int) -> np.ndarray:
+    """``(len(hi), words)`` uint64 masks, bits ``[lo, hi)`` set per row."""
+    base = 64 * np.arange(words)
+    below = []
+    for edge in (lo, hi):
+        k = np.clip(np.asarray(edge)[..., None] - base, 0, 64).astype(np.uint64)
+        ones = (np.uint64(1) << np.minimum(k, np.uint64(63))) - np.uint64(1)
+        below.append(np.where(k == 64, _ALL_LEAVES, ones))
+    return below[1] & ~below[0]
 
 
 class ElementwiseChainStep:
@@ -360,7 +301,7 @@ class ElementwiseChainStep:
 
 
 class FusedExecutor:
-    """Pattern-matched fused execution with per-node fallback."""
+    """Fused execution with per-node fallback."""
 
     name = "fused"
 
@@ -399,31 +340,13 @@ def _build_plan(graph: Graph, order: list[Node]):
     outputs = set(graph.outputs)
     inits = graph.initializers
 
-    chains: list[_TreeChain] = []
-    claimed: set[int] = set()
-    for node in order:
-        chain = _match_tree_chain(node, graph, consumers, outputs, claimed)
-        if chain is not None:
-            chains.append(chain)
-            claimed.update(id(n) for n in chain.nodes)
-
     steps: dict[int, tuple[str, object]] = {}
     skip: set[int] = set()
-    groups: dict[tuple, list[_TreeChain]] = {}
-    for chain in chains:
-        key = (chain.data, chain.a.shape[0], chain.v.shape[1])
-        groups.setdefault(key, []).append(chain)
-    for group in groups.values():
-        combined, add_nodes = _match_combiner(group, consumers, outputs)
-        step = TreeEnsembleStep(
-            group,
-            combined,
-            [n for c in group for n in c.nodes] + add_nodes,
-        )
-        members = {id(n) for n in step.skip_nodes}
-        first = next(n for n in order if id(n) in members)
-        steps[id(first)] = ("tree", step)
-        skip.update(members)
+    for node in order:
+        if node.op_type == "TreeEnsemble":
+            arrays = tuple(inits[name] for name in node.inputs[1:])
+            steps[id(node)] = ("tree", TreeEnsembleStep(node, arrays))
+            skip.add(id(node))
 
     for run in _elementwise_runs(order, graph, consumers, outputs, skip):
         step = ElementwiseChainStep(run, inits)
@@ -445,111 +368,6 @@ def _sole_consumer(name: str, consumers: dict, outputs: set) -> Node | None:
         return None
     found = consumers.get(name, [])
     return found[0] if len(found) == 1 else None
-
-
-def _match_tree_chain(start: Node, graph: Graph, consumers: dict,
-                      outputs: set, claimed: set) -> _TreeChain | None:
-    if id(start) in claimed or start.op_type != "MatMul":
-        return None
-    if len(start.inputs) != 2:
-        return None
-    data, a_name = start.inputs
-    inits = graph.initializers
-    if data in inits or a_name not in inits:
-        return None
-    a = inits[a_name]
-    if a.ndim != 2:
-        return None
-
-    nodes = [start]
-
-    def follow(node: Node, op_type: str) -> Node | None:
-        nxt = _sole_consumer(node.outputs[0], consumers, outputs)
-        if nxt is None or nxt.op_type != op_type or id(nxt) in claimed:
-            return None
-        if nxt.inputs[0] != node.outputs[0]:
-            return None
-        return nxt
-
-    le = follow(start, "LessOrEqual")
-    if le is None or len(le.inputs) != 2 or le.inputs[1] not in inits:
-        return None
-    b = inits[le.inputs[1]]
-    cast1 = follow(le, "Cast")
-    if cast1 is None or cast1.attrs.get("to", "float64") not in _FLOAT_CASTS:
-        return None
-    mm2 = follow(cast1, "MatMul")
-    if mm2 is None or len(mm2.inputs) != 2 or mm2.inputs[1] not in inits:
-        return None
-    c = inits[mm2.inputs[1]]
-    eq = follow(mm2, "Equal")
-    if eq is None or len(eq.inputs) != 2 or eq.inputs[1] not in inits:
-        return None
-    d = inits[eq.inputs[1]]
-    cast2 = follow(eq, "Cast")
-    if cast2 is None or cast2.attrs.get("to", "float64") not in _FLOAT_CASTS:
-        return None
-    mm3 = follow(cast2, "MatMul")
-    if mm3 is None or len(mm3.inputs) != 2 or mm3.inputs[1] not in inits:
-        return None
-    v = inits[mm3.inputs[1]]
-
-    m = a.shape[1]
-    leaves = v.shape[0] if v.ndim == 2 else 0
-    b = np.ravel(b).astype(np.float64)
-    d = np.ravel(d).astype(np.float64)
-    if (
-        v.ndim != 2
-        or b.size != m
-        or c.shape != (m, leaves)
-        or d.size != leaves
-        # Stage 1 must be a gather: one 1.0 per column of A.
-        or not ((a == 0) | (a == 1)).all()
-        or not (a.sum(axis=0) == 1).all()
-        or np.isnan(b).any()
-        or not _is_tree(c, d)
-    ):
-        return None
-    nodes.extend([le, cast1, mm2, eq, cast2, mm3])
-    return _TreeChain(data, a, b, c, d, v, nodes, mm3.outputs[0])
-
-
-def _match_combiner(group: list[_TreeChain], consumers: dict,
-                    outputs: set) -> tuple[str | None, list[Node]]:
-    """Absorb the Add tree summing every chain output, if one exists.
-
-    Returns ``(combined_output_name, add_nodes)``; ``(None, [])`` when
-    the trees' outputs are consumed some other way (or there is only
-    one tree, where a combiner cannot exist).
-    """
-    if len(group) < 2:
-        return None, []
-    produced = {c.output for c in group}
-    add_nodes: list[Node] = []
-    while len(produced) > 1:
-        candidate = None
-        for name in produced:
-            node = _sole_consumer(name, consumers, outputs)
-            if node is None or node.op_type != "Add" or node.attrs:
-                continue
-            if len(node.inputs) != 2 or len(node.outputs) != 1:
-                continue
-            left, right = node.inputs
-            if left not in produced or right not in produced:
-                continue
-            if (
-                _sole_consumer(left, consumers, outputs) is node
-                and _sole_consumer(right, consumers, outputs) is node
-            ):
-                candidate = node
-                break
-        if candidate is None:
-            return None, []
-        add_nodes.append(candidate)
-        produced.discard(candidate.inputs[0])
-        produced.discard(candidate.inputs[1])
-        produced.add(candidate.outputs[0])
-    return next(iter(produced)), add_nodes
 
 
 def _elementwise_runs(order: list[Node], graph: Graph, consumers: dict,

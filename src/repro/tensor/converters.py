@@ -4,15 +4,27 @@ This is the paper's §4.2 "NN translation" — classical ML operators (trees,
 linear models) and featurizers (scalers, one-hot encoders) become linear
 algebra so they run on the NN runtime, including the (simulated) GPU.
 
-Trees use the GEMM encoding (the same construction this paper's authors
-later published as Hummingbird): with A the feature-test matrix, B the
-thresholds, C the leaf/ancestor incidence matrix, D the left-turn counts
-and V the leaf payload matrix,
+A tree ensemble becomes one ``TreeEnsemble`` node: the input matrix plus
+the trees' ``TreeStructure`` arrays, concatenated, and one root per tree.
+It outputs the leaf payloads summed over the trees; the forest mean and
+the boosting rate and init stay ordinary ``Div``/``Mul``/``Add`` nodes.
+Each consumer lowers the node itself:
 
-    S = cast(X @ A <= B)        # which internal tests pass
-    T = S @ C                   # per-leaf path agreement score
-    R = cast(T == D)            # exactly one 1 per row: the reached leaf
-    Y = R @ V                   # leaf payloads
+- the interpreter descends every tree at once, level by level
+  (``TreeStructure.decision_path_apply``);
+- ``fused`` builds QuickScorer threshold-mask tables from the arrays;
+- ``numba`` walks each row down each tree in a JIT loop;
+- :func:`lower_tree_ensembles` emits the GEMM encoding (the same
+  construction this paper's authors later published as Hummingbird,
+  Nakandala et al., OSDI 2020), which the simulated GPU scores: with A
+  the feature-test matrix, B the thresholds, C the leaf/ancestor
+  incidence matrix, D the left-turn counts and V the leaf payload
+  matrix,
+
+      S = cast(X @ A <= B)        # which internal tests pass
+      T = S @ C                   # per-leaf path agreement score
+      R = cast(T == D)            # exactly one 1 per row: the reached leaf
+      Y = R @ V                   # leaf payloads
 
 Every converter returns the name of the tensor holding its output inside
 the graph being built; :func:`convert` assembles the full model graph with
@@ -39,8 +51,14 @@ from repro.ml.preprocessing import (
     OneHotEncoder,
     StandardScaler,
 )
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeStructure
-from repro.tensor.graph import Graph
+from repro.ml.tree import (
+    LEAF,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    TreeStructure,
+)
+from repro.tensor.graph import Graph, Node
+from repro.tensor.optimizer import prune_unused_initializers
 
 
 def convert(model, n_features: int | None = None, input_name: str = "X") -> Graph:
@@ -225,9 +243,65 @@ def _convert_transformer(graph: Graph, transformer, data: str) -> str:
 # -- trees ---------------------------------------------------------------------
 
 
-def tree_gemm_matrices(
-    tree: TreeStructure, n_features: int, value_matrix: np.ndarray
-):
+def _emit_ensemble(graph: Graph, data: str, trees, n_features: int) -> str:
+    """Emit one ``TreeEnsemble`` node over ``trees``, a list of
+    ``(TreeStructure, value matrix)`` pairs; returns the ``(n, n_out)``
+    sum of the leaf payloads each row reaches, one per tree.
+
+    The node's inputs after ``data`` are the trees' arrays concatenated
+    (node ids shifted by each tree's offset, leaves keeping ``LEAF``
+    children) and each tree's root.
+    """
+    sizes = [tree.node_count for tree, _ in trees]
+    offsets = np.cumsum([0] + sizes[:-1])
+
+    def children(side: str) -> np.ndarray:
+        return np.concatenate([
+            np.where(tree.feature == LEAF, LEAF, getattr(tree, side) + offset)
+            for (tree, _), offset in zip(trees, offsets)
+        ]).astype(np.int64)
+
+    arrays = {
+        "feature": np.concatenate([t.feature for t, _ in trees]).astype(np.int64),
+        "threshold": np.concatenate([t.threshold for t, _ in trees]).astype(np.float64),
+        "left": children("children_left"),
+        "right": children("children_right"),
+        "value": np.vstack([v for _, v in trees]).astype(np.float64),
+        "roots": offsets.astype(np.int64),
+    }
+    names = [graph.add_initializer(graph.fresh_name(k), v) for k, v in arrays.items()]
+    return graph.add_node(
+        "TreeEnsemble", [data, *names], n_features=int(n_features)
+    )[0]
+
+
+def _tree_arrays(graph: Graph, node: Node) -> tuple[np.ndarray, ...]:
+    """A ``TreeEnsemble`` node's ``(feature, threshold, left, right,
+    value, roots)`` initializers."""
+    return tuple(graph.initializers[name] for name in node.inputs[1:])
+
+
+def _split_trees(feature, threshold, left, right, value, roots):
+    """Each root's tree as its own :class:`TreeStructure`, its nodes
+    renumbered from 0 in level order."""
+    forest = TreeStructure(left, right, feature, threshold, value)
+    trees = []
+    for root in roots:
+        nodes = np.concatenate(forest.levels(root))
+        local = np.zeros(len(feature), dtype=np.int64)
+        local[nodes] = np.arange(len(nodes))
+        leaf = feature[nodes] == LEAF
+        trees.append(TreeStructure(
+            np.where(leaf, LEAF, local[left[nodes]]),
+            np.where(leaf, LEAF, local[right[nodes]]),
+            feature[nodes],
+            threshold[nodes],
+            value[nodes],
+        ))
+    return trees
+
+
+def tree_gemm_matrices(tree: TreeStructure, n_features: int):
     """The (A, B, C, D, V) matrices of the GEMM tree encoding."""
     internal = np.nonzero(tree.feature != -1)[0]
     internal_pos = {int(node): i for i, node in enumerate(internal)}
@@ -256,13 +330,13 @@ def tree_gemm_matrices(
             else:
                 C[i, leaf] = -1.0
                 node = int(tree.children_right[node])
-    V = np.vstack([value_matrix[node] for node in leaves])
+    V = np.vstack([tree.value[node] for node in leaves])
     return A, B, C, D, V
 
 
-def _emit_tree(graph: Graph, data: str, tree: TreeStructure, value_matrix, n_features: int) -> str:
-    """Emit GEMM-tree nodes; returns the (n, n_out) leaf-payload tensor."""
-    A, B, C, D, V = tree_gemm_matrices(tree, n_features, value_matrix)
+def _emit_gemm_tree(graph: Graph, data: str, tree: TreeStructure, n_features: int) -> str:
+    """Emit one tree's GEMM chain; returns the (n, n_out) leaf-payload tensor."""
+    A, B, C, D, V = tree_gemm_matrices(tree, n_features)
     if (tree.feature != -1).sum() == 0:
         # Degenerate single-leaf tree: broadcast the constant payload.
         zeros = graph.add_initializer(
@@ -284,6 +358,48 @@ def _emit_tree(graph: Graph, data: str, tree: TreeStructure, value_matrix, n_fea
     return graph.add_node("MatMul", [r_float, v])[0]
 
 
+def lower_tree_ensembles(graph: Graph) -> Graph:
+    """A copy of ``graph`` with every ``TreeEnsemble`` node replaced by
+    the GEMM encoding: one 7-op chain per tree (a ``Gemm`` broadcast for
+    a single-leaf tree) and an ``Add`` chain summing them.
+
+    This is the form the paper measures on the GPU, so the simulated
+    device scores it. Stage 1 is a matmul, so a NaN or infinite feature
+    poisons every test of its row (``NaN * 0``); the ``TreeEnsemble``
+    kernels route such a row as the tree walk does.
+    """
+    lowered = graph.copy()
+    for node in [n for n in lowered.nodes if n.op_type == "TreeEnsemble"]:
+        n_features = node.attrs["n_features"]
+        per_tree = [
+            _emit_gemm_tree(lowered, node.inputs[0], tree, n_features)
+            for tree in _split_trees(*_tree_arrays(lowered, node))
+        ]
+        total = per_tree[0]
+        for other in per_tree[1:]:
+            total = lowered.add_node("Add", [total, other])[0]
+        lowered.nodes = [n for n in lowered.nodes if n is not node]
+        lowered.producers()[total].outputs = list(node.outputs)
+    lowered = prune_unused_initializers(lowered)
+    lowered.validate()
+    return lowered
+
+
+def gemm_node_count(graph: Graph) -> int:
+    """``len(lower_tree_ensembles(graph).nodes)``, without lowering: a
+    tree with an internal node is 7 ops, a single-leaf tree 1, and each
+    tree after the first adds one ``Add``."""
+    count = 0
+    for node in graph.nodes:
+        if node.op_type != "TreeEnsemble":
+            count += 1
+            continue
+        feature, *_, roots = _tree_arrays(graph, node)
+        split = int((feature[roots] != LEAF).sum())
+        count += 7 * split + (len(roots) - split) + len(roots) - 1
+    return count
+
+
 def _classes_prediction(graph: Graph, scores: str, classes: np.ndarray) -> str:
     """ArgMax over class scores, mapped through the class label array."""
     codes = graph.add_node("ArgMax", [scores], axis=-1)[0]
@@ -295,36 +411,32 @@ def _classes_prediction(graph: Graph, scores: str, classes: np.ndarray) -> str:
 
 
 def _convert_tree_classifier(graph, model: DecisionTreeClassifier, data) -> _Converted:
-    proba = _emit_tree(
-        graph, data, model.tree_, model.tree_.value, model.n_features_in_
+    proba = _emit_ensemble(
+        graph, data, [(model.tree_, model.tree_.value)], model.n_features_in_
     )
     prediction = _classes_prediction(graph, proba, model.classes_)
     return _Converted(prediction, proba)
 
 
 def _convert_tree_regressor(graph, model: DecisionTreeRegressor, data) -> _Converted:
-    out = _emit_tree(
-        graph, data, model.tree_, model.tree_.value, model.n_features_in_
+    out = _emit_ensemble(
+        graph, data, [(model.tree_, model.tree_.value)], model.n_features_in_
     )
     return _Converted(out)
 
 
 def _convert_forest_classifier(graph, model: RandomForestClassifier, data) -> _Converted:
-    per_tree = []
+    trees = []
     for tree in model.estimators_:
         # Expand each tree's class-local payload to forest class space.
         local = tree.tree_.value
         expanded = np.zeros((local.shape[0], len(model.classes_)))
         cols = np.searchsorted(model.classes_, tree.classes_)
         expanded[:, cols] = local
-        per_tree.append(
-            _emit_tree(graph, data, tree.tree_, expanded, model.n_features_in_)
-        )
-    total = per_tree[0]
-    for other in per_tree[1:]:
-        total = graph.add_node("Add", [total, other])[0]
+        trees.append((tree.tree_, expanded))
+    total = _emit_ensemble(graph, data, trees, model.n_features_in_)
     count = graph.add_initializer(
-        graph.fresh_name("n_trees"), np.asarray(float(len(per_tree)))
+        graph.fresh_name("n_trees"), np.asarray(float(len(trees)))
     )
     proba = graph.add_node("Div", [total, count])[0]
     prediction = _classes_prediction(graph, proba, model.classes_)
@@ -332,28 +444,18 @@ def _convert_forest_classifier(graph, model: RandomForestClassifier, data) -> _C
 
 
 def _convert_forest_regressor(graph, model: RandomForestRegressor, data) -> _Converted:
-    per_tree = [
-        _emit_tree(graph, data, t.tree_, t.tree_.value, model.n_features_in_)
-        for t in model.estimators_
-    ]
-    total = per_tree[0]
-    for other in per_tree[1:]:
-        total = graph.add_node("Add", [total, other])[0]
+    trees = [(t.tree_, t.tree_.value) for t in model.estimators_]
+    total = _emit_ensemble(graph, data, trees, model.n_features_in_)
     count = graph.add_initializer(
-        graph.fresh_name("n_trees"), np.asarray(float(len(per_tree)))
+        graph.fresh_name("n_trees"), np.asarray(float(len(trees)))
     )
     return _Converted(graph.add_node("Div", [total, count])[0])
 
 
 def _convert_gbr(graph, model: GradientBoostingRegressor, data) -> _Converted:
     n_features = model.estimators_[0].n_features_in_
-    per_tree = [
-        _emit_tree(graph, data, t.tree_, t.tree_.value, n_features)
-        for t in model.estimators_
-    ]
-    total = per_tree[0]
-    for other in per_tree[1:]:
-        total = graph.add_node("Add", [total, other])[0]
+    trees = [(t.tree_, t.tree_.value) for t in model.estimators_]
+    total = _emit_ensemble(graph, data, trees, n_features)
     rate = graph.add_initializer(
         graph.fresh_name("lr"), np.asarray(float(model.learning_rate))
     )

@@ -150,6 +150,8 @@ class Graph:
                     raise GraphValidationError(
                         f"{node!r} reads undefined tensor {inp!r}"
                     )
+            if node.op_type == "TreeEnsemble":
+                _validate_tree_ensemble(node, self.initializers)
         self.topological_order()  # raises on cycles
         all_names = self.tensor_names()
         for out in self.outputs:
@@ -247,3 +249,51 @@ class Graph:
             lines.append(f"  {node!r}")
         lines.append(f"  outputs: {', '.join(self.outputs)}")
         return "\n".join(lines)
+
+
+def _validate_tree_ensemble(node: Node, initializers: dict) -> None:
+    """A ``TreeEnsemble``'s arrays are constants whose shapes agree, and
+    each root heads a tree: every child index is in range, and no node
+    is reached twice (so no walk from a root can cycle)."""
+
+    def fail(why: str):
+        raise GraphValidationError(f"{node!r}: {why}")
+
+    n_features = node.attrs.get("n_features")
+    if not isinstance(n_features, int) or n_features < 0:
+        fail("needs a non-negative integer n_features")
+    if len(node.inputs) != 7 or len(node.outputs) != 1:
+        fail("takes X and six tree arrays, and has one output")
+    if any(name not in initializers for name in node.inputs[1:]):
+        fail("tree arrays must be initializers")
+    feature, threshold, left, right, value, roots = (
+        initializers[name] for name in node.inputs[1:]
+    )
+    ints = (feature, left, right, roots)
+    if not all(a.ndim == 1 and a.dtype.kind == "i" for a in ints):
+        fail("feature, children and roots must be 1-D integer arrays")
+    n = len(feature)
+    if not (
+        threshold.ndim == 1 and threshold.dtype.kind == "f"
+        and value.ndim == 2 and value.dtype.kind == "f"
+        and len(threshold) == len(left) == len(right) == len(value) == n
+        and len(roots) > 0
+    ):
+        fail("array shapes disagree")
+    inner = feature != -1
+    if (
+        ((feature < -1) | (feature >= n_features)).any()
+        or np.isnan(threshold[inner]).any()
+        or ((roots < 0) | (roots >= n)).any()
+        or ((left[inner] < 0) | (left[inner] >= n)).any()
+        or ((right[inner] < 0) | (right[inner] >= n)).any()
+    ):
+        fail("feature, threshold, child or root out of range")
+    seen = np.zeros(n, dtype=bool)
+    frontier = roots
+    while frontier.size:
+        if seen[frontier].any() or len(np.unique(frontier)) < len(frontier):
+            fail("a node is reached twice: the trees are not trees")
+        seen[frontier] = True
+        split = frontier[inner[frontier]]
+        frontier = np.concatenate((left[split], right[split]))

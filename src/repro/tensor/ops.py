@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import UnsupportedOpError
+from repro.ml.tree import TreeStructure
 
 
 @dataclass(frozen=True)
@@ -250,6 +251,23 @@ def _gemm(inputs, attrs):
     if len(inputs) > 2:
         out = out + beta * inputs[2]
     return [out]
+
+
+@register("TreeEnsemble")
+def _tree_ensemble(inputs, attrs):
+    """Per row, the payloads of the leaves its trees reach, summed over
+    the trees (the node :mod:`repro.tensor.converters` emits)."""
+    x, feature, threshold, left, right, value, roots = inputs
+    if x.ndim != 2 or x.shape[1] != attrs["n_features"]:
+        raise ValueError(
+            f"tree ensemble expects {attrs['n_features']} features, "
+            f"got shape {x.shape}"
+        )
+    forest = TreeStructure(left, right, feature, threshold, value)
+    leaves = forest.decision_path_apply(x, roots)
+    # A C-ordered (trees, rows, outputs) array: the sum adds the trees
+    # one by one, as the fused kernel's does.
+    return [value[np.ascontiguousarray(leaves.T)].sum(axis=0)]
 
 
 # -- reductions ---------------------------------------------------------------

@@ -3,14 +3,19 @@
 An :class:`InferenceSession` owns an optimized copy of a graph, a device,
 a scoring backend, and the cached topological order, mirroring ORT's
 session object. Creating a session is the expensive step (graph
-optimization, fusion pattern matching); running it is cheap — which is
+optimization, fusion planning); running it is cheap — which is
 why the database's session cache (Fig. 3, observation ii) matters.
 
 Graph optimization is memoized process-wide by the graph's *content
-hash* and pass profile: two sessions built from identical model bundles
-(the common case — every worker, every cache-miss rebuild) share one
+hash*: two sessions built from identical model bundles (the common case
+— every worker, every cache-miss rebuild, every backend) share one
 ``optimize()`` run and one optimized graph. The memoized graph is
 executed read-only, never mutated.
+
+A session on a simulated device scores the GEMM lowering of the
+graph's tree ensembles (:func:`~repro.tensor.converters.lower_tree_ensembles`):
+its analytical cost model is per op, and the GEMM encoding is what the
+paper measures on the GPU.
 """
 
 from __future__ import annotations
@@ -24,35 +29,28 @@ import numpy as np
 from repro.errors import TensorError
 from repro.observability import events
 from repro.tensor.backends import resolve_backend
-from repro.tensor.backends.fused import FUSED_PASSES
+from repro.tensor.converters import lower_tree_ensembles
 from repro.tensor.device import Device, RunStats, get_device
 from repro.tensor.graph import Graph, Node
-from repro.tensor.optimizer import DEFAULT_PASSES, optimize
+from repro.tensor.optimizer import optimize
 
-#: ``(content_hash, pass_profile) -> (optimized graph, topo order)``.
-#: Compiled backends optimize under :data:`FUSED_PASSES` (see
-#: :mod:`repro.tensor.backends.fused`), so the profile is part of the key.
-_OPT_MEMO: OrderedDict[tuple[str, str], tuple[Graph, list[Node]]] = OrderedDict()
+#: ``content_hash -> (optimized graph, topo order)``.
+_OPT_MEMO: OrderedDict[str, tuple[Graph, list[Node]]] = OrderedDict()
 _OPT_MEMO_LOCK = threading.Lock()
 _OPT_MEMO_CAPACITY = 128
 
 
-def _optimized_graph(graph: Graph, profile: str) -> tuple[Graph, list[Node]]:
-    key = (graph.content_hash(), profile)
+def _optimized_graph(graph: Graph) -> tuple[Graph, list[Node]]:
+    key = graph.content_hash()
     with _OPT_MEMO_LOCK:
         cached = _OPT_MEMO.get(key)
         if cached is not None:
             _OPT_MEMO.move_to_end(key)
     if cached is not None:
-        events.emit(
-            "session_cache.graph_opt_hit", graph=graph.name, profile=profile
-        )
+        events.emit("session_cache.graph_opt_hit", graph=graph.name)
         return cached
-    events.emit(
-        "session_cache.graph_opt_miss", graph=graph.name, profile=profile
-    )
-    passes = FUSED_PASSES if profile == "fused" else DEFAULT_PASSES
-    optimized = optimize(graph.copy(), passes=passes)
+    events.emit("session_cache.graph_opt_miss", graph=graph.name)
+    optimized = optimize(graph.copy())
     order = optimized.topological_order()
     with _OPT_MEMO_LOCK:
         _OPT_MEMO[key] = (optimized, order)
@@ -80,9 +78,10 @@ class InferenceSession:
         graph.validate()
         self.device: Device = get_device(device) if not isinstance(device, Device) else device
         self.backend = (backend or "numpy").lower()
-        profile = "fused" if self.backend in ("fused", "numba") else "default"
+        if self.device.is_simulated:
+            graph = lower_tree_ensembles(graph)
         if optimize_graph:
-            self.graph, self._order = _optimized_graph(graph, profile)
+            self.graph, self._order = _optimized_graph(graph)
         else:
             self.graph = graph.copy()
             self._order = self.graph.topological_order()

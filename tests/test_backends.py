@@ -44,8 +44,12 @@ from repro.tensor.backends import (
 )
 from repro.tensor.backends import calibrate, fused
 from repro.tensor.backends.fused import FusedExecutor
-from repro.tensor.backends.numba_backend import NumbaTreeStep, numba_available
-from repro.tensor.converters import convert, supports, tree_gemm_matrices
+from repro.tensor.backends.numba_backend import (
+    NumbaTreeStep,
+    numba_available,
+    walk_trees,
+)
+from repro.tensor.converters import convert, lower_tree_ensembles, supports
 from repro.tensor.device import RunStats
 from repro.tensor.session import InferenceSession, clear_optimization_memo
 
@@ -119,37 +123,75 @@ MODELS = {
 }
 
 
+def _gbr_6a():
+    # A GBR none of whose trees tests feature 3 (constant in training).
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(400, 4))
+    X[:, 3] = 0
+    return GradientBoostingRegressor(
+        n_estimators=10, max_depth=3, random_state=0
+    ).fit(X, 2 * X[:, 0] - X[:, 1])
+
+
+def _single_leaf():
+    X, _ = _training_data(seed=3)
+    return DecisionTreeRegressor(max_depth=3).fit(X, np.ones(len(X)))
+
+
+_NULL_ROW = [0.5, -0.5, np.nan, 0.25, -0.25]
+
+#: ``kind -> (model, rows planted first in the batch)``.
+NULL_CASES = {
+    "classifier": (_classifier, [_NULL_ROW]),
+    "forest": (_forest, [_NULL_ROW]),
+    "gbr": (_gbr, [_NULL_ROW]),
+    "gbr_6a": (lambda seed: _gbr_6a(), [[0.5, -0.5, 0.25, np.nan]]),
+    "single_leaf": (
+        lambda seed: _single_leaf(),
+        [[np.nan] * N_FEATURES, [np.inf, -np.inf, 0.0, np.inf, 1.0]],
+    ),
+}
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("batch", [0, 1, 7, 3000])
-    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize(
+        "kind", sorted(MODELS) + ["lowered-classifier", "lowered-forest"]
+    )
     def test_row_identical_across_backends(self, kind, batch):
-        model = MODELS[kind](seed=11)
+        # A ``lowered-`` graph is the GEMM encoding, as a stored graph
+        # may hold it: every backend must score it as the tree op.
+        model = MODELS[kind.removeprefix("lowered-")](seed=11)
         graph = convert(model, n_features=N_FEATURES)
         rng = np.random.default_rng(batch + 1)
         X = rng.normal(size=(batch, N_FEATURES))
-        sessions = {
-            name: InferenceSession(graph, backend=name) for name in BACKENDS
-        }
-        reference = sessions["numpy"].run({graph.inputs[0]: X})
-        for name in ("fused", "numba"):
-            outputs = sessions[name].run({graph.inputs[0]: X})
+        reference = InferenceSession(graph).run({graph.inputs[0]: X})
+        if kind.startswith("lowered-"):
+            graph = lower_tree_ensembles(graph)
+        for name in BACKENDS:
+            outputs = InferenceSession(graph, backend=name).run(
+                {graph.inputs[0]: X}
+            )
             assert len(outputs) == len(reference)
             for got, want in zip(outputs, reference):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("backend", ("numpy",) + available_compiled_backends())
     @pytest.mark.parametrize("batch", [1, 7, 3000])
-    @pytest.mark.parametrize("kind", ["classifier", "forest", "gbr"])
-    def test_fused_matches_predict_on_null_features(self, kind, batch):
+    @pytest.mark.parametrize("kind", sorted(NULL_CASES))
+    def test_fused_matches_predict_on_null_features(self, kind, batch, backend):
         # NaN fails every test on its feature (``NaN <= t`` is false)
         # and no other: the row's other features still route it.
-        model = MODELS[kind](seed=11)
-        score = compiled_pipeline_scorer(model, N_FEATURES, "fused")
-        assert score.backend == "fused"
+        make, rows = NULL_CASES[kind]
+        model = make(seed=11)
+        n_features = len(rows[0])
+        score = compiled_pipeline_scorer(model, n_features, backend)
+        assert score.backend == backend
         rng = np.random.default_rng(batch)
-        X = rng.normal(size=(batch, N_FEATURES))
+        X = rng.normal(size=(batch, n_features))
         X[rng.random(X.shape) < 0.2] = np.nan
-        X[0] = [0.5, -0.5, np.nan, 0.25, -0.25]
+        X[:len(rows)] = rows[:batch]
         np.testing.assert_allclose(
             score(X), model.predict(X), rtol=1e-9, atol=1e-9
         )
@@ -167,29 +209,6 @@ class TestBackendEquivalence:
         step = next(s for k, s in session._executor.plan if k == "tree")
         assert len(step.blocks) == 3
         X = np.random.default_rng(8).normal(size=(250, N_FEATURES))
-        np.testing.assert_allclose(
-            session.run_single(X).ravel(), model.predict(X),
-            rtol=1e-9, atol=1e-9,
-        )
-
-    def test_fused_leaves_a_non_tree_chain_to_the_interpreter(self):
-        # A loaded graph may hold the 7-op chain with its leaves out of
-        # left-first order. The GEMM stages still define its value, but
-        # the mask kernel would misroute it, so it must run per node.
-        model = _tree(seed=2)
-        graph = convert(model, n_features=N_FEATURES)
-        inits = graph.initializers
-        equal = next(n for n in graph.nodes if n.op_type == "Equal")
-        paths = next(n for n in graph.nodes if equal.inputs[0] in n.outputs)
-        cast = next(n for n in graph.nodes if equal.outputs[0] in n.inputs)
-        values = next(n for n in graph.nodes if cast.outputs[0] in n.inputs)
-        for name, axis in (
-            (paths.inputs[1], 1), (equal.inputs[1], 1), (values.inputs[1], 0)
-        ):
-            inits[name] = np.flip(inits[name], axis=axis).copy()
-        session = InferenceSession(graph, backend="fused")
-        assert session._executor.fused_tree_steps == 0
-        X = np.random.default_rng(2).normal(size=(200, N_FEATURES))
         np.testing.assert_allclose(
             session.run_single(X).ravel(), model.predict(X),
             rtol=1e-9, atol=1e-9,
@@ -215,46 +234,34 @@ class TestBackendEquivalence:
             out.ravel(), model.predict(X), rtol=1e-9, atol=1e-9
         )
 
-    def test_numba_step_stacks_the_converter_matrices(self):
-        # Runs on every leg: without numba the step's run falls back to
-        # the fused kernel, with it the JIT kernel must agree.
+    def test_numba_step_walks_the_tree_arrays(self):
+        # Runs on every leg: the step holds each tree's TreeStructure
+        # arrays, and the JIT kernel's function, run undecorated when
+        # numba is absent, walks them as ``predict`` does, NaN and
+        # +-inf included.
         model = _forest(seed=5)
         session = InferenceSession(
             convert(model, n_features=N_FEATURES), backend="fused"
         )
         step = next(s for k, s in session._executor.plan if k == "tree")
-        numba_step = NumbaTreeStep(step)
-        m_max = numba_step.m_max
-        for t, estimator in enumerate(model.estimators_):
-            A, B, C, D, V = tree_gemm_matrices(
-                estimator.tree_, N_FEATURES, estimator.tree_.value
-            )
-            m, leaves = C.shape
-            block = slice(t * m_max, t * m_max + m)
-            padding = slice(t * m_max + m, (t + 1) * m_max)
-            assert np.array_equal(numba_step.a_stack[:, block], A)
-            assert not numba_step.a_stack[:, padding].any()
-            assert np.array_equal(numba_step.b_stack[block], B.ravel())
-            assert (numba_step.b_stack[padding] == -1.0).all()
-            assert np.array_equal(numba_step.c_pad[t, :m, :leaves], C)
-            assert not numba_step.c_pad[t, m:].any()
-            assert not numba_step.c_pad[t, :, leaves:].any()
-            assert np.array_equal(numba_step.d_flat[t, :leaves], D.ravel())
-            assert np.isinf(numba_step.d_flat[t, leaves:]).all()
-            assert np.array_equal(numba_step.v_pad[t, :leaves], V)
-            assert not numba_step.v_pad[t, leaves:].any()
+        feature, threshold, left, right, value, roots = NumbaTreeStep(step).arrays
+        for root, estimator in zip(roots, model.estimators_):
+            tree = estimator.tree_
+            nodes = slice(root, root + tree.node_count)
+            inner = tree.feature != -1
+            assert np.array_equal(feature[nodes], tree.feature)
+            assert np.array_equal(threshold[nodes], tree.threshold)
+            assert np.array_equal(left[nodes][inner], tree.children_left[inner] + root)
+            assert np.array_equal(right[nodes][inner], tree.children_right[inner] + root)
+            assert np.array_equal(value[nodes], tree.value)
         X = np.random.default_rng(6).normal(size=(300, N_FEATURES))
-        local = threading.local()
-        indicators = numba_step.leaf_indicators(X, local)
-        assert np.array_equal(
-            indicators, X @ numba_step.a_stack <= numba_step.b_stack
-        )
-        by_step, by_jit = {step.data: X}, {step.data: X}
-        step.run(by_step, RunStats(), local)
-        numba_step.run(by_jit, RunStats(), local)
+        X[::3, 1] = np.nan
+        X[::5, 0] = np.inf
+        X[::7, 2] = -np.inf
+        out = np.zeros((len(X), 1))
+        walk_trees(X, feature, threshold, left, right, value, roots, out)
         np.testing.assert_allclose(
-            by_jit[step.combined_output], by_step[step.combined_output],
-            rtol=1e-9, atol=1e-9,
+            out[:, 0] / len(roots), model.predict(X), rtol=1e-9, atol=1e-9
         )
 
     def test_fused_executor_actually_fuses_tree_ensembles(self):
@@ -370,14 +377,22 @@ class TestGraphOptMemo:
         ]
         assert s1.graph is s2.graph
 
-    def test_pass_profiles_do_not_collide(self):
+    def test_one_optimized_graph_per_cpu_graph(self):
         clear_optimization_memo()
+        seen = []
+        events.BUS.subscribe(lambda e: seen.append(e.name), pattern="session_cache.*")
         graph = convert(_forest(seed=22), n_features=N_FEATURES)
         interpreted = InferenceSession(graph, backend="numpy")
         fused = InferenceSession(graph, backend="fused")
-        # Fused profile skips matmul+add -> Gemm rewriting to keep tree
-        # chains matchable, so the two optimized graphs must differ.
-        assert interpreted.graph is not fused.graph
+        assert seen == [
+            "session_cache.graph_opt_miss",
+            "session_cache.graph_opt_hit",
+        ]
+        assert interpreted.graph is fused.graph
+        # The simulated device scores the GEMM lowering.
+        gpu = InferenceSession(graph, device="gpu")
+        ops = gpu.graph.op_counts()
+        assert "TreeEnsemble" not in ops and ops["LessOrEqual"] == 12
 
     def test_content_hash_distinguishes_weights(self):
         a = convert(_tree(seed=1), n_features=N_FEATURES)

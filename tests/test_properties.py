@@ -34,7 +34,7 @@ from repro.relational.expressions import BinaryOp, col, conjoin, lit
 from repro.relational.sql.parser import parse_expression
 from repro.relational.table import Table
 from repro.tensor import InferenceSession, convert
-from repro.tensor.backends import compiled_pipeline_scorer
+from repro.tensor.backends import available_compiled_backends, compiled_pipeline_scorer
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -138,7 +138,7 @@ def test_inlined_expression_matches_pipeline(problem):
 @settings(max_examples=15, deadline=None)
 @given(classification_problem())
 def test_nn_translation_matches_pipeline(problem):
-    """tree -> tensor graph (GEMM encoding) is an exact rewrite."""
+    """tree -> tensor graph (a TreeEnsemble op) is an exact rewrite."""
     X, y = problem
     model = DecisionTreeClassifier(max_depth=4, random_state=0).fit(X, y)
     out = InferenceSession(convert(model)).run({"X": X})[0]
@@ -195,14 +195,15 @@ def ensemble_and_rows(draw):
     return kind, model, np.array(rows, dtype=np.float64)
 
 
+@pytest.mark.parametrize("backend", ("numpy",) + available_compiled_backends())
 @settings(max_examples=20, deadline=None)
-@given(ensemble_and_rows())
-def test_fused_tree_kernel_matches_predict(case):
-    """The fused backend's threshold-mask kernel routes every row as
-    the tree walk does: ties go left, NaN fails every test."""
+@given(case=ensemble_and_rows())
+def test_fused_tree_kernel_matches_predict(backend, case):
+    """Every backend's tree kernel routes every row as the tree walk
+    does: ties go left, NaN fails every test."""
     kind, model, rows = case
-    score = compiled_pipeline_scorer(model, rows.shape[1], "fused")
-    assert score.session._executor.fused_tree_steps == 1
+    score = compiled_pipeline_scorer(model, rows.shape[1], backend)
+    assert score.backend == backend
     got, want = score(rows), model.predict(rows)
     if kind == "classifier":
         assert np.array_equal(got, want)

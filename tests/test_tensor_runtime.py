@@ -11,6 +11,7 @@ from repro.tensor import (
     Node,
     SimulatedGPU,
     convert,
+    lower_tree_ensembles,
 )
 from repro.tensor import serialize
 from repro.tensor.device import get_device
@@ -238,7 +239,8 @@ class TestConverters:
         from repro.ml import DecisionTreeClassifier
 
         model = DecisionTreeClassifier(max_depth=depth, random_state=0).fit(X, y)
-        out = InferenceSession(convert(model)).run({"X": X})[0]
+        graph = lower_tree_ensembles(convert(model))
+        out = InferenceSession(graph).run({"X": X})[0]
         assert np.array_equal(out.ravel(), model.predict(X))
 
     def test_full_featurized_pipeline_exact(self):
@@ -292,3 +294,29 @@ class TestConverters:
         model = DecisionTreeRegressor().fit(X, np.full(10, 7.0))
         out = InferenceSession(convert(model)).run({"X": X})[0]
         assert np.allclose(out, 7.0)
+
+    @pytest.mark.parametrize(
+        "array, index, bad",
+        [
+            ("left", 0, 10_000),  # child out of range
+            ("right", 0, 0),  # the root is its own child: a cycle
+            ("feature", 0, 6),  # feature past n_features (6)
+            ("threshold", 0, np.nan),
+            ("roots", 0, -1),
+        ],
+    )
+    def test_stored_tree_ensemble_is_validated(self, xy_binary, array, index, bad):
+        # A stored graph is outside input: a walk down malformed tree
+        # arrays could index out of range or never reach a leaf.
+        X, y = xy_binary
+        from repro.ml import DecisionTreeClassifier
+
+        graph = convert(DecisionTreeClassifier(max_depth=3).fit(X, y))
+        node = next(n for n in graph.nodes if n.op_type == "TreeEnsemble")
+        names = dict(zip(
+            ("feature", "threshold", "left", "right", "value", "roots"),
+            node.inputs[1:],
+        ))
+        graph.initializers[names[array]][index] = bad
+        with pytest.raises(TensorError):
+            serialize.loads(serialize.dumps(graph))
