@@ -451,14 +451,9 @@ def fold_mlp_constants(model, constants: dict[int, float]):
     return new, kept
 
 
-def zero_weight_features(model, tolerance: float = 0.0) -> list[int]:
-    """Feature indices whose weight magnitude is <= tolerance.
-
-    ``tolerance > 0`` gives the paper's "lossy model-projection pushdown"
-    variant (small-but-nonzero weights dropped).
-    """
-    coef = np.abs(model.coef_)
-    return [int(j) for j in np.nonzero(coef <= tolerance)[0]]
+def zero_weight_features(model) -> list[int]:
+    """Feature indices whose weight is exactly zero."""
+    return [int(j) for j in np.nonzero(model.coef_ == 0.0)[0]]
 
 
 def drop_linear_features(model, drop: list[int]):
@@ -731,20 +726,17 @@ def apply_predicate_pruning(pipeline, facts: ColumnFacts) -> RewriteResult:
     return result
 
 
-def apply_projection_pushdown(
-    pipeline, tolerance: float = 0.0
-) -> RewriteResult:
+def apply_projection_pushdown(pipeline) -> RewriteResult:
     """The §4.1 model-projection pushdown rewrite.
 
     Drops features the model provably ignores: exactly-zero linear weights
-    (or ``<= tolerance`` for the lossy variant) and features no tree in an
-    ensemble tests. Returns the narrowed pipeline plus the surviving
-    original input columns.
+    and features no tree in an ensemble tests. Returns the narrowed
+    pipeline plus the surviving original input columns.
     """
     transformers, predictor = split_pipeline(pipeline)
     n_in = pipeline_input_width(pipeline)
     if isinstance(predictor, LINEAR_MODELS):
-        dead = zero_weight_features(predictor, tolerance)
+        dead = zero_weight_features(predictor)
         used = {j for j in range(len(predictor.coef_)) if j not in set(dead)}
         detail = {"features_dropped": len(dead)}
     else:
@@ -759,12 +751,6 @@ def apply_projection_pushdown(
             widths.append(transformer_width(transformer, widths[-1]))
         detail = {"features_dropped": widths[-1] - len(used)}
     result = _rebuild_pipeline(transformers, predictor, used, n_in)
-    if isinstance(predictor, LINEAR_MODELS) and tolerance > 0.0:
-        # Lossy variant: zero out the small weights we dropped.
-        final = result.pipeline.final_estimator
-        final.coef_ = np.where(
-            np.abs(final.coef_) <= tolerance, 0.0, final.coef_
-        )
     result.detail = detail
     return result
 

@@ -205,9 +205,8 @@ class ModelProjectionPushdownRule(MemoRule):
         pipeline, feature_names = resolved
         if not feature_names:
             return []
-        tolerance = float(ctx.options.get("lossy_pushdown_tolerance", 0.0))
         try:
-            result = apply_projection_pushdown(pipeline, tolerance)
+            result = apply_projection_pushdown(pipeline)
         except UnsupportedRewrite:
             return []
         narrowed_inputs = len(result.kept_inputs) < len(feature_names)

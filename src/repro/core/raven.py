@@ -66,11 +66,11 @@ class RavenSession:
         (default off) — a member rule adds alternatives that the cost
         model may or may not pick. Rule parameters: ``device``
         (``"cpu"``/``"gpu"``, for translated tensor graphs),
-        ``max_inline_nodes``, ``derive_statistics_predicates``,
-        ``lossy_pushdown_tolerance``. Distributed planning:
-        ``enable_distributed``, ``shard_workers`` (both default from the
-        database's ``ExecutionOptions``: ``enable_distributed`` and
-        ``max_workers``), ``repartition_min_rows``.
+        ``max_inline_nodes``, ``derive_statistics_predicates``.
+        Distributed planning: ``enable_distributed``, ``shard_workers``
+        (both default from the database's ``ExecutionOptions``:
+        ``enable_distributed`` and ``max_workers``),
+        ``repartition_min_rows``.
         ``execute(optimize=False)`` runs the plan as analyzed.
     """
 
@@ -93,32 +93,14 @@ class RavenSession:
     def plan_cache(self):
         """The session's normalized-plan LRU (created on first use).
 
-        Registered as a database model listener so that storing a new
-        model version — or rolling one back — invalidates every cached
-        plan that embeds the old version.
+        Nothing pushes model changes into it: a prepared query checks
+        the model versions and epochs its plan recorded on every read,
+        and replans when one moved.
         """
         if self._plan_cache is None:
-            import weakref
-
             from repro.serving.plan_cache import PlanCache
 
-            cache = PlanCache()
-            # The listener holds the cache weakly: when a short-lived
-            # session (and its cache) is collected, the next model event
-            # unregisters the listener instead of leaking it on a
-            # long-lived database.
-            cache_ref = weakref.ref(cache)
-            database = self.database
-
-            def _invalidate(_event: str, name: str) -> None:
-                live = cache_ref()
-                if live is None:
-                    database.remove_model_listener(_invalidate)
-                else:
-                    live.invalidate_model(name)
-
-            database.add_model_listener(_invalidate)
-            self._plan_cache = cache
+            self._plan_cache = PlanCache()
         return self._plan_cache
 
     # -- pipeline stages ----------------------------------------------------

@@ -8,8 +8,8 @@ Public surface:
 * :mod:`repro.relational.expressions` — scalar expression trees.
 """
 
-from repro.relational.database import Database, SessionCache
+from repro.relational.database import Database
 from repro.relational.table import Table
 from repro.relational.types import Column, DataType, Schema
 
-__all__ = ["Database", "SessionCache", "Table", "Column", "DataType", "Schema"]
+__all__ = ["Database", "Table", "Column", "DataType", "Schema"]

@@ -4,8 +4,11 @@ The paper's motivation for in-DB inference is that the RDBMS extends its
 enterprise guarantees — transactions, versioning, auditing — to models.
 This catalog delivers scaled-down but real versions of those guarantees:
 
-* models are first-class catalog objects with monotonically increasing
-  versions,
+* models are first-class catalog objects whose versions are identities:
+  ``name:vN`` is issued once per model name and never again, not after a
+  rollback and not after a drop (as SQL Server never reuses an IDENTITY
+  value), so anything cached under a qualified name stays correct and
+  staleness is checked on read,
 * every mutation is recorded in an append-only audit log,
 * mutations go through an undo log so transactions can roll them back
   (:mod:`repro.relational.transactions`).
@@ -17,7 +20,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -82,7 +85,10 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._models: dict[str, list[ModelEntry]] = {}
         self._audit: list[AuditRecord] = []
-        self._model_observers: list[Callable[[str, str], None]] = []
+        # The highest version ever issued per model name. Like
+        # ``_epoch_counter`` it only rises (drop and rollback leave it)
+        # and moves under ``_stats_lock``.
+        self._issued_versions: dict[str, int] = {}
         # Statistics are collected lazily (first request after a write)
         # and versioned by a monotonically increasing epoch shared
         # across tables; plan caches key on per-table epochs so ANALYZE
@@ -118,29 +124,6 @@ class Catalog:
         # persisted by the first calibration micro-bench so later sessions
         # (and the cost model) skip re-measuring.
         self._backend_costs: dict[str, list] = {}
-
-    # -- model-change observers ----------------------------------------------
-
-    def add_model_observer(self, fn: Callable[[str, str], None]) -> None:
-        """Register ``fn(event, model_name)`` for model mutations.
-
-        Events: ``"store_model"``, ``"restore_model"``, ``"drop_model"``.
-        Caches keyed on model versions (session caches, plan caches,
-        prediction caches) subscribe here so every mutation path — including
-        transaction rollback — invalidates them.
-        """
-        self._model_observers.append(fn)
-
-    def remove_model_observer(self, fn: Callable[[str, str], None]) -> None:
-        """Unregister a previously added observer (no-op if absent)."""
-        try:
-            self._model_observers.remove(fn)
-        except ValueError:
-            pass
-
-    def _notify_model(self, event: str, name: str) -> None:
-        for fn in list(self._model_observers):
-            fn(event, name)
 
     # -- tables ---------------------------------------------------------------
 
@@ -596,20 +579,24 @@ class Catalog:
         flavor: str,
         metadata: dict | None = None,
     ) -> ModelEntry:
-        """Store a new version of a model; returns the created entry."""
+        """Store a new version of a model; returns the created entry.
+
+        The version is one past the highest ever issued for ``name``.
+        """
         key = name.lower()
-        versions = self._models.setdefault(key, [])
-        entry = ModelEntry(
-            name=name,
-            version=len(versions) + 1,
-            payload=payload,
-            flavor=flavor,
-            created_at=time.time(),
-            metadata=dict(metadata or {}),
-        )
-        versions.append(entry)
+        with self._stats_lock:  # two stores must not draw one version
+            version = self._issued_versions.get(key, 0) + 1
+            self._issued_versions[key] = version
+            entry = ModelEntry(
+                name=name,
+                version=version,
+                payload=payload,
+                flavor=flavor,
+                created_at=time.time(),
+                metadata=dict(metadata or {}),
+            )
+            self._models.setdefault(key, []).append(entry)
         self._log("store_model", name, f"v{entry.version} flavor={flavor}")
-        self._notify_model("store_model", name)
         return entry
 
     def get_model(self, name: str, version: int | None = None) -> ModelEntry:
@@ -642,7 +629,6 @@ class Catalog:
             raise CatalogError(f"unknown model {name!r}")
         del self._models[key]
         self._log("drop_model", name)
-        self._notify_model("drop_model", name)
 
     # -- audit ---------------------------------------------------------------
 
@@ -684,15 +670,28 @@ class Catalog:
         return list(versions) if versions is not None else None
 
     def restore_model_versions(
-        self, name: str, versions: list[ModelEntry] | None
+        self,
+        name: str,
+        versions: list[ModelEntry] | None,
+        detail: str = "rollback",
     ) -> None:
+        """Reinstate a model's version list (rollback, or a load).
+
+        The issued-version counter rises to the highest version restored
+        and never falls, so a version a rollback removed is not issued
+        again.
+        """
         key = name.lower()
-        if versions is None:
-            self._models.pop(key, None)
-        else:
-            self._models[key] = list(versions)
-        self._log("restore_model", name, "rollback")
-        self._notify_model("restore_model", name)
+        with self._stats_lock:
+            if versions is None:
+                self._models.pop(key, None)
+            else:
+                self._models[key] = list(versions)
+                self._issued_versions[key] = max(
+                    [self._issued_versions.get(key, 0)]
+                    + [entry.version for entry in versions]
+                )
+        self._log("restore_model", name, detail)
 
 
 def _auto_partition(table: Table) -> Table:

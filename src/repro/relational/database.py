@@ -13,8 +13,6 @@ verbatim.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,11 +24,7 @@ from repro.observability import trace as qtrace
 from repro.relational.algebra.binder import BindContext, Binder
 from repro.relational.algebra.executor import ExecutionOptions, Executor
 from repro.relational.catalog import Catalog, ModelEntry
-from repro.relational.scoring import (
-    _bind_output_names,
-    build_scorer,
-    payload_scorer,
-)
+from repro.relational.scoring import payload_scorer
 from repro.relational.sql import ast_nodes as ast
 from repro.relational.sql.parser import parse
 from repro.relational.table import Table
@@ -46,76 +40,6 @@ _MODELS_VIEW_SCHEMA = Schema.of(
 )
 
 
-class SessionCache:
-    """A small LRU cache for loaded models / inference sessions.
-
-    Keyed by the model's qualified name (``name:vN``) so a model update
-    (new version) naturally invalidates cached state.
-    """
-
-    def __init__(self, capacity: int = 32):
-        self.capacity = capacity
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_create(self, key: str, factory: Callable[[], object]) -> object:
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                events.emit("session_cache.hit", key=key)
-                return self._entries[key]
-            self.misses += 1
-        events.emit("session_cache.miss", key=key)
-        # Build outside the lock (double-checked): an expensive scorer
-        # build on one model must not stall concurrent hits on others.
-        # Concurrent misses may build twice; the factory is idempotent
-        # and last-write-wins is fine for a cache.
-        value = factory()
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-            return value
-
-    def invalidate(self, key: str) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def invalidate_model(self, name: str) -> int:
-        """Drop every cached session for any version of ``name``.
-
-        Entries are keyed ``name:vN``; a model update or rollback makes all
-        of them suspect (a rolled-back version number can be reused with a
-        different payload). Returns the number of entries dropped.
-        """
-        prefix = f"{name.lower()}:v"
-        with self._lock:
-            stale = [
-                key for key in self._entries if key.lower().startswith(prefix)
-            ]
-            for key in stale:
-                del self._entries[key]
-        return len(stale)
-
-    def keys(self) -> list[str]:
-        """Cached keys in LRU order (least recently used first)."""
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class Database:
     """An in-memory relational database with native model scoring."""
 
@@ -124,7 +48,6 @@ class Database:
 
         self.catalog = Catalog()
         self.transactions = TransactionManager(self.catalog)
-        self.session_cache = SessionCache()
         self._binder = Binder(_CatalogView(self))
         self._executor = Executor(
             table_provider=self._provide_table,
@@ -147,11 +70,6 @@ class Database:
         # process-wide BUS subscriptions here instead of leaking them.
         self._close_listeners: list[Callable[[], None]] = []
         self._external_runtimes: dict[str, Callable] = {}
-        self._model_listeners: list[Callable[[str, str], None]] = []
-        # Every model mutation path (store, drop, transaction rollback)
-        # funnels through the catalog, so one observer keeps the session
-        # cache and any registered serving caches coherent.
-        self.catalog.add_model_observer(self._on_model_event)
 
     # -- data management -------------------------------------------------
 
@@ -317,30 +235,6 @@ class Database:
     def external_runtime(self, language: str) -> Callable | None:
         """The runner registered for ``language`` (``None`` when absent)."""
         return self._external_runtimes.get(language.lower())
-
-    # -- model-change notifications ----------------------------------------
-
-    def add_model_listener(self, fn: Callable[[str, str], None]) -> None:
-        """Register ``fn(event, model_name)`` for model mutations.
-
-        The serving layer's plan and prediction caches subscribe here so a
-        ``store_model`` of a new version (or a rollback) atomically
-        invalidates every derived cache, mirroring the session-cache
-        contract.
-        """
-        self._model_listeners.append(fn)
-
-    def remove_model_listener(self, fn: Callable[[str, str], None]) -> None:
-        """Unregister a listener (servers do this on shutdown)."""
-        try:
-            self._model_listeners.remove(fn)
-        except ValueError:
-            pass
-
-    def _on_model_event(self, event: str, name: str) -> None:
-        self.session_cache.invalidate_model(name)
-        for fn in list(self._model_listeners):
-            fn(event, name)
 
     # -- SQL entry point ---------------------------------------------------
 
@@ -690,37 +584,29 @@ class Database:
         output_columns: tuple[tuple[str, DataType], ...],
         backend: str = "numpy",
     ) -> Callable[[Table], dict[str, np.ndarray]]:
-        """Build (with caching) a batch scorer for a stored model.
+        """Scorer for a stored model: its catalog entry's payload, scored
+        through :func:`payload_scorer` like a plan-carried one.
 
-        Cache entries are keyed ``name:vN[|backend]`` — the interpreter
-        and each compiled backend are distinct sessions of the same
-        model, and ``invalidate_model``'s ``name:v`` prefix still drops
-        them all on an update.
+        A qualified ``name:vN`` is never reissued, so the payload's
+        identity is the cache key and no model change needs pushing.
         """
         if model_ref.startswith("@"):
             raise ExecutionError(
                 f"model variable {model_ref} was never assigned a model"
             )
         entry = self.catalog.get_model(model_ref)
-        backend = (backend or "numpy").lower()
-        key = entry.qualified_name
-        if backend != "numpy":
-            key = f"{key}|{backend}"
         features = entry.metadata.get("feature_names") or getattr(
             entry.payload, "feature_names_", None
         )
-        build = partial(
-            build_scorer,
-            entry.flavor,
+        return payload_scorer(
             entry.payload,
             features,
+            output_columns,
             backend,
+            entry.flavor,
             "cpu",
             self.external_runtime,
         )
-        scorer = self.session_cache.get_or_create(key, build)
-        output_names = [name for name, _ in output_columns]
-        return _bind_output_names(scorer, output_names)
 
     def resolve_inline_scorer(
         self,

@@ -16,6 +16,7 @@ Layout::
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from repro.errors import CatalogError
 from repro.ml import model_format
 from repro.ml.base import BaseEstimator
+from repro.relational.catalog import ModelEntry
 from repro.relational.database import Database
 from repro.relational.statistics import TableStatistics
 from repro.relational.table import Table
@@ -155,10 +157,18 @@ def load_database(path: str | Path) -> Database:
                 sharding.kind,
                 sharding.boundaries,
             )
-    # Versions were appended in order; re-storing in order recreates them.
-    for spec in sorted(
-        manifest["models"], key=lambda m: (m["name"], m["version"])
-    ):
+    # Versions are identities: each entry comes back at its persisted
+    # number, gaps (left by rollback) included, so a reloaded
+    # ``name:vN`` names the payload it named when saved.
+    models: dict[str, list[ModelEntry]] = {}
+    for spec in manifest["models"]:
+        versions = models.setdefault(spec["name"].lower(), [])
+        version = int(spec["version"])
+        if versions and version <= versions[-1].version:
+            raise CatalogError(
+                f"model {spec['name']}: version {version} after "
+                f"v{versions[-1].version} in manifest"
+            )
         text = (path / "models" / spec["file"]).read_text()
         if spec["payload_kind"] == "ml.bundle":
             payload: object = model_format.loads(text)
@@ -166,15 +176,16 @@ def load_database(path: str | Path) -> Database:
             payload = tensor_serialize.loads(text)
         else:
             payload = text
-        entry = database.store_model(
-            spec["name"],
-            payload,
-            flavor=spec["flavor"],
-            metadata=spec.get("metadata") or {},
-        )
-        if entry.version != spec["version"]:
-            raise CatalogError(
-                f"model {spec['name']}: version gap in manifest "
-                f"(expected {spec['version']}, created {entry.version})"
+        versions.append(
+            ModelEntry(
+                name=spec["name"],
+                version=version,
+                payload=payload,
+                flavor=spec["flavor"],
+                created_at=time.time(),
+                metadata=dict(spec.get("metadata") or {}),
             )
+        )
+    for name, versions in models.items():
+        database.catalog.restore_model_versions(name, versions, detail="load")
     return database

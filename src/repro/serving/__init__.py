@@ -2,17 +2,19 @@
 
 Raven's production claim (paper §1, Fig. 3) is that in-RDBMS inference
 wins by amortizing optimization and session state across requests. This
-subpackage makes that amortization explicit for concurrent traffic:
+subpackage makes that amortization explicit for concurrent traffic.
+Nothing here is told when the catalog changes: model versions and
+statistics/shard epochs are identities the catalog never issues twice,
+so a cached plan or result is checked against them on read.
 
 * :class:`PreparedQuery` — analyze/optimize a parameterized inference
   query once; execute many times with bound ``?``/``@name`` parameters
   and fresh request data (``RavenSession.prepare``).
-* :class:`PlanCache` — normalized-plan LRU keyed by SQL fingerprint,
-  invalidated per model version.
+* :class:`PlanCache` — normalized-plan LRU keyed by SQL fingerprint.
 * :class:`MicroBatcher` — size-or-deadline coalescing of small PREDICT
   requests into one vectorized scoring call.
-* :class:`ResultCache` — LRU + TTL prediction cache with model-based
-  invalidation (mirrors the ``SessionCache`` contract).
+* :class:`ResultCache` — LRU + TTL prediction cache, keyed by the
+  model versions a request scores with.
 * :class:`RavenServer` — N worker threads behind a bounded admission
   queue; its request ledger is the event-fed metrics registry
   (``server.metrics``: request counts, latency and batch-size

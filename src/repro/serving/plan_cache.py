@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.observability import events
 from repro.relational.algebra.logical import LogicalOp
@@ -88,14 +89,29 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: Why plans were invalidated (``stale`` = epoch drift, ``model``
-        #: = model version change) — the watchdog/observatory reads this
-        #: to tell statistics churn from model churn.
+        #: Why plans were invalidated (``stale`` = statistics or shard
+        #: epoch drift, ``model`` = model version change), so
+        #: ``stats()`` tells statistics churn from model churn.
         self.invalidations_by_reason: dict[str, int] = {}
 
-    def get(self, fingerprint: str) -> CachedPlan | None:
+    def get(
+        self,
+        fingerprint: str,
+        stale_reason: Callable[[CachedPlan], str | None] | None = None,
+    ) -> CachedPlan | None:
+        """The cached plan, or ``None`` on a miss.
+
+        ``stale_reason(entry)`` is the caller's check on read: when it
+        names a reason, the entry is invalidated for that reason and the
+        lookup is a miss.
+        """
         with self._lock:
             entry = self._entries.get(fingerprint)
+            if entry is not None and stale_reason is not None:
+                reason = stale_reason(entry)
+                if reason is not None:
+                    self.invalidate(fingerprint, reason)
+                    entry = None
             if entry is None:
                 self.misses += 1
                 events.emit("plan_cache.miss", fingerprint=fingerprint)
@@ -125,25 +141,6 @@ class PlanCache:
                 events.emit(
                     "plan_cache.invalidate", fingerprint=fingerprint, reason=reason
                 )
-
-    def invalidate_model(self, name: str) -> int:
-        """Drop every cached plan that embeds model ``name``; returns count."""
-        key = name.lower()
-        with self._lock:
-            stale = [
-                fp
-                for fp, entry in self._entries.items()
-                if any(model.lower() == key for model in entry.model_names)
-            ]
-            for fp in stale:
-                del self._entries[fp]
-                events.emit("plan_cache.invalidate", fingerprint=fp, reason="model")
-            self.invalidations += len(stale)
-            if stale:
-                self.invalidations_by_reason["model"] = (
-                    self.invalidations_by_reason.get("model", 0) + len(stale)
-                )
-        return len(stale)
 
     def clear(self) -> None:
         with self._lock:

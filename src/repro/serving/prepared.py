@@ -16,9 +16,11 @@ and then executes with per-request bindings
   leaves at fresh rows by ``source_name``.
 
 Plans are version-addressed: the template records the qualified
-``name:vN`` of every model it embeds, and execution transparently
+``name:vN`` of every model it embeds and the statistics/shard epochs it
+was priced on. All of them are identities the catalog never issues
+twice, so staleness is checked on read: execution transparently
 re-prepares when the catalog has moved on (``store_model`` of a new
-version, or a transaction rollback).
+version, a rollback or drop, ``ANALYZE``, a large write, a reshard).
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class PreparedQuery:
 
     def _prepare(self) -> CachedPlan:
         if self._plan_cache is not None:
-            cached = self._plan_cache.get(self.fingerprint)
-            if cached is not None and self._is_current(cached):
+            cached = self._plan_cache.get(self.fingerprint, self._stale_reason)
+            if cached is not None:
                 return cached
         start = time.perf_counter()
         database = self._session.database
@@ -119,7 +121,10 @@ class PreparedQuery:
             self._plan_cache.put(entry)
         return entry
 
-    def _is_current(self, entry: CachedPlan) -> bool:
+    def _stale_reason(self, entry: CachedPlan) -> str | None:
+        """Why ``entry`` may not be reused: ``"stale"`` when a statistics
+        or shard epoch moved, ``"model"`` when a model version did, and
+        ``None`` when it is current."""
         database = self._session.database
         # Statistics moved (ANALYZE or a large write): the plan was
         # priced on stale cardinalities, so replan before reuse. The
@@ -134,49 +139,49 @@ class PreparedQuery:
                 if database.catalog.column_stats_epoch(
                     table_name, column
                 ) != epoch:
-                    return False
+                    return "stale"
             except Exception:
-                return False
+                return "stale"
         for table_name, epoch in entry.stats_epochs:
             if table_name in column_covered:
                 continue
             try:
                 if database.catalog.stats_epoch(table_name) != epoch:
-                    return False
+                    return "stale"
             except Exception:
-                return False
+                return "stale"
         # Shard layout moved (reshard, or a write that re-splits the
         # table): the plan's recorded routing may name shards that no
         # longer hold the matching rows, so re-route before reuse.
         for table_name, epoch in entry.shard_epochs:
             try:
                 if database.catalog.shard_epoch(table_name) != epoch:
-                    return False
+                    return "stale"
             except Exception:
-                return False
+                return "stale"
         for name, qualified, tracked in entry.model_refs:
             try:
                 if tracked:
                     # Plan followed the latest version; stale once the
                     # catalog moves on.
                     if database.get_model(name).qualified_name != qualified:
-                        return False
+                        return "model"
                 else:
                     # Plan pinned an older version; stale only if that
                     # version no longer exists (e.g. rollback).
                     database.get_model(qualified)
             except Exception:
-                return False
-        return True
+                return "model"
+        return None
 
     def _ensure_current(self) -> CachedPlan:
         entry = self._entry
-        if self._is_current(entry):
+        if self._stale_reason(entry) is None:
             return entry
         with self._lock:
-            if not self._is_current(self._entry):
-                if self._plan_cache is not None:
-                    self._plan_cache.invalidate(self.fingerprint)
+            if self._stale_reason(self._entry) is not None:
+                # The cache drops the stale entry on this read, unless
+                # another statement already replaced it with a current one.
                 self._entry = self._prepare()
                 self.replans += 1
                 events.emit(
@@ -239,7 +244,7 @@ class PreparedQuery:
             sp.set("rows", table.num_rows)
         entry.executions += 1
         if cache_key is not None:
-            self._result_cache.put(cache_key, table, entry.model_names)
+            self._result_cache.put(cache_key, table)
         return table
 
     def result_key(
@@ -332,10 +337,9 @@ def _result_key(
 ) -> tuple:
     """Prediction-cache key: plan + *model versions* + bindings.
 
-    Embedding the qualified ``name:vN`` versions means a model update
-    naturally misses the cache even when no invalidation listener is
-    wired up (standalone :class:`PreparedQuery` use); stale entries age
-    out via TTL/LRU.
+    A qualified ``name:vN`` is never reissued, so embedding the versions
+    makes a model update miss the cache; stale entries age out via
+    TTL/LRU.
     """
     versions = tuple(
         qualified for _name, qualified, _tracked in entry.model_refs

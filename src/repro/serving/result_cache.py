@@ -2,9 +2,10 @@
 
 Serving traffic is repetitive: the same scoring request (same prepared
 query, same bound parameters, same feature row) recurs within short
-windows. Entries expire after ``ttl_seconds`` and are invalidated when a
-new version of any model they depend on is stored — the same contract
-:class:`~repro.relational.database.SessionCache` follows for scorers.
+windows. Entries expire after ``ttl_seconds`` or fall out of the LRU.
+Nothing invalidates them: the key a prepared query builds embeds the
+qualified ``name:vN`` of every model it scores, and a version is never
+reissued, so a new version is a new key and the old entries age out.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import Callable, Hashable
 class _Entry:
     value: object
     expires_at: float
-    model_names: tuple[str, ...]
 
 
 class ResultCache:
-    """A thread-safe LRU with per-entry TTL and model-based invalidation.
+    """A thread-safe LRU with per-entry TTL.
 
     ``clock`` is injectable (defaults to :func:`time.monotonic`) so tests
     can step time deterministically.
@@ -45,7 +45,6 @@ class ResultCache:
         self.misses = 0
         self.expired = 0
         self.evictions = 0
-        self.invalidations = 0
 
     def get(self, key: Hashable) -> object | None:
         with self._lock:
@@ -66,32 +65,15 @@ class ResultCache:
         self,
         key: Hashable,
         value: object,
-        model_names: tuple[str, ...] = (),
         ttl_seconds: float | None = None,
     ) -> None:
         ttl = self.ttl_seconds if ttl_seconds is None else ttl_seconds
         with self._lock:
-            self._entries[key] = _Entry(
-                value, self._clock() + ttl, tuple(model_names)
-            )
+            self._entries[key] = _Entry(value, self._clock() + ttl)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def invalidate_model(self, name: str) -> int:
-        """Drop every result that depended on model ``name``; returns count."""
-        key = name.lower()
-        with self._lock:
-            stale = [
-                k
-                for k, entry in self._entries.items()
-                if any(model.lower() == key for model in entry.model_names)
-            ]
-            for k in stale:
-                del self._entries[k]
-            self.invalidations += len(stale)
-        return len(stale)
 
     def clear(self) -> None:
         with self._lock:
@@ -113,5 +95,4 @@ class ResultCache:
                 "hit_rate": self.hits / total if total else 0.0,
                 "expired": self.expired,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }

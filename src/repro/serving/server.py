@@ -96,9 +96,6 @@ class RavenServer:
         self.batch_max_wait_seconds = batch_max_wait_seconds
         self.max_batchers = max_batchers
         self.max_queue = max_queue
-        # A new model version (or rollback) must drop stale predictions;
-        # the plan cache subscribes separately via the session.
-        session.database.add_model_listener(self._on_model_event)
         # Database.close() must tear down this server's process-wide
         # BUS subscribers (metrics / watchdog / profiler) even when the
         # caller never shuts the server down explicitly.
@@ -129,9 +126,6 @@ class RavenServer:
             self._closed = True
             batchers = list(self._batchers.values())
             self._batchers.clear()
-        # Stop receiving model events; a shut-down server must not stay
-        # reachable from (and invalidated by) a long-lived database.
-        self.session.database.remove_model_listener(self._on_model_event)
         if self._observes_close:
             self.session.database.remove_close_listener(self._on_database_close)
         self.disable_watchdog()
@@ -339,9 +333,7 @@ class RavenServer:
             future = self._batch_submit(name, spec, params, request_table)
             future.add_done_callback(
                 lambda f: (
-                    self.result_cache.put(
-                        key, f.result(), spec.prepared.model_names
-                    )
+                    self.result_cache.put(key, f.result())
                     if f.exception() is None
                     else None
                 )
@@ -548,9 +540,6 @@ class RavenServer:
         traces = list(self._traces)
         return traces[-1].to_dict() if traces else None
 
-    def _on_model_event(self, event: str, name: str) -> None:
-        self.result_cache.invalidate_model(name)
-
     def stats(self) -> dict:
         """The server's one JSON-serializable snapshot.
 
@@ -567,11 +556,6 @@ class RavenServer:
         if plan_cache is not None:
             snapshot["plan_cache"] = plan_cache.stats()
         snapshot["result_cache"] = self.result_cache.stats()
-        session_cache = self.session.database.session_cache
-        snapshot["session_cache"] = {
-            "hits": session_cache.hits,
-            "misses": session_cache.misses,
-        }
         watchdog = self._watchdog
         if watchdog is not None:
             snapshot["watchdog"] = watchdog.stats()

@@ -358,21 +358,38 @@ def _emit_gemm_tree(graph: Graph, data: str, tree: TreeStructure, n_features: in
     return graph.add_node("MatMul", [r_float, v])[0]
 
 
+def _emit_finite_input(graph: Graph, data: str) -> str:
+    """Three ops mapping NaN and ``+inf`` to the largest float and
+    ``-inf`` to its negative, leaving finite values alone.
+
+    Stage 1 of the GEMM encoding is ``MatMul(X, A)``, where a NaN or
+    infinite feature would poison every test of its row (``NaN * 0``).
+    Finite stand-ins keep the products exact and route the row as the
+    tree walk does: NaN and ``+inf`` fail ``x <= t`` and go right,
+    ``-inf`` passes and goes left.
+    """
+    largest = np.finfo(np.float64).max
+    bound = graph.add_initializer(graph.fresh_name("largest"), np.asarray(largest))
+    below = graph.add_node("Less", [data, bound])[0]
+    capped = graph.add_node("Where", [below, data, bound])[0]
+    return graph.add_node("Clip", [capped], min=-largest)[0]
+
+
 def lower_tree_ensembles(graph: Graph) -> Graph:
     """A copy of ``graph`` with every ``TreeEnsemble`` node replaced by
-    the GEMM encoding: one 7-op chain per tree (a ``Gemm`` broadcast for
-    a single-leaf tree) and an ``Add`` chain summing them.
+    the GEMM encoding: the ensemble's input made finite once
+    (:func:`_emit_finite_input`), one 7-op chain per tree (a ``Gemm``
+    broadcast for a single-leaf tree) and an ``Add`` chain summing them.
 
     This is the form the paper measures on the GPU, so the simulated
-    device scores it. Stage 1 is a matmul, so a NaN or infinite feature
-    poisons every test of its row (``NaN * 0``); the ``TreeEnsemble``
-    kernels route such a row as the tree walk does.
+    device scores it.
     """
     lowered = graph.copy()
     for node in [n for n in lowered.nodes if n.op_type == "TreeEnsemble"]:
         n_features = node.attrs["n_features"]
+        data = _emit_finite_input(lowered, node.inputs[0])
         per_tree = [
-            _emit_gemm_tree(lowered, node.inputs[0], tree, n_features)
+            _emit_gemm_tree(lowered, data, tree, n_features)
             for tree in _split_trees(*_tree_arrays(lowered, node))
         ]
         total = per_tree[0]
@@ -386,9 +403,10 @@ def lower_tree_ensembles(graph: Graph) -> Graph:
 
 
 def gemm_node_count(graph: Graph) -> int:
-    """``len(lower_tree_ensembles(graph).nodes)``, without lowering: a
-    tree with an internal node is 7 ops, a single-leaf tree 1, and each
-    tree after the first adds one ``Add``."""
+    """``len(lower_tree_ensembles(graph).nodes)``, without lowering: an
+    ensemble's finite-input guard is 3 ops, a tree with an internal node
+    7, a single-leaf tree 1, and each tree after the first adds one
+    ``Add``."""
     count = 0
     for node in graph.nodes:
         if node.op_type != "TreeEnsemble":
@@ -396,7 +414,7 @@ def gemm_node_count(graph: Graph) -> int:
             continue
         feature, *_, roots = _tree_arrays(graph, node)
         split = int((feature[roots] != LEAF).sum())
-        count += 7 * split + (len(roots) - split) + len(roots) - 1
+        count += 3 + 7 * split + (len(roots) - split) + len(roots) - 1
     return count
 
 

@@ -4,7 +4,9 @@ An :class:`InferenceSession` owns an optimized copy of a graph, a device,
 a scoring backend, and the cached topological order, mirroring ORT's
 session object. Creating a session is the expensive step (graph
 optimization, fusion planning); running it is cheap — which is
-why the database's session cache (Fig. 3, observation ii) matters.
+why PREDICT caches scorers (Fig. 3, observation ii):
+:func:`repro.relational.scoring.session_scorer` keeps one session per
+model payload, keyed by the payload's identity.
 
 Graph optimization is memoized process-wide by the graph's *content
 hash*: two sessions built from identical model bundles (the common case

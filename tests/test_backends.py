@@ -177,16 +177,26 @@ class TestBackendEquivalence:
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("backend", ("numpy",) + available_compiled_backends())
+    @pytest.mark.parametrize(
+        "backend, device",
+        [
+            pytest.param(name, "cpu", id=name)
+            for name in ("numpy",) + available_compiled_backends()
+        ]
+        # The simulated GPU scores the GEMM lowering.
+        + [pytest.param("numpy", "gpu", id="gpu")],
+    )
     @pytest.mark.parametrize("batch", [1, 7, 3000])
     @pytest.mark.parametrize("kind", sorted(NULL_CASES))
-    def test_fused_matches_predict_on_null_features(self, kind, batch, backend):
+    def test_fused_matches_predict_on_null_features(
+        self, kind, batch, backend, device
+    ):
         # NaN fails every test on its feature (``NaN <= t`` is false)
         # and no other: the row's other features still route it.
         make, rows = NULL_CASES[kind]
         model = make(seed=11)
         n_features = len(rows[0])
-        score = compiled_pipeline_scorer(model, n_features, backend)
+        score = compiled_pipeline_scorer(model, n_features, backend, device)
         assert score.backend == backend
         rng = np.random.default_rng(batch)
         X = rng.normal(size=(batch, n_features))
@@ -502,19 +512,23 @@ class TestOptimizerCrossover:
             np.asarray(result.column("y")), expected[rid], rtol=1e-9, atol=1e-9
         )
 
-    def test_session_cache_keys_backend_and_emits_events(self):
+    def test_catalog_fused_scorer_is_built_once(self, monkeypatch):
+        from repro.relational import scoring
+
         db, _ = _scored_db(n_rows=9000)
-        seen = []
-        events.BUS.subscribe(
-            lambda e: seen.append((e.name, e.attrs.get("key"))),
-            pattern="session_cache.*",
+        built = []
+        build = scoring.build_scorer
+        monkeypatch.setattr(
+            scoring,
+            "build_scorer",
+            lambda *args: built.append(args[3]) or build(*args),
         )
-        db.execute(PREDICT_SQL)
-        misses = [key for name, key in seen if name == "session_cache.miss"]
-        assert any(key and key.endswith("|fused") for key in misses)
-        seen.clear()
-        db.execute(PREDICT_SQL)
-        assert any(name == "session_cache.hit" for name, _ in seen)
+        scoring.session_scorer.cache_clear()
+        first = db.execute(PREDICT_SQL)
+        assert built == ["fused"]
+        second = db.execute(PREDICT_SQL)
+        assert built == ["fused"]
+        assert first.equals(second)
 
     def test_prepared_plan_records_backend_choice(self):
         from repro import RavenSession
@@ -585,18 +599,18 @@ class TestDistributedBackends:
 
 class TestBackendMetrics:
     def test_backend_and_session_cache_events_fold_into_registry(self):
+        session = InferenceSession(
+            convert(_forest(seed=31), n_features=N_FEATURES),
+            backend="fused",
+        )
         metrics = ServingMetrics().attach(events.BUS)
         try:
-            session = InferenceSession(
-                convert(_forest(seed=31), n_features=N_FEATURES),
-                backend="fused",
-            )
             session.run_single(np.zeros((5, N_FEATURES)))
-            events.emit("session_cache.hit", key="m:v1|fused")
+            events.emit("session_cache.graph_opt_hit", graph="forest")
             snapshot = metrics.registry.snapshot()
             assert snapshot["backend.fused.runs"] == 1
             assert snapshot["backend.fused.rows"] == 5
             assert snapshot["backend.fused.seconds"]["count"] == 1
-            assert snapshot["session_cache.hit"] == 1
+            assert snapshot["session_cache.graph_opt_hit"] == 1
         finally:
             metrics.detach()

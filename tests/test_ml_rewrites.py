@@ -137,7 +137,6 @@ class TestConstantFolding:
         model.coef_ = np.array([0.0, 0.001, 2.0])
         model.intercept_ = 0.0
         assert zero_weight_features(model) == [0]
-        assert zero_weight_features(model, tolerance=0.01) == [0, 1]
 
 
 class TestRestriction:
@@ -239,16 +238,6 @@ class TestEndToEndRewrites:
         assert np.array_equal(
             pipe.predict(X), result.pipeline.predict(X[:, result.kept_inputs])
         )
-
-    def test_lossy_pushdown_changes_predictions_little(self, xy_binary):
-        X, y = xy_binary
-        pipe = Pipeline(
-            [("clf", LogisticRegression(penalty="l2", max_iter=300))]
-        ).fit(X, y)
-        result = apply_projection_pushdown(pipe, tolerance=0.05)
-        reduced = result.pipeline.predict(X[:, result.kept_inputs])
-        agreement = (reduced == pipe.predict(X)).mean()
-        assert agreement > 0.95
 
 
 class TestInliningExpressions:

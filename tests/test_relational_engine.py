@@ -361,7 +361,10 @@ class TestPredictStatement:
         expected = pipe.predict(X)
         assert np.allclose(np.asarray(out["yhat"]), expected)
 
-    def test_session_cache_hits(self, simple_db):
+    def test_catalog_session_is_built_once(self, simple_db):
+        from repro.relational import scoring
+        from repro.tensor import convert
+
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 2))
         pipe = Pipeline([("m", DecisionTreeRegressor(max_depth=3))]).fit(
@@ -370,92 +373,41 @@ class TestPredictStatement:
         simple_db.register_table(
             "inputs", Table.from_dict({"f1": X[:, 0], "f2": X[:, 1]})
         )
-        simple_db.store_model("reg", pipe, metadata={"feature_names": ["f1", "f2"]})
+        simple_db.store_model(
+            "reg",
+            convert(pipe),
+            flavor="tensor.graph",
+            metadata={"feature_names": ["f1", "f2"]},
+        )
         query = (
             "DECLARE @m varbinary(max) = "
             "(SELECT model FROM scoring_models WHERE model_name = 'reg');"
             "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = inputs AS d) "
             "WITH (yhat float) AS p"
         )
-        # The bound plan scores the stored model by name, through the
-        # session cache; ``execute`` would inline this tree instead.
+        # The bound plan scores the stored model by name; its inference
+        # session is cached by payload identity, like a plan-carried one.
         plan = simple_db.bind(query)
-        simple_db.execute_plan(plan)
-        misses = simple_db.session_cache.misses
-        simple_db.execute_plan(plan)
-        assert simple_db.session_cache.misses == misses  # second run cached
-        assert simple_db.session_cache.hits >= 1
+        scoring.session_scorer.cache_clear()
+        first = simple_db.execute_plan(plan)
+        second = simple_db.execute_plan(plan)
+        info = scoring.session_scorer.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert np.allclose(np.asarray(second["yhat"]), pipe.predict(X))
+        assert first.equals(second)
 
-    def test_inlined_model_builds_no_scorer(self, simple_db):
+    def test_inlined_model_builds_no_scorer(self, simple_db, monkeypatch):
+        from repro.relational import scoring
+
+        built = []
+        build = scoring.build_scorer
+        monkeypatch.setattr(
+            scoring,
+            "build_scorer",
+            lambda *args: built.append(args[0]) or build(*args),
+        )
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 2))
-        pipe = Pipeline([("m", DecisionTreeRegressor(max_depth=3))]).fit(
-            X, X[:, 0]
-        )
-        simple_db.register_table(
-            "inputs", Table.from_dict({"f1": X[:, 0], "f2": X[:, 1]})
-        )
-        simple_db.store_model("reg", pipe, metadata={"feature_names": ["f1", "f2"]})
-        out = simple_db.execute(
-            "DECLARE @m varbinary(max) = "
-            "(SELECT model FROM scoring_models WHERE model_name = 'reg');"
-            "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = inputs AS d) "
-            "WITH (yhat float) AS p"
-        )
-        # The tree ran as an inlined CASE: no session was built.
-        assert np.allclose(np.asarray(out["yhat"]), pipe.predict(X))
-        assert simple_db.session_cache.misses == 0
-        assert len(simple_db.session_cache) == 0
-
-    def test_fresh_data_injection(self, simple_db):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(40, 2))
-        pipe = Pipeline([("m", DecisionTreeRegressor(max_depth=3))]).fit(
-            X, X[:, 1]
-        )
-        simple_db.store_model("reg", pipe, metadata={"feature_names": ["f1", "f2"]})
-        fresh = Table.from_dict({"f1": X[:, 0], "f2": X[:, 1]})
-        out = simple_db.execute(
-            "DECLARE @m varbinary(max) = "
-            "(SELECT model FROM scoring_models WHERE model_name = 'reg');"
-            "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = fresh AS d) "
-            "WITH (yhat float) AS p",
-            data={"fresh": fresh},
-        )
-        assert out.num_rows == 40
-
-
-class TestSessionCache:
-    """LRU + invalidation contract of the scorer session cache."""
-
-    def test_lru_eviction_order(self):
-        from repro.relational.database import SessionCache
-
-        cache = SessionCache(capacity=3)
-        for key in ("a:v1", "b:v1", "c:v1"):
-            cache.get_or_create(key, lambda k=key: k.upper())
-        # Touch a:v1 so b:v1 becomes least recently used.
-        cache.get_or_create("a:v1", lambda: "never called")
-        cache.get_or_create("d:v1", lambda: "D")
-        assert cache.keys() == ["c:v1", "a:v1", "d:v1"]
-        # Evicted entry is rebuilt on next access (a miss, not stale data).
-        misses = cache.misses
-        cache.get_or_create("b:v1", lambda: "B2")
-        assert cache.misses == misses + 1
-
-    def test_invalidate_model_drops_all_versions(self):
-        from repro.relational.database import SessionCache
-
-        cache = SessionCache()
-        cache.get_or_create("reg:v1", lambda: "r1")
-        cache.get_or_create("reg:v2", lambda: "r2")
-        cache.get_or_create("other:v1", lambda: "o1")
-        assert cache.invalidate_model("REG") == 2
-        assert cache.keys() == ["other:v1"]
-
-    def test_store_model_invalidates_stale_sessions(self, simple_db):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(30, 2))
         pipe = Pipeline([("m", DecisionTreeRegressor(max_depth=3))]).fit(
             X, X[:, 0]
         )
@@ -469,15 +421,15 @@ class TestSessionCache:
             "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = inputs AS d) "
             "WITH (yhat float) AS p"
         )
-        # The bound plan scores the stored model through the session cache.
+        out = simple_db.execute(query)
+        # The tree ran as an inlined CASE: no scorer was built.
+        assert np.allclose(np.asarray(out["yhat"]), pipe.predict(X))
+        assert built == []
+        # The bound plan keeps the Predict, and that does build one.
         simple_db.execute_plan(simple_db.bind(query))
-        assert len(simple_db.session_cache) == 1
-        # A repeated store under the same name drops every cached session
-        # for that model, not just the latest version's key.
-        simple_db.store_model("reg", pipe, metadata={"feature_names": ["f1", "f2"]})
-        assert len(simple_db.session_cache) == 0
+        assert built == ["ml.pipeline"]
 
-    def test_invalidation_on_transaction_rollback(self, simple_db):
+    def test_store_after_rollback_scores_the_new_version(self, simple_db):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 2))
         pipe = Pipeline([("m", DecisionTreeRegressor(max_depth=3))]).fit(
@@ -498,15 +450,33 @@ class TestSessionCache:
             "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = inputs AS d) "
             "WITH (yhat float) AS p"
         )
-        simple_db.execute(query)  # caches a scorer for reg:v2
+        simple_db.execute(query)  # scores reg:v2
         simple_db.execute("ROLLBACK")
-        # The rollback removed v2; a later store reuses version number 2
-        # with a different payload, so the cached v2 scorer must be gone.
-        assert len(simple_db.session_cache) == 0
-        simple_db.store_model("reg", pipe, metadata={"feature_names": ["f1", "f2"]})
+        # The rollback removed v2; the next store is v3, never v2 again.
+        entry = simple_db.store_model(
+            "reg", pipe, metadata={"feature_names": ["f1", "f2"]}
+        )
+        assert entry.qualified_name == "reg:v3"
         out = simple_db.execute(query)
         expected = pipe.predict(X)
         assert np.allclose(np.asarray(out["yhat"]), expected)
+
+    def test_fresh_data_injection(self, simple_db):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 2))
+        pipe = Pipeline([("m", DecisionTreeRegressor(max_depth=3))]).fit(
+            X, X[:, 1]
+        )
+        simple_db.store_model("reg", pipe, metadata={"feature_names": ["f1", "f2"]})
+        fresh = Table.from_dict({"f1": X[:, 0], "f2": X[:, 1]})
+        out = simple_db.execute(
+            "DECLARE @m varbinary(max) = "
+            "(SELECT model FROM scoring_models WHERE model_name = 'reg');"
+            "SELECT p.yhat FROM PREDICT(MODEL = @m, DATA = fresh AS d) "
+            "WITH (yhat float) AS p",
+            data={"fresh": fresh},
+        )
+        assert out.num_rows == 40
 
     def test_declared_scalar_variable_in_where(self, simple_db):
         out = simple_db.execute(

@@ -57,6 +57,34 @@ def _request_row(age: float, income: float) -> Table:
     )
 
 
+def _invertible_approval_db():
+    """``(database, store_inverted)``: a fresh database holding an
+    approval model, and a callable storing its inverse as the next
+    version. Fresh, so swapping the model never touches the shared
+    module fixture; the row (25, 80) scores 1.0 before and 0.0 after."""
+    rng = np.random.default_rng(5)
+    age = rng.uniform(18, 90, 200)
+    income = rng.normal(55.0, 20.0, 200)
+    labels = ((income > 50.0) | (age < 30.0)).astype(np.float64)
+    features = np.column_stack([age, income])
+    database = Database()
+
+    def store(y):
+        database.store_model(
+            "approval",
+            Pipeline(
+                [
+                    ("scale", StandardScaler()),
+                    ("clf", DecisionTreeClassifier(max_depth=4, random_state=0)),
+                ]
+            ).fit(features, y),
+            metadata={"feature_names": ["age", "income"]},
+        )
+
+    store(labels)
+    return database, lambda: store(1.0 - labels)
+
+
 def _get_text(door: HttpFrontDoor, path: str) -> str:
     conn = http.client.HTTPConnection(door.host, door.port, timeout=30)
     try:
@@ -397,15 +425,48 @@ class TestPreparedQuery:
         prepared.execute(params=(40.0,))
         assert prepared.replans == 1
 
-    def test_store_model_invalidates_plan_cache(self, session, serving_setup):
+    def test_next_execution_after_store_model_replans_for_model(
+        self, session, serving_setup
+    ):
         database, pipeline = serving_setup
-        session.prepare(FILTER_SQL)
+        prepared = session.prepare(FILTER_SQL)
         assert len(session.plan_cache) >= 1
-        before = session.plan_cache.invalidations
         database.store_model(
             "approval", pipeline, metadata={"feature_names": ["age", "income"]}
         )
-        assert session.plan_cache.invalidations > before
+        # Nothing is pushed on store: the next read finds the version
+        # moved, invalidates the plan for reason ``model`` and replans.
+        assert session.plan_cache.stats()["invalidations_by_reason"] == {}
+        prepared.execute(params=(40.0,))
+        assert prepared.replans == 1
+        assert session.plan_cache.stats()["invalidations_by_reason"] == {
+            "model": 1
+        }
+
+    def test_statements_sharing_a_plan_optimize_once_per_store(
+        self, session, serving_setup
+    ):
+        database, pipeline = serving_setup
+        first, second = session.prepare(FILTER_SQL), session.prepare(FILTER_SQL)
+        database.store_model(
+            "approval", pipeline, metadata={"feature_names": ["age", "income"]}
+        )
+        first.execute(params=(40.0,))
+        second.execute(params=(40.0,))
+        # The first read dropped the stale plan and cached a current one;
+        # the second reuses it instead of dropping it and planning again.
+        assert second.plan is first.plan
+        assert session.plan_cache.stats()["invalidations_by_reason"] == {
+            "model": 1
+        }
+        # An ad-hoc statement meeting a stale cached plan counts it too.
+        database.store_model(
+            "approval", pipeline, metadata={"feature_names": ["age", "income"]}
+        )
+        session.prepare(FILTER_SQL).execute(params=(40.0,))
+        assert session.plan_cache.stats()["invalidations_by_reason"] == {
+            "model": 2
+        }
 
 
 class TestPlanCacheKeying:
@@ -453,7 +514,7 @@ class TestResultCache:
     def test_ttl_expiry(self):
         now = [0.0]
         cache = ResultCache(capacity=8, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("k", "value", model_names=("m",))
+        cache.put("k", "value")
         assert cache.get("k") == "value"
         now[0] = 9.9
         assert cache.get("k") == "value"
@@ -470,32 +531,8 @@ class TestResultCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
 
-    def test_model_invalidation(self):
-        cache = ResultCache(clock=lambda: 0.0)
-        cache.put("x", 1, model_names=("approval",))
-        cache.put("y", 2, model_names=("other",))
-        assert cache.invalidate_model("Approval") == 1
-        assert cache.get("x") is None
-        assert cache.get("y") == 2
-
     def test_standalone_result_cache_not_stale_after_model_bump(self):
-        # A fresh database: this test swaps in an *inverted* model and
-        # must not pollute the shared module fixture.
-        rng = np.random.default_rng(5)
-        age = rng.uniform(18, 90, 200)
-        income = rng.normal(55.0, 20.0, 200)
-        labels = ((income > 50.0) | (age < 30.0)).astype(np.float64)
-        features = np.column_stack([age, income])
-        database = Database()
-        fit = lambda y: Pipeline(
-            [
-                ("scale", StandardScaler()),
-                ("clf", DecisionTreeClassifier(max_depth=4, random_state=0)),
-            ]
-        ).fit(features, y)
-        database.store_model(
-            "approval", fit(labels), metadata={"feature_names": ["age", "income"]}
-        )
+        database, store_inverted = _invertible_approval_db()
         local = RavenSession(database)
         from repro.serving.prepared import PreparedQuery
 
@@ -509,14 +546,10 @@ class TestResultCache:
         row = {"requests": _request_row(25.0, 80.0)}
         before = prepared.execute(data=row).column("pred")[0]
         assert before == 1.0
-        # Even without a server wiring invalidation listeners, a version
-        # bump must not serve the stale cached prediction: the cache key
-        # embeds the model versions the plan was compiled against.
-        database.store_model(
-            "approval",
-            fit(1.0 - labels),
-            metadata={"feature_names": ["age", "income"]},
-        )
+        # A version bump must not serve the stale cached prediction: the
+        # cache key embeds the model versions the plan was compiled
+        # against.
+        store_inverted()
         after = prepared.execute(data=row).column("pred")[0]
         assert after == 0.0
 
@@ -808,12 +841,10 @@ class TestRavenServer:
         with pytest.raises(ServerClosedError):
             server.submit("filtered", params=(30.0,))
 
-    def test_result_cache_round_trip_and_invalidation(
-        self, session, serving_setup
-    ):
-        database, pipeline = serving_setup
+    def test_result_cache_round_trip_and_new_version(self):
+        database, store_inverted = _invertible_approval_db()
         with RavenServer(
-            session, workers=2, result_ttl_seconds=100.0
+            RavenSession(database), workers=2, result_ttl_seconds=100.0
         ) as server:
             server.prepare(
                 "score",
@@ -822,23 +853,21 @@ class TestRavenServer:
                 batch=True,
                 cache_results=True,
             )
-            row = {"requests": _request_row(33.0, 44.0)}
+            row = {"requests": _request_row(25.0, 80.0)}
             first = server.submit("score", data=row)
             server.flush_batchers()
-            first.result(timeout=30)
+            assert first.result(timeout=30).column("pred")[0] == 1.0
             hits_before = server.result_cache.stats()["hits"]
             second = server.submit("score", data=row)
-            assert second.result(timeout=30).column("pred")[0] == (
-                first.result().column("pred")[0]
-            )
+            assert second.result(timeout=30).column("pred")[0] == 1.0
             assert server.result_cache.stats()["hits"] == hits_before + 1
-            # A new model version drops the cached prediction.
-            database.store_model(
-                "approval",
-                pipeline,
-                metadata={"feature_names": ["age", "income"]},
-            )
-            assert server.result_cache.stats()["size"] == 0
+            # The same request after a new version is a new key: it
+            # misses the cache and scores with the new version.
+            store_inverted()
+            third = server.submit("score", data=row)
+            server.flush_batchers()
+            assert third.result(timeout=30).column("pred")[0] == 0.0
+            assert server.result_cache.stats()["hits"] == hits_before + 1
 
     def test_malformed_request_rejected_at_admission(self, session):
         """One bad request must not poison the shared micro-batch."""
@@ -876,14 +905,6 @@ class TestRavenServer:
             wait(good + [reordered], timeout=30)
             assert all(f.result().num_rows == 1 for f in good)
             assert reordered.result().num_rows == 1
-
-    def test_shutdown_unregisters_model_listener(self, session, serving_setup):
-        database, _pipeline = serving_setup
-        listeners_before = len(database._model_listeners)
-        server = RavenServer(session, workers=1)
-        assert len(database._model_listeners) == listeners_before + 1
-        server.shutdown()
-        assert len(database._model_listeners) == listeners_before
 
     def test_ad_hoc_sql(self, session):
         with RavenServer(session, workers=1) as server:

@@ -51,6 +51,24 @@ class TestRoundtrip:
         assert restored.get_model("m").metadata["depth"] == 3
         assert restored.get_model("m", version=1).metadata["depth"] == 1
 
+    def test_version_gaps_survive_a_round_trip(self, tmp_path):
+        # v2 was rolled back, so the catalog holds v1 and v3; a reload
+        # must give the same ``name:vN`` -> payload map, not renumber.
+        db = Database()
+        db.store_model("s", "output = 1", flavor="python.script")
+        db.execute("BEGIN TRANSACTION")
+        db.store_model("s", "output = 2", flavor="python.script")
+        db.execute("ROLLBACK")
+        db.store_model("s", "output = 3", flavor="python.script")
+        restored = load_database(save_database(db, tmp_path / "db"))
+        assert {
+            entry.qualified_name: entry.payload
+            for entry in restored.catalog.model_versions("s")
+        } == {"s:v1": "output = 1", "s:v3": "output = 3"}
+        # The reloaded catalog issues past the highest restored version.
+        stored = restored.store_model("s", "output = 4", flavor="python.script")
+        assert stored.qualified_name == "s:v4"
+
     def test_tensor_graph_models_roundtrip(self, tmp_path):
         db = Database()
         X = np.random.default_rng(0).normal(size=(50, 2))
@@ -105,6 +123,16 @@ class TestErrors:
         )
         with pytest.raises(CatalogError):
             load_database(tmp_path)
+
+    def test_repeated_model_version_in_manifest_rejected(self, tmp_path):
+        db = Database()
+        db.store_model("s", "output = 1", flavor="python.script")
+        saved = save_database(db, tmp_path / "db")
+        manifest = json.loads((saved / "manifest.json").read_text())
+        manifest["models"].append(dict(manifest["models"][0]))
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CatalogError, match="version 1 after v1"):
+            load_database(saved)
 
     def test_unpersistable_payload_rejected(self, tmp_path):
         db = Database()
