@@ -4,8 +4,8 @@
   ``TreeEnsemble`` op, scored by the ``numpy`` per-node interpreter
   (a level-by-level tree descent) and by the ``fused`` threshold-mask
   tree kernel, at identical output,
-* calibration: the micro-benchmarked per-backend row costs the
-  optimizer prices alternatives with, persisted in the catalog,
+* pricing: the coster's per-backend ``(setup_cost, row_scale)``
+  constants the optimizer prices alternatives with,
 * cost-based choice: EXPLAIN shows the memo keeping a small PREDICT
   on the interpreter and flipping a large scan to ``backend=fused``.
 
@@ -17,9 +17,10 @@ import time
 import numpy as np
 
 from repro import Database, Table
+from repro.core.optimizer.coster import BACKEND_PROFILES
 from repro.ml.ensemble import RandomForestRegressor
 from repro.tensor import InferenceSession, convert
-from repro.tensor.backends import available_compiled_backends, calibrate
+from repro.tensor.backends import available_compiled_backends
 from repro.tensor.backends.numba_backend import numba_available
 
 
@@ -67,15 +68,14 @@ def main() -> None:
         print(f"  backend={backend:6s} {seconds * 1e3:8.1f} ms   "
               f"matches interpreter={exact}")
 
-    # -- calibrated costs the optimizer prices alternatives with ------------
-    db = Database()
-    profiles = calibrate.profiles(db.catalog)
-    print("\ncalibrated (setup_cost, row_scale) per backend "
-          "[persisted in the catalog like ANALYZE output]:")
-    for name, (setup, scale) in sorted(profiles.items()):
+    # -- the costs the optimizer prices alternatives with -------------------
+    print("\n(setup_cost, row_scale) per compiled backend "
+          "[the interpreter is (0, 1.000)]:")
+    for name, (setup, scale) in sorted(BACKEND_PROFILES.items()):
         print(f"  {name:6s} setup={setup:9.0f}  row_scale={scale:.3f}")
 
     # -- cost-based backend choice in SQL PREDICT ---------------------------
+    db = Database()
     features = [f"f{j}" for j in range(6)]
     for name, rows in (("small", 64), ("large", 20_000)):
         cols = {"rid": np.arange(rows, dtype=np.int64)}

@@ -55,10 +55,6 @@ class TypeSet:
     def is_contradiction(self) -> bool:
         return not self.types
 
-    @property
-    def is_exact(self) -> bool:
-        return len(self.types) == 1
-
     def join(self, other: "TypeSet") -> "TypeSet":
         """Union — control-flow merge points."""
         return TypeSet(self.types | other.types)

@@ -6,7 +6,10 @@ fragments — is priced by :func:`operator_cost` over cardinalities from
 a :class:`SearchContext`. Scoring operators charge per consumed feature
 (so narrowed models win) and inlined CASE projections are priced from
 their vectorized evaluation (calibrated against the Fig. 2(c) inlining
-benchmark) rather than per expression node.
+benchmark) rather than per expression node. A compiled scoring backend
+is priced by a fixed ``(setup_cost, row_scale)`` pair per backend
+(:data:`BACKEND_PROFILES`), so the same plan gets the same cost in
+every process.
 """
 
 from __future__ import annotations
@@ -57,6 +60,24 @@ ENGINE_SWITCH_COST = 500.0  # flat cost of handing a batch across engines
 FEATURE_COST = 0.2  # per row, per feature a scoring operator consumes
 CASE_NODE_WEIGHT = 0.02  # vectorized CASE evaluation, per expression node
 COLUMN_ITEM_COST = 0.05  # projecting an existing column is a dict re-pick
+
+#: ``backend -> (setup_cost, row_scale)`` of the compiled scoring
+#: backends. ``setup_cost`` models session compilation (fusion
+#: planning, JIT warm-up); ``row_scale`` multiplies the ``predict``
+#: per-row price, so the interpreter is the 1.0 reference. ``fused``'s
+#: 0.15 is the low end of its measured 0.15-0.20 time ratio to
+#: ``predict`` on a gradient-boosted pipeline. ``numba``'s ratio has
+#: never been measured against ``predict``, so it gets ``fused``'s
+#: scale and a larger setup: where both are offered ``fused`` is always
+#: cheaper, and no plan moves to ``numba`` without a measurement. With
+#: these the interpreter keeps batches of <= 64 rows and compiled
+#: execution takes scans of >= 8k. They are constants, not a
+#: measurement of the running process, so one plan costs the same in
+#: every process.
+BACKEND_PROFILES: dict[str, tuple[float, float]] = {
+    "fused": (25_000.0, 0.15),
+    "numba": (40_000.0, 0.15),
+}
 
 # Distributed execution weights. A fragment dispatch pays plan
 # serialization + IPC round-trip regardless of data size; gathered rows
@@ -230,8 +251,8 @@ def operator_cost(
             switch *= 4
         # A compiled backend trades a fixed setup cost (fusion pattern
         # matching, JIT warm-up — paid per session, amortized by the
-        # session cache but real on the cold path) for a calibrated
-        # per-row discount. That is exactly the paper's batch-size
+        # session cache but real on the cold path) for a per-row
+        # discount. That is exactly the paper's batch-size
         # crossover: the interpreter wins small batches, compiled
         # execution wins scans.
         backend = dict(op.extra).get("backend") if op.extra else None
@@ -429,7 +450,6 @@ class SearchContext:
         # read; ``pin`` keeps dp_seen's leaf objects alive.
         self._estimate_cache: dict[int, tuple[logical.LogicalOp, float]] = {}
         self._pinned: list[object] = []
-        self._backend_profiles: dict[str, tuple[float, float]] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -522,24 +542,9 @@ class SearchContext:
         return self.predict_requirements.get(key, None)
 
     def backend_profile(self, backend: str | None) -> tuple[float, float]:
-        """``(setup_cost, row_scale)`` for a scoring backend choice.
-
-        Calibrated lazily (and persisted in the catalog) by
-        :mod:`repro.tensor.backends.calibrate`; the interpreter is the
-        1.0 reference and any failure degrades to the defaults.
-        """
-        if not backend or backend == "numpy":
-            return (0.0, 1.0)
-        if self._backend_profiles is None:
-            try:
-                from repro.tensor.backends import calibrate
-
-                self._backend_profiles = calibrate.profiles(self.catalog)
-            except Exception:
-                from repro.tensor.backends.calibrate import DEFAULT_PROFILES
-
-                self._backend_profiles = dict(DEFAULT_PROFILES)
-        return self._backend_profiles.get(backend, (0.0, 1.0))
+        """``(setup_cost, row_scale)`` for a scoring backend choice; the
+        interpreter (``None`` or ``"numpy"``) is ``(0.0, 1.0)``."""
+        return BACKEND_PROFILES.get(backend, (0.0, 1.0))
 
     # -- tree-level estimation (leaves inside the join-order rule) ---------
 

@@ -456,18 +456,6 @@ def zero_weight_features(model) -> list[int]:
     return [int(j) for j in np.nonzero(model.coef_ == 0.0)[0]]
 
 
-def drop_linear_features(model, drop: list[int]):
-    """Drop features from a linear model (weights must be ~zero or the
-    caller must have folded their contribution)."""
-    kept = [j for j in range(len(model.coef_)) if j not in set(drop)]
-    new = model.clone()
-    new.coef_ = model.coef_[kept].copy()
-    new.intercept_ = float(model.intercept_)
-    if isinstance(model, LogisticRegression):
-        new.classes_ = model.classes_.copy()
-    return new, kept
-
-
 # ---------------------------------------------------------------------------
 # Pipeline-level drivers
 # ---------------------------------------------------------------------------

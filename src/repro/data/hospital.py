@@ -37,9 +37,6 @@ class HospitalDataset:
     def num_rows(self) -> int:
         return len(self.length_of_stay)
 
-    def joined_features(self) -> np.ndarray:
-        return self.features
-
 
 def generate(num_rows: int, seed: int = 0) -> HospitalDataset:
     """Generate a seeded hospital dataset with ``num_rows`` patients."""

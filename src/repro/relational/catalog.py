@@ -120,10 +120,6 @@ class Catalog:
         # EXPLAIN ANALYZE (the hook for adaptive re-costing). Bounded:
         # one running summary per table, never a sample list.
         self._q_errors: dict[str, dict] = {}
-        # Calibrated per-backend scoring costs ({backend: [setup, row_scale]}),
-        # persisted by the first calibration micro-bench so later sessions
-        # (and the cost model) skip re-measuring.
-        self._backend_costs: dict[str, list] = {}
 
     # -- tables ---------------------------------------------------------------
 
@@ -320,31 +316,6 @@ class Catalog:
         polling set."""
         with self._stats_lock:
             return sorted(self._q_errors)
-
-    # -- backend cost calibration ---------------------------------------------
-
-    def record_backend_costs(self, profiles: dict) -> None:
-        """Persist calibrated per-backend costs ``{backend: [setup, row_scale]}``.
-
-        Written once by the lazy calibration micro-bench
-        (:mod:`repro.tensor.backends.calibrate`); the optimizer's cost
-        model reads them back through :meth:`backend_costs` so backend
-        selection reflects this machine rather than shipped defaults.
-        """
-        with self._stats_lock:
-            self._backend_costs = {
-                str(name): [float(pair[0]), float(pair[1])]
-                for name, pair in profiles.items()
-            }
-        self._log("record_backend_costs", ",".join(sorted(profiles)))
-
-    def backend_costs(self) -> dict | None:
-        """Calibrated ``{backend: [setup, row_scale]}``, or ``None`` when
-        no calibration has been recorded yet."""
-        with self._stats_lock:
-            if not self._backend_costs:
-                return None
-            return {k: list(v) for k, v in self._backend_costs.items()}
 
     def _invalidate_shards(self, key: str) -> None:
         """A data change under a sharded table: rebuild lazily, re-epoch."""
@@ -566,9 +537,6 @@ class Catalog:
 
     # -- models ---------------------------------------------------------------
 
-    def has_model(self, name: str) -> bool:
-        return name.lower() in self._models
-
     def model_names(self) -> list[str]:
         return sorted(self._models)
 
@@ -622,6 +590,20 @@ class Catalog:
         if not versions:
             raise CatalogError(f"unknown model {name!r}")
         return list(versions)
+
+    def issued_versions(self) -> dict[str, int]:
+        """``name -> highest version ever issued``, dropped names included."""
+        with self._stats_lock:
+            return dict(self._issued_versions)
+
+    def raise_issued_version(self, name: str, version: int) -> None:
+        """Raise ``name``'s issued-version counter to ``version``; it
+        never falls, so no version at or below it is issued again."""
+        key = name.lower()
+        with self._stats_lock:
+            self._issued_versions[key] = max(
+                self._issued_versions.get(key, 0), version
+            )
 
     def drop_model(self, name: str) -> None:
         key = name.lower()
@@ -687,9 +669,8 @@ class Catalog:
                 self._models.pop(key, None)
             else:
                 self._models[key] = list(versions)
-                self._issued_versions[key] = max(
-                    [self._issued_versions.get(key, 0)]
-                    + [entry.version for entry in versions]
+                self.raise_issued_version(
+                    name, max((entry.version for entry in versions), default=0)
                 )
         self._log("restore_model", name, detail)
 

@@ -384,12 +384,10 @@ class CaseWhen(Expression):
 
 @dataclass(frozen=True, eq=False)
 class FunctionCall(Expression):
-    """A named scalar function (``ABS``, ``LOG`` ...) or a registered UDF."""
+    """A named scalar function (``ABS``, ``LOG`` ...)."""
 
     name: str
     args: tuple[Expression, ...]
-
-    _BUILTINS: dict[str, Callable] = None  # set below
 
     def children(self) -> tuple[Expression, ...]:
         return self.args
@@ -436,11 +434,6 @@ _SCALAR_FUNCTIONS: dict[str, Callable] = {
     "GREATEST": np.maximum,
     "LEAST": np.minimum,
 }
-
-
-def register_scalar_function(name: str, fn: Callable) -> None:
-    """Register a vectorized scalar function usable from SQL and plans."""
-    _SCALAR_FUNCTIONS[name.upper()] = fn
 
 
 # ---------------------------------------------------------------------------

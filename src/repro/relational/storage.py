@@ -39,7 +39,10 @@ from repro.tensor.graph import Graph
 #: deterministic function of the table and the spec, so loading
 #: re-declares the sharding and the catalog rebuilds shard tables (and
 #: their statistics) lazily on first distributed access. Version 1 and
-#: 2 manifests still load; missing statistics rebuild lazily.
+#: 2 manifests still load; missing statistics rebuild lazily. The
+#: optional ``issued_versions`` map (model name -> highest version ever
+#: issued, dropped names included) is additive; manifests without it
+#: resume each counter at the highest version they restore.
 MANIFEST_VERSION = 3
 
 _SUPPORTED_MANIFEST_VERSIONS = (1, 2, 3)
@@ -108,6 +111,10 @@ def save_database(database: Database, path: str | Path) -> Path:
                     "metadata": entry.metadata,
                 }
             )
+    # A rolled-back or dropped version left no entry above, but its
+    # number stays spent: persist the counters so a reload does not
+    # reissue it.
+    manifest["issued_versions"] = database.catalog.issued_versions()
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return path
 
@@ -188,4 +195,6 @@ def load_database(path: str | Path) -> Database:
         )
     for name, versions in models.items():
         database.catalog.restore_model_versions(name, versions, detail="load")
+    for name, issued in manifest.get("issued_versions", {}).items():
+        database.catalog.raise_issued_version(name, int(issued))
     return database

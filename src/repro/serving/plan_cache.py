@@ -64,12 +64,6 @@ class CachedPlan:
     #: shards — bumps the epoch, staling this plan so the next
     #: execution re-routes against the new layout.
     shard_epochs: tuple[tuple[str, int], ...] = ()
-    #: Per Predict the plan executes, the memo-chosen scoring backend:
-    #: ``(model_ref, backend)`` where ``backend`` is ``numpy`` when the
-    #: optimizer kept the per-node interpreter. Recorded so serving
-    #: introspection can see which compiled backends a cached plan
-    #: commits to without re-deriving the cost comparison.
-    backend_choices: tuple[tuple[str, str], ...] = ()
     prepare_seconds: float = 0.0
     executions: int = field(default=0)
 

@@ -110,11 +110,10 @@ class PreparedQuery:
             stats_epochs=_collect_stats_epochs(analyzed, database),
             column_epochs=_collect_column_epochs(analyzed, database),
             shard_epochs=_collect_shard_epochs(analyzed, database),
-            # Routing and backends are optimizer decisions: they only
-            # exist on the optimized plan.
+            # Routing is an optimizer decision: it only exists on the
+            # optimized plan.
             rules_fired=tuple(getattr(report, "applied", ()) or ()),
             shard_routing=_collect_shard_routing(optimized),
-            backend_choices=_collect_backend_choices(optimized),
             prepare_seconds=time.perf_counter() - start,
         )
         if self._plan_cache is not None:
@@ -254,14 +253,6 @@ class PreparedQuery:
     ) -> tuple:
         """The prediction-cache key for one request against this query."""
         return _result_key(self._ensure_current(), params, data)
-
-    def execute_many(
-        self,
-        param_sets: Sequence[Sequence | Mapping],
-        data: Mapping[str, Table] | None = None,
-    ) -> list[Table]:
-        """Execute once per parameter set against the same cached plan."""
-        return [self.execute(params, data) for params in param_sets]
 
     def _build_mapping(
         self, params: Sequence | Mapping | None, entry: CachedPlan
@@ -505,21 +496,6 @@ def _collect_shard_routing(
                     )
                 )
     return tuple(routing)
-
-
-def _collect_backend_choices(
-    plan: logical.LogicalOp,
-) -> tuple[tuple[str, str], ...]:
-    """``(model_ref, backend)`` per Predict in the optimized plan.
-
-    ``numpy`` means the optimizer kept the per-node interpreter for
-    that model's batch size.
-    """
-    return tuple(
-        (op.model_ref, str(dict(op.extra).get("backend") or "numpy"))
-        for op in logical.post_order(plan)
-        if isinstance(op, logical.Predict)
-    )
 
 
 def _normalize_data(

@@ -14,9 +14,10 @@ switch. Three backends implement one protocol:
   (:mod:`.numba_backend`).
 
 The memo offers each *available* compiled backend as an alternative
-Predict implementation and prices it with calibrated per-row costs
-(:mod:`.calibrate`), so small batches keep the interpreter and large
-scans get compiled execution.
+Predict implementation and prices it with the coster's per-backend
+setup and per-row constants
+(:data:`repro.core.optimizer.coster.BACKEND_PROFILES`), so small
+batches keep the interpreter and large scans get compiled execution.
 
 A backend executor is any object with ``execute(tensors, stats)``
 mutating ``tensors`` in place to add every node output — the

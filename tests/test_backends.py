@@ -4,19 +4,24 @@ Covers backend equivalence (row-identical predictions across numpy /
 fused / numba for randomized pipelines, including empty and singleton
 batches), the memo's cost-based backend crossover (interpreter at small
 batches, compiled at large scans, asserted via EXPLAIN), the process-wide
-graph-optimization memo and its ``session_cache.*`` events, calibration
-persistence in the catalog, and the distributed fragment protocol
+graph-optimization memo and its ``session_cache.*`` events, the
+coster's per-backend constants, and the distributed fragment protocol
 carrying the backend choice.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core.optimizer.coster import BACKEND_PROFILES
 from repro.errors import TensorError
 from repro.distributed import serialize, worker
 from repro.distributed.operators import ShardScan
@@ -42,7 +47,7 @@ from repro.tensor.backends import (
     compiled_pipeline_scorer,
     resolve_backend,
 )
-from repro.tensor.backends import calibrate, fused
+from repro.tensor.backends import fused
 from repro.tensor.backends.fused import FusedExecutor
 from repro.tensor.backends.numba_backend import (
     NumbaTreeStep,
@@ -413,43 +418,70 @@ class TestGraphOptMemo:
         ).content_hash()
 
 
-class TestCalibration:
+class TestBackendProfiles:
     def test_default_profiles_have_sane_crossover(self):
         # For the band of per-row interpreter costs real pipelines
         # produce (a handful of trees up to a wide forest), the memo
         # must keep the interpreter at 64 rows and flip to compiled by
-        # 8192 — across defaults and both calibration clamp extremes.
+        # 8192.
         for name in ("fused", "numba"):
-            setup, default_scale = calibrate.DEFAULT_PROFILES[name]
-            assert setup > 0 and 0 < default_scale < 1
-            low, high = calibrate._CLAMPS[name]
-            for row_scale in (default_scale, low, high):
-                for per_row in (15.0, 380.0):
-                    interp_64 = 64 * per_row
-                    compiled_64 = setup + 64 * per_row * row_scale
-                    assert interp_64 < compiled_64, (name, row_scale, per_row)
-                    interp_8k = 8192 * per_row
-                    compiled_8k = setup + 8192 * per_row * row_scale
-                    assert compiled_8k < interp_8k, (name, row_scale, per_row)
+            setup, row_scale = BACKEND_PROFILES[name]
+            assert setup > 0 and 0 < row_scale < 1
+            for per_row in (15.0, 380.0):
+                interp_64 = 64 * per_row
+                compiled_64 = setup + 64 * per_row * row_scale
+                assert interp_64 < compiled_64, (name, per_row)
+                interp_8k = 8192 * per_row
+                compiled_8k = setup + 8192 * per_row * row_scale
+                assert compiled_8k < interp_8k, (name, per_row)
 
-    def test_calibrated_scales_respect_clamps(self):
-        calibrate.invalidate_cache()
-        profiles = calibrate.profiles()
-        for name, (low, high) in calibrate._CLAMPS.items():
-            setup, row_scale = profiles[name]
-            assert low <= row_scale <= high
-            assert setup == calibrate.DEFAULT_PROFILES[name][0]
-        calibrate.invalidate_cache()
+    def test_explain_cost_is_the_same_in_every_process(self):
+        # A fused Predict's price is the coster's constants, not a
+        # measurement of the process that plans it: two fresh
+        # interpreters print the same EXPLAIN, cost lines included.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro import Database, Table
+            from repro.ml.ensemble import RandomForestRegressor
 
-    def test_catalog_persistence_round_trip(self):
-        calibrate.invalidate_cache()
-        db = Database()
-        stored = {"numpy": [0.0, 1.0], "fused": [25_000.0, 0.2]}
-        db.catalog.record_backend_costs(stored)
-        assert db.catalog.backend_costs() == stored
-        profiles = calibrate.profiles(db.catalog)
-        assert profiles["fused"] == (25_000.0, 0.2)
-        calibrate.invalidate_cache()
+            rng = np.random.default_rng(3)
+            X = rng.normal(size=(800, 6))
+            forest = RandomForestRegressor(
+                n_estimators=40, max_depth=4, random_state=3
+            ).fit(X, X[:, 0] * 2.0 - X[:, 1])
+            features = [f"f{j}" for j in range(6)]
+            db = Database()
+            cols = {"rid": np.arange(20_000, dtype=np.int64)}
+            for feature in features:
+                cols[feature] = rng.normal(size=20_000)
+            db.register_table("large", Table.from_dict(cols))
+            db.store_model(
+                "forest", forest, metadata={"feature_names": features}
+            )
+            plan = db.execute(
+                "DECLARE @m varbinary(max) = (SELECT model FROM "
+                "scoring_models WHERE model_name = 'forest');"
+                "EXPLAIN SELECT d.rid, p.y FROM PREDICT(MODEL = @m, "
+                "DATA = large AS d) WITH (y float) AS p"
+            )["plan"]
+            print("\\n".join(plan))
+            """
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for _ in range(2):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env={"PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert "backend=fused" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 def _scored_db(n_rows, seed=0, distributed=False, shards=4):
@@ -536,9 +568,11 @@ class TestOptimizerCrossover:
         db, _ = _scored_db(n_rows=9000)
         session = RavenSession(db)
         prepared = session.prepare(PREDICT_SQL)
-        choices = session.plan_cache.get(prepared.fingerprint).backend_choices
-        assert any(backend == "fused" for _ref, backend in choices)
-        assert any(ref.startswith("m:v") for ref, _backend in choices)
+        predicts = [
+            op for op in prepared.plan.walk()
+            if isinstance(op, logical.Predict)
+        ]
+        assert [dict(op.extra).get("backend") for op in predicts] == ["fused"]
 
     def test_explicit_session_backend_wins_over_default(self):
         model = _forest(seed=29)

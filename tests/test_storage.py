@@ -69,6 +69,48 @@ class TestRoundtrip:
         stored = restored.store_model("s", "output = 4", flavor="python.script")
         assert stored.qualified_name == "s:v4"
 
+    def test_rolled_back_top_version_is_not_reissued_after_reload(self, tmp_path):
+        # v3 was rolled back, so the saved catalog holds v1 and v2 only;
+        # v3 stays spent across a save/load as it does in process.
+        db = Database()
+        db.store_model("m", "output = 'a'", flavor="python.script")
+        db.store_model("m", "output = 'b'", flavor="python.script")
+        db.execute("BEGIN TRANSACTION")
+        db.store_model("m", "output = 'c'", flavor="python.script")
+        db.execute("ROLLBACK")
+        restored = load_database(save_database(db, tmp_path / "db"))
+        stored = restored.store_model("m", "output = 'e'", flavor="python.script")
+        assert stored.qualified_name == "m:v4"
+        assert db.store_model(
+            "m", "output = 'e'", flavor="python.script"
+        ).qualified_name == "m:v4"
+
+    def test_dropped_model_version_is_not_reissued_after_reload(self, tmp_path):
+        db = Database()
+        db.store_model("n", "output = 1", flavor="python.script")
+        db.catalog.drop_model("n")
+        restored = load_database(save_database(db, tmp_path / "db"))
+        stored = restored.store_model("n", "output = 2", flavor="python.script")
+        assert stored.qualified_name == "n:v2"
+        assert db.store_model(
+            "n", "output = 2", flavor="python.script"
+        ).qualified_name == "n:v2"
+
+    def test_manifest_without_issued_versions_resumes_at_highest_restored(
+        self, tmp_path
+    ):
+        db = Database()
+        db.store_model("s", "output = 1", flavor="python.script")
+        db.store_model("s", "output = 2", flavor="python.script")
+        saved = save_database(db, tmp_path / "db")
+        manifest_file = saved / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        del manifest["issued_versions"]
+        manifest_file.write_text(json.dumps(manifest))
+        restored = load_database(saved)
+        stored = restored.store_model("s", "output = 3", flavor="python.script")
+        assert stored.qualified_name == "s:v3"
+
     def test_tensor_graph_models_roundtrip(self, tmp_path):
         db = Database()
         X = np.random.default_rng(0).normal(size=(50, 2))
