@@ -5,29 +5,28 @@ Paper (1K -> 1M rows): RF-NN on CPU is ~2x faster than scikit-learn RF at
 faster than RF-NN CPU and reaches up to 15x over scikit-learn at 1M rows
 (GPU utilization grows with batch size).
 
-The GPU series uses the calibrated analytical device model (DESIGN.md's
-substitution table); its *time* is simulated, its *results* are computed
-by the same kernels and asserted equal.
+The GPU series runs the GEMM encoding on the analytical K80 model of
+``benchmarks/simulated_gpu.py``; its *time* is simulated, its *results*
+are computed by the engine's kernels and asserted equal.
 
 The CPU series runs once per scoring backend: ``numpy`` (the per-node
 interpreter over the GEMM encoding the paper measures, so the graph is
 passed through ``lower_tree_ensembles`` first) and ``fused``
-(threshold-mask tree kernel); ``numba`` (a JIT tree walk) joins when
-importable. The simulated GPU lowers to the GEMM encoding by itself.
-All backends must agree exactly with scikit-learn.
+(threshold-mask tree kernel). All backends must agree exactly with
+scikit-learn.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.harness import measure, report
+from benchmarks.simulated_gpu import GPUSession, lower_tree_ensembles
 from repro.data import hospital
 from repro.ml import RandomForestClassifier
-from repro.tensor import InferenceSession, SimulatedGPU, convert, lower_tree_ensembles
-from repro.tensor.backends.numba_backend import numba_available
+from repro.tensor import InferenceSession, convert
 
 SIZES = [1_000, 10_000, 100_000]
-CPU_BACKENDS = ("numpy", "fused") + (("numba",) if numba_available() else ())
+CPU_BACKENDS = ("numpy", "fused")
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +39,11 @@ def environment():
     cpu_sessions = {
         name: InferenceSession(
             lower_tree_ensembles(graph) if name == "numpy" else graph,
-            device="cpu",
             backend=name,
         )
         for name in CPU_BACKENDS
     }
-    gpu_session = InferenceSession(graph, device=SimulatedGPU())
+    gpu_session = GPUSession(graph)
     datasets = {n: hospital.generate(n, seed=22).features for n in SIZES}
     return forest, cpu_sessions, gpu_session, datasets
 
@@ -79,7 +77,7 @@ def test_fig2d_shape(environment):
         }
         gpu_session.run({"X": X})  # warm
         gpu_session.run({"X": X})
-        nn_gpu_time = gpu_session.last_run_stats.simulated_seconds
+        nn_gpu_time = gpu_session.seconds
         ratios_gpu[size] = rf_time / nn_gpu_time
         row = {
             "rows": size,

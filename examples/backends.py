@@ -20,8 +20,7 @@ from repro import Database, Table
 from repro.core.optimizer.coster import BACKEND_PROFILES
 from repro.ml.ensemble import RandomForestRegressor
 from repro.tensor import InferenceSession, convert
-from repro.tensor.backends import available_compiled_backends
-from repro.tensor.backends.numba_backend import numba_available
+from repro.tensor.backends import BACKENDS
 
 
 def train_forest(n_features: int = 6) -> RandomForestRegressor:
@@ -49,16 +48,12 @@ def main() -> None:
     X = rng.normal(size=(20_000, 6))
 
     # -- explicit backend choice on one session -----------------------------
-    print(f"compiled backends available: {available_compiled_backends()}")
-    if not numba_available():
-        print("(numba not installed: requesting backend='numba' would "
-              "fall back to the interpreter)")
-    print(f"\nscoring {len(X)} rows, 40-tree forest, per backend:")
+    print(f"scoring {len(X)} rows, 40-tree forest, per backend:")
     reference = None
-    for backend in ("numpy",) + available_compiled_backends():
+    for backend in BACKENDS:
         session = InferenceSession(graph, backend=backend)
         feeds = {graph.inputs[0]: X}
-        session.run(feeds)  # warm-up: buffers, fusion, JIT
+        session.run(feeds)  # warm-up: buffers
         start = time.perf_counter()
         out = session.run(feeds)[0]
         seconds = time.perf_counter() - start

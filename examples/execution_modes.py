@@ -1,10 +1,14 @@
 """Every execution mode Raven supports (paper §5), on one model.
 
 * in-process: the integrated engine scores through the ML library,
+* inlined SQL: the model compiled into the query as a CASE expression,
 * NN translation: the same pipeline compiled to a tensor graph, run by the
-  mini-ONNX-Runtime session on CPU and on the simulated GPU,
-* out-of-process (Raven Ext): a fresh Python interpreter per call,
-* containerized: a local REST scoring server.
+  mini-ONNX-Runtime session,
+* out-of-process (Raven Ext): a fresh Python interpreter per call.
+
+The paper's containerized REST mode and its GPU runs are not here: no
+plan in this engine picks the first, and the GPU is an analytical model
+that only Fig. 2(d) uses (``benchmarks/simulated_gpu.py``).
 
 Run with:  python examples/execution_modes.py
 """
@@ -14,10 +18,10 @@ import time
 import numpy as np
 
 from repro import RavenSession
-from repro.core.runtime import ContainerRuntime, OutOfProcessRuntime
+from repro.core.runtime import OutOfProcessRuntime
 from repro.data import hospital
 from repro.ml import model_format
-from repro.tensor import InferenceSession, SimulatedGPU, convert
+from repro.tensor import InferenceSession, convert
 
 
 def main() -> None:
@@ -55,20 +59,11 @@ def main() -> None:
     print(f"  {'inlined SQL CASE (full query)':28s} "
           f"{(time.perf_counter() - start) * 1e3:9.1f} ms   (query incl. joins)")
 
-    # -- NN translation, CPU and simulated GPU -----------------------------
-    tensor_graph = convert(pipeline)
-    cpu = InferenceSession(tensor_graph, device="cpu")
+    # -- NN translation ------------------------------------------------------
+    session = InferenceSession(convert(pipeline))
     start = time.perf_counter()
-    out = cpu.run({"X": X})[0].ravel()
-    show("NN translation (CPU)", time.perf_counter() - start, out)
-
-    gpu = InferenceSession(tensor_graph, device=SimulatedGPU())
-    out = gpu.run({"X": X})[0].ravel()
-    show(
-        "NN translation (sim. GPU)",
-        gpu.last_run_stats.simulated_seconds,
-        out,
-    )
+    out = session.run({"X": X})[0].ravel()
+    show("NN translation", time.perf_counter() - start, out)
 
     # -- out-of-process (Raven Ext) ----------------------------------------
     bundle = model_format.dumps(pipeline)
@@ -77,16 +72,8 @@ def main() -> None:
     out = ext.score_model(bundle, table, hospital.QUERY_FEATURE_NAMES)
     show("out-of-process (Raven Ext)", time.perf_counter() - start, out)
 
-    # -- containerized REST ----------------------------------------------
-    with ContainerRuntime(
-        bundle, simulated_container_start_seconds=0.5
-    ) as container:
-        start = time.perf_counter()
-        out = container.score(table, hospital.QUERY_FEATURE_NAMES)
-        show("containerized REST", time.perf_counter() - start, out)
-
-    print("\n(The out-of-process and container modes pay the constant "
-          "startup/serialization costs Fig. 3 describes.)")
+    print("\n(The out-of-process mode pays the constant "
+          "startup/serialization cost Fig. 3 describes.)")
 
 
 if __name__ == "__main__":

@@ -177,7 +177,7 @@ def resolve_predict(database: Database, op: logical.Predict) -> logical.Predict:
     The resolved plan is self-contained: it names the qualified ``name:vN``
     it was compiled against and carries the model itself. ``ml.pipeline``
     models ride as the fitted pipeline object, ``tensor.graph`` models as
-    the graph with its device; ``python.script`` models are sent through
+    the graph; ``python.script`` models are sent through
     the static analyzer first and stay opaque scripts (run by the external
     runtime) when it cannot translate them. SQL and script analysis both
     resolve every ``Predict`` here.
@@ -185,9 +185,7 @@ def resolve_predict(database: Database, op: logical.Predict) -> logical.Predict:
     entry = database.get_model(op.model_ref)
     features = entry.metadata.get("feature_names")
     flavor, payload, extra = entry.flavor, entry.payload, ()
-    if flavor == "tensor.graph":
-        extra = (("device", "cpu"),)
-    elif flavor == "python.script":
+    if flavor == "python.script":
         payload = str(payload)
         try:
             pipeline = PythonStaticAnalyzer().extract_pipeline(payload)
@@ -198,7 +196,7 @@ def resolve_predict(database: Database, op: logical.Predict) -> logical.Predict:
         else:
             # Untranslatable or unfitted: out-of-process execution.
             extra = (("name", entry.qualified_name),)
-    elif flavor != "ml.pipeline":
+    elif flavor not in ("ml.pipeline", "tensor.graph"):
         raise StaticAnalysisError(
             f"unknown model flavor {flavor!r} for {entry.name!r}"
         )

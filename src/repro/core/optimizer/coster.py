@@ -62,21 +62,16 @@ CASE_NODE_WEIGHT = 0.02  # vectorized CASE evaluation, per expression node
 COLUMN_ITEM_COST = 0.05  # projecting an existing column is a dict re-pick
 
 #: ``backend -> (setup_cost, row_scale)`` of the compiled scoring
-#: backends. ``setup_cost`` models session compilation (fusion
-#: planning, JIT warm-up); ``row_scale`` multiplies the ``predict``
-#: per-row price, so the interpreter is the 1.0 reference. ``fused``'s
-#: 0.15 is the low end of its measured 0.15-0.20 time ratio to
-#: ``predict`` on a gradient-boosted pipeline. ``numba``'s ratio has
-#: never been measured against ``predict``, so it gets ``fused``'s
-#: scale and a larger setup: where both are offered ``fused`` is always
-#: cheaper, and no plan moves to ``numba`` without a measurement. With
-#: these the interpreter keeps batches of <= 64 rows and compiled
-#: execution takes scans of >= 8k. They are constants, not a
-#: measurement of the running process, so one plan costs the same in
-#: every process.
+#: backend. ``setup_cost`` models session compilation (fusion
+#: planning); ``row_scale`` multiplies the ``predict`` per-row price,
+#: so the interpreter is the 1.0 reference. ``fused``'s 0.15 is the low
+#: end of its measured 0.15-0.20 time ratio to ``predict`` on a
+#: gradient-boosted pipeline. With these the interpreter keeps batches
+#: of <= 64 rows and compiled execution takes scans of >= 8k. They are
+#: constants, not a measurement of the running process, so one plan
+#: costs the same in every process.
 BACKEND_PROFILES: dict[str, tuple[float, float]] = {
     "fused": (25_000.0, 0.15),
-    "numba": (40_000.0, 0.15),
 }
 
 # Distributed execution weights. A fragment dispatch pays plan

@@ -234,7 +234,7 @@ def expression_key(op: logical.LogicalOp) -> tuple:
             op.flavor,
             op.alias,
             tuple(op.output_columns),
-            # Physical execution choices (scoring backend, device) live
+            # Physical execution choices (the scoring backend) live
             # in ``extra``; without it here, backend alternatives would
             # dedup-collide into one expression and never compete.
             tuple((k, repr(v)) for k, v in (op.extra or ())),

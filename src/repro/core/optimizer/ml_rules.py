@@ -122,18 +122,18 @@ class PredicateBasedModelPruningRule(MemoRule):
 
 
 class BackendChoiceRule(MemoRule):
-    """Offer compiled scoring backends as physical Predict alternatives.
+    """Offer the compiled ``fused`` backend as a physical Predict alternative.
 
     For every Predict whose model the tensor layer can execute compiled
     (a ``tensor.graph`` payload, or a stored ``ml.pipeline`` the NN
     translator :func:`~repro.tensor.converters.supports`), emit one
-    alternative per *available* backend, tagged in ``extra``. The
-    alternatives then compete under :meth:`SearchContext.backend_profile`
-    costs — small batches keep the untagged interpreter expression,
-    large scans flip to fused/JIT. Inline payloads (plan-embedded
-    pipelines, possibly rewritten by other rules) are eligible too: the
-    executors compile them once per resolved scorer and the plan object
-    pins the payload identity for the compiled cache.
+    alternative tagged ``backend=fused`` in ``extra``. The two then
+    compete under :meth:`SearchContext.backend_profile` costs — small
+    batches keep the untagged interpreter expression, large scans flip
+    to fused. Inline payloads (plan-embedded pipelines, possibly
+    rewritten by other rules) are eligible too: the executors compile
+    them once per resolved scorer and the plan object pins the payload
+    identity for the compiled cache.
     """
 
     name = "BackendChoice"
@@ -161,28 +161,8 @@ class BackendChoiceRule(MemoRule):
             eligible = False
         if not eligible:
             return []
-        try:
-            from repro.tensor.backends import available_compiled_backends
-
-            backends = available_compiled_backends()
-        except Exception:
-            return []
-        alternatives = []
-        for backend in backends:
-            ctx.record(self.name, f"{plan.model_ref}->{backend}")
-            alternatives.append(
-                logical.Predict(
-                    plan.child,
-                    plan.model_ref,
-                    plan.output_columns,
-                    plan.alias,
-                    plan.flavor,
-                    plan.payload,
-                    plan.feature_names,
-                    plan.extra + (("backend", backend),),
-                )
-            )
-        return alternatives
+        ctx.record(self.name, f"{plan.model_ref}->fused")
+        return [replace(plan, extra=plan.extra + (("backend", "fused"),))]
 
 
 class ModelProjectionPushdownRule(MemoRule):
@@ -334,9 +314,8 @@ class NNTranslationRule(MemoRule):
 
     The §4.2 MLD → LA rewrite as a memo rule: the translated
     ``tensor.graph`` Predict is an alternative in the scoring operator's
-    group, carrying the session's ``device`` option. ``BackendChoice``
-    fires on it in turn, so a translated ensemble can land on a
-    compiled backend.
+    group. ``BackendChoice`` fires on it in turn, so a translated
+    ensemble can land on the compiled backend.
     """
 
     name = "NNTranslation"
@@ -351,17 +330,13 @@ class NNTranslationRule(MemoRule):
             return []
         pipeline, feature_names = resolved
         tensor_graph = convert(pipeline)
-        device = ctx.options.get("device", "cpu")
-        ctx.record(
-            self.name, f"{len(tensor_graph.nodes)} tensor ops on {device}"
-        )
+        ctx.record(self.name, f"{len(tensor_graph.nodes)} tensor ops")
         return [
             replace(
                 plan,
                 flavor="tensor.graph",
                 payload=tensor_graph,
                 feature_names=feature_names,
-                extra=plan.extra + (("device", device),),
             )
         ]
 

@@ -64,8 +64,7 @@ class RavenSession:
         Optimizer knobs. Rule-set membership: ``enable_inlining``
         (default on), ``enable_nn_translation``, ``enable_splitting``
         (default off) — a member rule adds alternatives that the cost
-        model may or may not pick. Rule parameters: ``device``
-        (``"cpu"``/``"gpu"``, for translated tensor graphs),
+        model may or may not pick. Rule parameters:
         ``max_inline_nodes``, ``derive_statistics_predicates``.
         Distributed planning: ``enable_distributed``, ``shard_workers``
         (both default from the database's ``ExecutionOptions``:

@@ -1,12 +1,9 @@
-"""Execution runtimes: integrated, out-of-process, containerized."""
+"""Execution runtimes: integrated and out-of-process."""
 
-from repro.core.runtime.container import ContainerRuntime, ModelServer
 from repro.core.runtime.executor import RavenExecutor
 from repro.core.runtime.outofprocess import OutOfProcessRuntime
 
 __all__ = [
-    "ContainerRuntime",
-    "ModelServer",
     "OutOfProcessRuntime",
     "RavenExecutor",
 ]

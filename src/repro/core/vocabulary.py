@@ -80,7 +80,7 @@ def _describe_model(op: logical.Predict) -> str:
     if op.flavor == "python.script":
         return extra.get("name") or op.model_ref
     if op.flavor == "tensor.graph":
-        return f"{len(op.payload.nodes)} tensor ops on {extra.get('device', 'cpu')}"
+        return f"{len(op.payload.nodes)} tensor ops"
     if op.payload is None:
         return op.model_ref
     steps = getattr(op.payload, "steps", None)

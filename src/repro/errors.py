@@ -65,10 +65,6 @@ class NotFittedError(MLError):
     """An estimator was used before ``fit`` was called."""
 
 
-class ConvergenceWarningError(MLError):
-    """An iterative solver failed to make progress."""
-
-
 class ModelFormatError(MLError):
     """A serialized model bundle is malformed or has an unknown flavor."""
 
@@ -88,10 +84,6 @@ class GraphValidationError(TensorError):
 
 class UnsupportedOpError(TensorError):
     """An op kind has no registered kernel or converter."""
-
-
-class DeviceError(TensorError):
-    """A device cannot run the requested kernel."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +108,7 @@ class CodegenError(RavenError):
 
 
 class RuntimeDispatchError(RavenError):
-    """No runtime (in-process/external/container) can execute an operator."""
+    """No runtime (in-process/external) can execute an operator."""
 
 
 # ---------------------------------------------------------------------------

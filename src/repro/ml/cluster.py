@@ -115,9 +115,6 @@ class KMeans(BaseEstimator):
         X = as_matrix(X)
         return np.argmin(self._distances(X, self.cluster_centers_), axis=1)
 
-    def fit_predict(self, X, y=None) -> np.ndarray:
-        return self.fit(X).labels_
-
     # -- support for the model-clustering rule ---------------------------
 
     def cluster_constant_features(

@@ -50,7 +50,6 @@ class ModelResolver(Protocol):
         output_columns: tuple,
         backend: str = "numpy",
         flavor: str = "ml.pipeline",
-        device: object = "cpu",
     ) -> Callable[[Table], dict[str, np.ndarray]]: ...
 
 
@@ -689,7 +688,7 @@ class Executor:
         A plan carries the payload when the memo rewrote the model
         (pruning, projection pushdown, NN translation) or the session's
         analyzer embedded what it resolved; ``extra`` holds the
-        memo-chosen backend and the tensor device.
+        memo-chosen backend.
         """
         extra = dict(op.extra) if op.extra else {}
         backend = extra.get("backend") or "numpy"
@@ -700,7 +699,6 @@ class Executor:
                 op.output_columns,
                 backend,
                 flavor=op.flavor or "ml.pipeline",
-                device=extra.get("device", "cpu"),
             )
         return self._model_resolver.resolve_scorer(
             op.model_ref, op.output_columns, backend

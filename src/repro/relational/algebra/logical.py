@@ -270,7 +270,7 @@ class Predict(LogicalOp):
     Executors score ``payload`` directly when present and fall back to
     catalog resolution by ``model_ref`` otherwise. ``extra`` holds the
     physical choices that are not part of the operator's identity: the
-    tensor ``device``, the memo-chosen scoring ``backend``, the ``name``
+    memo-chosen scoring ``backend``, the ``name``
     an external script runs under, the ``split`` marker of a split half.
     """
 

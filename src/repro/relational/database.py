@@ -137,16 +137,6 @@ class Database:
         if runtime is not None:
             runtime.add_observer(fn)
 
-    def remove_shard_observer(self, fn: Callable) -> None:
-        with self._distributed_lock:
-            try:
-                self._shard_observers.remove(fn)
-            except ValueError:
-                pass
-            runtime = self._distributed
-        if runtime is not None:
-            runtime.remove_observer(fn)
-
     def add_close_listener(self, fn: Callable[[], None]) -> None:
         """Register ``fn()`` to run on every :meth:`close`.
 
@@ -604,7 +594,6 @@ class Database:
             output_columns,
             backend,
             entry.flavor,
-            "cpu",
             self.external_runtime,
         )
 
@@ -615,7 +604,6 @@ class Database:
         output_columns: tuple[tuple[str, DataType], ...],
         backend: str = "numpy",
         flavor: str = "ml.pipeline",
-        device: object = "cpu",
     ) -> Callable[[Table], dict[str, np.ndarray]]:
         """Scorer for a plan-embedded payload (a memo-rewritten pipeline,
         an NN-translated tensor graph, a script): not in the catalog, so
@@ -627,7 +615,6 @@ class Database:
             output_columns,
             backend,
             flavor,
-            device,
             self.external_runtime,
         )
 

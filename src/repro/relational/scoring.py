@@ -25,7 +25,6 @@ def build_scorer(
     payload: object,
     feature_names: Sequence[str] | None,
     backend: str = "numpy",
-    device: object = "cpu",
     external_runtime: Callable[[str], Callable | None] | None = None,
 ) -> Callable[[Table], np.ndarray]:
     """The raw ``Table -> ndarray`` scorer for one model payload.
@@ -42,7 +41,7 @@ def build_scorer(
             from repro.tensor.backends import compiled_pipeline_scorer
 
             predict = compiled_pipeline_scorer(
-                payload, len(features) if features else None, backend, device
+                payload, len(features) if features else None, backend
             )
         if predict is None:  # the interpreter: asked for, or translation failed
             predict = payload.predict
@@ -52,7 +51,7 @@ def build_scorer(
     if flavor == "tensor.graph":
         from repro.tensor.session import InferenceSession
 
-        session = InferenceSession(payload, device=device, backend=backend)
+        session = InferenceSession(payload, backend=backend)
         input_name = session.input_names[0]
 
         def score_graph(table: Table) -> np.ndarray:
@@ -67,7 +66,7 @@ def build_scorer(
             if runner is None:
                 raise ExecutionError(
                     "model flavor 'python.script' has no in-process scorer; "
-                    "use the out-of-process or containerized runtime "
+                    "use the out-of-process runtime "
                     "(Database.register_external_runtime('python', ...))"
                 )
             return np.asarray(runner(str(payload), table), dtype=np.float64)
@@ -93,11 +92,11 @@ class _Pinned:
 
 
 @lru_cache(maxsize=MAX_CACHED_SCORERS)
-def session_scorer(pinned: _Pinned, features, backend, flavor, device):
+def session_scorer(pinned: _Pinned, features, backend, flavor):
     """:func:`build_scorer` for a payload whose scorer owns an inference
     session, cached by payload identity: NN translation + fusion run once
     per plan (or per worker), and retired versions age out of the LRU."""
-    return build_scorer(flavor, pinned.payload, features, backend, device)
+    return build_scorer(flavor, pinned.payload, features, backend)
 
 
 def payload_scorer(
@@ -106,7 +105,6 @@ def payload_scorer(
     output_columns: Sequence[tuple],
     backend: str = "numpy",
     flavor: str = "ml.pipeline",
-    device: object = "cpu",
     external_runtime: Callable[[str], Callable | None] | None = None,
 ) -> Callable[[Table], dict[str, np.ndarray]]:
     """Scorer for a plan-embedded payload, bound to its output names.
@@ -117,10 +115,10 @@ def payload_scorer(
     backend = (backend or "numpy").lower()
     if flavor == "tensor.graph" or (flavor == "ml.pipeline" and backend != "numpy"):
         features = None if feature_names is None else tuple(feature_names)
-        scorer = session_scorer(_Pinned(payload), features, backend, flavor, device)
+        scorer = session_scorer(_Pinned(payload), features, backend, flavor)
     else:
         scorer = build_scorer(
-            flavor, payload, feature_names, backend, device, external_runtime
+            flavor, payload, feature_names, backend, external_runtime
         )
     return _bind_output_names(scorer, [name for name, _dtype in output_columns])
 

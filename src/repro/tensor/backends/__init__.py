@@ -2,40 +2,44 @@
 
 How a model is *executed* dominates PREDICT latency, so execution
 strategy is a physical property the optimizer chooses — not a global
-switch. Three backends implement one protocol:
+switch. Two backends implement one protocol:
 
 - ``numpy``   — the per-node kernel interpreter (default; zero setup);
   a ``TreeEnsemble`` node descends all its trees at once.
 - ``fused``   — graph-level operator fusion, with each ``TreeEnsemble``
   node scored by a per-feature threshold-mask kernel (QuickScorer)
   built from its tree arrays (:mod:`.fused`).
-- ``numba``   — a JIT walk over the same tree arrays behind an optional
-  import; without numba a request for it runs the interpreter
-  (:mod:`.numba_backend`).
 
-The memo offers each *available* compiled backend as an alternative
-Predict implementation and prices it with the coster's per-backend
-setup and per-row constants
+The memo offers ``fused`` as an alternative Predict implementation and
+prices it with the coster's setup and per-row constants
 (:data:`repro.core.optimizer.coster.BACKEND_PROFILES`), so small
 batches keep the interpreter and large scans get compiled execution.
 
 A backend executor is any object with ``execute(tensors, stats)``
 mutating ``tensors`` in place to add every node output — the
-:class:`~repro.tensor.session.InferenceSession` owns feeds, transfer
-accounting and output selection around that call.
+:class:`~repro.tensor.session.InferenceSession` owns feeds, timing and
+output selection around that call.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
-from repro.tensor.device import Device, RunStats
 from repro.tensor.graph import Graph, Node
 
 #: Every backend name the engine knows, in preference order.
-BACKENDS = ("numpy", "fused", "numba")
+BACKENDS = ("numpy", "fused")
+
+
+@dataclass
+class RunStats:
+    """One session run: its wall time and the executor steps it ran."""
+
+    seconds: float = 0.0
+    ops_executed: int = 0
 
 
 class ScoringBackend(Protocol):
@@ -48,53 +52,24 @@ class ScoringBackend(Protocol):
         ...
 
 
-def resolve_backend(
-    name: str, graph: Graph, order: list[Node], device: Device
-) -> tuple["ScoringBackend", str]:
-    """Build the executor for ``name``; returns ``(executor, effective)``.
-
-    ``effective`` may differ from the request: ``numba`` without numba
-    installed transparently degrades to ``numpy``, and compiled
-    backends on a *simulated* device degrade to the interpreter (the
-    simulated GPU's analytical cost model is per-op — fusing ops under
-    it would silently change the modelled time, not the real one).
-    """
-    from repro.tensor.backends.numpy_backend import NumpyExecutor
-
-    requested = (name or "numpy").lower()
-    if requested not in BACKENDS:
+def resolve_backend(name: str, graph: Graph, order: list[Node]) -> ScoringBackend:
+    """Build the executor of backend ``name``, one of :data:`BACKENDS`."""
+    if name not in BACKENDS:
         from repro.errors import TensorError
 
         raise TensorError(
-            f"unknown scoring backend {requested!r}; expected one of {BACKENDS}"
+            f"unknown scoring backend {name!r}; expected one of {BACKENDS}"
         )
-    if requested == "numba":
-        from repro.tensor.backends.numba_backend import numba_available
-
-        if not numba_available():
-            requested = "numpy"
-    if requested != "numpy" and device.is_simulated:
-        requested = "numpy"
-    if requested == "fused":
+    if name == "fused":
         from repro.tensor.backends.fused import FusedExecutor
 
-        return FusedExecutor(graph, order, device), "fused"
-    if requested == "numba":
-        from repro.tensor.backends.numba_backend import NumbaExecutor
+        return FusedExecutor(graph, order)
+    from repro.tensor.backends.numpy_backend import NumpyExecutor
 
-        return NumbaExecutor(graph, order, device), "numba"
-    return NumpyExecutor(graph, order, device), "numpy"
+    return NumpyExecutor(graph, order)
 
 
-def available_compiled_backends() -> tuple[str, ...]:
-    """Compiled backends usable in this process (for the memo rule)."""
-    from repro.tensor.backends.numba_backend import numba_available
-
-    return ("fused", "numba") if numba_available() else ("fused",)
-
-
-def compiled_pipeline_scorer(pipeline, n_features: int, backend: str,
-                             device: str = "cpu"):
+def compiled_pipeline_scorer(pipeline, n_features: int, backend: str):
     """A ``matrix -> predictions`` callable scoring ``pipeline`` through
     a compiled tensor session, or ``None`` when translation fails.
 
@@ -111,7 +86,7 @@ def compiled_pipeline_scorer(pipeline, n_features: int, backend: str,
         if not supports(pipeline):
             return None
         graph = convert(pipeline, n_features=n_features)
-        session = InferenceSession(graph, device=device, backend=backend)
+        session = InferenceSession(graph, backend=backend)
     except Exception:
         return None
     input_name = session.graph.inputs[0]
@@ -139,5 +114,5 @@ def compiled_pipeline_scorer(pipeline, n_features: int, backend: str,
         return np.asarray(out).reshape(len(matrix), -1)[:, 0]
 
     score.session = session
-    score.backend = session.effective_backend
+    score.backend = session.backend
     return score

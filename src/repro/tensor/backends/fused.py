@@ -13,7 +13,7 @@ Two kinds of steps replace per-node execution at session-build time:
 2. **Elementwise chains.** Maximal runs of single-stream elementwise
    ops (scaler arithmetic, activations, casts) execute as one step:
    the intermediate tensors stay in registers-of-the-loop (local
-   variables), skipping the per-node device dispatch and the tensor
+   variables), skipping the per-node dispatch and the tensor
    dictionary traffic.
 
 Which leaf a row reaches: node ``i`` sends the row left when
@@ -27,21 +27,20 @@ are summed by the interpreter kernel's reduction over a ``(trees,
 rows, outputs)`` array, so the output is bit-identical to the
 interpreter's.
 
-Every other node runs per node on the device, so the fused backend
+Every other node runs per node through its kernel, so the fused backend
 accepts *any* valid graph.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 
 from repro.ml.tree import LEAF, TreeStructure
-from repro.tensor.device import Device, RunStats
+from repro.tensor.backends import RunStats
 from repro.tensor.graph import Graph, Node
-from repro.tensor.ops import KERNELS, estimate_cost
+from repro.tensor.ops import KERNELS, kernel_for
 
 #: Elementwise ops fusable into a single-stream chain. Multi-input ops
 #: qualify only when every other operand is a constant initializer.
@@ -199,8 +198,7 @@ class TreeEnsembleStep:
         leaf += self.tree_base
         return leaf
 
-    def run(self, tensors: dict, stats: RunStats, local: threading.local) -> None:
-        start = time.perf_counter()
+    def run(self, tensors: dict, local: threading.local) -> None:
         x = np.asarray(tensors[self.data], dtype=np.float64)
         if x.ndim == 1:
             x = x.reshape(1, -1)
@@ -222,15 +220,6 @@ class TreeEnsembleStep:
             np.take(self.leaf_values, leaf.T, axis=0, out=values, mode="clip")
             values.sum(axis=0, out=out[lo:hi])
         tensors[self.output] = out
-        elapsed = time.perf_counter() - start
-        stats.wall_seconds += elapsed
-        stats.ops_executed += 1
-        # At most one mask word AND per row, tree, word and feature.
-        stats.flops += float(rows * self.trees * self.words * self.n_features)
-        stats.bytes_moved += float(x.nbytes + rows * self.n_out * 8)
-        stats.per_op_seconds["FusedTreeEnsemble"] = (
-            stats.per_op_seconds.get("FusedTreeEnsemble", 0.0) + elapsed
-        )
 
 
 def _leaf_spans(forest: TreeStructure, roots: np.ndarray):
@@ -273,8 +262,7 @@ class ElementwiseChainStep:
         self.constants = constants
         self.output = nodes[-1].outputs[0]
 
-    def run(self, tensors: dict, stats: RunStats, local: threading.local) -> None:
-        start = time.perf_counter()
+    def run(self, tensors: dict, local: threading.local) -> None:
         produced = {}
         value = None
         for node in self.nodes:
@@ -288,16 +276,7 @@ class ElementwiseChainStep:
                     values.append(tensors[name])
             value = np.asarray(KERNELS[node.op_type](values, node.attrs)[0])
             produced[node.outputs[0]] = value
-            cost = estimate_cost(node.op_type, values)
-            stats.flops += cost.flops
-            stats.bytes_moved += cost.bytes_moved
         tensors[self.output] = value
-        elapsed = time.perf_counter() - start
-        stats.wall_seconds += elapsed
-        stats.ops_executed += 1
-        stats.per_op_seconds["FusedElementwise"] = (
-            stats.per_op_seconds.get("FusedElementwise", 0.0) + elapsed
-        )
 
 
 class FusedExecutor:
@@ -305,9 +284,8 @@ class FusedExecutor:
 
     name = "fused"
 
-    def __init__(self, graph: Graph, order: list[Node], device: Device):
+    def __init__(self, graph: Graph, order: list[Node]):
         self.graph = graph
-        self.device = device
         self.plan = _build_plan(graph, order)
         self._local = threading.local()
         self.fused_tree_steps = sum(
@@ -318,18 +296,16 @@ class FusedExecutor:
         )
 
     def execute(self, tensors: dict, stats: RunStats) -> None:
-        device = self.device
         local = self._local
         for kind, step in self.plan:
             if kind == "node":
                 values = [tensors[name] for name in step.inputs]
-                results = device.run_node(
-                    step.op_type, values, step.attrs, stats
-                )
+                results = kernel_for(step.op_type)(values, step.attrs)
                 for name, value in zip(step.outputs, results):
                     tensors[name] = np.asarray(value)
             else:
-                step.run(tensors, stats, local)
+                step.run(tensors, local)
+        stats.ops_executed += len(self.plan)
 
 
 # -- plan construction -------------------------------------------------------

@@ -1,18 +1,17 @@
 """The interpreted numpy backend (the default).
 
-One :func:`~repro.tensor.ops.kernel_for` dispatch per node, routed
-through the session's device so wall-clock (CPU) or analytical
-(simulated GPU) accounting stays exactly as it always was. Zero
-setup cost, best per-row cost at small batch sizes — the serving
-sweet spot the cost model keeps it for.
+One :func:`~repro.tensor.ops.kernel_for` dispatch per node. Zero setup
+cost, best per-row cost at small batch sizes — the serving sweet spot
+the cost model keeps it for.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.device import Device, RunStats
+from repro.tensor.backends import RunStats
 from repro.tensor.graph import Graph, Node
+from repro.tensor.ops import kernel_for
 
 
 class NumpyExecutor:
@@ -20,15 +19,14 @@ class NumpyExecutor:
 
     name = "numpy"
 
-    def __init__(self, graph: Graph, order: list[Node], device: Device):
+    def __init__(self, graph: Graph, order: list[Node]):
         self.graph = graph
         self.order = order
-        self.device = device
 
     def execute(self, tensors: dict, stats: RunStats) -> None:
-        device = self.device
         for node in self.order:
             values = [tensors[name] for name in node.inputs]
-            results = device.run_node(node.op_type, values, node.attrs, stats)
+            results = kernel_for(node.op_type)(values, node.attrs)
             for name, value in zip(node.outputs, results):
                 tensors[name] = np.asarray(value)
+        stats.ops_executed += len(self.order)

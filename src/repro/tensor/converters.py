@@ -2,29 +2,17 @@
 
 This is the paper's §4.2 "NN translation" — classical ML operators (trees,
 linear models) and featurizers (scalers, one-hot encoders) become linear
-algebra so they run on the NN runtime, including the (simulated) GPU.
+algebra so they run on the NN runtime.
 
 A tree ensemble becomes one ``TreeEnsemble`` node: the input matrix plus
 the trees' ``TreeStructure`` arrays, concatenated, and one root per tree.
 It outputs the leaf payloads summed over the trees; the forest mean and
 the boosting rate and init stay ordinary ``Div``/``Mul``/``Add`` nodes.
-Each consumer lowers the node itself:
+Each backend lowers the node itself:
 
 - the interpreter descends every tree at once, level by level
   (``TreeStructure.decision_path_apply``);
-- ``fused`` builds QuickScorer threshold-mask tables from the arrays;
-- ``numba`` walks each row down each tree in a JIT loop;
-- :func:`lower_tree_ensembles` emits the GEMM encoding (the same
-  construction this paper's authors later published as Hummingbird,
-  Nakandala et al., OSDI 2020), which the simulated GPU scores: with A
-  the feature-test matrix, B the thresholds, C the leaf/ancestor
-  incidence matrix, D the left-turn counts and V the leaf payload
-  matrix,
-
-      S = cast(X @ A <= B)        # which internal tests pass
-      T = S @ C                   # per-leaf path agreement score
-      R = cast(T == D)            # exactly one 1 per row: the reached leaf
-      Y = R @ V                   # leaf payloads
+- ``fused`` builds QuickScorer threshold-mask tables from the arrays.
 
 Every converter returns the name of the tensor holding its output inside
 the graph being built; :func:`convert` assembles the full model graph with
@@ -55,10 +43,8 @@ from repro.ml.tree import (
     LEAF,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
-    TreeStructure,
 )
 from repro.tensor.graph import Graph, Node
-from repro.tensor.optimizer import prune_unused_initializers
 
 
 def convert(model, n_features: int | None = None, input_name: str = "X") -> Graph:
@@ -281,132 +267,12 @@ def _tree_arrays(graph: Graph, node: Node) -> tuple[np.ndarray, ...]:
     return tuple(graph.initializers[name] for name in node.inputs[1:])
 
 
-def _split_trees(feature, threshold, left, right, value, roots):
-    """Each root's tree as its own :class:`TreeStructure`, its nodes
-    renumbered from 0 in level order."""
-    forest = TreeStructure(left, right, feature, threshold, value)
-    trees = []
-    for root in roots:
-        nodes = np.concatenate(forest.levels(root))
-        local = np.zeros(len(feature), dtype=np.int64)
-        local[nodes] = np.arange(len(nodes))
-        leaf = feature[nodes] == LEAF
-        trees.append(TreeStructure(
-            np.where(leaf, LEAF, local[left[nodes]]),
-            np.where(leaf, LEAF, local[right[nodes]]),
-            feature[nodes],
-            threshold[nodes],
-            value[nodes],
-        ))
-    return trees
-
-
-def tree_gemm_matrices(tree: TreeStructure, n_features: int):
-    """The (A, B, C, D, V) matrices of the GEMM tree encoding."""
-    internal = np.nonzero(tree.feature != -1)[0]
-    internal_pos = {int(node): i for i, node in enumerate(internal)}
-    leaves = tree.leaves_dfs()
-    leaf_pos = {int(node): i for i, node in enumerate(leaves)}
-    n_internal, n_leaves = len(internal), len(leaves)
-    A = np.zeros((n_features, max(n_internal, 1)))
-    B = np.zeros((1, max(n_internal, 1)))
-    for node, i in internal_pos.items():
-        A[tree.feature[node], i] = 1.0
-        B[0, i] = tree.threshold[node]
-    C = np.zeros((max(n_internal, 1), n_leaves))
-    D = np.zeros((1, n_leaves))
-    paths = tree.paths()
-    # paths() and leaves_dfs() enumerate leaves in the same DFS order.
-    for leaf_node, conditions in zip(leaves, paths):
-        leaf = leaf_pos[leaf_node]
-        # Recover internal node ids along the path by replaying it.
-        node = 0
-        for feature, threshold, goes_left in conditions:
-            i = internal_pos[node]
-            if goes_left:
-                C[i, leaf] = 1.0
-                D[0, leaf] += 1.0
-                node = int(tree.children_left[node])
-            else:
-                C[i, leaf] = -1.0
-                node = int(tree.children_right[node])
-    V = np.vstack([tree.value[node] for node in leaves])
-    return A, B, C, D, V
-
-
-def _emit_gemm_tree(graph: Graph, data: str, tree: TreeStructure, n_features: int) -> str:
-    """Emit one tree's GEMM chain; returns the (n, n_out) leaf-payload tensor."""
-    A, B, C, D, V = tree_gemm_matrices(tree, n_features)
-    if (tree.feature != -1).sum() == 0:
-        # Degenerate single-leaf tree: broadcast the constant payload.
-        zeros = graph.add_initializer(
-            graph.fresh_name("zeros"), np.zeros((n_features, V.shape[1]))
-        )
-        payload = graph.add_initializer(graph.fresh_name("leaf"), V[:1])
-        return graph.add_node("Gemm", [data, zeros, payload])[0]
-    a = graph.add_initializer(graph.fresh_name("A"), A)
-    b = graph.add_initializer(graph.fresh_name("B"), B)
-    c = graph.add_initializer(graph.fresh_name("C"), C)
-    d = graph.add_initializer(graph.fresh_name("D"), D)
-    v = graph.add_initializer(graph.fresh_name("V"), V)
-    scores = graph.add_node("MatMul", [data, a])[0]
-    passed = graph.add_node("LessOrEqual", [scores, b])[0]
-    s_float = graph.add_node("Cast", [passed], to="float64")[0]
-    agreement = graph.add_node("MatMul", [s_float, c])[0]
-    reached = graph.add_node("Equal", [agreement, d])[0]
-    r_float = graph.add_node("Cast", [reached], to="float64")[0]
-    return graph.add_node("MatMul", [r_float, v])[0]
-
-
-def _emit_finite_input(graph: Graph, data: str) -> str:
-    """Three ops mapping NaN and ``+inf`` to the largest float and
-    ``-inf`` to its negative, leaving finite values alone.
-
-    Stage 1 of the GEMM encoding is ``MatMul(X, A)``, where a NaN or
-    infinite feature would poison every test of its row (``NaN * 0``).
-    Finite stand-ins keep the products exact and route the row as the
-    tree walk does: NaN and ``+inf`` fail ``x <= t`` and go right,
-    ``-inf`` passes and goes left.
-    """
-    largest = np.finfo(np.float64).max
-    bound = graph.add_initializer(graph.fresh_name("largest"), np.asarray(largest))
-    below = graph.add_node("Less", [data, bound])[0]
-    capped = graph.add_node("Where", [below, data, bound])[0]
-    return graph.add_node("Clip", [capped], min=-largest)[0]
-
-
-def lower_tree_ensembles(graph: Graph) -> Graph:
-    """A copy of ``graph`` with every ``TreeEnsemble`` node replaced by
-    the GEMM encoding: the ensemble's input made finite once
-    (:func:`_emit_finite_input`), one 7-op chain per tree (a ``Gemm``
-    broadcast for a single-leaf tree) and an ``Add`` chain summing them.
-
-    This is the form the paper measures on the GPU, so the simulated
-    device scores it.
-    """
-    lowered = graph.copy()
-    for node in [n for n in lowered.nodes if n.op_type == "TreeEnsemble"]:
-        n_features = node.attrs["n_features"]
-        data = _emit_finite_input(lowered, node.inputs[0])
-        per_tree = [
-            _emit_gemm_tree(lowered, data, tree, n_features)
-            for tree in _split_trees(*_tree_arrays(lowered, node))
-        ]
-        total = per_tree[0]
-        for other in per_tree[1:]:
-            total = lowered.add_node("Add", [total, other])[0]
-        lowered.nodes = [n for n in lowered.nodes if n is not node]
-        lowered.producers()[total].outputs = list(node.outputs)
-    lowered = prune_unused_initializers(lowered)
-    lowered.validate()
-    return lowered
-
-
 def gemm_node_count(graph: Graph) -> int:
-    """``len(lower_tree_ensembles(graph).nodes)``, without lowering: an
-    ensemble's finite-input guard is 3 ops, a tree with an internal node
-    7, a single-leaf tree 1, and each tree after the first adds one
-    ``Add``."""
+    """The op count of ``graph`` with its tree ensembles in the GEMM
+    encoding, as ``benchmarks/simulated_gpu.py`` lowers them, without
+    lowering: an ensemble's finite-input guard is 3 ops, a tree with an
+    internal node 7, a single-leaf tree 1, and each tree after the first
+    adds one ``Add``."""
     count = 0
     for node in graph.nodes:
         if node.op_type != "TreeEnsemble":

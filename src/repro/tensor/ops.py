@@ -1,29 +1,17 @@
 """Operator kernels for the tensor runtime.
 
 Each kernel is a pure function ``(inputs, attrs) -> outputs`` over NumPy
-arrays, registered in :data:`KERNELS` by ONNX-style op name. Kernels also
-report a rough cost descriptor (flops + bytes moved) so the simulated GPU
-device can price them (see :mod:`repro.tensor.device`).
+arrays, registered in :data:`KERNELS` by ONNX-style op name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import UnsupportedOpError
 from repro.ml.tree import TreeStructure
-
-
-@dataclass(frozen=True)
-class OpCost:
-    """Approximate cost of one kernel invocation."""
-
-    flops: float
-    bytes_moved: float
-
 
 KernelFn = Callable[[Sequence[np.ndarray], dict], list[np.ndarray]]
 
@@ -45,22 +33,6 @@ def kernel_for(op_type: str) -> KernelFn:
         return KERNELS[op_type]
     except KeyError:
         raise UnsupportedOpError(f"no kernel for op {op_type!r}") from None
-
-
-def estimate_cost(op_type: str, inputs: Sequence[np.ndarray]) -> OpCost:
-    """Flops/bytes estimate used by the simulated GPU cost model."""
-    total_bytes = float(sum(x.nbytes for x in inputs))
-    if op_type in ("MatMul", "Gemm"):
-        a = inputs[0]
-        b = inputs[1]
-        m = float(np.prod(a.shape[:-1]))
-        k = float(a.shape[-1])
-        n = float(b.shape[-1] if b.ndim > 1 else 1)
-        return OpCost(flops=2.0 * m * k * n, bytes_moved=total_bytes + m * n * 8)
-    size = float(max((np.prod(x.shape) for x in inputs), default=0.0))
-    if op_type in ("Softmax", "Exp", "Sigmoid", "Tanh"):
-        return OpCost(flops=8.0 * size, bytes_moved=2 * total_bytes)
-    return OpCost(flops=size, bytes_moved=2 * total_bytes)
 
 
 # -- elementwise -------------------------------------------------------------

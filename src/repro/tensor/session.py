@@ -1,7 +1,7 @@
 """Inference sessions (the mini-ONNX-Runtime API).
 
-An :class:`InferenceSession` owns an optimized copy of a graph, a device,
-a scoring backend, and the cached topological order, mirroring ORT's
+An :class:`InferenceSession` owns an optimized copy of a graph, a
+scoring backend, and the cached topological order, mirroring ORT's
 session object. Creating a session is the expensive step (graph
 optimization, fusion planning); running it is cheap — which is
 why PREDICT caches scorers (Fig. 3, observation ii):
@@ -13,16 +13,12 @@ hash*: two sessions built from identical model bundles (the common case
 — every worker, every cache-miss rebuild, every backend) share one
 ``optimize()`` run and one optimized graph. The memoized graph is
 executed read-only, never mutated.
-
-A session on a simulated device scores the GEMM lowering of the
-graph's tree ensembles (:func:`~repro.tensor.converters.lower_tree_ensembles`):
-its analytical cost model is per op, and the GEMM encoding is what the
-paper measures on the GPU.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Mapping, Sequence
 
@@ -30,9 +26,7 @@ import numpy as np
 
 from repro.errors import TensorError
 from repro.observability import events
-from repro.tensor.backends import resolve_backend
-from repro.tensor.converters import lower_tree_ensembles
-from repro.tensor.device import Device, RunStats, get_device
+from repro.tensor.backends import RunStats, resolve_backend
 from repro.tensor.graph import Graph, Node
 from repro.tensor.optimizer import optimize
 
@@ -73,23 +67,17 @@ class InferenceSession:
     def __init__(
         self,
         graph: Graph,
-        device: str | Device = "cpu",
         optimize_graph: bool = True,
         backend: str = "numpy",
     ):
         graph.validate()
-        self.device: Device = get_device(device) if not isinstance(device, Device) else device
         self.backend = (backend or "numpy").lower()
-        if self.device.is_simulated:
-            graph = lower_tree_ensembles(graph)
         if optimize_graph:
             self.graph, self._order = _optimized_graph(graph)
         else:
             self.graph = graph.copy()
             self._order = self.graph.topological_order()
-        self._executor, self.effective_backend = resolve_backend(
-            self.backend, self.graph, self._order, self.device
-        )
+        self._executor = resolve_backend(self.backend, self.graph, self._order)
         self.last_run_stats: RunStats | None = None
 
     @property
@@ -117,23 +105,19 @@ class InferenceSession:
             tensors[name] = fed
             if fed.ndim >= 1:
                 rows = max(rows, int(fed.shape[0]))
-        self.device.account_transfer(
-            [tensors[name] for name in self.graph.inputs], stats
-        )
+        start = time.perf_counter()
         self._executor.execute(tensors, stats)
+        stats.seconds = time.perf_counter() - start
         produced = []
         for name in wanted:
             if name not in tensors:
                 raise TensorError(f"unknown output {name!r}")
             produced.append(tensors[name])
-        self.device.account_transfer(produced, stats)
         self.last_run_stats = stats
         if events.BUS.active:
             events.emit(
                 "backend.run",
-                backend=self.effective_backend,
-                requested=self.backend,
-                device=self.device.name,
+                backend=self.backend,
                 rows=rows,
                 seconds=stats.seconds,
             )
@@ -147,12 +131,3 @@ class InferenceSession:
                 f"{len(self.graph.inputs)}"
             )
         return self.run({self.graph.inputs[0]: feed})[0]
-
-    def benchmark(self, feeds: Mapping[str, np.ndarray], repeats: int = 3) -> float:
-        """Median authoritative run time over ``repeats`` runs (seconds)."""
-        times = []
-        for _ in range(repeats):
-            self.run(feeds)
-            assert self.last_run_stats is not None
-            times.append(self.last_run_stats.seconds)
-        return float(np.median(times))

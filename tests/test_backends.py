@@ -1,7 +1,7 @@
 """Tests for pluggable compiled scoring backends.
 
 Covers backend equivalence (row-identical predictions across numpy /
-fused / numba for randomized pipelines, including empty and singleton
+fused for randomized pipelines, including empty and singleton
 batches), the memo's cost-based backend crossover (interpreter at small
 batches, compiled at large scans, asserted via EXPLAIN), the process-wide
 graph-optimization memo and its ``session_cache.*`` events, the
@@ -16,7 +16,6 @@ import pathlib
 import subprocess
 import sys
 import textwrap
-import threading
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from repro.core.optimizer.coster import BACKEND_PROFILES
 from repro.errors import TensorError
 from repro.distributed import serialize, worker
 from repro.distributed.operators import ShardScan
-from repro.distributed.shards import ShardedTable, ShardingSpec
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -41,21 +39,15 @@ from repro.relational.algebra import logical
 from repro.relational.algebra.executor import ExecutionOptions
 from repro.relational.database import Database
 from repro.relational.table import Table
+from benchmarks.simulated_gpu import GPUSession, lower_tree_ensembles
 from repro.tensor.backends import (
     BACKENDS,
-    available_compiled_backends,
     compiled_pipeline_scorer,
     resolve_backend,
 )
 from repro.tensor.backends import fused
 from repro.tensor.backends.fused import FusedExecutor
-from repro.tensor.backends.numba_backend import (
-    NumbaTreeStep,
-    numba_available,
-    walk_trees,
-)
-from repro.tensor.converters import convert, lower_tree_ensembles, supports
-from repro.tensor.device import RunStats
+from repro.tensor.converters import convert, gemm_node_count, supports
 from repro.tensor.session import InferenceSession, clear_optimization_memo
 
 N_FEATURES = 5
@@ -183,26 +175,51 @@ class TestBackendEquivalence:
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize(
-        "backend, device",
+        "kind, splitting_trees",
         [
-            pytest.param(name, "cpu", id=name)
-            for name in ("numpy",) + available_compiled_backends()
-        ]
-        # The simulated GPU scores the GEMM lowering.
-        + [pytest.param("numpy", "gpu", id="gpu")],
+            ("tree", 1),
+            ("forest", 12),
+            ("gbr", 15),
+            ("classifier", 1),
+            ("gbr_6a", 10),
+            ("single_leaf", 0),
+        ],
     )
+    def test_gemm_lowering_replaces_every_tree(self, kind, splitting_trees):
+        # One ``LessOrEqual`` per tree with a split, no ``TreeEnsemble``
+        # left, and exactly the op count the coster prices the
+        # interpreter by.
+        make, rows = NULL_CASES.get(kind) or (MODELS[kind], [_NULL_ROW])
+        graph = convert(make(seed=11), n_features=len(rows[0]))
+        lowered = lower_tree_ensembles(graph)
+        ops = lowered.op_counts()
+        assert "TreeEnsemble" not in ops
+        assert ops.get("LessOrEqual", 0) == splitting_trees
+        assert gemm_node_count(graph) == len(lowered.nodes)
+
+    # ``gpu`` is Fig. 2(d)'s simulated GPU, which scores the GEMM
+    # lowering: its finite-input guard must route NaN and +-inf as the
+    # tree walk does.
+    @pytest.mark.parametrize("route", BACKENDS + ("gpu",))
     @pytest.mark.parametrize("batch", [1, 7, 3000])
     @pytest.mark.parametrize("kind", sorted(NULL_CASES))
-    def test_fused_matches_predict_on_null_features(
-        self, kind, batch, backend, device
-    ):
+    def test_fused_matches_predict_on_null_features(self, kind, batch, route):
         # NaN fails every test on its feature (``NaN <= t`` is false)
         # and no other: the row's other features still route it.
         make, rows = NULL_CASES[kind]
         model = make(seed=11)
         n_features = len(rows[0])
-        score = compiled_pipeline_scorer(model, n_features, backend, device)
-        assert score.backend == backend
+        if route == "gpu":
+            graph = convert(model, n_features=n_features)
+            session = GPUSession(graph)
+
+            def score(X):
+                out = session.run({graph.inputs[0]: X})[0]
+                return out.reshape(len(X), -1)[:, 0]
+
+        else:
+            score = compiled_pipeline_scorer(model, n_features, route)
+            assert score.backend == route
         rng = np.random.default_rng(batch)
         X = rng.normal(size=(batch, n_features))
         X[rng.random(X.shape) < 0.2] = np.nan
@@ -247,36 +264,6 @@ class TestBackendEquivalence:
         monkeypatch.undo()
         np.testing.assert_allclose(
             out.ravel(), model.predict(X), rtol=1e-9, atol=1e-9
-        )
-
-    def test_numba_step_walks_the_tree_arrays(self):
-        # Runs on every leg: the step holds each tree's TreeStructure
-        # arrays, and the JIT kernel's function, run undecorated when
-        # numba is absent, walks them as ``predict`` does, NaN and
-        # +-inf included.
-        model = _forest(seed=5)
-        session = InferenceSession(
-            convert(model, n_features=N_FEATURES), backend="fused"
-        )
-        step = next(s for k, s in session._executor.plan if k == "tree")
-        feature, threshold, left, right, value, roots = NumbaTreeStep(step).arrays
-        for root, estimator in zip(roots, model.estimators_):
-            tree = estimator.tree_
-            nodes = slice(root, root + tree.node_count)
-            inner = tree.feature != -1
-            assert np.array_equal(feature[nodes], tree.feature)
-            assert np.array_equal(threshold[nodes], tree.threshold)
-            assert np.array_equal(left[nodes][inner], tree.children_left[inner] + root)
-            assert np.array_equal(right[nodes][inner], tree.children_right[inner] + root)
-            assert np.array_equal(value[nodes], tree.value)
-        X = np.random.default_rng(6).normal(size=(300, N_FEATURES))
-        X[::3, 1] = np.nan
-        X[::5, 0] = np.inf
-        X[::7, 2] = -np.inf
-        out = np.zeros((len(X), 1))
-        walk_trees(X, feature, threshold, left, right, value, roots, out)
-        np.testing.assert_allclose(
-            out[:, 0] / len(roots), model.predict(X), rtol=1e-9, atol=1e-9
         )
 
     def test_fused_executor_actually_fuses_tree_ensembles(self):
@@ -326,39 +313,7 @@ class TestBackendResolution:
         with pytest.raises(TensorError):
             InferenceSession(graph, backend="tvm")
         with pytest.raises(TensorError):
-            resolve_backend("tvm", graph, graph.topological_order(), None)
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed; fallback not exercised"
-    )
-    def test_numba_degrades_to_numpy_when_absent(self):
-        session = InferenceSession(
-            convert(_tree(seed=1), n_features=N_FEATURES), backend="numba"
-        )
-        assert session.backend == "numba"
-        assert session.effective_backend == "numpy"
-        assert available_compiled_backends() == ("fused",)
-
-    @pytest.mark.skipif(
-        not numba_available(), reason="numba not installed"
-    )
-    def test_numba_is_offered_when_present(self):
-        assert available_compiled_backends() == ("fused", "numba")
-        session = InferenceSession(
-            convert(_forest(seed=1), n_features=N_FEATURES), backend="numba"
-        )
-        assert session.effective_backend == "numba"
-
-    def test_compiled_backends_degrade_on_simulated_device(self):
-        # The simulated GPU's analytical accounting is per-op; fusing
-        # under it would silently change modelled time, so compiled
-        # requests degrade to the interpreter there.
-        session = InferenceSession(
-            convert(_forest(seed=1), n_features=N_FEATURES),
-            device="gpu",
-            backend="fused",
-        )
-        assert session.effective_backend == "numpy"
+            resolve_backend("tvm", graph, graph.topological_order())
 
     def test_backend_run_event_carries_effective_backend(self):
         seen = []
@@ -404,10 +359,6 @@ class TestGraphOptMemo:
             "session_cache.graph_opt_hit",
         ]
         assert interpreted.graph is fused.graph
-        # The simulated device scores the GEMM lowering.
-        gpu = InferenceSession(graph, device="gpu")
-        ops = gpu.graph.op_counts()
-        assert "TreeEnsemble" not in ops and ops["LessOrEqual"] == 12
 
     def test_content_hash_distinguishes_weights(self):
         a = convert(_tree(seed=1), n_features=N_FEATURES)
@@ -424,16 +375,15 @@ class TestBackendProfiles:
         # produce (a handful of trees up to a wide forest), the memo
         # must keep the interpreter at 64 rows and flip to compiled by
         # 8192.
-        for name in ("fused", "numba"):
-            setup, row_scale = BACKEND_PROFILES[name]
-            assert setup > 0 and 0 < row_scale < 1
-            for per_row in (15.0, 380.0):
-                interp_64 = 64 * per_row
-                compiled_64 = setup + 64 * per_row * row_scale
-                assert interp_64 < compiled_64, (name, per_row)
-                interp_8k = 8192 * per_row
-                compiled_8k = setup + 8192 * per_row * row_scale
-                assert compiled_8k < interp_8k, (name, per_row)
+        setup, row_scale = BACKEND_PROFILES["fused"]
+        assert setup > 0 and 0 < row_scale < 1
+        for per_row in (15.0, 380.0):
+            interp_64 = 64 * per_row
+            compiled_64 = setup + 64 * per_row * row_scale
+            assert interp_64 < compiled_64, per_row
+            interp_8k = 8192 * per_row
+            compiled_8k = setup + 8192 * per_row * row_scale
+            assert compiled_8k < interp_8k, per_row
 
     def test_explain_cost_is_the_same_in_every_process(self):
         # A fused Predict's price is the coster's constants, not a
@@ -579,7 +529,6 @@ class TestOptimizerCrossover:
         graph = convert(model, n_features=N_FEATURES)
         fused = InferenceSession(graph, backend="fused")
         assert fused.backend == "fused"
-        assert fused.effective_backend == "fused"
 
 
 class TestDistributedBackends:

@@ -381,7 +381,7 @@ class TestSQLAnalyzer:
         )
         [predict] = _predicts(plan)
         assert op_name(predict) == "la.tensor_graph"
-        assert dict(predict.extra) == {"device": "cpu"}
+        assert dict(predict.extra) == {}
 
     def test_script_flavor_falls_back_to_udf(self, simple_db):
         simple_db.store_model(

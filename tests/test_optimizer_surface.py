@@ -313,10 +313,13 @@ def test_settings_surface_is_pinned():
     silent default."""
     import dataclasses
 
+    from repro.core.optimizer.coster import BACKEND_PROFILES
     from repro.observability import QueryLogProfiler, WorkloadWatchdog
     from repro.relational.algebra.executor import ExecutionOptions
     from repro.relational.algebra.logical import Predict
     from repro.relational.database import Database
+    from repro.tensor import InferenceSession
+    from repro.tensor.backends import BACKENDS
 
     def parameters(cls):
         return list(inspect.signature(cls.__init__).parameters)[1:]
@@ -364,3 +367,8 @@ def test_settings_surface_is_pinned():
         "max_queries",
         "seed",
     ]
+    # One scoring device, two backends: a device or a backend that comes
+    # back is an edit here.
+    assert parameters(InferenceSession) == ["graph", "optimize_graph", "backend"]
+    assert BACKENDS == ("numpy", "fused")
+    assert set(BACKEND_PROFILES) == {"fused"}

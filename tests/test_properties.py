@@ -34,7 +34,7 @@ from repro.relational.expressions import BinaryOp, col, conjoin, lit
 from repro.relational.sql.parser import parse_expression
 from repro.relational.table import Table
 from repro.tensor import InferenceSession, convert
-from repro.tensor.backends import available_compiled_backends, compiled_pipeline_scorer
+from repro.tensor.backends import BACKENDS, compiled_pipeline_scorer
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -195,7 +195,7 @@ def ensemble_and_rows(draw):
     return kind, model, np.array(rows, dtype=np.float64)
 
 
-@pytest.mark.parametrize("backend", ("numpy",) + available_compiled_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None)
 @given(case=ensemble_and_rows())
 def test_fused_tree_kernel_matches_predict(backend, case):

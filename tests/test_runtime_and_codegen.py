@@ -6,8 +6,7 @@ import pytest
 
 from repro import RavenSession, Table
 from repro.core.codegen import generate_sql
-from repro.core.runtime import ContainerRuntime, ModelServer, OutOfProcessRuntime
-from repro.core.vocabulary import op_name
+from repro.core.runtime import OutOfProcessRuntime
 from repro.data import hospital
 from repro.errors import RuntimeDispatchError
 from repro.ml import DecisionTreeRegressor, Pipeline, StandardScaler
@@ -69,27 +68,6 @@ class TestRavenSessionEndToEnd:
         assert set(result.timings) == {"analyze", "optimize", "execute"}
         assert session.last_analysis_seconds is not None
         assert session.last_analysis_seconds < 0.2
-
-    def test_gpu_device_option(self, hospital_small):
-        db, _, _ = hospital_small
-        session = RavenSession(
-            db,
-            options={
-                "enable_inlining": False,
-                "enable_nn_translation": True,
-                "device": "gpu",
-            },
-        )
-        result = session.execute(hospital.INFERENCE_QUERY)
-        [predict] = [
-            op for op in result.plan.walk() if op_name(op) == "la.tensor_graph"
-        ]
-        assert dict(predict.extra)["device"] == "gpu"
-        baseline = RavenSession(db).execute(hospital.INFERENCE_QUERY)
-        assert sorted(result.table.column("id").tolist()) == sorted(
-            baseline.table.column("id").tolist()
-        )
-
 
 class TestCodegen:
     def test_generated_sql_reexecutes_identically(self):
@@ -201,42 +179,6 @@ class TestOutOfProcess:
         runtime = OutOfProcessRuntime()
         with pytest.raises(RuntimeDispatchError):
             runtime.run_script("x = 1", table)
-
-
-class TestContainerized:
-    def test_rest_scoring_matches(self, small_model_bundle):
-        pipe, bundle, table, X = small_model_bundle
-        with ContainerRuntime(
-            bundle, simulated_container_start_seconds=0.0
-        ) as runtime:
-            out = runtime.score(table)
-            assert np.allclose(out, pipe.predict(X))
-            assert runtime.last_request_seconds is not None
-
-    def test_server_rejects_bad_route(self, small_model_bundle):
-        pipe, _, _, _ = small_model_bundle
-        import http.client
-        import json
-
-        with ModelServer(pipe) as server:
-            host, port = server.address
-            connection = http.client.HTTPConnection(host, port, timeout=10)
-            connection.request("POST", "/nope", body="{}")
-            assert connection.getresponse().status == 404
-            connection.close()
-
-    def test_server_reports_scoring_errors(self, small_model_bundle):
-        pipe, _, _, _ = small_model_bundle
-        import http.client
-        import json
-
-        with ModelServer(pipe) as server:
-            host, port = server.address
-            connection = http.client.HTTPConnection(host, port, timeout=10)
-            body = json.dumps({"matrix": [["not-a-number"]]})
-            connection.request("POST", "/predict", body=body)
-            assert connection.getresponse().status == 500
-            connection.close()
 
 
 class TestExternalScriptStatement:

@@ -143,11 +143,11 @@ class TestScorerEquivalence:
             "inline fused": db.resolve_inline_scorer(
                 model, FEATURES, OUT, "fused"
             ),
-            "graph cpu": db.resolve_inline_scorer(
-                graph, FEATURES, OUT, flavor="tensor.graph", device="cpu"
+            "graph": db.resolve_inline_scorer(
+                graph, FEATURES, OUT, flavor="tensor.graph"
             ),
-            "graph gpu": db.resolve_inline_scorer(
-                graph, FEATURES, OUT, flavor="tensor.graph", device="gpu"
+            "graph fused": db.resolve_inline_scorer(
+                graph, FEATURES, OUT, "fused", flavor="tensor.graph"
             ),
             "worker": worker._WorkerModelResolver().resolve_inline_scorer(
                 model, FEATURES, OUT, "fused"
@@ -158,32 +158,23 @@ class TestScorerEquivalence:
                 scorer(table)["y"], expected, atol=1e-9, err_msg=name
             )
 
-    def test_device_reaches_the_session(self, session_builds):
-        graph = convert(_boosted(seed=5), n_features=N_FEATURES)
-        scoring.build_scorer("tensor.graph", graph, FEATURES, device="gpu")
-        assert [s.device.name for s in session_builds] == ["gpu(simulated)"]
-
     def test_translated_graph_is_what_scores(self, hospital_small, session_builds):
-        """An NN-translated plan scores through its own tensor graph on
-        the requested device, not through the catalog's pipeline."""
+        """An NN-translated plan scores through its own tensor graph, not
+        through the catalog's pipeline."""
         db, _, _ = hospital_small
         plain = RavenSession(db, options={"enable_inlining": False}).execute(
             hospital.INFERENCE_QUERY
         )
-        for device, name in (("cpu", "cpu"), ("gpu", "gpu(simulated)")):
-            scoring.session_scorer.cache_clear()
-            del session_builds[:]
-            result = RavenSession(
-                db,
-                options={
-                    "enable_inlining": False,
-                    "enable_nn_translation": True,
-                    "device": device,
-                },
-            ).execute(hospital.INFERENCE_QUERY)
-            assert _named(result.plan, "la.tensor_graph")
-            assert [s.device.name for s in session_builds] == [name]
-            assert sorted(result.table.rows()) == sorted(plain.table.rows())
+        scoring.session_scorer.cache_clear()
+        del session_builds[:]
+        result = RavenSession(
+            db, options={"enable_inlining": False, "enable_nn_translation": True}
+        ).execute(hospital.INFERENCE_QUERY)
+        [predict] = _named(result.plan, "la.tensor_graph")
+        [built] = session_builds
+        # Same content, same memoized optimized graph.
+        assert built.graph is InferenceSession(predict.payload).graph
+        assert sorted(result.table.rows()) == sorted(plain.table.rows())
 
 
 class TestSessionQueriesRunOnTheEngine:
