@@ -10,8 +10,8 @@ module                job
 ``relational_rules``  filter merge, predicate pushdown, DP join order
 ``ml_rules``          pruning, pushdown, inlining, NN translation, splits
 ``distributed_rules`` scatter-gather, shard joins, aggregate splits
-``cleanup``           the pass over the winner: projection pruning, join
-                      elimination, tensor-graph constant folding
+``cleanup``           the pass over the winner: projection pruning and
+                      join elimination
 ``ml_rewrites``       the model surgery the ML rules call
 ``rules``             offline model clustering
 ===================== ==================================================

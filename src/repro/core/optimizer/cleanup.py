@@ -7,8 +7,9 @@ join becomes eliminable (Fig. 1: ``prenatal_tests``). Both ask what
 *every* consumer above an operator still references. A memo group is
 shared by many parents and has no such context, so these are not memo
 rules: :func:`clean_up` is a pure function over the plan the memo
-extracted. Tensor-graph constant folding rides along because it, too,
-only pays off on the one plan that won.
+extracted. Tensor graphs are left as the plan carries them: the
+inference session that scores one folds it once, when it is built
+(:class:`repro.tensor.session.InferenceSession`).
 
 Plans are immutable and may be DAGs; every step rebuilds bottom-up
 through :func:`logical.transform`, so a shared sub-plan stays one object
@@ -17,14 +18,11 @@ and a step that finds nothing returns the plan it was given.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.core.optimizer.rule import RuleContext
 from repro.relational.algebra import logical
 from repro.relational.expressions import BinaryOp, ColumnRef, conjuncts
-from repro.tensor.optimizer import optimize as optimize_tensor_graph
 
 #: Projection pruning can expose a join to eliminate, which can expose
 #: more items to prune; the rounds are bounded.
@@ -32,10 +30,9 @@ MAX_ROUNDS = 3
 
 
 def clean_up(plan: logical.LogicalOp, context: RuleContext) -> logical.LogicalOp:
-    """Fold tensor graphs, then prune dead projection items and drop the
-    joins that made redundant, until nothing changes. Every rewrite is
-    logged on ``context`` in plan post-order."""
-    plan = _fold_tensor_graphs(plan, context)
+    """Prune dead projection items and drop the joins that made
+    redundant, until nothing changes. Every rewrite is logged on
+    ``context`` in plan post-order."""
     for _ in range(MAX_ROUNDS):
         cleaned = _eliminate_joins(
             _prune_projection_items(plan, context), context
@@ -44,30 +41,6 @@ def clean_up(plan: logical.LogicalOp, context: RuleContext) -> logical.LogicalOp
             break
         plan = cleaned
     return plan
-
-
-# -- tensor-graph constant folding ------------------------------------------
-
-
-def _fold_tensor_graphs(plan, context):
-    """Run constant folding / fusion / DCE inside every tensor graph the
-    memo left in the plan (one stored as such, or one the NN-translation
-    rule produced) — where predicate-derived constants propagate into
-    the network."""
-
-    def fold(op, children):
-        op = logical.rebuild(op, children)
-        if not isinstance(op, logical.Predict) or op.flavor != "tensor.graph":
-            return op
-        folded = optimize_tensor_graph(op.payload)
-        before, after = len(op.payload.nodes), len(folded.nodes)
-        if after < before:
-            context.record(
-                "TensorGraphConstantFolding", f"{before} -> {after} tensor ops"
-            )
-        return replace(op, payload=folded)
-
-    return logical.transform(plan, fold)
 
 
 # -- what the operators above still reference --------------------------------

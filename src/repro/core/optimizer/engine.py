@@ -9,8 +9,9 @@ DP join ordering) and ML rewrites (predicate-based pruning, projection
 pushdown, model inlining, NN translation, model/query splitting) compete
 as memo rules under one cost model. The rewrites that depend on what
 every consumer above an operator references (projection pruning, join
-elimination) and tensor-graph constant folding then run once over the
-winner (:mod:`repro.core.optimizer.cleanup`).
+elimination) then run once over the winner
+(:mod:`repro.core.optimizer.cleanup`). Tensor graphs are folded by the
+inference session that scores them, not by the planner.
 
 Ad-hoc SQL plans with the full rule set, model inlining included.
 Inlining does not defeat the model session cache: an inlined plan

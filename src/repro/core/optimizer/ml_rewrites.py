@@ -565,9 +565,13 @@ def _rebuild_pipeline(
         new_transformers.insert(0, new_transformer)
         current_keep = needed_in
     kept_inputs = list(current_keep)
-    # Remap predictor feature indices onto the kept-final layout.
-    position = {original: i for i, original in enumerate(keep)}
-    new_predictor = _remap_predictor(predictor, position, len(keep))
+    # Remap predictor feature indices onto the kept-final layout; an
+    # identity layout keeps the predictor (remapping clones every tree).
+    if keep == list(range(final_width)):
+        new_predictor = predictor
+    else:
+        position = {original: i for i, original in enumerate(keep)}
+        new_predictor = _remap_predictor(predictor, position, len(keep))
     steps = [(f"step_{i}", t) for i, t in enumerate(new_transformers)]
     steps.append(("predictor", new_predictor))
     if new_transformers:

@@ -57,7 +57,10 @@ def engine_of(op: logical.LogicalOp) -> str:
 
 
 def describe(op: logical.LogicalOp, engine: bool = False) -> str:
-    """One line for ``op``: ``name(detail)``, plus ``[engine]`` on request."""
+    """One line for ``op``: ``name(detail)``, plus ``[engine]`` on request.
+
+    A Predict's detail ends with the memo's ``backend=`` choice, if any.
+    """
     detail = ""
     if isinstance(op, logical.Scan):
         detail = op.table_name + (f" AS {op.alias}" if op.alias else "")
@@ -71,6 +74,9 @@ def describe(op: logical.LogicalOp, engine: bool = False) -> str:
             detail += f" ON {op.condition!r}"
     elif isinstance(op, logical.Predict):
         detail = _describe_model(op)
+        backend = dict(op.extra).get("backend")
+        if backend:
+            detail += f", backend={backend}"
     tag = f" [{engine_of(op)}]" if engine else ""
     return f"{op_name(op)}({detail}){tag}"
 

@@ -19,7 +19,6 @@ Event taxonomy (the complete reference, with payload fields, lives in
 
 - ``serving.submitted / completed / failed / rejected / batch / replan``
 - ``plan_cache.hit / miss / put / evict / invalidate``
-- ``session_cache.graph_opt_hit / graph_opt_miss``
 - ``backend.run``
 - ``optimizer.memo_search``
 - ``distributed.gather / degraded``

@@ -235,8 +235,6 @@ class ServingMetrics:
             registry.counter("serving.replans").inc()
         elif name.startswith("plan_cache."):
             registry.counter(name).inc()
-        elif name.startswith("session_cache."):
-            registry.counter(name).inc()
         elif name == "backend.run":
             backend = attrs.get("backend", "numpy")
             registry.counter(f"backend.{backend}.runs").inc()

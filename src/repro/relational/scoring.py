@@ -4,6 +4,12 @@ A catalog model (:meth:`Database.resolve_scorer`), a payload the plan
 carries (:meth:`Database.resolve_inline_scorer`) and a payload shipped to
 a pool worker are all scored by what :func:`build_scorer` returns.
 Chunking, the thread pool and the column attach stay in the ``Executor``.
+
+A model reaches the tensor runtime one way: a ``tensor.graph`` payload,
+or an ``ml.pipeline`` the memo tagged ``backend=fused``, translated with
+:func:`repro.tensor.converters.convert`. Either builds one
+:class:`~repro.tensor.session.InferenceSession`, and
+:func:`session_scorer` is the only cache of those.
 """
 
 from __future__ import annotations
@@ -35,19 +41,22 @@ def build_scorer(
     database's registry lookup, consulted on every call.
     """
     features = list(feature_names) if feature_names is not None else None
+    width = None
     if flavor == "ml.pipeline":
-        predict = None
-        if backend != "numpy":
-            from repro.tensor.backends import compiled_pipeline_scorer
-
-            predict = compiled_pipeline_scorer(
-                payload, len(features) if features else None, backend
+        if backend == "numpy":
+            return lambda table: np.asarray(
+                payload.predict(table.to_matrix(features)), dtype=np.float64
             )
-        if predict is None:  # the interpreter: asked for, or translation failed
-            predict = payload.predict
-        return lambda table: np.asarray(
-            predict(table.to_matrix(features)), dtype=np.float64
-        )
+        from repro.ml.pipeline import Pipeline
+        from repro.tensor.converters import convert
+
+        # A bare tree predictor reads columns by split index, so
+        # ``predict`` ignores trailing columns of a wider matrix (the
+        # plan passes the whole table when no feature list is declared);
+        # the ``TreeEnsemble`` op checks its trained width, so slice.
+        if not isinstance(payload, Pipeline):
+            width = getattr(payload, "n_features_in_", None)
+        flavor, payload = "tensor.graph", convert(payload)
     if flavor == "tensor.graph":
         from repro.tensor.session import InferenceSession
 
@@ -55,7 +64,10 @@ def build_scorer(
         input_name = session.input_names[0]
 
         def score_graph(table: Table) -> np.ndarray:
-            outputs = session.run({input_name: table.to_matrix(features)})
+            matrix = table.to_matrix(features)
+            if width is not None and matrix.shape[1] > width:
+                matrix = np.ascontiguousarray(matrix[:, :width])
+            outputs = session.run({input_name: matrix})
             return np.asarray(outputs[0]).reshape(len(table), -1)
 
         return score_graph
@@ -94,8 +106,9 @@ class _Pinned:
 @lru_cache(maxsize=MAX_CACHED_SCORERS)
 def session_scorer(pinned: _Pinned, features, backend, flavor):
     """:func:`build_scorer` for a payload whose scorer owns an inference
-    session, cached by payload identity: NN translation + fusion run once
-    per plan (or per worker), and retired versions age out of the LRU."""
+    session, cached by payload identity: NN translation, graph
+    optimization and fusion run once per payload per process, and
+    retired versions age out of the LRU."""
     return build_scorer(flavor, pinned.payload, features, backend)
 
 

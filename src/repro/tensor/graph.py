@@ -181,41 +181,6 @@ class Graph:
                 )
         return ordered
 
-    def content_hash(self) -> str:
-        """A stable digest of the graph's structure *and* weights.
-
-        Two graphs with equal hashes compute the same function, so the
-        hash keys caches that amortize per-graph work (optimization
-        memoization, compiled scoring plans) across sessions built from
-        identical model bundles.
-        """
-        import hashlib
-
-        digest = hashlib.sha1()
-
-        def feed(text: str) -> None:
-            digest.update(text.encode())
-            digest.update(b"\x00")
-
-        feed("|".join(self.inputs))
-        feed("|".join(self.outputs))
-        for node in self.nodes:
-            feed(node.op_type)
-            feed("|".join(node.inputs))
-            feed("|".join(node.outputs))
-            for key in sorted(node.attrs):
-                value = node.attrs[key]
-                if isinstance(value, np.ndarray):
-                    feed(f"{key}=ndarray{value.shape}{value.dtype}")
-                    digest.update(np.ascontiguousarray(value).tobytes())
-                else:
-                    feed(f"{key}={value!r}")
-        for name in sorted(self.initializers):
-            value = self.initializers[name]
-            feed(f"{name}:{value.dtype}:{value.shape}")
-            digest.update(np.ascontiguousarray(value).tobytes())
-        return digest.hexdigest()
-
     def copy(self) -> "Graph":
         return Graph(
             list(self.inputs),

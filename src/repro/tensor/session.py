@@ -2,24 +2,17 @@
 
 An :class:`InferenceSession` owns an optimized copy of a graph, a
 scoring backend, and the cached topological order, mirroring ORT's
-session object. Creating a session is the expensive step (graph
-optimization, fusion planning); running it is cheap — which is
-why PREDICT caches scorers (Fig. 3, observation ii):
+session object. Creating a session is the expensive step: it runs
+:func:`repro.tensor.optimizer.optimize` once (the paper's "constant
+folding within ONNX Runtime") and plans the backend. Running it is
+cheap — which is why PREDICT caches scorers (Fig. 3, observation ii):
 :func:`repro.relational.scoring.session_scorer` keeps one session per
-model payload, keyed by the payload's identity.
-
-Graph optimization is memoized process-wide by the graph's *content
-hash*: two sessions built from identical model bundles (the common case
-— every worker, every cache-miss rebuild, every backend) share one
-``optimize()`` run and one optimized graph. The memoized graph is
-executed read-only, never mutated.
+model payload, keyed by the payload's identity, and is the only cache.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,56 +20,18 @@ import numpy as np
 from repro.errors import TensorError
 from repro.observability import events
 from repro.tensor.backends import RunStats, resolve_backend
-from repro.tensor.graph import Graph, Node
+from repro.tensor.graph import Graph
 from repro.tensor.optimizer import optimize
-
-#: ``content_hash -> (optimized graph, topo order)``.
-_OPT_MEMO: OrderedDict[str, tuple[Graph, list[Node]]] = OrderedDict()
-_OPT_MEMO_LOCK = threading.Lock()
-_OPT_MEMO_CAPACITY = 128
-
-
-def _optimized_graph(graph: Graph) -> tuple[Graph, list[Node]]:
-    key = graph.content_hash()
-    with _OPT_MEMO_LOCK:
-        cached = _OPT_MEMO.get(key)
-        if cached is not None:
-            _OPT_MEMO.move_to_end(key)
-    if cached is not None:
-        events.emit("session_cache.graph_opt_hit", graph=graph.name)
-        return cached
-    events.emit("session_cache.graph_opt_miss", graph=graph.name)
-    optimized = optimize(graph.copy())
-    order = optimized.topological_order()
-    with _OPT_MEMO_LOCK:
-        _OPT_MEMO[key] = (optimized, order)
-        while len(_OPT_MEMO) > _OPT_MEMO_CAPACITY:
-            _OPT_MEMO.popitem(last=False)
-    return optimized, order
-
-
-def clear_optimization_memo() -> None:
-    """Drop memoized optimized graphs (tests, memory pressure)."""
-    with _OPT_MEMO_LOCK:
-        _OPT_MEMO.clear()
 
 
 class InferenceSession:
     """Executable form of a tensor graph."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        optimize_graph: bool = True,
-        backend: str = "numpy",
-    ):
+    def __init__(self, graph: Graph, backend: str = "numpy"):
         graph.validate()
         self.backend = (backend or "numpy").lower()
-        if optimize_graph:
-            self.graph, self._order = _optimized_graph(graph)
-        else:
-            self.graph = graph.copy()
-            self._order = self.graph.topological_order()
+        self.graph = optimize(graph)  # every pass copies: ``graph`` is untouched
+        self._order = self.graph.topological_order()
         self._executor = resolve_backend(self.backend, self.graph, self._order)
         self.last_run_stats: RunStats | None = None
 

@@ -3,10 +3,9 @@
 Covers backend equivalence (row-identical predictions across numpy /
 fused for randomized pipelines, including empty and singleton
 batches), the memo's cost-based backend crossover (interpreter at small
-batches, compiled at large scans, asserted via EXPLAIN), the process-wide
-graph-optimization memo and its ``session_cache.*`` events, the
-coster's per-backend constants, and the distributed fragment protocol
-carrying the backend choice.
+batches, compiled at large scans, asserted via EXPLAIN), the coster's
+per-backend constants, and the distributed fragment protocol carrying
+the backend choice.
 """
 
 from __future__ import annotations
@@ -21,15 +20,26 @@ import numpy as np
 import pytest
 
 from repro.core.optimizer.coster import BACKEND_PROFILES
-from repro.errors import TensorError
+from repro.errors import TensorError, UnsupportedOpError
 from repro.distributed import serialize, worker
 from repro.distributed.operators import ShardScan
 from repro.ml import (
+    Binarizer,
+    ColumnTransformer,
     DecisionTreeClassifier,
     DecisionTreeRegressor,
+    FeatureUnion,
+    KMeans,
+    Lasso,
     LinearRegression,
+    LogisticRegression,
+    MinMaxScaler,
+    MLPClassifier,
     MLPRegressor,
+    OneHotEncoder,
     Pipeline,
+    RandomForestClassifier,
+    Ridge,
     StandardScaler,
 )
 from repro.ml.ensemble import GradientBoostingRegressor, RandomForestRegressor
@@ -38,17 +48,15 @@ from repro.observability.metrics import ServingMetrics
 from repro.relational.algebra import logical
 from repro.relational.algebra.executor import ExecutionOptions
 from repro.relational.database import Database
+from repro.relational.scoring import build_scorer
 from repro.relational.table import Table
 from benchmarks.simulated_gpu import GPUSession, lower_tree_ensembles
-from repro.tensor.backends import (
-    BACKENDS,
-    compiled_pipeline_scorer,
-    resolve_backend,
-)
+from repro.tensor.backends import BACKENDS, resolve_backend
 from repro.tensor.backends import fused
+from repro.tensor import converters
 from repro.tensor.backends.fused import FusedExecutor
 from repro.tensor.converters import convert, gemm_node_count, supports
-from repro.tensor.session import InferenceSession, clear_optimization_memo
+from repro.tensor.session import InferenceSession
 
 N_FEATURES = 5
 
@@ -58,6 +66,32 @@ def _clean_bus():
     events.BUS.reset()
     yield
     events.BUS.reset()
+
+
+def _compiled(model, n_features, backend):
+    """``build_scorer`` scoring ``model`` on a tensor ``backend``, as
+    ``matrix -> predictions``; ``score.ran_on`` is the backend the last
+    call's session ran on. A pipeline tagged ``fused`` is translated by
+    ``build_scorer`` itself; on ``numpy`` an ``ml.pipeline`` means
+    ``predict``, so the interpreter gets the translated graph."""
+    names = None if n_features is None else [f"f{j}" for j in range(n_features)]
+    if backend == "numpy":
+        scorer = build_scorer("tensor.graph", convert(model), names, backend)
+    else:
+        scorer = build_scorer("ml.pipeline", model, names, backend)
+
+    def score(X):
+        runs = []
+        events.BUS.subscribe(runs.append, pattern="backend.run")
+        try:
+            table = Table.from_dict({f"f{j}": X[:, j] for j in range(X.shape[1])})
+            out = scorer(table)[:, 0]
+        finally:
+            events.BUS.unsubscribe(runs.append)
+        score.ran_on = runs[-1].attrs["backend"]
+        return out
+
+    return score
 
 
 def _training_data(seed=0, n=400):
@@ -218,8 +252,7 @@ class TestBackendEquivalence:
                 return out.reshape(len(X), -1)[:, 0]
 
         else:
-            score = compiled_pipeline_scorer(model, n_features, route)
-            assert score.backend == route
+            score = _compiled(model, n_features, route)
         rng = np.random.default_rng(batch)
         X = rng.normal(size=(batch, n_features))
         X[rng.random(X.shape) < 0.2] = np.nan
@@ -227,6 +260,8 @@ class TestBackendEquivalence:
         np.testing.assert_allclose(
             score(X), model.predict(X), rtol=1e-9, atol=1e-9
         )
+        if route != "gpu":
+            assert score.ran_on == route
 
     def test_fused_tree_kernel_splits_trees_into_table_blocks(
         self, monkeypatch
@@ -283,28 +318,114 @@ class TestBackendEquivalence:
 
     def test_compiled_scorer_matches_interpreted_predict(self):
         model = _forest(seed=7)
-        score = compiled_pipeline_scorer(model, N_FEATURES, "fused")
-        assert score is not None and score.backend == "fused"
+        score = _compiled(model, N_FEATURES, "fused")
         X = np.random.default_rng(9).normal(size=(500, N_FEATURES))
         np.testing.assert_allclose(
             score(X), model.predict(X), rtol=1e-9, atol=1e-9
         )
+        assert score.ran_on == "fused"
 
     def test_compiled_scorer_tolerates_wider_matrix_like_interpreter(self):
         # Bare tree predictors address columns by split index, so the
         # interpreter silently ignores extra trailing columns; the
         # shape-exact GEMM path must reproduce that.
         model = _forest(seed=13)
-        score = compiled_pipeline_scorer(model, None, "fused")
+        score = _compiled(model, None, "fused")
         wide = np.random.default_rng(1).normal(size=(64, N_FEATURES + 3))
         np.testing.assert_allclose(
             score(wide), model.predict(wide), rtol=1e-9, atol=1e-9
         )
 
-    def test_unsupported_payload_returns_none(self):
-        assert compiled_pipeline_scorer(object(), 4, "fused") is None
+    def test_unsupported_payload_raises_on_the_compiled_route(self):
+        # The memo tags only what ``supports`` accepts, and every such
+        # model converts (``TestConverterCoverage``): nothing to fall
+        # back from, so a mis-tagged payload is an error, not a retry.
+        with pytest.raises(UnsupportedOpError):
+            build_scorer("ml.pipeline", object(), ["f0"], "fused")
         assert not supports(object())
         assert supports(_forest(seed=1))
+
+
+#: One unfitted instance of every predictor class the converters translate.
+PREDICTOR_KINDS = {
+    "tree_regressor": lambda: DecisionTreeRegressor(max_depth=4, random_state=0),
+    "tree_classifier": lambda: DecisionTreeClassifier(max_depth=4, random_state=0),
+    "forest_regressor": lambda: RandomForestRegressor(
+        n_estimators=4, max_depth=3, random_state=0
+    ),
+    "forest_classifier": lambda: RandomForestClassifier(
+        n_estimators=4, max_depth=3, random_state=0
+    ),
+    "gbr": lambda: GradientBoostingRegressor(
+        n_estimators=5, max_depth=2, random_state=0
+    ),
+    "logistic": lambda: LogisticRegression(),
+    "linear": lambda: LinearRegression(),
+    "ridge": lambda: Ridge(),
+    "lasso": lambda: Lasso(alpha=0.05),
+    "mlp_classifier": lambda: MLPClassifier(
+        hidden_layer_sizes=(6,), max_iter=20, random_state=0
+    ),
+    "mlp_regressor": lambda: MLPRegressor(
+        hidden_layer_sizes=(6,), max_iter=20, random_state=0
+    ),
+    "kmeans": lambda: KMeans(n_clusters=3, random_state=0),
+}
+
+#: The featurizers in front of the predictor; together they hold every
+#: transformer class the converters translate. Column 0 is categorical.
+FEATURIZERS = {
+    "bare": lambda: [],
+    "scaler": lambda: [StandardScaler()],
+    "column_transformer": lambda: [
+        ColumnTransformer(
+            [("oh", OneHotEncoder(), [0]), ("mm", MinMaxScaler(), [1, 2])],
+            remainder="passthrough",
+        )
+    ],
+    "union": lambda: [
+        FeatureUnion([("sc", StandardScaler()), ("bin", Binarizer(0.0))])
+    ],
+}
+
+
+class TestConverterCoverage:
+    def test_every_convertible_class_is_covered(self):
+        predictors = {type(make()) for make in PREDICTOR_KINDS.values()}
+        assert predictors == set(converters._PREDICTORS)
+        featurizers = set()
+        for make in FEATURIZERS.values():
+            for step in make():
+                featurizers.add(type(step))
+                for _name, sub, *_columns in getattr(
+                    step, "transformers", getattr(step, "transformer_list", [])
+                ):
+                    featurizers.add(type(sub))
+        assert featurizers == set(converters._TRANSFORMERS)
+
+    @pytest.mark.parametrize("featurizer", sorted(FEATURIZERS))
+    @pytest.mark.parametrize("kind", sorted(PREDICTOR_KINDS))
+    def test_supported_models_convert_and_score_like_predict(
+        self, kind, featurizer
+    ):
+        # ``supports`` is what lets the memo tag ``backend=fused``, and
+        # ``build_scorer`` then translates with no fallback to ``predict``.
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(200, N_FEATURES))
+        X[:, 0] = rng.integers(0, 4, len(X))
+        y = X[:, 1] - 2.0 * X[:, 2]
+        if "classifier" in kind or kind == "logistic":
+            y = (y > 0).astype(np.float64)
+        steps = FEATURIZERS[featurizer]() + [PREDICTOR_KINDS[kind]()]
+        model = (
+            steps[0] if len(steps) == 1
+            else Pipeline([(f"s{i}", step) for i, step in enumerate(steps)])
+        ).fit(X, y)
+        assert supports(model)
+        score = _compiled(model, N_FEATURES, "fused")
+        np.testing.assert_allclose(
+            score(X), model.predict(X), rtol=1e-9, atol=1e-9
+        )
 
 
 class TestBackendResolution:
@@ -324,49 +445,6 @@ class TestBackendResolution:
         session.run_single(np.zeros((3, N_FEATURES)))
         assert seen and seen[-1].attrs["backend"] == "fused"
         assert seen[-1].attrs["rows"] == 3
-
-
-class TestGraphOptMemo:
-    def test_identical_graphs_share_one_optimization(self):
-        clear_optimization_memo()
-        seen = []
-        events.BUS.subscribe(
-            lambda e: seen.append(e.name)
-            if e.name.startswith("session_cache.graph_opt_")
-            else None,
-            pattern="session_cache.*",
-        )
-        model = _forest(seed=21)
-        g1 = convert(model, n_features=N_FEATURES)
-        g2 = convert(model, n_features=N_FEATURES)
-        s1 = InferenceSession(g1)
-        s2 = InferenceSession(g2)  # same content hash -> memo hit
-        assert seen == [
-            "session_cache.graph_opt_miss",
-            "session_cache.graph_opt_hit",
-        ]
-        assert s1.graph is s2.graph
-
-    def test_one_optimized_graph_per_cpu_graph(self):
-        clear_optimization_memo()
-        seen = []
-        events.BUS.subscribe(lambda e: seen.append(e.name), pattern="session_cache.*")
-        graph = convert(_forest(seed=22), n_features=N_FEATURES)
-        interpreted = InferenceSession(graph, backend="numpy")
-        fused = InferenceSession(graph, backend="fused")
-        assert seen == [
-            "session_cache.graph_opt_miss",
-            "session_cache.graph_opt_hit",
-        ]
-        assert interpreted.graph is fused.graph
-
-    def test_content_hash_distinguishes_weights(self):
-        a = convert(_tree(seed=1), n_features=N_FEATURES)
-        b = convert(_tree(seed=2), n_features=N_FEATURES)
-        assert a.content_hash() != b.content_hash()
-        assert a.content_hash() == convert(
-            _tree(seed=1), n_features=N_FEATURES
-        ).content_hash()
 
 
 class TestBackendProfiles:
@@ -581,7 +659,7 @@ class TestDistributedBackends:
 
 
 class TestBackendMetrics:
-    def test_backend_and_session_cache_events_fold_into_registry(self):
+    def test_backend_run_events_fold_into_registry(self):
         session = InferenceSession(
             convert(_forest(seed=31), n_features=N_FEATURES),
             backend="fused",
@@ -589,11 +667,9 @@ class TestBackendMetrics:
         metrics = ServingMetrics().attach(events.BUS)
         try:
             session.run_single(np.zeros((5, N_FEATURES)))
-            events.emit("session_cache.graph_opt_hit", graph="forest")
             snapshot = metrics.registry.snapshot()
             assert snapshot["backend.fused.runs"] == 1
             assert snapshot["backend.fused.rows"] == 5
             assert snapshot["backend.fused.seconds"]["count"] == 1
-            assert snapshot["session_cache.graph_opt_hit"] == 1
         finally:
             metrics.detach()

@@ -1,12 +1,14 @@
 """Additional coverage: edge cases across layers that the main suites skip."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import Database, RavenSession, Table
 from repro.core.analysis.knowledge_base import DEFAULT_KNOWLEDGE_BASE, KnowledgeBase
 from repro.core.optimizer import SearchContext
-from repro.core.vocabulary import op_name, render
+from repro.core.vocabulary import describe, op_name, render
 from repro.errors import (
     BindError,
     ExecutionError,
@@ -46,6 +48,23 @@ class TestLogicalPlanPrinter:
         depth = len(lines[join]) - len(lines[join].lstrip())
         assert lines[join + 1].startswith(" " * (depth + 2) + "ra.scan(")
         assert all("[relational]" in l for l in render(plan, engines=True).splitlines())
+
+    def test_predict_line_shows_the_memo_backend(self, simple_db):
+        model = Pipeline([("tree", DecisionTreeRegressor(max_depth=2))]).fit(
+            np.arange(8.0).reshape(-1, 1), np.arange(8.0)
+        )
+        predict = logical.Predict(
+            simple_db.bind("SELECT p.age FROM people AS p"),
+            "m",
+            (("y", DataType.FLOAT),),
+            flavor="ml.pipeline",
+            payload=model,
+        )
+        assert describe(predict) == "mld.pipeline(DecisionTreeRegressor)"
+        fused = replace(predict, extra=(("backend", "fused"),))
+        assert describe(fused, engine=True) == (
+            "mld.pipeline(DecisionTreeRegressor, backend=fused) [python]"
+        )
 
 
 class TestEmptyInputs:

@@ -339,7 +339,10 @@ class TestNNTranslationRule:
         )
 
 
-    def test_tensor_graph_in_the_winning_plan_is_constant_folded(self):
+    def test_tensor_graph_is_folded_by_its_session_not_the_planner(
+        self, monkeypatch
+    ):
+        from repro.tensor import session as tensor_session
         from repro.tensor.graph import Graph
 
         db = Database()
@@ -359,15 +362,27 @@ class TestNNTranslationRule:
         db.store_model(
             "g", graph, flavor="tensor.graph", metadata={"feature_names": ["x", "w"]}
         )
-        result = RavenSession(db).execute(
+        sql = (
             "DECLARE @m varbinary(max) = (SELECT model FROM scoring_models "
             "WHERE model_name = 'g');"
             "SELECT d.id, p.y FROM PREDICT(MODEL = @m, DATA = t AS d) "
             "WITH (y float) AS p"
         )
-        assert "TensorGraphConstantFolding: 3 -> 1 tensor ops" in result.report.applied
-        [predict] = named(result.plan, "la.tensor_graph")
-        assert len(predict.payload.nodes) == 1
+        folded = []
+        optimize = tensor_session.optimize
+        monkeypatch.setattr(
+            tensor_session, "optimize", lambda g: folded.append(optimize(g))
+            or folded[-1]
+        )
+        session = RavenSession(db)
+        plan, _report = session.optimize(session.analyze(sql))
+        assert folded == []  # planning never optimizes a tensor graph
+        [predict] = named(plan, "la.tensor_graph")
+        assert predict.payload is graph  # the catalog's graph, as stored
+        result = session.execute(sql)
+        [session_graph] = folded  # one session built, one optimize run
+        assert len(session_graph.nodes) == 1
+        assert not any("Folding" in r for r in result.report.applied)
         assert len(graph.nodes) == 3  # the catalog's graph is untouched
         assert result.table.column("y").tolist() == [6.0, 9.0, 12.0, 15.0]
 

@@ -369,6 +369,6 @@ def test_settings_surface_is_pinned():
     ]
     # One scoring device, two backends: a device or a backend that comes
     # back is an edit here.
-    assert parameters(InferenceSession) == ["graph", "optimize_graph", "backend"]
+    assert parameters(InferenceSession) == ["graph", "backend"]
     assert BACKENDS == ("numpy", "fused")
     assert set(BACKEND_PROFILES) == {"fused"}

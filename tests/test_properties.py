@@ -34,7 +34,9 @@ from repro.relational.expressions import BinaryOp, col, conjoin, lit
 from repro.relational.sql.parser import parse_expression
 from repro.relational.table import Table
 from repro.tensor import InferenceSession, convert
-from repro.tensor.backends import BACKENDS, compiled_pipeline_scorer
+from repro.observability import events
+from repro.relational.scoring import build_scorer
+from repro.tensor.backends import BACKENDS
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -202,9 +204,16 @@ def test_fused_tree_kernel_matches_predict(backend, case):
     """Every backend's tree kernel routes every row as the tree walk
     does: ties go left, NaN fails every test."""
     kind, model, rows = case
-    score = compiled_pipeline_scorer(model, rows.shape[1], backend)
-    assert score.backend == backend
-    got, want = score(rows), model.predict(rows)
+    names = [f"f{j}" for j in range(rows.shape[1])]
+    score = build_scorer("tensor.graph", convert(model), names, backend)
+    runs = []
+    events.BUS.subscribe(runs.append, pattern="backend.run")
+    try:
+        got = score(Table.from_dict(dict(zip(names, rows.T))))[:, 0]
+    finally:
+        events.BUS.unsubscribe(runs.append)
+    assert runs[-1].attrs["backend"] == backend
+    want = model.predict(rows)
     if kind == "classifier":
         assert np.array_equal(got, want)
     else:

@@ -67,12 +67,14 @@ def _scored_db(n_rows, model):
 
 @pytest.fixture()
 def session_builds(monkeypatch):
-    """Every ``InferenceSession`` constructed during the test."""
+    """Every ``InferenceSession`` constructed during the test; each
+    records the graph it was built from as ``built_from``."""
     built = []
     init = InferenceSession.__init__
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording_init(self, graph, *args, **kwargs):
+        init(self, graph, *args, **kwargs)
+        self.built_from = graph
         built.append(self)
 
     monkeypatch.setattr(InferenceSession, "__init__", recording_init)
@@ -99,6 +101,33 @@ class TestPayloadScorerCache:
         assert scoring.session_scorer.cache_info().currsize == bound
         np.testing.assert_allclose(
             result.column("y"), model.predict(matrix), atol=1e-9
+        )
+
+    def test_stored_graph_query_builds_one_session(self, session_builds):
+        """Planning hands the scorer the catalog's graph object, so the
+        payload-identity cache serves every later query of it."""
+        model = _boosted(seed=9)
+        db = Database()
+        db.register_table("t", _feature_table(1000))
+        graph = convert(model)
+        db.store_model(
+            "m", graph, flavor="tensor.graph",
+            metadata={"feature_names": FEATURES},
+        )
+        scoring.session_scorer.cache_clear()
+        session = RavenSession(db)
+        results = [
+            session.execute(PREDICT_SQL + " ORDER BY d.rid").table
+            for _ in range(5)
+        ]
+        [built] = session_builds
+        assert built.built_from is graph
+        for result in results[1:]:
+            assert result.equals(results[0])
+        np.testing.assert_allclose(
+            results[0].column("y"),
+            model.predict(db.table("t").to_matrix(FEATURES)),
+            rtol=1e-9, atol=1e-9,
         )
 
     def test_rewritten_fused_plan_compiles_once(self, session_builds):
@@ -172,8 +201,7 @@ class TestScorerEquivalence:
         ).execute(hospital.INFERENCE_QUERY)
         [predict] = _named(result.plan, "la.tensor_graph")
         [built] = session_builds
-        # Same content, same memoized optimized graph.
-        assert built.graph is InferenceSession(predict.payload).graph
+        assert built.built_from is predict.payload
         assert sorted(result.table.rows()) == sorted(plain.table.rows())
 
 
